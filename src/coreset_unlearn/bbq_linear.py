@@ -117,9 +117,11 @@ class QueryRecord:
 class ModelState:
     """Fitted sampler state: Gram state, ordered core set, and fit metadata.
 
-    ``fit_weight`` is a snapshot of the weights at the end of the fit, kept as
-    the drift reference for capacity gating.  It is instrumentation: it is not
-    part of the externally visible system state and is not serialized.
+    ``fit_weight`` is the drift reference for capacity gating: a snapshot of
+    the weights at the end of the fit, rebased on the live weights whenever
+    the gate's budget is reset (the state then equals a fresh fit on the
+    surviving core set).  It is instrumentation: it is not part of the
+    externally visible system state and is not serialized.
     """
 
     gram_state: GramState

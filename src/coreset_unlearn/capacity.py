@@ -118,9 +118,12 @@ def expected_deletion_time(K: int, k_total: int, core_cost: float) -> float:
     return (K / k_total) * core_cost
 
 
-def margin_estimate(weight: np.ndarray, probe, max_points: int = DEFAULT_PROBE_SIZE) -> float:
-    """Estimated decision margin: twice the smallest ``|w @ x|`` over unqueried probes."""
-    xs = np.asarray([s.x for s in probe[:max_points]], dtype=np.float64)
+def margin_estimate(weight: np.ndarray, probe_x, max_points: int = DEFAULT_PROBE_SIZE) -> float:
+    """Estimated decision margin: twice the smallest ``|w @ x|`` over unqueried probe rows.
+
+    ``probe_x`` is an ``(n, d)`` array of feature vectors of unqueried points.
+    """
+    xs = np.asarray(probe_x, dtype=np.float64)[:max_points]
     if xs.size == 0:
         raise ValueError("margin estimation needs at least one probe point")
     return 2.0 * float(np.min(np.abs(xs @ weight)))
@@ -134,15 +137,17 @@ def count_margin_points(weight: np.ndarray, samples, eps: float) -> int:
     return int(np.sum(np.abs(xs @ weight) <= eps))
 
 
-def capacity_gate(model: ModelState, history: MetricSet, probe, delta: float = 0.05) -> str:
+def capacity_gate(model: ModelState, history: MetricSet, probe_x, delta: float = 0.05) -> str:
     """Accept or refuse the next core-set deletion.
 
     Accepts while the core-set deletion count stays below the closed-form
     budget (floored at one, so the first deletion is always admissible) and
-    the measured drift of the live weights against the fit-time weights over
-    the probe set stays below half the estimated margin.
+    the measured drift of the live weights against the drift reference
+    ``model.fit_weight`` over the probe rows ``probe_x`` (an ``(n, d)``
+    array of unqueried points) stays below half the estimated margin.
     """
-    eps_hat = margin_estimate(model.fit_weight, probe)
+    xs = np.asarray(probe_x, dtype=np.float64)[:DEFAULT_PROBE_SIZE]
+    eps_hat = margin_estimate(model.fit_weight, xs)
     params = CapacityParams(
         T=model.params.horizon,
         d=model.dim,
@@ -154,7 +159,6 @@ def capacity_gate(model: ModelState, history: MetricSet, probe, delta: float = 0
     budget = max(coreset_capacity(params), 1)
     if history.coreset_deletions >= budget:
         return BUDGET_EXHAUSTED
-    xs = np.asarray([s.x for s in probe[:DEFAULT_PROBE_SIZE]], dtype=np.float64)
     drift = float(np.max(np.abs(xs @ (model.weight - model.fit_weight))))
     if drift >= eps_hat / 2.0:
         return BUDGET_EXHAUSTED

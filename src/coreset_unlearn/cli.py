@@ -171,7 +171,7 @@ def _cmd_capacity(args) -> int:
         kappa=args.kappa,
     )
     params = CapacityParams(
-        T=len(ds.samples), d=args.d, kappa=args.kappa, delta=args.delta,
+        T=len(ds.samples), d=ds.spec.d, kappa=args.kappa, delta=args.delta,
         eps_bar=args.eps_bar, K=args.cap_k,
     )
     capacity_report_json(curve, args.out, params)

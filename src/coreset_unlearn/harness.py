@@ -9,9 +9,13 @@ wall-clock fields.
 
 Methods run sequentially for fair timing; a warmup fit is discarded before
 the timed fit.  The capacity gate applies only to the selective sampler and
-only to core-set hits; exhaustion is handled per the configured policy
-("halt" stops processing the stream, "refit" refits on the surviving core
-set and resets the budget) and is logged, never fatal.
+only to core-set hits, and its cost counts toward the sampler's deletion
+time.  Exhaustion is handled per the configured policy and is logged, never
+fatal: "halt" stops processing the stream; "refit" applies the deletion,
+refreshes the inverse, rebases the drift reference on the current weights
+and resets the budget.  The exactness theorem makes the downdated state the
+state of a fresh fit on the surviving core set, so this is identical to a
+refit without replaying the core set.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from . import baselines, capacity
 from .bbq_linear import bbq_fit, deletion_update
+from .core_linalg import refresh_inverse
 from .datastreams import Dataset, DatasetSpec, DeletionDistribution, deletion_stream, gen_dataset, load_dataset
 
 REPORT_VERSION = 1
@@ -51,7 +56,7 @@ class ExperimentConfig:
     cadence: int = 250
     seed: int = 0
     test_fraction: float = 0.2
-    gate_policy: str = "refit"
+    gate_policy: str = "halt"
     probe_size: int = 512
 
     def __post_init__(self):
@@ -162,6 +167,17 @@ def _checkpoints(n_deletions: int, cadence: int) -> list[int]:
     return points
 
 
+def _rebase(model) -> None:
+    """Make ``model`` what a fresh fit on its surviving core set would be.
+
+    The downdated Gram state already equals the refit's; what remains is a
+    fresh inverse (which also resets the downdate counter) and the refit's
+    drift reference, its current weights.
+    """
+    refresh_inverse(model.gram_state)
+    model.fit_weight = model.weight.copy()
+
+
 def _run_bbq(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodReport:
     bbq_fit(train[: min(len(train), 512)], cap_k=cfg.cap_k, kappa=cfg.kappa)  # warmup, discarded
     t0 = time.perf_counter()
@@ -169,12 +185,16 @@ def _run_bbq(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodR
     train_time = time.perf_counter() - t0
 
     queried = model.coreset_ids
-    probe = [s for s in train if s.sample_id not in queried][: cfg.probe_size]
+    probe_x = np.asarray(
+        [s.x for s in train if s.sample_id not in queried][: cfg.probe_size], dtype=np.float64
+    ).reshape(-1, model.dim)
     metrics = capacity.MetricSet()
     metrics.memory_scalars = 2 * model.dim * model.dim + 2 * model.dim
-    if probe:
-        eps_hat = capacity.margin_estimate(model.fit_weight, probe)
+    if len(probe_x):
+        eps_hat = capacity.margin_estimate(model.fit_weight, probe_x)
         metrics.margin_points = capacity.count_margin_points(model.fit_weight, train, eps_hat / 2)
+    else:
+        metrics.gate_events.append("gate-skipped: no unqueried probe points")
     curve = []
     deletion_time = 0.0
     halted_at = None
@@ -189,37 +209,26 @@ def _run_bbq(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodR
 
     record(0)
     for pos, sid in enumerate(stream):
-        if halted_at is not None:
-            break
-        hit = sid in model.coreset_ids
-        if hit and probe:
-            verdict = capacity.capacity_gate(model, metrics, probe, delta=cfg.delta)
-            if verdict == capacity.BUDGET_EXHAUSTED:
-                metrics.gate_events.append(f"exhausted@{pos}")
-                if cfg.gate_policy == "halt":
-                    halted_at = pos
-                    break
-                t0 = time.perf_counter()
-                deletion_update(model, [sid])
-                refit = bbq_fit(
-                    model.coreset,
-                    cap_k=cfg.cap_k,
-                    kappa=cfg.kappa,
-                    horizon=model.params.horizon,
-                    dim=model.dim,
-                )
-                refit.free_deletions = model.free_deletions
-                refit.coreset_deletions = model.coreset_deletions
-                model = refit
-                deletion_time += time.perf_counter() - t0
-                metrics.coreset_deletions = 0  # budget reset
-                record(pos + 1)
-                continue
         t0 = time.perf_counter()
+        hit = sid in model.coreset_ids
+        exhausted = (
+            hit
+            and len(probe_x) > 0
+            and capacity.capacity_gate(model, metrics, probe_x, delta=cfg.delta) == capacity.BUDGET_EXHAUSTED
+        )
+        if exhausted:
+            metrics.gate_events.append(f"exhausted@{pos}")
+            if cfg.gate_policy == "halt":
+                deletion_time += time.perf_counter() - t0
+                halted_at = pos
+                break
         deletion_update(model, [sid])
-        deletion_time += time.perf_counter() - t0
-        if hit:
+        if exhausted:
+            _rebase(model)
+            metrics.coreset_deletions = 0  # budget reset
+        elif hit:
             metrics.coreset_deletions += 1
+        deletion_time += time.perf_counter() - t0
         record(pos + 1)
     if halted_at is not None:
         # curve freezes at the halt point; later checkpoints repeat the value

@@ -139,7 +139,7 @@ class TestExpectedCapacity:
 def margin_fit(seed=41, T=3000, d=8):
     ds = gen_dataset(DatasetSpec(kind="margin", T=T, d=d, seed=seed, gamma=0.1))
     m = bbq_fit(ds.samples, cap_k=4.0, kappa=0.5)
-    probe = [s for s in ds.samples if s.sample_id not in m.coreset_ids][:512]
+    probe = np.asarray([s.x for s in ds.samples if s.sample_id not in m.coreset_ids][:512])
     return ds, m, probe
 
 
@@ -169,14 +169,13 @@ class TestGate:
         # fit-time model on every probe sign: accepted drift stays below half
         # the estimated margin, and every probe carries at least that margin
         ds, m, probe = margin_fit()
-        xs = np.asarray([s.x for s in probe])
-        reference = np.sign(xs @ m.fit_weight)
+        reference = np.sign(probe @ m.fit_weight)
         history = MetricSet()
         accepted = 0
         for s in list(m.coreset):
             if capacity_gate(m, history, probe) == BUDGET_EXHAUSTED:
                 break
-            assert np.array_equal(np.sign(xs @ m.weight), reference)
+            assert np.array_equal(np.sign(probe @ m.weight), reference)
             deletion_update(m, {s.sample_id})
             history.coreset_deletions += 1
             accepted += 1

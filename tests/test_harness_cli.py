@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from coreset_unlearn import (
@@ -11,8 +12,11 @@ from coreset_unlearn import (
     ridge_fit,
     run_experiment,
 )
+from coreset_unlearn import harness
 from coreset_unlearn.baselines import exact_unlearn, weight_accuracy
-from coreset_unlearn.cli import cli_main
+from coreset_unlearn.bbq_linear import deletion_update, replay_on_coreset, state_of_system, system_states_equal
+from coreset_unlearn.capacity import CapacityParams, coreset_capacity
+from coreset_unlearn.cli import _build_parser, cli_main
 from coreset_unlearn.harness import load_report_json, stratified_split
 
 
@@ -146,6 +150,65 @@ class TestRunExperiment:
             weight_accuracy(model.weight, test), abs=1e-9
         )
 
+    # bbq outputs of small_config(gate_policy="refit") recorded while every
+    # exhaustion still replayed bbq_fit on the surviving core set
+    REFIT_EXHAUSTED_AT = [
+        1, 10, 24, 38, 48, 62, 83, 85, 96, 105, 110, 114, 117, 120, 123, 134, 143, 150, 157, 166, 169, 172,
+        176, 178, 194, 207, 218, 231, 235, 253, 257, 259, 263, 270, 277, 283, 286, 296, 304, 312, 316, 329,
+        339, 357,
+    ]
+    REFIT_CURVE = [
+        (0, 0.73), (100, 0.7233333333333334), (200, 0.7266666666666667), (300, 0.73), (360, 0.7233333333333334),
+    ]
+
+    def test_refit_policy_reproduces_replay_outputs(self):
+        bbq = run_experiment(small_config(gate_policy="refit")).methods["bbq"]
+        assert bbq.gate_events == [f"exhausted@{pos}" for pos in self.REFIT_EXHAUSTED_AT]
+        assert bbq.accuracy_curve == self.REFIT_CURVE
+        assert (bbq.coreset_deletions, bbq.free_deletions) == (89, 271)
+
+    def test_refit_policy_never_replays_the_coreset(self, monkeypatch):
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(kwargs)
+            return bbq_fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "bbq_fit", counting_fit)
+        bbq = run_experiment(small_config(gate_policy="refit", methods=("bbq",))).methods["bbq"]
+        assert len(bbq.gate_events) == 44
+        assert len(fits) == 2  # the discarded warm-up and the timed fit
+
+    def test_rebase_equals_fresh_fit_on_survivors(self):
+        cfg = small_config()
+        train, _ = stratified_split(gen_dataset(cfg.dataset).samples, cfg.test_fraction, cfg.seed)
+        model = bbq_fit(train, cap_k=cfg.cap_k, kappa=cfg.kappa)
+        free = next(s.sample_id for s in train if s.sample_id not in model.coreset_ids)
+        deletion_update(model, [free])
+        for s in model.coreset[:5]:
+            deletion_update(model, [s.sample_id])
+            harness._rebase(model)
+            refit = replay_on_coreset(model, [])
+            assert system_states_equal(state_of_system(model), state_of_system(refit))
+            assert np.max(np.abs(model.fit_weight - refit.fit_weight)) <= 1e-8
+            assert model.gram_state.downdates_since_refresh == 0
+        assert (model.coreset_deletions, model.free_deletions) == (5, 1)
+
+    def test_gate_skip_is_reported_when_everything_is_queried(self):
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(kind="realizable-linear", T=20, d=20, seed=3),
+            methods=("bbq",), cap_k=1.0, kappa=1.0, cadence=2, gate_policy="refit",
+        )
+        rep = run_experiment(cfg)
+        bbq = rep.methods["bbq"]
+        assert bbq.stored_fraction == (rep.train_size - rep.n_deletions) / rep.train_size
+        assert bbq.gate_events == ["gate-skipped: no unqueried probe points"]
+        assert bbq.coreset_deletions == rep.n_deletions > 0
+
+    def test_default_gate_policy_matches_cli(self):
+        cli_default = _build_parser().parse_args(["bench", "--out", "x"]).gate_policy
+        assert ExperimentConfig(dataset="unused.bin").gate_policy == cli_default
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
             small_config(methods=())
@@ -259,6 +322,20 @@ class TestCli:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["trials"] == 5 and len(doc["curve"]) > 0
+
+    def test_capacity_takes_dimension_from_data_file(self, tmp_path):
+        ds, out = tmp_path / "ds.bin", tmp_path / "cap.json"
+        cli_main(["gen", "--kind", "realizable-linear", "--t", "300", "--d", "6", "--seed", "2",
+                  "--out", str(ds)])
+        assert cli_main([
+            "capacity", "--data", str(ds), "--cap-k", "2", "--k", "3", "--trials", "3",
+            "--eps-bar", "40", "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["d"] == 6
+        params = CapacityParams(T=300, d=6, kappa=0.5, delta=0.05, eps_bar=40.0, K=2.0)
+        assert doc["K_max"] == coreset_capacity(params)
+        assert coreset_capacity(params) != coreset_capacity(CapacityParams(**(vars(params) | {"d": 10})))
 
     def test_verify_subcommand_passes(self, capsys):
         assert cli_main(["verify", "--seed", "1", "--trials", "4"]) == 0
