@@ -1,11 +1,18 @@
 """Reference unlearning baselines: exact ridge retraining and a sharded ensemble.
 
+Both baselines work on the array form of the data (:class:`~.datastreams.Rows`):
+a model keeps references to the training ``X``/``y`` and addresses samples by
+row index, so no per-sample objects are built.  Every entry point also accepts
+a sequence of :class:`~.bbq_linear.LabeledSample`, stacked once by
+:func:`~.datastreams.as_rows`.
+
 ``ridge_retrain`` is the ground-truth full-data model (one direct solve).
 ``ridge_fit``/``exact_unlearn`` give the exact-retraining baseline its
-incremental form: every deletion is a rank-one downdate, which is what gets
-timed.  The sharded ensemble partitions the data round-robin after a seeded
-shuffle, trains one ridge model per shard, votes uniformly by sign, and
-handles a deletion by retraining only the affected shard from scratch.
+incremental form: the fit forms ``lam*I + X^T X`` in one step, and every
+deletion is a rank-one downdate, which is what gets timed.  The sharded
+ensemble (SISA) partitions the rows round-robin after a seeded shuffle, trains
+one ridge model per shard, votes uniformly by sign, and handles a deletion by
+retraining only the affected shard from scratch on its surviving rows.
 """
 
 from __future__ import annotations
@@ -14,30 +21,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bbq_linear import LabeledSample
-from .core_linalg import GramState, gram_init, rank_one_downdate, rank_one_update
+from .core_linalg import GramState, gram_init, rank_one_downdate
+from .datastreams import as_rows
 
 DEFAULT_RIDGE_LAMBDA = 1.0
 
 
 def ridge_retrain(samples, lam: float = DEFAULT_RIDGE_LAMBDA) -> np.ndarray:
     """Direct solve of ``(lam*I + X^T X) w = X^T y`` over the full sample."""
-    samples = list(samples)
-    if not samples:
+    rows = as_rows(samples)
+    if not len(rows):
         raise ValueError("ridge_retrain needs a nonempty sample")
-    X = np.asarray([s.x for s in samples])
-    y = np.asarray([s.y for s in samples], dtype=np.float64)
-    d = X.shape[1]
-    A = lam * np.eye(d) + X.T @ X
-    return np.linalg.solve(A, X.T @ y)
+    X = rows.X
+    A = lam * np.eye(X.shape[1]) + X.T @ X
+    return np.linalg.solve(A, X.T @ rows.y.astype(np.float64))
+
+
+def _ridge_state(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
+    """Gram state of a fresh ridge fit on the rows of ``X``, formed in one step.
+
+    The inverse is one dense inversion (``lam > 0`` keeps the matrix positive
+    definite); this is the whole cost of a SISA shard retrain.
+    """
+    state = gram_init(X.shape[1], lam)
+    state.gram += X.T @ X
+    state.b_vec += X.T @ y.astype(np.float64)
+    state.gram_inv = np.linalg.inv(state.gram)
+    state.weight = state.gram_inv @ state.b_vec
+    return state
 
 
 @dataclass
 class RidgeModel:
-    """Incrementally maintained ridge model over a live sample set."""
+    """Incrementally maintained ridge model over the live rows of ``X``/``y``."""
 
     state: GramState
-    live: dict[int, LabeledSample]
+    live: dict[int, int]  # sample id -> row of X/y still in the model
+    X: np.ndarray
+    y: np.ndarray
 
     @property
     def weight(self) -> np.ndarray:
@@ -45,13 +66,15 @@ class RidgeModel:
 
 
 def ridge_fit(samples, lam: float = DEFAULT_RIDGE_LAMBDA) -> RidgeModel:
-    samples = list(samples)
-    if not samples:
+    rows = as_rows(samples)
+    if not len(rows):
         raise ValueError("ridge_fit needs a nonempty sample")
-    state = gram_init(len(samples[0].x), lam)
-    for s in samples:
-        rank_one_update(state, s.x, s.y)
-    return RidgeModel(state=state, live={s.sample_id: s for s in samples})
+    return RidgeModel(
+        state=_ridge_state(rows.X, rows.y, lam),
+        live=dict(zip(rows.ids.tolist(), range(len(rows)))),
+        X=rows.X,
+        y=rows.y,
+    )
 
 
 def exact_unlearn(model: RidgeModel, ids) -> np.ndarray:
@@ -60,30 +83,28 @@ def exact_unlearn(model: RidgeModel, ids) -> np.ndarray:
     Unknown ids are ignored (already removed or never present).
     """
     for sid in ids:
-        s = model.live.pop(sid, None)
-        if s is None:
+        row = model.live.pop(sid, None)
+        if row is None:
             continue
-        rank_one_downdate(model.state, s.x, s.y)
+        rank_one_downdate(model.state, model.X[row], int(model.y[row]))
     return model.state.weight
-
-
-def _shard_state(members, dim: int, lam: float) -> GramState:
-    state = gram_init(dim, lam)
-    if members:
-        X = np.asarray([s.x for s in members])
-        y = np.asarray([s.y for s in members], dtype=np.float64)
-        state.gram += X.T @ X
-        state.b_vec += X.T @ y
-        state.gram_inv = np.linalg.inv(state.gram)
-        state.weight = state.gram_inv @ state.b_vec
-    return state
 
 
 @dataclass
 class SisaModel:
+    """Per-shard ridge states over row-index arrays into the training ``X``/``y``.
+
+    ``rows[k]`` lists shard ``k``'s surviving rows in assignment order, the
+    order its Gram matrix is accumulated in; ``assignment`` maps each live
+    sample id to its shard.
+    """
+
     shards: list[GramState]
-    members: list[dict[int, LabeledSample]]
+    rows: list[np.ndarray]
     assignment: dict[int, int]
+    ids: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
     n_shards: int
     lam: float
     dim: int
@@ -91,25 +112,24 @@ class SisaModel:
 
 def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RIDGE_LAMBDA) -> SisaModel:
     """Round-robin shard assignment after a seeded shuffle, one ridge model per shard."""
-    samples = list(samples)
+    data = as_rows(samples)
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    if not samples:
+    if not len(data):
         raise ValueError("sisa_fit needs a nonempty sample")
-    dim = len(samples[0].x)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    order = rng.permutation(len(samples))
-    members: list[dict[int, LabeledSample]] = [{} for _ in range(n_shards)]
-    assignment: dict[int, int] = {}
-    for pos, idx in enumerate(order):
-        s = samples[idx]
-        shard = pos % n_shards
-        members[shard][s.sample_id] = s
-        assignment[s.sample_id] = shard
-    shards = [_shard_state(list(m.values()), dim, lam) for m in members]
+    order = rng.permutation(len(data))
+    rows = [order[k::n_shards] for k in range(n_shards)]
     return SisaModel(
-        shards=shards, members=members, assignment=assignment,
-        n_shards=n_shards, lam=lam, dim=dim,
+        shards=[_ridge_state(data.X[r], data.y[r], lam) for r in rows],
+        rows=rows,
+        assignment=dict(zip(data.ids[order].tolist(), (np.arange(len(order)) % n_shards).tolist())),
+        ids=data.ids,
+        X=data.X,
+        y=data.y,
+        n_shards=n_shards,
+        lam=lam,
+        dim=data.X.shape[1],
     )
 
 
@@ -120,10 +140,12 @@ def sisa_unlearn(model: SisaModel, ids) -> SisaModel:
         shard = model.assignment.pop(sid, None)
         if shard is None:
             continue
-        model.members[shard].pop(sid, None)
+        r = model.rows[shard]
+        model.rows[shard] = r[model.ids[r] != sid]
         touched.add(shard)
     for shard in touched:
-        model.shards[shard] = _shard_state(list(model.members[shard].values()), model.dim, model.lam)
+        r = model.rows[shard]
+        model.shards[shard] = _ridge_state(model.X[r], model.y[r], model.lam)
     return model
 
 
@@ -143,10 +165,9 @@ def sisa_memory_scalars(model: SisaModel) -> int:
 
 def weight_accuracy(weight: np.ndarray, samples) -> float:
     """Sign-agreement accuracy of a linear weight vector on labeled samples."""
-    X = np.asarray([s.x for s in samples])
-    y = np.asarray([s.y for s in samples])
-    preds = np.where(X @ weight < 0.0, -1, 1)
-    return float(np.mean(preds == y))
+    rows = as_rows(samples)
+    preds = np.where(rows.X @ weight < 0.0, -1, 1)
+    return float(np.mean(preds == rows.y))
 
 
 def sisa_predict_batch(model: SisaModel, X: np.ndarray) -> np.ndarray:
@@ -157,6 +178,5 @@ def sisa_predict_batch(model: SisaModel, X: np.ndarray) -> np.ndarray:
 
 
 def sisa_accuracy_batch(model: SisaModel, samples) -> float:
-    X = np.asarray([s.x for s in samples])
-    y = np.asarray([s.y for s in samples])
-    return float(np.mean(sisa_predict_batch(model, X) == y))
+    rows = as_rows(samples)
+    return float(np.mean(sisa_predict_batch(model, rows.X) == rows.y))

@@ -29,8 +29,8 @@ Serialized model container ("SAUL1"), all integers and doubles little-endian:
     b_vec               dim f64
     weight              dim f64
 
-Round-trips are bit-exact.  The per-point query log is a fit-time artifact
-and is not serialized.
+Round-trips are bit-exact and a save replaces the file atomically.  The
+per-point query log is a fit-time artifact and is not serialized.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic_io import atomic_open
 from .core_linalg import (
     DEFAULT_REFRESH_PERIOD,
     GramState,
@@ -120,7 +121,8 @@ class ModelState:
     ``fit_weight`` is the drift reference for capacity gating: a snapshot of
     the weights at the end of the fit, rebased on the live weights whenever
     the gate's budget is reset (the state then equals a fresh fit on the
-    surviving core set).  It is instrumentation: it is not part of the
+    surviving core set).  A rebase assigns a new array and never writes into
+    the old one: the gate caches its margin estimate per reference object.  It is instrumentation: it is not part of the
     externally visible system state and is not serialized.
     """
 
@@ -292,7 +294,7 @@ def save_model(model: ModelState, path) -> None:
         parts.append(rec.pack(s.sample_id, s.y, *s.x.tolist()))
     for arr in (g.gram, g.gram_inv, g.b_vec, g.weight):
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic_io import atomic_open
 from .bbq_linear import ModelState, bbq_fit
 from .core_linalg import GramState, gram_init, rank_one_downdate, rank_one_update
-from .datastreams import DeletionDistribution, deletion_stream
+from .datastreams import DeletionDistribution, as_rows, deletion_stream
 
 ACCEPT = "accept"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -66,14 +67,20 @@ class CapacityParams:
 
 @dataclass
 class MetricSet:
-    """Counters and timings accumulated while a deletion stream replays."""
+    """Counters and timings accumulated while a deletion stream replays.
+
+    ``eps_cache`` memoizes the gate's margin estimate as ``(fit_weight,
+    probe_x, eps_hat)``, valid while both arrays are the very objects the gate
+    is called with (compared with ``is``).  A rebase assigns a new
+    ``fit_weight`` array rather than writing into the old one, so the key
+    changes exactly when the drift reference does.
+    """
 
     coreset_deletions: int = 0
     free_deletions: int = 0
     deletion_times: list[float] = field(default_factory=list)
-    margin_points: int = 0
-    memory_scalars: int = 0
     gate_events: list[str] = field(default_factory=list)
+    eps_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def total(self) -> int:
@@ -129,14 +136,6 @@ def margin_estimate(weight: np.ndarray, probe_x, max_points: int = DEFAULT_PROBE
     return 2.0 * float(np.min(np.abs(xs @ weight)))
 
 
-def count_margin_points(weight: np.ndarray, samples, eps: float) -> int:
-    """Points with ``|w @ x| <= eps``: too close to the boundary to carry guarantees."""
-    xs = np.asarray([s.x for s in samples], dtype=np.float64)
-    if xs.size == 0:
-        return 0
-    return int(np.sum(np.abs(xs @ weight) <= eps))
-
-
 def capacity_gate(model: ModelState, history: MetricSet, probe_x, delta: float = 0.05) -> str:
     """Accept or refuse the next core-set deletion.
 
@@ -144,10 +143,15 @@ def capacity_gate(model: ModelState, history: MetricSet, probe_x, delta: float =
     budget (floored at one, so the first deletion is always admissible) and
     the measured drift of the live weights against the drift reference
     ``model.fit_weight`` over the probe rows ``probe_x`` (an ``(n, d)``
-    array of unqueried points) stays below half the estimated margin.
+    array of unqueried points) stays below half the estimated margin.  The
+    margin estimate depends only on the drift reference and the probe rows,
+    so it is computed once per reference and kept in ``history.eps_cache``.
     """
     xs = np.asarray(probe_x, dtype=np.float64)[:DEFAULT_PROBE_SIZE]
-    eps_hat = margin_estimate(model.fit_weight, xs)
+    cached = history.eps_cache
+    if cached is None or cached[0] is not model.fit_weight or cached[1] is not probe_x:
+        cached = history.eps_cache = (model.fit_weight, probe_x, margin_estimate(model.fit_weight, xs))
+    eps_hat = cached[2]
     params = CapacityParams(
         T=model.params.horizon,
         d=model.dim,
@@ -218,7 +222,7 @@ class CapacityCurve:
 
 
 def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(curve.to_report_dict(params), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -279,7 +283,8 @@ def expected_capacity_mc(
     children = np.random.SeedSequence(seed).spawn(trials)
     exceed = np.zeros((trials, len(k_total_grid)))
     qf_values = np.zeros(trials)
-    xs_all = np.asarray([s.x for s in dataset])
+    rows = as_rows(dataset)
+    xs_all = rows.X
 
     for trial, child in enumerate(children):
         perm_seq, draw_seq = child.spawn(2)
@@ -292,16 +297,15 @@ def expected_capacity_mc(
         if dist.kind == "uniform":
             qf = float(np.mean(np.einsum("ij,jk,ik->i", xs_all, mean_inv, xs_all)))
         elif dist.kind == "by-label":
-            mask = np.array([s.y == dist.target_label for s in dataset])
-            sub = xs_all[mask]
+            sub = xs_all[rows.y == dist.target_label]
             qf = float(np.mean(np.einsum("ij,jk,ik->i", sub, mean_inv, sub)))
         else:
-            w = np.array([dist.weights[s.sample_id] for s in dataset])
+            w = np.array([dist.weights[sid] for sid in rows.ids.tolist()])
             qf = float(np.einsum("i,ij,jk,ik->", w, xs_all, mean_inv, xs_all))
         qf_values[trial] = qf
 
         draws = deletion_stream(
-            dataset, dist, int(k_total_grid[-1]), seed=int(draw_seq.generate_state(1)[0] % (2**31))
+            rows, dist, int(k_total_grid[-1]), seed=int(draw_seq.generate_state(1)[0] % (2**31))
         )
         hit_positions = [pos for pos, sid in enumerate(draws) if sid in model.coreset_ids]
         hits_so_far = np.searchsorted(hit_positions, k_total_grid, side="left")

@@ -115,7 +115,7 @@ def _cmd_fit(args) -> int:
     ds = load_dataset(args.data)
     model = bbq_fit(ds.samples, cap_k=args.cap_k, kappa=args.kappa)
     save_model(model, args.out)
-    print(f"wrote {args.out} (core set {len(model.coreset)} of {len(ds.samples)})")
+    print(f"wrote {args.out} (core set {len(model.coreset)} of {len(ds)})")
     return EXIT_OK
 
 
@@ -123,7 +123,7 @@ def _cmd_unlearn(args) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data)
     dist = DeletionDistribution(kind=args.dist, target_label=args.target_label)
-    stream = deletion_stream(ds.samples, dist, args.n, seed=args.seed)
+    stream = deletion_stream(ds, dist, args.n, seed=args.seed)
     deletion_update(model, stream)
     save_model(model, args.out)
     print(
@@ -171,7 +171,7 @@ def _cmd_capacity(args) -> int:
         kappa=args.kappa,
     )
     params = CapacityParams(
-        T=len(ds.samples), d=ds.spec.d, kappa=args.kappa, delta=args.delta,
+        T=len(ds), d=ds.spec.d, kappa=args.kappa, delta=args.delta,
         eps_bar=args.eps_bar, K=args.cap_k,
     )
     capacity_report_json(curve, args.out, params)

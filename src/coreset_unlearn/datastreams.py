@@ -1,8 +1,9 @@
-"""Synthetic dataset generation, dataset file I/O, and deletion streams.
+"""Synthetic datasets as struct-of-arrays, dataset file I/O, and deletion streams.
 
-Datasets are ordered lists of :class:`LabeledSample` with covariates in the
-unit ball and labels drawn as ``P(y = +1 | x) = (1 + u @ x) / 2`` for a
-planted unit vector ``u``.  Three presets:
+A dataset is held as three aligned arrays (:class:`Rows`): ``ids u64[T]``,
+``X f64[T, d]`` (C-contiguous, rows in the unit ball) and ``y i8[T]`` with
+labels in {-1, +1}.  Labels are drawn as ``P(y = +1 | x) = (1 + u @ x) / 2``
+for a planted unit vector ``u``.  Three presets:
 
   * ``realizable-linear``: x uniform in the unit ball.
   * ``margin``: x uniform in the ball, rejection-sampled until
@@ -11,21 +12,31 @@ planted unit vector ``u``.  Three presets:
     a non-margin workload for the harness, not tied to any reference
     experiment.
 
+:func:`as_rows` is the one conversion between the two representations the
+package accepts: a :class:`Rows` (or :class:`Dataset`) passes through, a
+sequence of :class:`LabeledSample` is stacked once.  Per-sample objects exist
+only where an algorithm consumes a stream of them (the selective sampler);
+:attr:`Rows.samples` builds them on first use.
+
 Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON
 ``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then T
-binary rows of (sample_id u64 LE, y i8, x d*f64 LE).  Round-trips are
-bit-exact.
+packed little-endian rows of (sample_id u64, y i8, x d*f64), i.e. exactly
+the numpy structured dtype :func:`row_dtype`.  Loading is one
+``np.frombuffer`` over the file followed by one vectorized validation pass;
+round-trips are bit-exact and writes replace the file atomically.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .atomic_io import atomic_open
 from .bbq_linear import LabeledSample
+from .core_linalg import NORM_SLACK
 
 DATASET_MAGIC = b"SADS1"
 
@@ -64,11 +75,65 @@ class DatasetSpec:
             raise ValueError("planted u has wrong dimension")
 
 
-@dataclass
-class Dataset:
+@dataclass(eq=False)
+class Rows:
+    """Labeled samples as aligned arrays: ``ids u64[n]``, ``X f64[n, d]``, ``y i8[n]``.
+
+    ``X`` is C-contiguous; row ``i`` is the sample with id ``ids[i]``.
+    """
+
+    ids: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, index) -> Rows:
+        """The rows selected by ``index`` (an index array, mask or slice), in that order."""
+        return Rows(self.ids[index], self.X[index], self.y[index])
+
+    @cached_property
+    def samples(self) -> list[LabeledSample]:
+        """Per-row :class:`LabeledSample` objects, built on first access.
+
+        Each sample owns a copy of its row, never a view into ``X``: a model
+        that keeps a few samples (a core set) must not keep all of ``X`` alive.
+        """
+        return [
+            LabeledSample(sid, row.copy(), label)
+            for sid, row, label in zip(self.ids.tolist(), self.X, self.y.tolist())
+        ]
+
+
+@dataclass(eq=False)
+class Dataset(Rows):
+    """A generated or loaded dataset: its rows, the spec and the planted direction ``u``."""
+
     spec: DatasetSpec
-    samples: list[LabeledSample]
     u: np.ndarray
+
+
+def as_rows(data) -> Rows:
+    """``(ids, X, y)`` arrays of ``data``.
+
+    A :class:`Rows` or :class:`Dataset` passes through unchanged; any other
+    iterable of :class:`LabeledSample` is stacked once.
+    """
+    if isinstance(data, Rows):
+        return data
+    samples = list(data)
+    n = len(samples)
+    return Rows(
+        ids=np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=n),
+        X=np.asarray([s.x for s in samples], dtype=np.float64) if n else np.empty((0, 0)),
+        y=np.fromiter((s.y for s in samples), dtype=np.int8, count=n),
+    )
+
+
+def row_dtype(d: int) -> np.dtype:
+    """The packed SADS1 row: (id u64, y i8, x d*f64), little-endian."""
+    return np.dtype([("id", "<u8"), ("y", "i1"), ("x", "<f8", (d,))])
 
 
 @dataclass(frozen=True)
@@ -144,47 +209,52 @@ def gen_dataset(spec: DatasetSpec) -> Dataset:
     xs = xs[: spec.T]
 
     probs = (1.0 + xs @ u) / 2.0
-    ys = np.where(rng.random(spec.T) < probs, 1, -1)
-    samples = [LabeledSample(i, xs[i], int(ys[i])) for i in range(spec.T)]
-    return Dataset(spec=spec, samples=samples, u=u)
+    ys = np.where(rng.random(spec.T) < probs, 1, -1).astype(np.int8)
+    return Dataset(ids=np.arange(spec.T, dtype=np.uint64), X=xs, y=ys, spec=spec, u=u)
 
 
 def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> list[int]:
-    """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``."""
+    """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``.
+
+    ``samples`` is anything :func:`as_rows` accepts.
+    """
+    rows = as_rows(samples)
     if dist.kind == "uniform":
-        eligible = [s.sample_id for s in samples]
+        eligible = rows.ids
     elif dist.kind == "by-label":
-        eligible = [s.sample_id for s in samples if s.y == dist.target_label]
+        eligible = rows.ids[rows.y == dist.target_label]
     else:
         weights = dist.weights
-        missing = [s.sample_id for s in samples if s.sample_id not in weights]
+        ids = rows.ids.tolist()
+        missing = [sid for sid in ids if sid not in weights]
         if missing:
             raise ValueError(f"weights missing for {len(missing)} sample ids")
-        w = np.array([weights[s.sample_id] for s in samples], dtype=np.float64)
+        w = np.array([weights[sid] for sid in ids], dtype=np.float64)
         if np.any(w < 0):
             raise ValueError("deletion weights must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"deletion weights sum to {total}, expected 1")
-        eligible = [s.sample_id for s, wi in zip(samples, w) if wi > 0]
+        positive = w > 0
+        eligible = rows.ids[positive]
         if n > len(eligible):
             raise ValueError(f"requested {n} deletions, only {len(eligible)} have weight")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # Efraimidis-Spirakis keys: sorting u^(1/w) descending is equivalent to
         # sequential weighted sampling without replacement.
-        w_pos = np.array([weights[i] for i in eligible])
-        keys = rng.random(len(eligible)) ** (1.0 / w_pos)
+        keys = rng.random(len(eligible)) ** (1.0 / w[positive])
         order = np.argsort(-keys, kind="stable")
-        return [eligible[i] for i in order[:n]]
+        return eligible[order[:n]].tolist()
 
     if n > len(eligible):
         raise ValueError(f"requested {n} deletions, only {len(eligible)} eligible")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(len(eligible))
-    return [eligible[i] for i in order[:n]]
+    return eligible[order[:n]].tolist()
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` as SADS1: the two header lines, then all rows as one packed buffer."""
     header = {
         "T": ds.spec.T,
         "d": ds.spec.d,
@@ -193,38 +263,65 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.spec.seed,
         "u": ds.u.tolist(),
     }
-    rec = struct.Struct(f"<Qb{ds.spec.d}d")
-    with open(path, "wb") as fh:
+    rows = np.empty(ds.spec.T, dtype=row_dtype(ds.spec.d))
+    rows["id"] = ds.ids
+    rows["y"] = ds.y
+    rows["x"] = ds.X
+    with atomic_open(path, "wb") as fh:
         fh.write(DATASET_MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for s in ds.samples:
-            fh.write(rec.pack(s.sample_id, s.y, *s.x.tolist()))
+        fh.write(rows)  # the packed array's own buffer, written without a copy
 
 
 def load_dataset(path) -> Dataset:
+    """Read a SADS1 file; raises :class:`DatasetFormatError` on any inconsistency.
+
+    The payload is decoded by one ``np.frombuffer`` call over the file's bytes
+    and copied once into the native ``ids``/``X``/``y`` arrays.  Labels outside
+    {-1, +1}, rows with ``||x|| > 1`` (or non-finite), duplicate ids, and a
+    payload whose length is not exactly ``T`` rows are all rejected.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, sep, rest = blob.partition(b"\n")
-    if magic != DATASET_MAGIC or not sep:
+    magic_end = blob.find(b"\n")
+    if magic_end < 0 or blob[:magic_end] != DATASET_MAGIC:
         raise DatasetFormatError(f"bad magic, expected {DATASET_MAGIC!r}")
-    header_line, sep, payload = rest.partition(b"\n")
-    if not sep:
+    header_end = blob.find(b"\n", magic_end + 1)
+    if header_end < 0:
         raise DatasetFormatError("missing dataset header line")
     try:
-        header = json.loads(header_line.decode("utf-8"))
-        T, d = int(header["T"]), int(header["d"])
-        kind, gamma, seed = header["kind"], float(header["gamma"]), int(header["seed"])
-        u = np.asarray(header["u"], dtype=np.float64)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise DatasetFormatError(f"malformed dataset header: {exc}") from exc
-    rec = struct.Struct(f"<Qb{d}d")
-    if len(payload) != T * rec.size:
-        raise DatasetFormatError(
-            f"dataset payload has {len(payload)} bytes, header promises {T * rec.size}"
+        header = json.loads(blob[magic_end + 1 : header_end].decode("utf-8"))
+        spec = DatasetSpec(
+            kind=header["kind"], T=int(header["T"]), d=int(header["d"]),
+            seed=int(header["seed"]), gamma=float(header["gamma"]),
         )
-    samples = []
-    for t in range(T):
-        fields = rec.unpack_from(payload, t * rec.size)
-        samples.append(LabeledSample(fields[0], np.array(fields[2:]), fields[1]))
-    spec = DatasetSpec(kind=kind, T=T, d=d, seed=seed, gamma=gamma)
-    return Dataset(spec=spec, samples=samples, u=u)
+        u = np.asarray(header["u"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"malformed dataset header: {exc}") from exc
+    if u.shape != (spec.d,):
+        raise DatasetFormatError(f"planted u has shape {u.shape}, header promises ({spec.d},)")
+    dtype = row_dtype(spec.d)
+    offset = header_end + 1
+    if len(blob) - offset != spec.T * dtype.itemsize:
+        raise DatasetFormatError(
+            f"dataset payload has {len(blob) - offset} bytes, header promises {spec.T * dtype.itemsize}"
+        )
+    packed = np.frombuffer(blob, dtype=dtype, count=spec.T, offset=offset)
+    ids = packed["id"].astype(np.uint64)
+    X = np.ascontiguousarray(packed["x"], dtype=np.float64)
+    y = packed["y"].astype(np.int8)
+    del packed, blob  # the file bytes are no longer needed; free them before validating
+    _validate_rows(ids, X, y)
+    return Dataset(ids=ids, X=X, y=y, spec=spec, u=u)
+
+
+def _validate_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> None:
+    bad = np.flatnonzero((y != 1) & (y != -1))
+    if bad.size:
+        raise DatasetFormatError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
+    norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
+    if bad.size:
+        raise DatasetFormatError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")
+    if np.unique(ids).size != ids.size:
+        raise DatasetFormatError("duplicate sample ids")

@@ -7,6 +7,11 @@ fixed cadence, per-deletion wall time, memory proxies, and capacity-gate
 events.  Reports are deterministic given the config and seeds, except for
 wall-clock fields.
 
+The runner works on the array form of the dataset: the split is a pair of
+row-index arrays, the train and test matrices are stacked once, and
+per-sample objects are built only for the selective sampler, which consumes
+a stream of them.
+
 Methods run sequentially for fair timing; a warmup fit is discarded before
 the timed fit.  The capacity gate applies only to the selective sampler and
 only to core-set hits, and its cost counts toward the sampler's deletion
@@ -21,7 +26,6 @@ refit without replaying the core set.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -29,9 +33,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, capacity
+from .atomic_io import atomic_open
 from .bbq_linear import bbq_fit, deletion_update
 from .core_linalg import refresh_inverse
-from .datastreams import Dataset, DatasetSpec, DeletionDistribution, deletion_stream, gen_dataset, load_dataset
+from .datastreams import (
+    Dataset,
+    DatasetSpec,
+    DeletionDistribution,
+    Rows,
+    as_rows,
+    deletion_stream,
+    gen_dataset,
+    load_dataset,
+)
 
 REPORT_VERSION = 1
 
@@ -140,18 +154,25 @@ class ExperimentReport:
         }
 
 
-def stratified_split(samples, test_fraction: float, seed: int):
-    """Seeded label-stratified split; training keeps the original stream order."""
+def split_rows(y: np.ndarray, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded label-stratified split of rows with labels ``y``: ``(train, test)`` row indices.
+
+    Both index arrays are increasing, so training keeps the original stream order.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51]))
-    test_ids: set[int] = set()
+    is_test = np.zeros(len(y), dtype=bool)
     for label in (-1, 1):
-        ids = [s.sample_id for s in samples if s.y == label]
-        n_test = int(round(len(ids) * test_fraction))
-        order = rng.permutation(len(ids))
-        test_ids.update(ids[i] for i in order[:n_test])
-    train = [s for s in samples if s.sample_id not in test_ids]
-    test = [s for s in samples if s.sample_id in test_ids]
-    return train, test
+        rows = np.flatnonzero(y == label)
+        n_test = int(round(len(rows) * test_fraction))
+        is_test[rows[rng.permutation(len(rows))[:n_test]]] = True
+    return np.flatnonzero(~is_test), np.flatnonzero(is_test)
+
+
+def stratified_split(samples, test_fraction: float, seed: int):
+    """:func:`split_rows` over a sequence of samples; returns ``(train, test)`` sample lists."""
+    samples = list(samples)
+    train, test = split_rows(as_rows(samples).y, test_fraction, seed)
+    return [samples[i] for i in train.tolist()], [samples[i] for i in test.tolist()]
 
 
 def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -178,22 +199,17 @@ def _rebase(model) -> None:
     model.fit_weight = model.weight.copy()
 
 
-def _run_bbq(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodReport:
-    bbq_fit(train[: min(len(train), 512)], cap_k=cfg.cap_k, kappa=cfg.kappa)  # warmup, discarded
+def _run_bbq(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints) -> MethodReport:
+    samples = train.samples
+    bbq_fit(samples[:512], cap_k=cfg.cap_k, kappa=cfg.kappa)  # warmup, discarded
     t0 = time.perf_counter()
-    model = bbq_fit(train, cap_k=cfg.cap_k, kappa=cfg.kappa)
+    model = bbq_fit(samples, cap_k=cfg.cap_k, kappa=cfg.kappa)
     train_time = time.perf_counter() - t0
 
-    queried = model.coreset_ids
-    probe_x = np.asarray(
-        [s.x for s in train if s.sample_id not in queried][: cfg.probe_size], dtype=np.float64
-    ).reshape(-1, model.dim)
+    queried = np.fromiter(model.coreset_ids, dtype=np.uint64, count=len(model.coreset_ids))
+    probe_x = train.X[~np.isin(train.ids, queried)][: cfg.probe_size]
     metrics = capacity.MetricSet()
-    metrics.memory_scalars = 2 * model.dim * model.dim + 2 * model.dim
-    if len(probe_x):
-        eps_hat = capacity.margin_estimate(model.fit_weight, probe_x)
-        metrics.margin_points = capacity.count_margin_points(model.fit_weight, train, eps_hat / 2)
-    else:
+    if not len(probe_x):
         metrics.gate_events.append("gate-skipped: no unqueried probe points")
     curve = []
     deletion_time = 0.0
@@ -249,8 +265,8 @@ def _run_bbq(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodR
     )
 
 
-def _run_retrain(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodReport:
-    baselines.ridge_fit(train[: min(len(train), 512)], lam=cfg.ridge_lambda)  # warmup, discarded
+def _run_retrain(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints) -> MethodReport:
+    baselines.ridge_fit(train.take(slice(512)), lam=cfg.ridge_lambda)  # warmup, discarded
     t0 = time.perf_counter()
     model = baselines.ridge_fit(train, lam=cfg.ridge_lambda)
     train_time = time.perf_counter() - t0
@@ -278,8 +294,8 @@ def _run_retrain(cfg: ExperimentConfig, train, test, stream, checkpoints) -> Met
     )
 
 
-def _run_sisa(cfg: ExperimentConfig, train, test, stream, checkpoints) -> MethodReport:
-    baselines.sisa_fit(train[: min(len(train), 512)], n_shards=cfg.shards, seed=cfg.seed)  # warmup
+def _run_sisa(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints) -> MethodReport:
+    baselines.sisa_fit(train.take(slice(512)), n_shards=cfg.shards, seed=cfg.seed)  # warmup
     t0 = time.perf_counter()
     model = baselines.sisa_fit(train, n_shards=cfg.shards, seed=cfg.seed, lam=cfg.ridge_lambda)
     train_time = time.perf_counter() - t0
@@ -311,7 +327,8 @@ _RUNNERS = {"bbq": _run_bbq, "retrain": _run_retrain, "sisa": _run_sisa}
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ds = _resolve_dataset(cfg)
-    train, test = stratified_split(ds.samples, cfg.test_fraction, cfg.seed)
+    train_rows, test_rows = split_rows(ds.y, cfg.test_fraction, cfg.seed)
+    train, test = ds.take(train_rows), ds.take(test_rows)
 
     if cfg.deletion_count is not None:
         n_deletions = cfg.deletion_count
@@ -337,25 +354,24 @@ def emit_report(report: ExperimentReport, out_prefix: str, formats=("json", "csv
     """Write the report; one JSON file plus one accuracy-curve CSV per method.
 
     CSV columns are ``deletions,accuracy,method`` and contain no timing
-    fields, so byte-identical reruns produce byte-identical CSVs.
+    fields, so byte-identical reruns produce byte-identical CSVs.  Each file
+    is replaced atomically.
     """
     written = []
     if "json" in formats:
         path = f"{out_prefix}.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(path)
     if "csv" in formats:
         for name, rep in report.methods.items():
             path = f"{out_prefix}_{name}.csv"
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["deletions", "accuracy", "method"])
-            for deletions, acc in rep.accuracy_curve:
-                writer.writerow([deletions, repr(float(acc)), name])
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(buf.getvalue())
+            with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["deletions", "accuracy", "method"])
+                for deletions, acc in rep.accuracy_curve:
+                    writer.writerow([deletions, repr(float(acc)), name])
             written.append(path)
     return written
 

@@ -97,9 +97,12 @@ class TestSisa:
     def test_shards_partition_dataset(self):
         ds = small_dataset()
         model = sisa_fit(ds.samples, n_shards=7, seed=5)
-        counted = sum(len(m) for m in model.members)
+        counted = sum(len(r) for r in model.rows)
         assert counted == len(ds.samples)
+        assert sorted(np.concatenate(model.rows).tolist()) == list(range(len(ds.samples)))
         assert set(model.assignment) == {s.sample_id for s in ds.samples}
+        for shard, r in enumerate(model.rows):
+            assert all(model.assignment[sid] == shard for sid in model.ids[r].tolist())
 
     def test_empty_shard_votes_positive(self):
         samples = [LabeledSample(0, [0.5, 0.0], -1)]
@@ -112,11 +115,34 @@ class TestSisa:
         model = sisa_fit(ds.samples, n_shards=4, seed=7)
         victim = ds.samples[3].sample_id
         shard = model.assignment[victim]
+        size = len(model.rows[shard])
         sisa_unlearn(model, [victim])
-        survivors = list(model.members[shard].values())
+        survivors = [ds.samples[i] for i in model.rows[shard].tolist()]
+        assert len(survivors) == size - 1
+        assert victim not in {s.sample_id for s in survivors}
         np.testing.assert_allclose(
             model.shards[shard].weight, ridge_retrain(survivors), atol=1e-8
         )
+
+    def test_shards_equal_fresh_fits_on_survivors_after_random_deletions(self):
+        ds = small_dataset(seed=83, T=400)
+        model = sisa_fit(ds.samples, n_shards=5, seed=11, lam=2.0)
+        fit_order = [model.ids[r].tolist() for r in model.rows]
+        rng = np.random.default_rng(84)
+        gone = set()
+        for _ in range(6):
+            batch = rng.choice([s.sample_id for s in ds.samples], size=15, replace=False).tolist()
+            sisa_unlearn(model, batch)
+            gone.update(batch)
+        by_id = {s.sample_id: s for s in ds.samples}
+        for shard, order in enumerate(fit_order):
+            survivors = [by_id[sid] for sid in order if sid not in gone]
+            assert model.ids[model.rows[shard]].tolist() == [s.sample_id for s in survivors]
+            X = np.asarray([s.x for s in survivors]).reshape(-1, 6)
+            # same rows in the same order: the Gram matrix is bit-identical
+            np.testing.assert_array_equal(model.shards[shard].gram, 2.0 * np.eye(6) + X.T @ X)
+            np.testing.assert_allclose(model.shards[shard].weight, ridge_retrain(survivors, lam=2.0), atol=1e-10)
+        assert set(model.assignment) == {s.sample_id for s in ds.samples} - gone
 
     def test_initial_accuracy_close_to_full_ridge(self):
         train = gen_dataset(DatasetSpec(kind="margin", T=4000, d=10, seed=8, gamma=0.1))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,23 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
+
+    def test_failed_save_leaves_existing_file_intact(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(27)
+        ds, m = random_linear_instance(rng, t_max=300)
+        path = tmp_path / "m.bin"
+        save_model(m, path)
+        before = path.read_bytes()
+        deletion_update(m, list(m.coreset_ids)[:1])
+
+        def failing_replace(src, dst):
+            raise OSError("simulated failure before the rename")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            save_model(m, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.bin"]
 
     def test_deletions_survive_roundtrip(self, tmp_path):
         rng = np.random.default_rng(26)

@@ -21,6 +21,7 @@ from coreset_unlearn import (
     expected_deletion_time,
     gen_dataset,
 )
+from coreset_unlearn import capacity, harness
 from coreset_unlearn.capacity import (
     ACCEPT,
     BUDGET_EXHAUSTED,
@@ -182,6 +183,41 @@ class TestGate:
         assert accepted >= 1
 
 
+    def test_cached_margin_estimate_decides_like_the_uncached_gate(self, monkeypatch):
+        # walk the core set under the refit policy; a fresh MetricSet each call
+        # is the uncached gate, and the margin estimate is computed once per
+        # drift reference on the cached one
+        ds, m, probe = margin_fit(T=2000)
+        calls = {"cached": 0, "uncached": 0}
+        side = "uncached"
+
+        def counting_estimate(*args, **kwargs):
+            calls[side] += 1
+            return margin_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "margin_estimate", counting_estimate)
+        history = MetricSet()
+        decisions = []
+        for s in list(m.coreset):
+            side = "uncached"
+            uncached = capacity_gate(m, MetricSet(coreset_deletions=history.coreset_deletions), probe)
+            side = "cached"
+            cached = capacity_gate(m, history, probe)
+            assert cached == uncached
+            assert history.eps_cache[0] is m.fit_weight
+            decisions.append(cached)
+            deletion_update(m, {s.sample_id})
+            if cached == BUDGET_EXHAUSTED:
+                harness._rebase(m)
+                history.coreset_deletions = 0
+            else:
+                history.coreset_deletions += 1
+        rebases = decisions.count(BUDGET_EXHAUSTED)
+        assert rebases >= 2 and ACCEPT in decisions
+        assert calls["uncached"] == len(decisions)
+        assert calls["cached"] == 1 + rebases - (decisions[-1] == BUDGET_EXHAUSTED)
+
+
 class TestMonteCarlo:
     def test_mass_on_never_queried_points_is_free(self):
         # zero vectors have zero leverage and are never queried under any
@@ -306,11 +342,3 @@ class TestMonteCarlo:
         core_cost = hit_time / hits
         mean = total / len(stream)
         assert mean <= 2.0 * expected_deletion_time(hits, len(stream), core_cost)
-
-    def test_count_margin_points(self):
-        from coreset_unlearn.capacity import count_margin_points
-
-        samples = [LabeledSample(i, [x], 1) for i, x in enumerate([0.05, -0.2, 0.5, -0.01])]
-        w = np.array([1.0])
-        assert count_margin_points(w, samples, 0.1) == 2
-        assert count_margin_points(w, [], 0.1) == 0

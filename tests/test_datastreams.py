@@ -1,9 +1,14 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreset_unlearn import (
     DatasetSpec,
     DeletionDistribution,
+    bbq_fit,
     deletion_stream,
     gen_dataset,
     load_dataset,
@@ -12,6 +17,9 @@ from coreset_unlearn import (
 from coreset_unlearn.datastreams import (
     DatasetFormatError,
     GenerationInfeasibleError,
+    Rows,
+    as_rows,
+    row_dtype,
 )
 
 
@@ -186,3 +194,114 @@ class TestDatasetIO:
         path.write_bytes(b"WRONG\n{}\n")
         with pytest.raises(DatasetFormatError, match="magic"):
             load_dataset(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        T=st.integers(1, 300),
+        d=st.integers(1, 24),
+        kind=st.sampled_from(["realizable-linear", "margin", "clusters"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_roundtrip_bit_exact_over_shapes(self, tmp_path_factory, T, d, kind, seed):
+        gamma = 0.05 if kind == "margin" else 0.0
+        ds = gen_dataset(DatasetSpec(kind=kind, T=T, d=d, seed=seed, gamma=gamma))
+        path = tmp_path_factory.mktemp("rt") / "ds.bin"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert loaded.spec == ds.spec
+        for name in ("ids", "X", "y", "u"):
+            a, b = getattr(ds, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert loaded.X.flags.c_contiguous
+        assert len(loaded.samples) == T
+        for s, t in zip(ds.samples, loaded.samples):
+            assert (s.sample_id, s.y) == (t.sample_id, t.y)
+            assert s.x.tobytes() == t.x.tobytes()
+
+    def _corrupt(self, tmp_path, edit):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=40, d=5, seed=35))
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        payload = len(blob) - 40 * row_dtype(5).itemsize
+        rows = np.frombuffer(blob, dtype=row_dtype(5), offset=payload).copy()
+        path.write_bytes(edit(blob[:payload], rows))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda head, rows: head + rows.tobytes() + b"\0", "payload"),
+            (lambda head, rows: head + rows.tobytes()[: -rows.itemsize], "payload"),
+        ],
+        ids=["trailing-bytes", "missing-row"],
+    )
+    def test_payload_length_rejected(self, tmp_path, edit, match):
+        with pytest.raises(DatasetFormatError, match=match):
+            load_dataset(self._corrupt(tmp_path, edit))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("y", 0, "label"),
+            ("y", 2, "label"),
+            ("x", [1.0, 0.5, 0.0, 0.0, 0.0], "exceeds 1"),
+            ("x", [np.nan, 0.0, 0.0, 0.0, 0.0], "exceeds 1"),
+            ("id", 3, "duplicate"),
+        ],
+        ids=["label-0", "label-2", "norm-above-1", "nan-row", "duplicate-id"],
+    )
+    def test_invalid_rows_rejected(self, tmp_path, field, value, match):
+        def edit(head, rows):
+            rows[17][field] = value
+            return head + rows.tobytes()
+
+        with pytest.raises(DatasetFormatError, match=match):
+            load_dataset(self._corrupt(tmp_path, edit))
+
+    def test_failed_save_leaves_existing_file_intact(self, tmp_path):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=36))
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        before = path.read_bytes()
+        broken = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=37))
+        broken.X = broken.X[:, :3]  # rows no longer match the header's d
+        with pytest.raises(ValueError):
+            save_dataset(broken, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ds.bin"]
+
+
+class TestRows:
+    def test_samples_own_their_rows(self, tmp_path):
+        ds = gen_dataset(DatasetSpec(kind="margin", T=800, d=6, seed=38, gamma=0.1))
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        for data in (ds, load_dataset(path)):
+            model = bbq_fit(data.samples, cap_k=4.0, kappa=0.5)
+            assert model.coreset
+            assert not any(np.shares_memory(s.x, data.X) for s in model.coreset)
+
+    def test_samples_built_once(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=3, seed=39))
+        assert ds.samples is ds.samples
+
+    def test_as_rows_passes_arrays_through_and_stacks_samples(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=40))
+        assert as_rows(ds) is ds
+        subset = ds.take(np.arange(10, 20))
+        assert as_rows(subset) is subset
+        stacked = as_rows(ds.samples[10:20])
+        assert isinstance(stacked, Rows) and len(stacked) == 10
+        for name in ("ids", "X", "y"):
+            a, b = getattr(stacked, name), getattr(subset, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        empty = as_rows([])
+        assert len(empty) == 0 and empty.X.shape[0] == 0
+
+    def test_stream_from_arrays_equals_stream_from_samples(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=41))
+        for dist in (DeletionDistribution(kind="uniform"), DeletionDistribution(kind="by-label", target_label=1)):
+            assert deletion_stream(ds, dist, 60, seed=7) == deletion_stream(ds.samples, dist, 60, seed=7)

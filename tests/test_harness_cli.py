@@ -167,6 +167,23 @@ class TestRunExperiment:
         assert bbq.accuracy_curve == self.REFIT_CURVE
         assert (bbq.coreset_deletions, bbq.free_deletions) == (89, 271)
 
+    # sisa and retrain outputs of small_config(), recorded while both baselines
+    # still kept per-sample lists and ridge_fit ran one rank-one update per row
+    BASELINE_REPORTS = {
+        "sisa": (1.0, 576, [
+            (0, 0.73), (100, 0.7333333333333333), (200, 0.7333333333333333), (300, 0.7333333333333333),
+            (360, 0.7333333333333333),
+        ]),
+        "retrain": (1.0, 144, [(0, 0.7366666666666667), (100, 0.7333333333333333), (200, 0.73), (300, 0.72), (360, 0.73)]),
+    }
+
+    def test_baselines_reproduce_recorded_reports(self):
+        rep = run_experiment(small_config(methods=("sisa", "retrain")))
+        assert (rep.train_size, rep.n_deletions) == (1200, 360)
+        for name, (stored, scalars, curve) in self.BASELINE_REPORTS.items():
+            got = rep.methods[name]
+            assert (got.stored_fraction, got.model_scalars, got.accuracy_curve) == (stored, scalars, curve)
+
     def test_refit_policy_never_replays_the_coreset(self, monkeypatch):
         fits = []
 
@@ -242,6 +259,16 @@ class TestReports:
         doc = load_report_json(tmp_path / "rep.json")
         assert doc == report.to_json_dict()
         assert doc["report_version"] == 1
+
+    def test_failed_emit_leaves_existing_report_intact(self, report, tmp_path, monkeypatch):
+        emit_report(report, str(tmp_path / "rep"), formats=("json",))
+        before = (tmp_path / "rep.json").read_bytes()
+        # an unserializable value makes json.dump fail part-way through the file
+        monkeypatch.setattr(type(report), "to_json_dict", lambda self: {"a": 1, "z": object()})
+        with pytest.raises(TypeError):
+            emit_report(report, str(tmp_path / "rep"), formats=("json",))
+        assert (tmp_path / "rep.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json"]
 
     def test_empty_curve_guard(self, tmp_path):
         rep = run_experiment(small_config(deletion_count=0, methods=("retrain",)))
