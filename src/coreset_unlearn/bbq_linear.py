@@ -10,6 +10,11 @@ core-set point reduces to a rank-one downdate: the post-deletion state is
 identical to the state of a fresh fit on the survivors.  Deletions of points
 outside the core set are free.
 
+The core set is a :class:`CoreSet`: samples keyed by id in fit order.  A
+core-set hit is looked up and taken out in O(1), so its whole cost is the one
+``O(d^2)`` downdate; a batch of hits is downdated in fit order, exactly as a
+scan of the core set would meet them.
+
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
     magic               5 bytes   b"SAUL1"
@@ -29,21 +34,29 @@ Serialized model container ("SAUL1"), all integers and doubles little-endian:
     b_vec               dim f64
     weight              dim f64
 
-Round-trips are bit-exact and a save replaces the file atomically.  The
-per-point query log is a fit-time artifact and is not serialized.
+The records are exactly :func:`row_dtype`, the row of a SADS1 dataset file,
+and are read and written as one array.  A load checks the payload against
+itself (unique ids, finite values, labels and norms, and the Gram state
+against the stored records) before trusting it.  Round-trips are bit-exact and
+a save replaces the file atomically.  The per-point query log is a fit-time
+artifact and is not serialized.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .atomic_io import atomic_open
 from .core_linalg import (
     DEFAULT_REFRESH_PERIOD,
+    NORM_SLACK,
     GramState,
+    as_vector,
     gram_init,
     leverage,
     rank_one_downdate,
@@ -55,12 +68,25 @@ MODEL_VERSION = 1
 
 DEFAULT_CAP_K = 32.0
 
+# Rounding allowance when a loaded model is checked against itself.  Each of
+# the ``n`` updates and downdates that built ``gram`` and ``b_vec`` adds an
+# error of about eps times an entry, and entries grow to about ``lam + n``;
+# 1e-13 is a few hundred times eps.  ``weight`` is one matrix-vector product
+# away from ``gram_inv`` and ``b_vec``.
+_ACCUMULATION_TOL = 1e-13
+_PRODUCT_TOL = 1e-12
+
+# Largest ``max|A A^-1 - I|`` a loaded inverse may show.  The maintained
+# inverse is refreshed every ``refresh_period`` downdates and sits many orders
+# of magnitude below this.
+INVERSE_RESIDUAL_TOL = 1e-6
+
 
 class ModelFormatError(ValueError):
-    """Raised on malformed, truncated, or version-incompatible model files."""
+    """Raised on malformed, truncated, inconsistent or version-incompatible model files."""
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledSample:
     """A classification example: unique id, feature vector with ||x|| <= 1, label in {-1, +1}."""
 
@@ -71,10 +97,131 @@ class LabeledSample:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         nrm = float(np.linalg.norm(self.x))
-        if nrm > 1.0 + 1e-9:
+        if not nrm <= 1.0 + NORM_SLACK:  # NaN fails too, as in check_rows
             raise ValueError(f"sample {self.sample_id}: ||x|| = {nrm} exceeds 1")
         if self.y not in (-1, 1):
             raise ValueError(f"sample {self.sample_id}: label must be -1 or +1, got {self.y}")
+
+
+def row_dtype(d: int) -> np.dtype:
+    """One stored labeled sample, packed: (id u64, y i8, x d*f64), little-endian.
+
+    The row of a SADS1 dataset file and the core-set record of a SAUL1 model.
+    """
+    return np.dtype([("id", "<u8"), ("y", "i1"), ("x", "<f8", (d,))])
+
+
+def check_rows(X: np.ndarray, y: np.ndarray, ids: np.ndarray | None = None) -> None:
+    """Vectorized form of the :class:`LabeledSample` checks over aligned rows.
+
+    Raises ``ValueError`` naming the first row whose label is not -1 or +1 or
+    whose norm exceeds 1 (a non-finite row counts as exceeding it), and, when
+    ``ids`` is given, on a repeated id.
+    """
+    bad = np.flatnonzero((y != 1) & (y != -1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
+    norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")
+    if ids is not None and np.unique(ids).size != ids.size:
+        raise ValueError("duplicate sample ids")
+
+
+def trusted_samples(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> list[LabeledSample]:
+    """One :class:`LabeledSample` per row, built without re-running its checks.
+
+    Only for rows that passed :func:`check_rows`.  Each sample owns a copy of
+    its row, never a view into ``X``: a model that keeps a few samples (a core
+    set) must not keep all of ``X`` alive.
+    """
+    new = object.__new__
+    out = []
+    append = out.append
+    for sid, row, label in zip(ids.tolist(), X, y.tolist()):
+        s = new(LabeledSample)
+        s.sample_id = sid
+        s.x = row.copy()
+        s.y = label
+        append(s)
+    return out
+
+
+class CoreSet:
+    """The stored core set: samples keyed by id, kept in fit order.
+
+    A dict from id to sample keeps insertion order, which is fit order, so
+    membership, lookup (:meth:`by_id`) and removal (:meth:`remove`) are O(1)
+    and removal leaves the order of the rest intact.  The sequence surface is
+    kept for callers: ``len``, iteration in fit order, int and slice indexing
+    (positional, O(position)), ``==`` against a list, ``append`` and ``pop()``
+    of the last sample.
+    """
+
+    __slots__ = ("_samples",)
+    __hash__ = None
+
+    def __init__(self, samples=()):
+        self._samples: dict[int, LabeledSample] = {}
+        for s in samples:
+            self.append(s)
+
+    def append(self, sample) -> None:
+        sid = sample.sample_id
+        if sid in self._samples:
+            raise ValueError(f"sample id {sid} is already in the core set")
+        self._samples[sid] = sample
+
+    def pop(self):
+        """Remove and return the last sample in fit order."""
+        return self._samples.popitem()[1]
+
+    def remove(self, sample_id: int):
+        """Take out and return the sample with ``sample_id``; ``KeyError`` if absent."""
+        return self._samples.pop(sample_id)
+
+    def by_id(self, sample_id: int):
+        return self._samples[sample_id]
+
+    def in_fit_order(self, ids) -> list[int]:
+        """The stored ids among ``ids``, in fit order.
+
+        One id is returned as it is; several are ordered by one pass over the
+        stored ids, so a batch costs O(core set) once rather than per hit.
+        """
+        if len(ids) == 1:
+            return [sid for sid in ids if sid in self._samples]
+        return [sid for sid in self._samples if sid in ids]
+
+    def ids(self) -> set[int]:
+        """A new set of the stored ids."""
+        return set(self._samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __iter__(self):
+        return iter(self._samples.values())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._samples.values())[index]
+        n = len(self._samples)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("core set index out of range")
+        return next(islice(self._samples.values(), i, None))
+
+    def __eq__(self, other):
+        if isinstance(other, CoreSet):
+            other = list(other)
+        elif not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"CoreSet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -107,7 +254,7 @@ class BBQParams:
         return float(self.horizon) ** (-self.kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     sample_id: int
     leverage: float
@@ -118,6 +265,9 @@ class QueryRecord:
 class ModelState:
     """Fitted sampler state: Gram state, ordered core set, and fit metadata.
 
+    ``coreset_ids`` is the id set of ``coreset``, kept beside it for callers
+    that test membership.
+
     ``fit_weight`` is the drift reference for capacity gating: a snapshot of
     the weights at the end of the fit, rebased on the live weights whenever
     the gate's budget is reset (the state then equals a fresh fit on the
@@ -127,7 +277,7 @@ class ModelState:
     """
 
     gram_state: GramState
-    coreset: list[LabeledSample]
+    coreset: CoreSet
     params: BBQParams
     query_log: list[QueryRecord]
     fit_weight: np.ndarray
@@ -153,7 +303,9 @@ class SystemState:
 
     @property
     def stored_ids(self) -> frozenset[int]:
-        return frozenset(s.sample_id for s in self.coreset)
+        # copied from a set, a frozenset is sized for its final count: half the
+        # table of one grown an element at a time
+        return frozenset({s.sample_id for s in self.coreset})
 
 
 def bbq_fit(
@@ -170,9 +322,12 @@ def bbq_fit(
     A point is queried iff its leverage strictly exceeds ``horizon**-kappa``;
     only then is its label read.  ``horizon`` defaults to ``len(stream)`` and
     ``dim`` to the dimension of the first sample; both must be given
-    explicitly to fit an empty stream (used by core-set replays).
+    explicitly to fit an empty stream (used by core-set replays).  Sample ids
+    must be unique within the stream.
     """
     stream = list(stream)
+    if len({s.sample_id for s in stream}) != len(stream):
+        raise ValueError("sample ids repeat within the stream")
     if horizon is None:
         if not stream:
             raise ValueError("cannot infer horizon from an empty stream")
@@ -184,7 +339,7 @@ def bbq_fit(
     params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     state = gram_init(dim, params.lam, refresh_period=refresh_period)
-    coreset: list[LabeledSample] = []
+    coreset = CoreSet()
     log: list[QueryRecord] = []
     for s in stream:
         lev = leverage(state, s.x)
@@ -200,38 +355,34 @@ def bbq_fit(
         params=params,
         query_log=log,
         fit_weight=state.weight.copy(),
-        coreset_ids={s.sample_id for s in coreset},
+        coreset_ids=coreset.ids(),
     )
 
 
 def predict(model: ModelState, x) -> int:
     """``sign(w^T x)`` with the tie broken as ``sign(0) = +1``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected vector of shape ({model.dim},), got {x.shape}")
-    return -1 if float(model.weight @ x) < 0.0 else 1
+    g = model.gram_state
+    return -1 if g.weight.dot(as_vector(x, g.dim)) < 0.0 else 1
 
 
 def deletion_update(model: ModelState, ids) -> ModelState:
     """Process deletion requests, in place.
 
     Requests outside the core set are free: no linear-algebra work happens and
-    the free-deletion counter is bumped.  Each core-set hit is removed from
-    storage and downdated out of the Gram state.
+    the free-deletion counter is bumped.  Each core-set hit is taken out of
+    storage in O(1) and downdated out of the Gram state; the hits of one call
+    are downdated in fit order.
     """
     ids = set(ids)
-    hits = ids & model.coreset_ids
+    hits = model.coreset_ids & ids
     model.free_deletions += len(ids) - len(hits)
     if not hits:
         return model
-    survivors: list[LabeledSample] = []
-    for s in model.coreset:
-        if s.sample_id in hits:
-            rank_one_downdate(model.gram_state, s.x, s.y)
-            model.coreset_deletions += 1
-        else:
-            survivors.append(s)
-    model.coreset = survivors
+    coreset, state = model.coreset, model.gram_state
+    for sid in coreset.in_fit_order(hits):
+        s = coreset.remove(sid)
+        rank_one_downdate(state, s.x, s.y)
+        model.coreset_deletions += 1
     model.coreset_ids -= hits
     return model
 
@@ -274,32 +425,41 @@ _HEADER = struct.Struct("<5sBIQddQQQQQ")
 def save_model(model: ModelState, path) -> None:
     """Write the binary "SAUL1" container documented in the module docstring."""
     g = model.gram_state
-    parts = [
-        _HEADER.pack(
-            MODEL_MAGIC,
-            MODEL_VERSION,
-            model.dim,
-            model.params.horizon,
-            model.params.kappa,
-            model.params.cap_k,
-            len(model.coreset),
-            model.free_deletions,
-            model.coreset_deletions,
-            g.downdates_since_refresh,
-            g.refresh_period,
-        )
-    ]
-    rec = struct.Struct(f"<Qb{model.dim}d")
-    for s in model.coreset:
-        parts.append(rec.pack(s.sample_id, s.y, *s.x.tolist()))
-    for arr in (g.gram, g.gram_inv, g.b_vec, g.weight):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    d, n = model.dim, len(model.coreset)
+    header = _HEADER.pack(
+        MODEL_MAGIC,
+        MODEL_VERSION,
+        d,
+        model.params.horizon,
+        model.params.kappa,
+        model.params.cap_k,
+        n,
+        model.free_deletions,
+        model.coreset_deletions,
+        g.downdates_since_refresh,
+        g.refresh_period,
+    )
+    records = np.empty(n, dtype=row_dtype(d))
+    records["id"] = np.fromiter((s.sample_id for s in model.coreset), dtype=np.uint64, count=n)
+    records["y"] = np.fromiter((s.y for s in model.coreset), dtype=np.int8, count=n)
+    records["x"] = np.fromiter((s.x for s in model.coreset), dtype=(np.float64, (d,)), count=n)
+    tail = np.concatenate([g.gram.ravel(), g.gram_inv.ravel(), g.b_vec, g.weight]).astype("<f8", copy=False)
     with atomic_open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(header)
+        fh.write(records)
+        fh.write(tail)
 
 
 def load_model(path) -> ModelState:
-    """Read a "SAUL1" container; the query log is not stored and comes back empty."""
+    """Read a "SAUL1" container; the query log is not stored and comes back empty.
+
+    Raises :class:`ModelFormatError` on a malformed file and on a payload that
+    contradicts itself: repeated ids, non-finite values, a record whose label
+    is not -1 or +1 or whose norm exceeds 1, a Gram matrix or label sum that
+    differs from the one the records imply, a weight vector other than
+    ``gram_inv @ b_vec``, or an inverse whose residual exceeds
+    :data:`INVERSE_RESIDUAL_TOL`.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -321,28 +481,27 @@ def load_model(path) -> ModelState:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    rec = struct.Struct(f"<Qb{dim}d")
-    expected = _HEADER.size + n_coreset * rec.size + (2 * dim * dim + 2 * dim) * 8
+    if dim < 1:
+        raise ModelFormatError("model dimension must be positive")
+    records_dtype = row_dtype(dim)
+    expected = _HEADER.size + n_coreset * records_dtype.itemsize + (2 * dim * dim + 2 * dim) * 8
     if len(blob) != expected:
         raise ModelFormatError(f"model file has {len(blob)} bytes, expected {expected}")
-    offset = _HEADER.size
-    coreset: list[LabeledSample] = []
-    for _ in range(n_coreset):
-        fields = rec.unpack_from(blob, offset)
-        offset += rec.size
-        coreset.append(LabeledSample(fields[0], np.array(fields[2:]), fields[1]))
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        out = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        offset += count * 8
-        return out
-
-    gram = take(dim * dim).reshape(dim, dim)
-    gram_inv = take(dim * dim).reshape(dim, dim)
-    b_vec = take(dim)
-    weight = take(dim)
-    params = BBQParams(horizon=horizon, kappa=kappa, cap_k=cap_k)
+    if not (math.isfinite(kappa) and math.isfinite(cap_k)):
+        raise ModelFormatError("non-finite kappa or cap_k")
+    try:
+        params = BBQParams(horizon=horizon, kappa=kappa, cap_k=cap_k)
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid model parameters: {exc}") from exc
+    records = np.frombuffer(blob, dtype=records_dtype, count=n_coreset, offset=_HEADER.size)
+    ids, X, y = records["id"], records["x"], records["y"]
+    tail = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + records.nbytes).astype(np.float64)
+    gram = tail[: dim * dim].reshape(dim, dim)
+    gram_inv = tail[dim * dim : 2 * dim * dim].reshape(dim, dim)
+    b_vec = tail[2 * dim * dim : 2 * dim * dim + dim]
+    weight = tail[2 * dim * dim + dim :]
+    _check_payload(params.lam, core_dels, ids, X, y, gram, gram_inv, b_vec, weight)
+    coreset = CoreSet(trusted_samples(ids, X, y))
     state = GramState(
         dim=dim,
         lam=params.lam,
@@ -359,7 +518,35 @@ def load_model(path) -> ModelState:
         params=params,
         query_log=[],
         fit_weight=weight.copy(),
-        coreset_ids={s.sample_id for s in coreset},
+        coreset_ids=coreset.ids(),
         free_deletions=free_dels,
         coreset_deletions=core_dels,
     )
+
+
+def _check_payload(lam, core_dels, ids, X, y, gram, gram_inv, b_vec, weight) -> None:
+    """The consistency checks of :func:`load_model`, each one vectorized pass."""
+    try:
+        check_rows(X, y, ids)  # a non-finite record fails its norm check
+    except ValueError as exc:
+        raise ModelFormatError(f"core set: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in (gram, gram_inv, b_vec, weight)):
+        raise ModelFormatError("non-finite value in the Gram state")
+    dim = gram.shape[0]
+    steps = len(ids) + 2 * core_dels  # the updates and downdates that built gram and b_vec
+    tol = _ACCUMULATION_TOL * (steps + 1) * (lam + steps + 1)
+    direct = X.T @ X
+    direct[np.diag_indices(dim)] += lam
+    err = float(np.max(np.abs(gram - direct)))
+    if not err <= tol:
+        raise ModelFormatError(f"gram differs from lam*I + X^T X over the core set by {err:.3e}")
+    err = float(np.max(np.abs(b_vec - y @ X)))
+    if not err <= tol:
+        raise ModelFormatError(f"b_vec differs from sum(y * x) over the core set by {err:.3e}")
+    err = float(np.max(np.abs(weight - gram_inv @ b_vec)))
+    scale = 1.0 + float(np.max(np.abs(gram_inv) @ np.abs(b_vec)))
+    if not err <= _PRODUCT_TOL * scale:
+        raise ModelFormatError(f"weight differs from gram_inv @ b_vec by {err:.3e}")
+    err = float(np.max(np.abs(gram @ gram_inv - np.eye(dim))))
+    if not err <= INVERSE_RESIDUAL_TOL:
+        raise ModelFormatError(f"inverse residual max|gram @ gram_inv - I| = {err:.3e}")

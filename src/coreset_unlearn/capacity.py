@@ -314,10 +314,9 @@ def expected_capacity_mc(
         exceed[trial] = hits_so_far > K
 
         if check_drift_identity and hit_positions:
-            by_id = {s.sample_id: s for s in model.coreset}
             probe_x = dataset[int(perm[0])].x
             for pos in hit_positions[: K + 1]:
-                s = by_id[draws[pos]]
+                s = model.coreset.by_id(draws[pos])
                 predicted = predicted_deletion_drift(model.gram_state, s.x, s.y, probe_x)
                 before = float(model.gram_state.weight @ probe_x)
                 rank_one_downdate(model.gram_state, s.x, s.y)

@@ -15,6 +15,7 @@ between mutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ class GramState:
         )
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
+def as_vector(x, dim: int) -> np.ndarray:
+    """``x`` as a float64 vector of shape ``(dim,)``; ``ValueError`` on any other shape."""
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (dim,):
         raise ValueError(f"expected vector of shape ({dim},), got {v.shape}")
@@ -110,16 +112,16 @@ def rank_one_update(state: GramState, x, y: float) -> GramState:
     ``gram += x x^T``, ``b += y x``; the inverse is updated with the
     Sherman-Morrison identity and the weight vector recomputed.
     """
-    x = _as_vector(x, state.dim)
-    nrm = float(np.linalg.norm(x))
+    x = as_vector(x, state.dim)
+    nrm = math.sqrt(x.dot(x))  # bit-identical to np.linalg.norm of a real vector
     if nrm > 1.0 + NORM_SLACK:
         raise ValueError(f"||x|| = {nrm} exceeds the unit-norm contract")
-    v = state.gram_inv @ x
-    denom = 1.0 + float(x @ v)
+    v = state.gram_inv.dot(x)
+    denom = 1.0 + v.dot(x)
     state.gram += np.outer(x, x)
     state.gram_inv -= np.outer(v, v) / denom
     state.b_vec += y * x
-    state.weight = state.gram_inv @ state.b_vec
+    state.weight = state.gram_inv.dot(state.b_vec)
     return state
 
 
@@ -130,9 +132,9 @@ def rank_one_downdate(state: GramState, x, y: float) -> GramState:
     :func:`rank_one_update`; removing anything else makes the denominator
     ``1 - x^T A^-1 x`` collapse and raises :class:`SingularDowndateError`.
     """
-    x = _as_vector(x, state.dim)
-    v = state.gram_inv @ x
-    denom = 1.0 - float(x @ v)
+    x = as_vector(x, state.dim)
+    v = state.gram_inv.dot(x)
+    denom = 1.0 - v.dot(x)
     if denom < DOWNDATE_DENOM_TOL:
         raise SingularDowndateError(
             f"downdate denominator {denom:.3e} below tolerance; "
@@ -141,7 +143,7 @@ def rank_one_downdate(state: GramState, x, y: float) -> GramState:
     state.gram -= np.outer(x, x)
     state.gram_inv += np.outer(v, v) / denom
     state.b_vec -= y * x
-    state.weight = state.gram_inv @ state.b_vec
+    state.weight = state.gram_inv.dot(state.b_vec)
     state.downdates_since_refresh += 1
     if state.downdates_since_refresh >= state.refresh_period:
         refresh_inverse(state)
@@ -150,8 +152,8 @@ def rank_one_downdate(state: GramState, x, y: float) -> GramState:
 
 def leverage(state: GramState, x) -> float:
     """Quadratic form ``x^T A^-1 x``; lies in ``[0, ||x||^2 / lam]``."""
-    x = _as_vector(x, state.dim)
-    return float(x @ (state.gram_inv @ x))
+    x = as_vector(x, state.dim)
+    return float(state.gram_inv.dot(x).dot(x))
 
 
 def refresh_inverse(state: GramState) -> GramState:

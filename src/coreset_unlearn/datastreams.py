@@ -14,14 +14,16 @@ for a planted unit vector ``u``.  Three presets:
 
 :func:`as_rows` is the one conversion between the two representations the
 package accepts: a :class:`Rows` (or :class:`Dataset`) passes through, a
-sequence of :class:`LabeledSample` is stacked once.  Per-sample objects exist
+sequence of :class:`LabeledSample` is stacked once; :func:`ids_and_labels` is
+its half for callers that never read ``X``.  Per-sample objects exist
 only where an algorithm consumes a stream of them (the selective sampler);
 :attr:`Rows.samples` builds them on first use.
 
 Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON
 ``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then T
 packed little-endian rows of (sample_id u64, y i8, x d*f64), i.e. exactly
-the numpy structured dtype :func:`row_dtype`.  Loading is one
+the numpy structured dtype :func:`~.bbq_linear.row_dtype`, which is also the
+core-set record of a SAUL1 model file.  Loading is one
 ``np.frombuffer`` over the file followed by one vectorized validation pass;
 round-trips are bit-exact and writes replace the file atomically.
 """
@@ -35,8 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .atomic_io import atomic_open
-from .bbq_linear import LabeledSample
-from .core_linalg import NORM_SLACK
+from .bbq_linear import LabeledSample, check_rows, row_dtype, trusted_samples
 
 DATASET_MAGIC = b"SADS1"
 
@@ -97,13 +98,14 @@ class Rows:
     def samples(self) -> list[LabeledSample]:
         """Per-row :class:`LabeledSample` objects, built on first access.
 
-        Each sample owns a copy of its row, never a view into ``X``: a model
-        that keeps a few samples (a core set) must not keep all of ``X`` alive.
+        The rows are checked once, in one vectorized pass (labels and norms,
+        raising ``ValueError``), and the samples are then built without
+        per-row checks.  Each sample owns a copy of its row, never a view into
+        ``X``: a model that keeps a few samples (a core set) must not keep all
+        of ``X`` alive.
         """
-        return [
-            LabeledSample(sid, row.copy(), label)
-            for sid, row, label in zip(self.ids.tolist(), self.X, self.y.tolist())
-        ]
+        check_rows(self.X, self.y)
+        return trusted_samples(self.ids, self.X, self.y)
 
 
 @dataclass(eq=False)
@@ -123,17 +125,21 @@ def as_rows(data) -> Rows:
     if isinstance(data, Rows):
         return data
     samples = list(data)
+    ids, y = ids_and_labels(samples)
+    X = np.asarray([s.x for s in samples], dtype=np.float64) if samples else np.empty((0, 0))
+    return Rows(ids=ids, X=X, y=y)
+
+
+def ids_and_labels(data) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ids`` and ``y`` arrays of anything :func:`as_rows` accepts, without stacking ``X``."""
+    if isinstance(data, Rows):
+        return data.ids, data.y
+    samples = data if isinstance(data, (list, tuple)) else list(data)
     n = len(samples)
-    return Rows(
-        ids=np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=n),
-        X=np.asarray([s.x for s in samples], dtype=np.float64) if n else np.empty((0, 0)),
-        y=np.fromiter((s.y for s in samples), dtype=np.int8, count=n),
+    return (
+        np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=n),
+        np.fromiter((s.y for s in samples), dtype=np.int8, count=n),
     )
-
-
-def row_dtype(d: int) -> np.dtype:
-    """The packed SADS1 row: (id u64, y i8, x d*f64), little-endian."""
-    return np.dtype([("id", "<u8"), ("y", "i1"), ("x", "<f8", (d,))])
 
 
 @dataclass(frozen=True)
@@ -216,27 +222,27 @@ def gen_dataset(spec: DatasetSpec) -> Dataset:
 def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> list[int]:
     """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``.
 
-    ``samples`` is anything :func:`as_rows` accepts.
+    ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read.
     """
-    rows = as_rows(samples)
+    ids, y = ids_and_labels(samples)
     if dist.kind == "uniform":
-        eligible = rows.ids
+        eligible = ids
     elif dist.kind == "by-label":
-        eligible = rows.ids[rows.y == dist.target_label]
+        eligible = ids[y == dist.target_label]
     else:
         weights = dist.weights
-        ids = rows.ids.tolist()
-        missing = [sid for sid in ids if sid not in weights]
+        id_list = ids.tolist()
+        missing = [sid for sid in id_list if sid not in weights]
         if missing:
             raise ValueError(f"weights missing for {len(missing)} sample ids")
-        w = np.array([weights[sid] for sid in ids], dtype=np.float64)
+        w = np.array([weights[sid] for sid in id_list], dtype=np.float64)
         if np.any(w < 0):
             raise ValueError("deletion weights must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"deletion weights sum to {total}, expected 1")
         positive = w > 0
-        eligible = rows.ids[positive]
+        eligible = ids[positive]
         if n > len(eligible):
             raise ValueError(f"requested {n} deletions, only {len(eligible)} have weight")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -311,17 +317,10 @@ def load_dataset(path) -> Dataset:
     X = np.ascontiguousarray(packed["x"], dtype=np.float64)
     y = packed["y"].astype(np.int8)
     del packed, blob  # the file bytes are no longer needed; free them before validating
-    _validate_rows(ids, X, y)
+    try:
+        check_rows(X, y, ids)
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc)) from exc
     return Dataset(ids=ids, X=X, y=y, spec=spec, u=u)
 
 
-def _validate_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> None:
-    bad = np.flatnonzero((y != 1) & (y != -1))
-    if bad.size:
-        raise DatasetFormatError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
-    norms = np.linalg.norm(X, axis=1)
-    bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
-    if bad.size:
-        raise DatasetFormatError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")
-    if np.unique(ids).size != ids.size:
-        raise DatasetFormatError("duplicate sample ids")

@@ -41,9 +41,9 @@ from .datastreams import (
     DatasetSpec,
     DeletionDistribution,
     Rows,
-    as_rows,
     deletion_stream,
     gen_dataset,
+    ids_and_labels,
     load_dataset,
 )
 
@@ -171,7 +171,7 @@ def split_rows(y: np.ndarray, test_fraction: float, seed: int) -> tuple[np.ndarr
 def stratified_split(samples, test_fraction: float, seed: int):
     """:func:`split_rows` over a sequence of samples; returns ``(train, test)`` sample lists."""
     samples = list(samples)
-    train, test = split_rows(as_rows(samples).y, test_fraction, seed)
+    train, test = split_rows(ids_and_labels(samples)[1], test_fraction, seed)
     return [samples[i] for i in train.tolist()], [samples[i] for i in test.tolist()]
 
 

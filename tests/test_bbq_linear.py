@@ -1,9 +1,11 @@
+import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import random_deletion_request, random_linear_instance
+from conftest import random_deletion_request, random_linear_instance, random_samples
 from coreset_unlearn import (
     DatasetSpec,
     LabeledSample,
@@ -19,13 +21,22 @@ from coreset_unlearn import (
     system_states_equal,
 )
 from coreset_unlearn.baselines import weight_accuracy
-from coreset_unlearn.bbq_linear import ModelFormatError
+from coreset_unlearn.bbq_linear import _HEADER, CoreSet, ModelFormatError, row_dtype
+from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
 from coreset_unlearn.capacity import predicted_deletion_drift
 from coreset_unlearn.core_linalg import leverage, log_det_ratio
 
 
 def ones_stream(n):
     return [LabeledSample(i, [1.0], 1) for i in range(n)]
+
+
+def seeded_model():
+    """A fixed model with free and core-set deletions behind it."""
+    ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=400, d=4, seed=51))
+    m = bbq_fit(ds.samples, cap_k=2.0, kappa=0.5)
+    deletion_update(m, deletion_stream(ds, DeletionDistribution(kind="uniform"), 120, seed=52))
+    return m
 
 
 class TestFit:
@@ -89,6 +100,13 @@ class TestFit:
         flipped = [LabeledSample(s.sample_id, s.x, -s.y) for s in ds.samples]
         m2 = bbq_fit(flipped, cap_k=m.params.cap_k, kappa=m.params.kappa)
         assert [s.sample_id for s in m.coreset] == [s.sample_id for s in m2.coreset]
+
+    def test_repeated_sample_id_rejected(self):
+        queried_twice = [LabeledSample(0, [0.5], 1), LabeledSample(0, [0.1], -1)]
+        never_queried_twice = ones_stream(16) + [LabeledSample(10, [1.0], 1)]
+        for stream in (queried_twice, never_queried_twice):
+            with pytest.raises(ValueError, match="repeat"):
+                bbq_fit(stream, cap_k=1.0, kappa=0.5)
 
     def test_unqueried_labels_never_read(self):
         class SpySample:
@@ -219,6 +237,97 @@ class TestDeletion:
             assert observed == pytest.approx(pred, abs=1e-8)
 
 
+class TestCoreSet:
+    def test_sequence_surface(self):
+        items = random_samples(np.random.default_rng(40), 6, 3)
+        cs = CoreSet(items[:5])
+        assert len(cs) == 5 and list(cs) == items[:5]
+        assert cs[0] is items[0] and cs[2] is items[2] and cs[-1] is items[4] and cs[-5] is items[0]
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                cs[index]
+        assert cs[1:4] == items[1:4] and cs[::-2] == items[4::-2] and cs[:0] == []
+        assert cs == items[:5] and cs == tuple(items[:5]) and cs == CoreSet(items[:5])
+        assert cs != items[:4] and cs != items[1:6]
+        assert CoreSet() == [] and not CoreSet() and cs
+        cs.append(items[5])
+        assert len(cs) == 6 and cs[-1] is items[5]
+        assert cs.pop() is items[5] and cs == items[:5]
+        with pytest.raises(ValueError, match="already"):
+            cs.append(items[0])
+        assert cs.by_id(items[3].sample_id) is items[3]
+        assert cs.remove(items[1].sample_id) is items[1]
+        assert cs == [items[0]] + items[2:5]
+        assert cs.in_fit_order({items[4].sample_id, items[0].sample_id}) == [items[0].sample_id, items[4].sample_id]
+
+    def test_fit_order_kept_after_deletions(self):
+        rng = np.random.default_rng(41)
+        ds, m = random_linear_instance(rng, t_max=800)
+        fitted = [s.sample_id for s in m.coreset]
+        assert fitted == [r.sample_id for r in m.query_log if r.queried]
+        gone = set()
+        for _ in range(3):
+            u = random_deletion_request(rng, ds, m)
+            deletion_update(m, u)
+            gone |= u
+            survivors = [sid for sid in fitted if sid not in gone]
+            assert [s.sample_id for s in m.coreset] == survivors
+            assert m.coreset_ids == set(survivors)
+        for sid in m.coreset_ids & {fitted[-1], fitted[len(fitted) // 2]}:
+            deletion_update(m, [sid])
+            gone.add(sid)
+        assert [s.sample_id for s in m.coreset] == [sid for sid in fitted if sid not in gone]
+
+    def test_batch_equals_single_deletions_in_fit_order(self):
+        # a short refresh period puts inverse refreshes inside the batch, so
+        # the order of the downdates shows in the bits
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=6, seed=42))
+        batch, single = (bbq_fit(ds.samples, cap_k=2.0, kappa=0.5, refresh_period=8) for _ in range(2))
+        fit_order = [s.sample_id for s in batch.coreset]
+        rng = np.random.default_rng(43)
+        hits = set(rng.choice(fit_order, size=30, replace=False).tolist())
+        outsiders = {s.sample_id for s in ds.samples[:200]} - batch.coreset_ids
+        deletion_update(batch, hits | outsiders)
+        for sid in fit_order:
+            if sid in hits:
+                deletion_update(single, [sid])
+        deletion_update(single, outsiders)
+        for name in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(batch.gram_state, name).tobytes() == getattr(single.gram_state, name).tobytes()
+        assert batch.gram_state.downdates_since_refresh == single.gram_state.downdates_since_refresh
+        assert (batch.coreset_deletions, batch.free_deletions) == (single.coreset_deletions, single.free_deletions)
+        assert batch.coreset == list(single.coreset) and batch.coreset_ids == single.coreset_ids
+
+    def test_single_deletions_never_iterate_the_core_set(self, monkeypatch):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=5, seed=44))
+        m = bbq_fit(ds.samples, cap_k=2.0, kappa=0.5)
+        core = [s.sample_id for s in m.coreset]
+        outsider = next(s.sample_id for s in ds.samples if s.sample_id not in m.coreset_ids)
+
+        def no_scan(self, *args):
+            raise AssertionError("deletion_update scanned the core set")
+
+        monkeypatch.setattr(CoreSet, "__iter__", no_scan)
+        monkeypatch.setattr(CoreSet, "__getitem__", no_scan)
+        for sid in (core[len(core) // 2], outsider, core[0], core[-1]):
+            deletion_update(m, [sid])
+        deletion_update(m, {core[1], outsider + 10**6})  # one hit and one free request
+        assert (m.coreset_deletions, m.free_deletions) == (4, 2)
+        monkeypatch.undo()
+        assert [s.sample_id for s in m.coreset] == core[2 : len(core) // 2] + core[len(core) // 2 + 1 : -1]
+
+
+class TestSamples:
+    def test_public_constructor_validates(self):
+        for x in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="exceeds 1"):
+                LabeledSample(1, x, 1)
+        with pytest.raises(ValueError, match="label"):
+            LabeledSample(2, [0.5, 0.0], 0)
+        s = LabeledSample(3, [0.5, 0.0], -1)
+        assert s.x.dtype == np.float64 and not hasattr(s, "__dict__")
+
+
 class TestReplay:
     def test_empty_request_reproduces_state(self):
         rng = np.random.default_rng(20)
@@ -273,6 +382,85 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.weight, m.weight)
         np.testing.assert_array_equal(loaded.gram_state.gram, m.gram_state.gram)
         assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
+
+    # SHA-256 of save_model(seeded_model()), recorded while records were
+    # packed one struct call at a time (numpy 2.4, OpenBLAS, x86-64)
+    SEEDED_MODEL_SHA256 = "f83f997011d5ee816d6667e33d1120b3785aaa6407718e5e9ad1d32a187d45ae"
+
+    def test_seeded_model_bytes_and_roundtrip(self, tmp_path):
+        m = seeded_model()
+        assert (len(m.coreset), m.coreset_deletions, m.free_deletions) == (65, 27, 93)
+        path = tmp_path / "m.saul"
+        save_model(m, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SEEDED_MODEL_SHA256
+        loaded = load_model(path)
+        for name in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(loaded.gram_state, name).tobytes() == getattr(m.gram_state, name).tobytes()
+        assert loaded.fit_weight.tobytes() == m.weight.tobytes()
+        assert loaded.params == m.params and loaded.coreset_ids == m.coreset_ids
+        assert (loaded.coreset_deletions, loaded.free_deletions) == (m.coreset_deletions, m.free_deletions)
+        assert loaded.gram_state.downdates_since_refresh == m.gram_state.downdates_since_refresh
+        assert loaded.gram_state.refresh_period == m.gram_state.refresh_period
+        for a, b in zip(loaded.coreset, m.coreset, strict=True):
+            assert type(a) is LabeledSample and (a.sample_id, a.y) == (b.sample_id, b.y)
+            assert type(a.sample_id) is int and type(a.y) is int
+            assert a.x.tobytes() == b.x.tobytes() and a.x.flags.owndata
+
+    @staticmethod
+    def _tampered(tmp_path, edit):
+        """Save the seeded model, let ``edit`` change its parts in place, write it back."""
+        m = seeded_model()
+        d, path = m.dim, tmp_path / "m.saul"
+        save_model(m, path)
+        blob = path.read_bytes()
+        head = list(_HEADER.unpack_from(blob, 0))
+        records = np.frombuffer(blob, dtype=row_dtype(d), count=len(m.coreset), offset=_HEADER.size).copy()
+        tail = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + records.nbytes).copy()
+        parts = {
+            "head": head,
+            "records": records,
+            "gram": tail[: d * d].reshape(d, d),
+            "gram_inv": tail[d * d : 2 * d * d].reshape(d, d),
+            "b_vec": tail[2 * d * d : 2 * d * d + d],
+            "weight": tail[2 * d * d + d :],
+        }
+        edit(parts)
+        path.write_bytes(_HEADER.pack(*head) + records.tobytes() + tail.tobytes())
+        return path
+
+    @staticmethod
+    def _consistent_inverse_tamper(p):
+        p["gram_inv"][0, 0] += 1e-4
+        p["weight"][:] = p["gram_inv"] @ p["b_vec"]  # so that only the residual check can object
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p["records"]["id"].__setitem__(1, p["records"]["id"][0]), "duplicate"),
+            (lambda p: p["gram"].__setitem__((0, 0), np.nan), "non-finite"),
+            (lambda p: p["records"]["x"].__setitem__((3, 0), np.inf), "exceeds 1"),
+            (lambda p: p["records"]["y"].__setitem__(3, 0), "label"),
+            (lambda p: p["records"]["x"].__setitem__(3, [1.0, 1.0, 0.0, 0.0]), "exceeds 1"),
+            (lambda p: p["gram"].__setitem__((0, 1), p["gram"][0, 1] + 1e-6), "gram differs"),
+            (lambda p: p["b_vec"].__setitem__(2, p["b_vec"][2] + 1e-6), "b_vec differs"),
+            (lambda p: p["weight"].__setitem__(0, p["weight"][0] + 1e-6), "weight differs"),
+            (_consistent_inverse_tamper, "residual"),
+            (lambda p: p["head"].__setitem__(4, float("nan")), "non-finite kappa"),
+            (lambda p: p["head"].__setitem__(5, 0.5), "invalid model parameters"),
+        ],
+        ids=[
+            "duplicate-id", "nan-gram", "inf-record", "label-0", "norm-above-1", "gram",
+            "b_vec", "weight", "inverse-residual", "nan-kappa", "cap_k-below-1",
+        ],
+    )
+    def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(self._tampered(tmp_path, edit))
+
+    def test_untampered_payload_loads(self, tmp_path):
+        loaded, m = load_model(self._tampered(tmp_path, lambda p: None)), seeded_model()
+        assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
+        assert loaded.weight.tobytes() == m.weight.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

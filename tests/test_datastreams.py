@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coreset_unlearn import (
     DatasetSpec,
     DeletionDistribution,
+    LabeledSample,
     bbq_fit,
     deletion_stream,
     gen_dataset,
@@ -282,6 +283,26 @@ class TestRows:
             model = bbq_fit(data.samples, cap_k=4.0, kappa=0.5)
             assert model.coreset
             assert not any(np.shares_memory(s.x, data.X) for s in model.coreset)
+
+    @pytest.mark.parametrize(
+        "row, label, match",
+        [([0.5, 0.0, 0.0], 0, "label"), ([0.9, 0.9, 0.0], 1, "exceeds 1"), ([np.nan, 0.0, 0.0], 1, "exceeds 1")],
+        ids=["label-0", "norm-above-1", "nan-row"],
+    )
+    def test_samples_of_invalid_rows_rejected(self, row, label, match):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=3, seed=42))
+        X, y = ds.X.copy(), ds.y.copy()
+        X[7], y[7] = row, label
+        with pytest.raises(ValueError, match=match):
+            Rows(ds.ids, X, y).samples
+
+    def test_samples_equal_checked_construction(self):
+        ds = gen_dataset(DatasetSpec(kind="clusters", T=200, d=4, seed=43))
+        checked = [LabeledSample(sid, row.copy(), label) for sid, row, label in zip(ds.ids.tolist(), ds.X, ds.y.tolist())]
+        for a, b in zip(ds.samples, checked, strict=True):
+            assert type(a) is LabeledSample and type(a.sample_id) is int and type(a.y) is int
+            assert (a.sample_id, a.y) == (b.sample_id, b.y)
+            assert a.x.dtype == b.x.dtype and a.x.tobytes() == b.x.tobytes() and a.x.flags.owndata
 
     def test_samples_built_once(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=3, seed=39))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -294,6 +295,27 @@ class TestCli:
         ]) == 0
         for p in (ds, m1, m2):
             assert p.exists() and p.stat().st_size > 0
+
+    # SHA-256 of the two model files of the pipeline below, recorded while
+    # SAUL1 records were packed one struct call at a time and every core-set
+    # deletion rebuilt the survivor list (numpy 2.4, OpenBLAS, x86-64)
+    FIT_SHA256 = "250bd99269e50b43d5044908f456db64b385a146c94dc548858bcdf51904863b"
+    UNLEARN_SHA256 = "82b3226f5ca72b3e5123ec6b5d35b3d042ee3b7b3d0f07949c97082d8b423087"
+
+    def test_fit_and_unlearn_write_recorded_bytes(self, tmp_path, capsys):
+        ds, m1, m2 = tmp_path / "ds.bin", tmp_path / "m1.saul", tmp_path / "m2.saul"
+        assert cli_main(["gen", "--kind", "margin", "--t", "600", "--d", "6", "--gamma", "0.1",
+                         "--seed", "7", "--out", str(ds)]) == 0
+        assert cli_main(["fit", "--data", str(ds), "--cap-k", "4", "--out", str(m1)]) == 0
+        assert cli_main(["unlearn", "--model", str(m1), "--data", str(ds), "--n", "40", "--dist", "by-label",
+                         "--target-label", "-1", "--seed", "3", "--out", str(m2)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {ds}",
+            f"wrote {m1} (core set 153 of 600)",
+            f"wrote {m2} (core-set deletions 9, free 31)",
+        ]
+        assert hashlib.sha256(m1.read_bytes()).hexdigest() == self.FIT_SHA256
+        assert hashlib.sha256(m2.read_bytes()).hexdigest() == self.UNLEARN_SHA256
 
     def test_pipeline_is_deterministic(self, tmp_path):
         outs = []
