@@ -102,6 +102,12 @@ class LabeledSample:
         if self.y not in (-1, 1):
             raise ValueError(f"sample {self.sample_id}: label must be -1 or +1, got {self.y}")
 
+    def __eq__(self, other):
+        # the generated __eq__ compares the x arrays with ==, whose elementwise result is no bool
+        if not isinstance(other, LabeledSample):
+            return NotImplemented
+        return self.sample_id == other.sample_id and self.y == other.y and np.array_equal(self.x, other.x)
+
 
 def row_dtype(d: int) -> np.dtype:
     """One stored labeled sample, packed: (id u64, y i8, x d*f64), little-endian.

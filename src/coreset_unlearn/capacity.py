@@ -67,7 +67,7 @@ class CapacityParams:
 
 @dataclass
 class MetricSet:
-    """Counters and timings accumulated while a deletion stream replays.
+    """Gate state kept while a deletion stream replays: budget counter and event log.
 
     ``eps_cache`` memoizes the gate's margin estimate as ``(fit_weight,
     probe_x, eps_hat)``, valid while both arrays are the very objects the gate
@@ -77,14 +77,8 @@ class MetricSet:
     """
 
     coreset_deletions: int = 0
-    free_deletions: int = 0
-    deletion_times: list[float] = field(default_factory=list)
     gate_events: list[str] = field(default_factory=list)
     eps_cache: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def total(self) -> int:
-        return self.coreset_deletions + self.free_deletions
 
 
 def coreset_capacity(p: CapacityParams) -> int:

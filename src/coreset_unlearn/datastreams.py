@@ -224,6 +224,8 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
 
     ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read.
     """
+    if n < 0:
+        raise ValueError(f"requested {n} deletions; the count must be >= 0")
     ids, y = ids_and_labels(samples)
     if dist.kind == "uniform":
         eligible = ids

@@ -1,26 +1,25 @@
 """Experiment runner: fit every method, replay a deletion stream, record curves.
 
 The protocol: hold out a seeded, label-stratified test split, fit each
-configured method on the training split, then replay one shared deletion
-stream through each method's unlearning path while recording accuracy at a
-fixed cadence, per-deletion wall time, memory proxies, and capacity-gate
-events.  Reports are deterministic given the config and seeds, except for
-wall-clock fields.
+configured method on the training split, then send one shared deletion
+stream through each method's unlearning path.  One replay loop serves all
+methods: it times each deletion, reads accuracy at a fixed cadence, handles
+a halt and builds the method's report.  Each method supplies only its fit
+(timed after a discarded warmup fit), its deletion step, its accuracy and
+its model-dependent report fields.  Reports are deterministic given the
+config and seeds, except for wall-clock fields.
 
-The runner works on the array form of the dataset: the split is a pair of
-row-index arrays, the train and test matrices are stacked once, and
-per-sample objects are built only for the selective sampler, which consumes
-a stream of them.
+The runner works on the array form of the dataset; per-sample objects are
+built only for the selective sampler, which consumes a stream of them.
 
-Methods run sequentially for fair timing; a warmup fit is discarded before
-the timed fit.  The capacity gate applies only to the selective sampler and
-only to core-set hits, and its cost counts toward the sampler's deletion
-time.  Exhaustion is handled per the configured policy and is logged, never
-fatal: "halt" stops processing the stream; "refit" applies the deletion,
-refreshes the inverse, rebases the drift reference on the current weights
-and resets the budget.  The exactness theorem makes the downdated state the
-state of a fresh fit on the surviving core set, so this is identical to a
-refit without replaying the core set.
+The capacity gate applies only to the selective sampler and only to core-set
+hits, and its cost counts toward the sampler's deletion time.  Exhaustion is
+handled per the configured policy and is logged, never fatal: "halt" stops
+the stream; "refit" applies the deletion, refreshes the inverse, rebases the
+drift reference on the current weights and resets the budget.  The
+exactness theorem makes the downdated state the state of a fresh fit on the
+surviving core set, so this is identical to a refit without replaying the
+core set.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .atomic_io import atomic_open
 from .bbq_linear import bbq_fit, deletion_update
 from .core_linalg import refresh_inverse
 from .datastreams import (
-    Dataset,
     DatasetSpec,
     DeletionDistribution,
     Rows,
@@ -71,7 +69,6 @@ class ExperimentConfig:
     seed: int = 0
     test_fraction: float = 0.2
     gate_policy: str = "halt"
-    probe_size: int = 512
 
     def __post_init__(self):
         if not self.methods:
@@ -85,11 +82,14 @@ class ExperimentConfig:
             raise ValueError(f"gate_policy must be one of {GATE_POLICIES}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
+        if not 0.0 <= self.deletion_fraction <= 1.0:
+            raise ValueError(f"deletion_fraction must lie in [0, 1], got {self.deletion_fraction}")
+        if self.deletion_count is not None and self.deletion_count < 0:
+            raise ValueError(f"deletion_count must be >= 0, got {self.deletion_count}")
 
 
 @dataclass
 class MethodReport:
-    method: str
     train_time: float
     deletion_time: float
     stored_fraction: float
@@ -110,48 +110,16 @@ class ExperimentReport:
     methods: dict[str, MethodReport]
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
-        if isinstance(cfg.dataset, str):
-            dataset = cfg.dataset
-        else:
-            dataset = vars(cfg.dataset) | {"u": list(cfg.dataset.u) if cfg.dataset.u else None}
-        return {
-            "report_version": REPORT_VERSION,
-            "config": {
-                "dataset": dataset,
-                "methods": list(cfg.methods),
-                "kappa": cfg.kappa,
-                "cap_k": cfg.cap_k,
-                "delta": cfg.delta,
-                "shards": cfg.shards,
-                "ridge_lambda": cfg.ridge_lambda,
-                "deletion_kind": cfg.deletion_kind,
-                "deletion_target_label": cfg.deletion_target_label,
-                "deletion_fraction": cfg.deletion_fraction,
-                "deletion_count": cfg.deletion_count,
-                "cadence": cfg.cadence,
-                "seed": cfg.seed,
-                "test_fraction": cfg.test_fraction,
-                "gate_policy": cfg.gate_policy,
-            },
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "n_deletions": self.n_deletions,
-            "methods": {
-                name: {
-                    "train_time": rep.train_time,
-                    "deletion_time": rep.deletion_time,
-                    "stored_fraction": rep.stored_fraction,
-                    "model_scalars": rep.model_scalars,
-                    "accuracy_curve": [[int(k), float(a)] for k, a in rep.accuracy_curve],
-                    "coreset_deletions": rep.coreset_deletions,
-                    "free_deletions": rep.free_deletions,
-                    "gate_events": rep.gate_events,
-                    "halted_at": rep.halted_at,
-                }
-                for name, rep in self.methods.items()
-            },
-        }
+        """The report as JSON reads it back: every field, tuples as lists."""
+        return {"report_version": REPORT_VERSION} | _as_json(asdict(self))
+
+
+def _as_json(value):
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
 
 
 def split_rows(y: np.ndarray, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,19 +143,6 @@ def stratified_split(samples, test_fraction: float, seed: int):
     return [samples[i] for i in train.tolist()], [samples[i] for i in test.tolist()]
 
 
-def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
-    if isinstance(cfg.dataset, str):
-        return load_dataset(cfg.dataset)
-    return gen_dataset(cfg.dataset)
-
-
-def _checkpoints(n_deletions: int, cadence: int) -> list[int]:
-    points = list(range(0, n_deletions, cadence))
-    if not points or points[-1] != n_deletions:
-        points.append(n_deletions)
-    return points
-
-
 def _rebase(model) -> None:
     """Make ``model`` what a fresh fit on its surviving core set would be.
 
@@ -199,33 +154,28 @@ def _rebase(model) -> None:
     model.fit_weight = model.weight.copy()
 
 
-def _run_bbq(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints) -> MethodReport:
-    samples = train.samples
-    bbq_fit(samples[:512], cap_k=cfg.cap_k, kappa=cfg.kappa)  # warmup, discarded
+def _timed_fit(fit, warmup, rows, **kwargs):
+    """``fit(rows, **kwargs)`` and its wall time, after a discarded warmup ``fit(warmup, **kwargs)``."""
+    fit(warmup, **kwargs)
     t0 = time.perf_counter()
-    model = bbq_fit(samples, cap_k=cfg.cap_k, kappa=cfg.kappa)
-    train_time = time.perf_counter() - t0
+    model = fit(rows, **kwargs)
+    return model, time.perf_counter() - t0
 
+
+# Each method below fits the training split and returns what the replay loop
+# needs: (train_time, delete(pos, sid) -> applied, accuracy(), report_fields()).
+
+
+def _bbq(cfg: ExperimentConfig, train: Rows, test: Rows):
+    samples = train.samples
+    model, train_time = _timed_fit(bbq_fit, samples[:512], samples, cap_k=cfg.cap_k, kappa=cfg.kappa)
     queried = np.fromiter(model.coreset_ids, dtype=np.uint64, count=len(model.coreset_ids))
-    probe_x = train.X[~np.isin(train.ids, queried)][: cfg.probe_size]
+    probe_x = train.X[~np.isin(train.ids, queried)][: capacity.DEFAULT_PROBE_SIZE]
     metrics = capacity.MetricSet()
     if not len(probe_x):
         metrics.gate_events.append("gate-skipped: no unqueried probe points")
-    curve = []
-    deletion_time = 0.0
-    halted_at = None
-    checkpoint_iter = iter(checkpoints)
-    next_cp = next(checkpoint_iter)
 
-    def record(done: int):
-        nonlocal next_cp
-        while next_cp is not None and done >= next_cp:
-            curve.append((next_cp, baselines.weight_accuracy(model.weight, test)))
-            next_cp = next(checkpoint_iter, None)
-
-    record(0)
-    for pos, sid in enumerate(stream):
-        t0 = time.perf_counter()
+    def delete(pos: int, sid: int) -> bool:
         hit = sid in model.coreset_ids
         exhausted = (
             hit
@@ -235,98 +185,90 @@ def _run_bbq(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints
         if exhausted:
             metrics.gate_events.append(f"exhausted@{pos}")
             if cfg.gate_policy == "halt":
-                deletion_time += time.perf_counter() - t0
-                halted_at = pos
-                break
+                return False
         deletion_update(model, [sid])
         if exhausted:
             _rebase(model)
             metrics.coreset_deletions = 0  # budget reset
         elif hit:
             metrics.coreset_deletions += 1
-        deletion_time += time.perf_counter() - t0
-        record(pos + 1)
-    if halted_at is not None:
-        # curve freezes at the halt point; later checkpoints repeat the value
-        record(len(stream))
+        return True
 
-    d = model.dim
-    return MethodReport(
-        method="bbq",
-        train_time=train_time,
-        deletion_time=deletion_time,
-        stored_fraction=len(model.coreset) / len(train),
-        model_scalars=2 * d * d + 2 * d,
-        accuracy_curve=curve,
-        coreset_deletions=model.coreset_deletions,
-        free_deletions=model.free_deletions,
-        gate_events=list(metrics.gate_events),
-        halted_at=halted_at,
-    )
+    def report_fields() -> dict:
+        d = model.dim
+        return dict(
+            stored_fraction=len(model.coreset) / len(train),
+            model_scalars=2 * d * d + 2 * d,
+            coreset_deletions=model.coreset_deletions,
+            free_deletions=model.free_deletions,
+            gate_events=metrics.gate_events,
+        )
+
+    return train_time, delete, lambda: baselines.weight_accuracy(model.weight, test), report_fields
 
 
-def _run_retrain(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints) -> MethodReport:
-    baselines.ridge_fit(train.take(slice(512)), lam=cfg.ridge_lambda)  # warmup, discarded
-    t0 = time.perf_counter()
-    model = baselines.ridge_fit(train, lam=cfg.ridge_lambda)
-    train_time = time.perf_counter() - t0
+def _retrain(cfg: ExperimentConfig, train: Rows, test: Rows):
+    model, train_time = _timed_fit(baselines.ridge_fit, train.take(slice(512)), train, lam=cfg.ridge_lambda)
 
-    curve = []
-    deletion_time = 0.0
-    cp_set = set(checkpoints)
-    if 0 in cp_set:
-        curve.append((0, baselines.weight_accuracy(model.weight, test)))
-    for pos, sid in enumerate(stream):
-        t0 = time.perf_counter()
+    def delete(pos: int, sid: int) -> bool:
         baselines.exact_unlearn(model, [sid])
-        deletion_time += time.perf_counter() - t0
-        if (pos + 1) in cp_set:
-            curve.append((pos + 1, baselines.weight_accuracy(model.weight, test)))
+        return True
 
     d = model.state.dim
-    return MethodReport(
-        method="retrain",
-        train_time=train_time,
-        deletion_time=deletion_time,
-        stored_fraction=1.0,
-        model_scalars=2 * d * d + 2 * d,
-        accuracy_curve=curve,
+    fields = dict(stored_fraction=1.0, model_scalars=2 * d * d + 2 * d)
+    return train_time, delete, lambda: baselines.weight_accuracy(model.weight, test), lambda: fields
+
+
+def _sisa(cfg: ExperimentConfig, train: Rows, test: Rows):
+    model, train_time = _timed_fit(
+        baselines.sisa_fit, train.take(slice(512)), train, n_shards=cfg.shards, seed=cfg.seed, lam=cfg.ridge_lambda
     )
 
+    def delete(pos: int, sid: int) -> bool:
+        baselines.sisa_unlearn(model, [sid])
+        return True
 
-def _run_sisa(cfg: ExperimentConfig, train: Rows, test: Rows, stream, checkpoints) -> MethodReport:
-    baselines.sisa_fit(train.take(slice(512)), n_shards=cfg.shards, seed=cfg.seed)  # warmup
-    t0 = time.perf_counter()
-    model = baselines.sisa_fit(train, n_shards=cfg.shards, seed=cfg.seed, lam=cfg.ridge_lambda)
-    train_time = time.perf_counter() - t0
+    fields = dict(stored_fraction=1.0, model_scalars=baselines.sisa_memory_scalars(model))
+    return train_time, delete, lambda: baselines.sisa_accuracy_batch(model, test), lambda: fields
 
+
+_FITS = {"bbq": _bbq, "retrain": _retrain, "sisa": _sisa}
+
+
+def _run_method(method: str, cfg: ExperimentConfig, train: Rows, test: Rows, stream, n_deletions: int) -> MethodReport:
+    """Fit ``method``, replay ``stream`` through its deletion path and report.
+
+    Accuracy is read before the first deletion, after every ``cfg.cadence``
+    deletions and after the last one; only the deletion calls are timed.  A
+    deletion that returns ``False`` halts the stream unapplied, and every
+    later checkpoint repeats the accuracy of the model as it stood then.
+    """
+    train_time, delete, accuracy, report_fields = _FITS[method](cfg, train, test)
+    checkpoints = [*range(0, n_deletions, cfg.cadence), n_deletions]
     curve = []
     deletion_time = 0.0
-    cp_set = set(checkpoints)
-    if 0 in cp_set:
-        curve.append((0, baselines.sisa_accuracy_batch(model, test)))
+    halted_at = None
     for pos, sid in enumerate(stream):
+        if pos == checkpoints[len(curve)]:
+            curve.append((pos, accuracy()))
         t0 = time.perf_counter()
-        baselines.sisa_unlearn(model, [sid])
+        applied = delete(pos, sid)
         deletion_time += time.perf_counter() - t0
-        if (pos + 1) in cp_set:
-            curve.append((pos + 1, baselines.sisa_accuracy_batch(model, test)))
-
+        if not applied:
+            halted_at = pos
+            break
+    curve += [(k, accuracy()) for k in checkpoints[len(curve):]]
     return MethodReport(
-        method="sisa",
         train_time=train_time,
         deletion_time=deletion_time,
-        stored_fraction=1.0,
-        model_scalars=baselines.sisa_memory_scalars(model),
         accuracy_curve=curve,
+        halted_at=halted_at,
+        **report_fields(),
     )
-
-
-_RUNNERS = {"bbq": _run_bbq, "retrain": _run_retrain, "sisa": _run_sisa}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    ds = _resolve_dataset(cfg)
+    ds = load_dataset(cfg.dataset) if isinstance(cfg.dataset, str) else gen_dataset(cfg.dataset)
     train_rows, test_rows = split_rows(ds.y, cfg.test_fraction, cfg.seed)
     train, test = ds.take(train_rows), ds.take(test_rows)
 
@@ -336,17 +278,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_deletions = int(cfg.deletion_fraction * len(train))
     dist = DeletionDistribution(kind=cfg.deletion_kind, target_label=cfg.deletion_target_label)
     stream = deletion_stream(train, dist, n_deletions, seed=cfg.seed + 1)
-    checkpoints = _checkpoints(n_deletions, cfg.cadence)
-
-    reports = {}
-    for method in cfg.methods:
-        reports[method] = _RUNNERS[method](cfg, train, test, stream, checkpoints)
     return ExperimentReport(
         config=cfg,
         train_size=len(train),
         test_size=len(test),
         n_deletions=n_deletions,
-        methods=reports,
+        methods={method: _run_method(method, cfg, train, test, stream, n_deletions) for method in cfg.methods},
     )
 
 

@@ -327,6 +327,13 @@ class TestSamples:
         s = LabeledSample(3, [0.5, 0.0], -1)
         assert s.x.dtype == np.float64 and not hasattr(s, "__dict__")
 
+    def test_equality_compares_id_label_and_features(self):
+        s = LabeledSample(3, [0.5, 0.0], -1)
+        assert s == LabeledSample(3, [0.5, 0.0], -1)
+        assert s != LabeledSample(3, [0.5, 0.1], -1)
+        assert s != LabeledSample(4, [0.5, 0.0], -1)
+        assert s != LabeledSample(3, [0.5, 0.0], 1)
+
 
 class TestReplay:
     def test_empty_request_reproduces_state(self):
@@ -382,6 +389,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.weight, m.weight)
         np.testing.assert_array_equal(loaded.gram_state.gram, m.gram_state.gram)
         assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
+        assert (loaded.coreset == m.coreset) is True
 
     # SHA-256 of save_model(seeded_model()), recorded while records were
     # packed one struct call at a time (numpy 2.4, OpenBLAS, x86-64)

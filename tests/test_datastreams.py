@@ -118,6 +118,11 @@ class TestDeletionStreams:
         with pytest.raises(ValueError, match="eligible"):
             deletion_stream(ds.samples, DeletionDistribution(kind="uniform"), 51, seed=5)
 
+    def test_negative_request_rejected(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=3, seed=28))
+        with pytest.raises(ValueError, match=">= 0"):
+            deletion_stream(ds, DeletionDistribution(), -1, seed=0)
+
     def test_weighted_first_draw_frequencies(self):
         # resample the stream head many times; marginal must match the weights
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=5, d=3, seed=29))

@@ -18,6 +18,7 @@ from coreset_unlearn.baselines import exact_unlearn, weight_accuracy
 from coreset_unlearn.bbq_linear import deletion_update, replay_on_coreset, state_of_system, system_states_equal
 from coreset_unlearn.capacity import CapacityParams, coreset_capacity
 from coreset_unlearn.cli import _build_parser, cli_main
+from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
 from coreset_unlearn.harness import load_report_json, stratified_split
 
 
@@ -69,8 +70,6 @@ class TestRunExperiment:
         assert rep.methods["retrain"].accuracy_curve[0][1] == pytest.approx(
             weight_accuracy(model.weight, test)
         )
-        from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
-
         stream = deletion_stream(
             train,
             DeletionDistribution(kind="by-label", target_label=-1),
@@ -97,8 +96,6 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         ds = gen_dataset(cfg.dataset)
         train, test = stratified_split(ds.samples, cfg.test_fraction, cfg.seed)
-        from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
-
         stream = deletion_stream(
             train,
             DeletionDistribution(kind="by-label", target_label=-1),
@@ -123,6 +120,23 @@ class TestRunExperiment:
         frozen = {acc for k, acc in bbq.accuracy_curve if k >= bbq.halted_at}
         assert len(frozen) == 1
 
+    def test_halt_repeats_the_accuracy_of_the_model_at_the_halt(self):
+        cfg = small_config(dataset=DatasetSpec(kind="margin", T=1500, d=8, seed=4, gamma=0.1), seed=4, cap_k=2.0,
+                           deletion_fraction=0.4, methods=("bbq",))
+        rep = run_experiment(cfg)
+        bbq = rep.methods["bbq"]
+        assert bbq.halted_at == 25
+        train, test = stratified_split(gen_dataset(cfg.dataset).samples, cfg.test_fraction, cfg.seed)
+        stream = deletion_stream(train, DeletionDistribution(kind="by-label", target_label=-1), rep.n_deletions,
+                                 seed=cfg.seed + 1)
+        model = bbq_fit(train, cap_k=cfg.cap_k, kappa=cfg.kappa)
+        for sid in stream[:25]:
+            deletion_update(model, [sid])
+        frozen = weight_accuracy(model.weight, test)
+        assert bbq.accuracy_curve[0] == (0, 0.64) and frozen == pytest.approx(0.6367, abs=1e-4)
+        after = [acc for k, acc in bbq.accuracy_curve if k > bbq.halted_at]
+        assert after == [frozen] * 5
+
     def test_refit_policy_processes_whole_stream(self):
         rep = run_experiment(small_config(gate_policy="refit"))
         bbq = rep.methods["bbq"]
@@ -137,8 +151,6 @@ class TestRunExperiment:
         ds = gen_dataset(cfg_refit.dataset)
         train, test = stratified_split(ds.samples, cfg_refit.test_fraction, cfg_refit.seed)
         from coreset_unlearn.bbq_linear import deletion_update
-        from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
-
         model = bbq_fit(train, cap_k=cfg_refit.cap_k, kappa=cfg_refit.kappa)
         stream = deletion_stream(
             train,
@@ -184,6 +196,44 @@ class TestRunExperiment:
         for name, (stored, scalars, curve) in self.BASELINE_REPORTS.items():
             got = rep.methods[name]
             assert (got.stored_fraction, got.model_scalars, got.accuracy_curve) == (stored, scalars, curve)
+
+    # to_json_dict() of small_config() without its two timings, recorded while
+    # each method had its own replay loop and the JSON fields were listed by hand
+    RECORDED_REPORT = {
+        "report_version": 1, "train_size": 1200, "test_size": 300, "n_deletions": 360,
+        "config": {
+            "dataset": {"kind": "margin", "T": 1500, "d": 8, "seed": 2, "gamma": 0.1, "u": None},
+            "methods": ["bbq", "sisa", "retrain"], "kappa": 0.5, "cap_k": 4.0, "delta": 0.05, "shards": 4,
+            "ridge_lambda": 1.0, "deletion_kind": "by-label", "deletion_target_label": -1,
+            "deletion_fraction": 0.3, "deletion_count": None, "cadence": 100, "seed": 2, "test_fraction": 0.2,
+            "gate_policy": "halt",
+        },
+        "methods": {
+            "bbq": {
+                "stored_fraction": 0.24583333333333332, "model_scalars": 144,
+                "accuracy_curve": [[0, 0.73], [100, 0.73], [200, 0.73], [300, 0.73], [360, 0.73]],
+                "coreset_deletions": 1, "free_deletions": 0, "gate_events": ["exhausted@1"], "halted_at": 1,
+            },
+            "sisa": {
+                "stored_fraction": 1.0, "model_scalars": 576,
+                "accuracy_curve": [[0, 0.73], [100, 0.7333333333333333], [200, 0.7333333333333333],
+                                   [300, 0.7333333333333333], [360, 0.7333333333333333]],
+                "coreset_deletions": 0, "free_deletions": 0, "gate_events": [], "halted_at": None,
+            },
+            "retrain": {
+                "stored_fraction": 1.0, "model_scalars": 144,
+                "accuracy_curve": [[0, 0.7366666666666667], [100, 0.7333333333333333], [200, 0.73], [300, 0.72],
+                                   [360, 0.73]],
+                "coreset_deletions": 0, "free_deletions": 0, "gate_events": [], "halted_at": None,
+            },
+        },
+    }
+
+    def test_report_json_reproduces_recorded_report(self):
+        doc = run_experiment(small_config()).to_json_dict()
+        for rep in doc["methods"].values():
+            assert rep.pop("train_time") > 0 and rep.pop("deletion_time") > 0
+        assert doc == self.RECORDED_REPORT
 
     def test_refit_policy_never_replays_the_coreset(self, monkeypatch):
         fits = []
@@ -236,6 +286,13 @@ class TestRunExperiment:
             small_config(cadence=0)
         with pytest.raises(ValueError, match="gate_policy"):
             small_config(gate_policy="shrug")
+
+    @pytest.mark.parametrize("overrides", [
+        {"deletion_fraction": -0.1}, {"deletion_fraction": 1.1}, {"deletion_count": -1},
+    ])
+    def test_deletion_amount_outside_its_range_rejected(self, overrides):
+        with pytest.raises(ValueError, match="deletion_"):
+            small_config(**overrides)
 
 
 @pytest.fixture(scope="module")
