@@ -137,19 +137,22 @@ def _cmd_bench(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
     if not methods:
         raise _UsageError("bench requires at least one method")
-    dataset = args.data or DatasetSpec(kind="margin", T=args.t, d=args.d, seed=args.seed, gamma=args.gamma)
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        methods=methods,
-        kappa=args.kappa,
-        cap_k=args.cap_k,
-        delta=args.delta,
-        shards=args.shards,
-        deletion_fraction=args.fraction,
-        cadence=args.cadence,
-        seed=args.seed,
-        gate_policy=args.gate_policy,
-    )
+    try:
+        dataset = args.data or DatasetSpec(kind="margin", T=args.t, d=args.d, seed=args.seed, gamma=args.gamma)
+        cfg = ExperimentConfig(
+            dataset=dataset,
+            methods=methods,
+            kappa=args.kappa,
+            cap_k=args.cap_k,
+            delta=args.delta,
+            shards=args.shards,
+            deletion_fraction=args.fraction,
+            cadence=args.cadence,
+            seed=args.seed,
+            gate_policy=args.gate_policy,
+        )
+    except ValueError as exc:  # an out-of-range argument, not a runtime failure
+        raise _UsageError(str(exc)) from exc
     report = run_experiment(cfg)
     for path in emit_report(report, args.out):
         print(f"wrote {path}")

@@ -26,7 +26,17 @@ Function classes can be declared in JSON::
      ]}
 
 Threshold rules read one feature of ``x``; tables map sample ids to values.
+These declarative rules also evaluate a whole pool at once (a threshold is one
+``np.where`` over a feature column), so ``value_matrix`` builds its table
+column-wise; arbitrary callables are evaluated one sample at a time.
 Evaluators must depend on the input only, never on labels.
+
+All scores are computed on one pair layout: row ``p`` of a ``pairs x n``
+array holds ``(f(x) - g(x))^2`` for the ``p``-th pair ``f < g``.  Taken
+points are masked rather than removed, so the greedy picks, their tie-breaks
+and every recorded score are bit-identical to evaluating the full ``F x F``
+table.  The projected dimension is computed only when the residual exit
+reads it, never under ``exhaust_pool=True``.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,12 +84,54 @@ class FiniteFunctionClass:
         return min(max(value, 0.0), 1.0)
 
     def value_matrix(self, samples) -> np.ndarray:
-        """Dense evaluation table of shape (n_functions, n_samples)."""
-        out = np.empty((len(self.functions), len(samples)))
-        for j, f in enumerate(self.functions):
-            for i, s in enumerate(samples):
-                out[j, i] = self.evaluate(j, s)
+        """Dense evaluation table of shape (n_functions, n_samples).
+
+        When every function has a ``column`` form (the declarative rules of
+        ``load_function_class``) the table is built one whole row at a time;
+        otherwise each function is called once per sample.  Both paths reject
+        the first out-of-range value in row-major order and clamp alike.
+        """
+        if not (len(samples) and all(hasattr(f, "column") for f in self.functions)):
+            out = np.empty((len(self.functions), len(samples)))
+            for j in range(len(self.functions)):
+                for i, s in enumerate(samples):
+                    out[j, i] = self.evaluate(j, s)
+            return out
+        xs = np.array([s.x for s in samples], dtype=np.float64)
+        ids = [s.sample_id for s in samples]
+        out = np.array([f.column(xs, ids) for f in self.functions], dtype=np.float64)
+        bad = np.argwhere(~((out >= -1e-9) & (out <= 1.0 + 1e-9)))
+        if len(bad):  # the per-sample path raises the same error for the same value
+            self.evaluate(int(bad[0][0]), samples[int(bad[0][1])])
+        out[out < 0.0] = 0.0
+        out[out > 1.0] = 1.0
         return out
+
+
+@dataclass(frozen=True)
+class _Threshold:
+    feature: int
+    cut: float
+    below: float
+    above: float
+
+    def __call__(self, sample) -> float:
+        return self.below if float(sample.x[self.feature]) <= self.cut else self.above
+
+    def column(self, xs: np.ndarray, ids) -> np.ndarray:
+        return np.where(xs[:, self.feature] <= self.cut, self.below, self.above)
+
+
+@dataclass(frozen=True)
+class _Table:
+    values: dict
+    default: float
+
+    def __call__(self, sample) -> float:
+        return self.values.get(sample.sample_id, self.default)
+
+    def column(self, xs: np.ndarray, ids) -> np.ndarray:
+        return np.array([self.values.get(i, self.default) for i in ids], dtype=np.float64)
 
 
 def load_function_class(path) -> FiniteFunctionClass:
@@ -92,19 +144,12 @@ def load_function_class(path) -> FiniteFunctionClass:
     for entry in doc["functions"]:
         kind = entry["type"]
         if kind == "threshold":
-            feature = int(entry["feature"])
-            cut, below, above = float(entry["cut"]), float(entry["below"]), float(entry["above"])
-
-            def f(sample, feature=feature, cut=cut, below=below, above=above):
-                return below if float(sample.x[feature]) <= cut else above
-
+            f = _Threshold(
+                int(entry["feature"]), float(entry["cut"]), float(entry["below"]), float(entry["above"])
+            )
         elif kind == "table":
             default = float(entry.get("default", 0.5))
-            values = {int(k): float(v) for k, v in entry.get("values", {}).items()}
-
-            def f(sample, values=values, default=default):
-                return values.get(sample.sample_id, default)
-
+            f = _Table({int(k): float(v) for k, v in entry.get("values", {}).items()}, default)
         else:
             raise ValueError(f"unknown function type {kind!r}")
         functions.append(f)
@@ -113,17 +158,11 @@ def load_function_class(path) -> FiniteFunctionClass:
 
 
 def d2_score(x, prefix, fclass: FiniteFunctionClass) -> float:
-    """Brute-force maximum of the pairwise disagreement ratio for one candidate."""
-    n_prefix = len(prefix)
-    values_x = np.array([fclass.evaluate(j, x) for j in range(len(fclass))])
-    values_p = fclass.value_matrix(prefix) if n_prefix else np.empty((len(fclass), 0))
-    best = 0.0
-    for f in range(len(fclass)):
-        for g in range(len(fclass)):
-            num = (values_x[f] - values_x[g]) ** 2
-            den = float(np.sum((values_p[f] - values_p[g]) ** 2)) + 1.0
-            best = max(best, num / den)
-    return best
+    """Maximum of the pairwise disagreement ratio for one candidate."""
+    kernel = _PairScores(fclass.value_matrix([*prefix, x]))
+    for i in range(len(prefix)):
+        kernel.take(i)
+    return kernel.score(len(prefix))
 
 
 class ProjectedDimension(NamedTuple):
@@ -131,31 +170,63 @@ class ProjectedDimension(NamedTuple):
     exact: bool
 
 
-def _pair_gaps(values: np.ndarray) -> np.ndarray:
-    return (values[:, None, :] - values[None, :, :]) ** 2
+class _PairScores:
+    """Uncertainty scores of a pool against a growing prefix, on the pair layout.
+
+    Row ``p`` of ``gaps`` holds ``(f(x) - g(x))^2`` over the pool for the
+    ``p``-th pair ``f < g``.  The diagonal pairs are 0 and
+    ``(a - b)^2 == (b - a)^2`` in IEEE arithmetic, so the maximum over these
+    rows equals the maximum over the full ``F x F`` table bit for bit.
+    ``take`` moves a point into the prefix: its column is added to ``denom``
+    and its score reads -1 from then on.
+    """
+
+    def __init__(self, values: np.ndarray):
+        f, g = np.triu_indices(len(values), 1)
+        self.gaps = (values[f] - values[g]) ** 2
+        self.denom = np.ones(len(f))
+        self.live = np.ones(values.shape[1], dtype=bool)
+        self._ratios = np.empty_like(self.gaps)
+        self._scores = np.empty(values.shape[1])
+
+    def reset(self, live=slice(None)) -> None:
+        self.denom.fill(1.0)
+        self.live.fill(False)
+        self.live[live] = True
+
+    def take(self, i: int) -> None:
+        self.live[i] = False
+        self.denom += self.gaps[:, i]
+
+    def score(self, i: int) -> float:
+        return float(np.max(self.gaps[:, i] / self.denom, initial=0.0))
+
+    def scores(self) -> np.ndarray:
+        """Score of every pool point; points already taken read -1."""
+        np.divide(self.gaps, self.denom[:, None], out=self._ratios)
+        np.max(self._ratios, axis=0, initial=0.0, out=self._scores)
+        self._scores[~self.live] = -1.0
+        return self._scores
 
 
-def _sequence_value(gaps: np.ndarray, order) -> float:
-    denom = np.ones(gaps.shape[:2])
+def _sequence_value(kernel: _PairScores, order) -> float:
+    kernel.reset()
     total = 0.0
     for idx in order:
-        total += float(np.max(gaps[:, :, idx] / denom))
-        denom += gaps[:, :, idx]
+        total += kernel.score(idx)
+        kernel.take(idx)
     return total
 
 
-def _greedy_value(gaps: np.ndarray, start: int) -> float:
-    n = gaps.shape[2]
-    remaining = [i for i in range(n) if i != start]
-    denom = np.ones(gaps.shape[:2])
-    total = float(np.max(gaps[:, :, start]))
-    denom += gaps[:, :, start]
-    while remaining:
-        scores = np.max(gaps[:, :, remaining] / denom[:, :, None], axis=(0, 1))
+def _greedy_value(kernel: _PairScores, start: int) -> float:
+    kernel.reset()
+    total = kernel.score(start)
+    kernel.take(start)
+    for _ in range(len(kernel.live) - 1):
+        scores = kernel.scores()
         pick = int(np.argmax(scores))
         total += float(scores[pick])
-        denom += gaps[:, :, remaining[pick]]
-        remaining.pop(pick)
+        kernel.take(pick)
     return total
 
 
@@ -171,17 +242,16 @@ def projected_dimension(
     points; larger pools get a greedy lower bound with restarts, flagged by
     ``exact=False``.
     """
-    values = fclass.value_matrix(samples)
-    gaps = _pair_gaps(values)
+    kernel = _PairScores(fclass.value_matrix(samples))
     n = len(samples)
     if n == 0:
         return ProjectedDimension(0.0, True)
     if n <= exact_cap:
-        best = max(_sequence_value(gaps, order) for order in itertools.permutations(range(n)))
+        best = max(_sequence_value(kernel, order) for order in itertools.permutations(range(n)))
         return ProjectedDimension(best, True)
-    first_scores = np.max(gaps, axis=(0, 1))
+    first_scores = np.max(kernel.gaps, axis=0, initial=0.0)
     starts = np.argsort(-first_scores, kind="stable")[: min(restarts, n)]
-    best = max(_greedy_value(gaps, int(s)) for s in starts)
+    best = max(_greedy_value(kernel, int(s)) for s in starts)
     return ProjectedDimension(best, False)
 
 
@@ -215,11 +285,20 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class GeneralConfig:
+    """Settings and summary of one ``general_bbq_fit`` run.
+
+    ``pool_dim`` and ``pool_dim_exact`` are the projected dimension of the
+    class on the pool and whether it was enumerated exactly.  Only the
+    residual exit reads them, so under ``exhaust_pool=True`` they are not
+    computed and are ``None``; keeping the unqueried pool to compute them
+    later would store data a fresh fit on the survivors does not hold.
+    """
+
     delta: float
     rate_bound: float
     stage_cap: int
-    pool_dim: float
-    pool_dim_exact: bool
+    pool_dim: float | None
+    pool_dim_exact: bool | None
     n_stages: int
 
 
@@ -285,9 +364,10 @@ def general_bbq_fit(
         stage_cap = max(stage_cap, 64)
 
     values = fclass.value_matrix(pool)
-    gaps = _pair_gaps(values)
+    kernel = _PairScores(values)
     ids = np.array([s.sample_id for s in pool])
-    pdim = projected_dimension(fclass, pool, exact_cap=dim_exact_cap)
+    # only the residual exit reads the projected dimension
+    pdim = None if exhaust_pool else projected_dimension(fclass, pool, exact_cap=dim_exact_cap)
 
     pool_idx = list(range(len(pool)))
     survivors = list(pool_idx)
@@ -298,23 +378,22 @@ def general_bbq_fit(
     for ell in range(1, stage_cap + 1):
         n_stages = ell
         eps2 = 4.0 ** (-ell) / rate_bound
-        denom = np.ones(gaps.shape[:2])
+        kernel.reset(pool_idx)
         stage_queries: list[int] = []
         stage_scores: list[float] = []
         exit_score = 0.0
-        candidates = list(pool_idx)
-        while candidates:
-            scores = np.max(gaps[:, :, candidates] / denom[:, :, None], axis=(0, 1))
+        for _ in pool_idx:
+            scores = kernel.scores()
             top = float(scores.max())
             if top <= eps2:
                 exit_score = top
                 break
             tied = np.flatnonzero(scores == top)
-            pick = tied[int(np.argmin(ids[[candidates[i] for i in tied]]))]
-            chosen = candidates.pop(int(pick))
+            chosen = int(tied[np.argmin(ids[tied])])
             stage_queries.append(chosen)
             stage_scores.append(top)
-            denom += gaps[:, :, chosen]
+            kernel.take(chosen)
+        candidates = [i for i in pool_idx if kernel.live[i]]
 
         if stage_queries:
             stage_erm = erm_fit(fclass, [pool[i] for i in stage_queries])
@@ -346,14 +425,14 @@ def general_bbq_fit(
         )
 
         if exhaust_pool:
-            undecided = float(np.max(gaps[:, :, pool_idx])) if pool_idx else 0.0
+            undecided = float(np.max(kernel.gaps[:, pool_idx], initial=0.0))
             if undecided == 0.0:
                 break  # every separable point is queried
             continue
         if pdim.value * rate_bound / (2.0 ** (-ell + 1)) > 2.0 ** (-ell + 1) * len(survivors):
             break
         if not stage_queries and not confident:
-            remaining_gap = float(np.max(gaps[:, :, pool_idx])) if pool_idx else 0.0
+            remaining_gap = float(np.max(kernel.gaps[:, pool_idx], initial=0.0))
             if remaining_gap == 0.0:
                 break  # no pair of functions disagrees anywhere; nothing can change
 
@@ -362,8 +441,8 @@ def general_bbq_fit(
         delta=delta,
         rate_bound=rate_bound,
         stage_cap=stage_cap,
-        pool_dim=pdim.value,
-        pool_dim_exact=pdim.exact,
+        pool_dim=None if pdim is None else pdim.value,
+        pool_dim_exact=None if pdim is None else pdim.exact,
         n_stages=n_stages,
     )
     return GeneralModelState(queried=queried, stage_log=stage_log, f_hat=f_hat, config=config)
@@ -376,12 +455,27 @@ def general_state_of_system(model: GeneralModelState) -> GeneralSystemState:
     )
 
 
+def _scrub(record: StageRecord, ids: set) -> StageRecord:
+    kept = [(i, v) for i, v in zip(record.queried_ids, record.queried_scores) if i not in ids]
+    return replace(
+        record,
+        queried_ids=tuple(i for i, _ in kept),
+        queried_scores=tuple(v for _, v in kept),
+        confident_ids=tuple(i for i in record.confident_ids if i not in ids),
+        pool_ids=tuple(i for i in record.pool_ids if i not in ids),
+        survivor_ids=tuple(i for i in record.survivor_ids if i not in ids),
+    )
+
+
 def general_deletion_update(model: GeneralModelState, ids, fclass: FiniteFunctionClass) -> GeneralModelState:
     """Drop deleted queried points and refit the ERM, in place.
 
-    Requests entirely outside the queried set leave the state untouched.
+    Every requested id, queried or not, is removed from the stage log.
+    Requests entirely outside the queried set leave ``queried`` and ``f_hat``
+    untouched.
     """
     ids = set(ids)
+    model.stage_log = [_scrub(record, ids) for record in model.stage_log]
     if not ids & model.queried_ids:
         return model
     model.queried = [(stage, s) for stage, s in model.queried if s.sample_id not in ids]

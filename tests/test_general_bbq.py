@@ -1,14 +1,24 @@
+import dataclasses
+import hashlib
+import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_function_class, random_general_instance, unit_vectors
 from coreset_unlearn import (
+    DatasetSpec,
     FiniteFunctionClass,
     LabeledSample,
     d2_score,
     erm_fit,
+    gen_dataset,
     general_bbq_fit,
     general_capacity,
     general_deletion_update,
@@ -16,6 +26,7 @@ from coreset_unlearn import (
     load_function_class,
     projected_dimension,
 )
+from coreset_unlearn import general_bbq
 from coreset_unlearn.general_bbq import UNBOUNDED, default_rate_bound
 
 TWO_CONSTANT = FiniteFunctionClass([lambda s: 0.0, lambda s: 1.0], names=["zero", "one"])
@@ -23,6 +34,29 @@ TWO_CONSTANT = FiniteFunctionClass([lambda s: 0.0, lambda s: 1.0], names=["zero"
 
 def points(n, d=2):
     return [LabeledSample(i, np.zeros(d), 1) for i in range(n)]
+
+
+def rules_class(functions):
+    """A class loaded from the declarative JSON format."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "class.json"
+        path.write_text(json.dumps({"format": "finite-function-class", "version": 1, "functions": functions}))
+        return load_function_class(path)
+
+
+def per_sample_values(fclass, samples):
+    """The one-call-per-sample evaluation table the column path must reproduce."""
+    return np.array(
+        [[fclass.evaluate(j, s) for s in samples] for j in range(len(fclass))], dtype=np.float64
+    ).reshape(len(fclass), len(samples))
+
+
+def outcome(table):
+    """Bytes of the table, or the ValueError text it raised."""
+    try:
+        return table().tobytes()
+    except ValueError as exc:
+        return str(exc)
 
 
 def d2_oracle(x, prefix, fclass):
@@ -221,6 +255,17 @@ class TestGeneralFit:
                         violations += 1
         assert checked == 0 or violations / checked <= 0.2
 
+    def test_exhaustive_fit_computes_no_projected_dimension(self, monkeypatch):
+        calls = []
+        real = general_bbq.projected_dimension
+        monkeypatch.setattr(general_bbq, "projected_dimension", lambda *a, **k: calls.append(1) or real(*a, **k))
+        pool, fclass, _ = random_general_instance(np.random.default_rng(71), pool_max=60, class_max=8)
+        residual = general_bbq_fit(pool, fclass)
+        assert len(calls) == 1 and residual.config.pool_dim is not None
+        exhaustive = general_bbq_fit(pool, fclass, exhaust_pool=True)
+        assert len(calls) == 1
+        assert exhaustive.config.pool_dim is None and exhaustive.config.pool_dim_exact is None
+
     def test_rejects_empty_pool_and_bad_rate(self):
         with pytest.raises(ValueError):
             general_bbq_fit([], TWO_CONSTANT)
@@ -263,6 +308,34 @@ class TestGeneralDeletion:
             want = general_state_of_system(fresh)
             assert got.stored_ids == want.stored_ids
             assert got.f_hat == want.f_hat
+
+
+    def test_deleted_ids_are_scrubbed_from_the_stage_log(self):
+        rng = np.random.default_rng(72)
+        for _ in range(15):
+            pool, fclass, _ = random_general_instance(rng, pool_max=100, class_max=12)
+            m = general_bbq_fit(pool, fclass)
+            before = list(m.stage_log)
+            qids = sorted(s.sample_id for _, s in m.queried)
+            u = set(rng.choice([s.sample_id for s in pool], size=5, replace=False).tolist())
+            if qids:
+                u |= set(rng.choice(qids, size=min(len(qids), 3), replace=False).tolist())
+            general_deletion_update(m, u, fclass)
+            assert len(m.stage_log) == len(before)
+            for rec, old in zip(m.stage_log, before):
+                for field in ("queried_ids", "confident_ids", "pool_ids", "survivor_ids"):
+                    assert getattr(rec, field) == tuple(i for i in getattr(old, field) if i not in u)
+                kept = [(i, v) for i, v in zip(old.queried_ids, old.queried_scores) if i not in u]
+                assert tuple(zip(rec.queried_ids, rec.queried_scores)) == tuple(kept)
+                assert (rec.stage, rec.eps, rec.exit_score, rec.stage_erm) == (
+                    old.stage, old.eps, old.exit_score, old.stage_erm
+                )
+
+    def test_free_request_is_scrubbed_from_the_stage_log(self):
+        m = general_bbq_fit(points(20), TWO_CONSTANT, rate_bound=4.0)
+        assert 17 in m.stage_log[0].pool_ids
+        general_deletion_update(m, {17}, TWO_CONSTANT)
+        assert 17 not in m.stage_log[0].pool_ids + m.stage_log[0].survivor_ids
 
 
 class TestGeneralCapacity:
@@ -328,3 +401,165 @@ class TestFunctionClassIO:
     def test_class_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             FiniteFunctionClass([lambda s: 0.0] * 10, max_size=4)
+
+
+# [0, 1] plus the tolerance band that is clamped, its edges drawn on purpose
+unit_value = st.one_of(
+    st.floats(-1e-9, 1.0 + 1e-9), st.sampled_from([-1e-9, -1e-10, -0.0, 0.0, 1.0, 1.0 + 1e-10, 1.0 + 1e-9])
+)
+coordinate = st.floats(-0.5, 0.5)  # up to 4 coordinates keep ||x|| <= 1
+
+
+@st.composite
+def rules_and_samples(draw):
+    """Random threshold/table rules and samples, some lying exactly on a cut."""
+    d = draw(st.integers(1, 4))
+    cuts = draw(st.lists(coordinate, min_size=1, max_size=5))
+    on_or_off_cut = st.one_of(st.sampled_from(cuts), coordinate)
+    n = draw(st.integers(1, 20))
+    ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    samples = [
+        LabeledSample(i, np.array(draw(st.lists(on_or_off_cut, min_size=d, max_size=d))), 1) for i in ids
+    ]
+    functions = []
+    for j in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            functions.append({
+                "name": f"r{j}", "type": "threshold", "feature": draw(st.integers(0, d - 1)),
+                "cut": draw(st.sampled_from(cuts)), "below": draw(unit_value), "above": draw(unit_value),
+            })
+        else:
+            keys = draw(st.lists(st.integers(0, 30), max_size=6))
+            functions.append({
+                "name": f"r{j}", "type": "table", "default": draw(unit_value),
+                "values": {str(k): draw(unit_value) for k in keys},
+            })
+    return functions, samples
+
+
+class TestColumnRules:
+    @settings(max_examples=100, deadline=None)
+    @given(case=rules_and_samples())
+    def test_column_path_matches_per_sample_path(self, case):
+        functions, samples = case
+        fclass = rules_class(functions)
+        assert fclass.value_matrix(samples).tobytes() == per_sample_values(fclass, samples).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=rules_and_samples(), data=st.data())
+    def test_out_of_range_values_fail_alike_on_both_paths(self, case, data):
+        functions, samples = case
+        bad = functions[data.draw(st.integers(0, len(functions) - 1))]
+        bad["below" if bad["type"] == "threshold" else "default"] = data.draw(st.sampled_from([1.5, -0.25]))
+        fclass = rules_class(functions)
+        assert outcome(lambda: fclass.value_matrix(samples)) == outcome(lambda: per_sample_values(fclass, samples))
+
+    def test_out_of_range_rule_reports_the_same_error(self):
+        fclass = rules_class([
+            {"name": "fine", "type": "table", "default": 0.5},
+            {"name": "bad", "type": "threshold", "feature": 0, "cut": 0.0, "below": 1.5, "above": 0.5},
+        ])
+        message = "function bad returned 1.5, outside [0, 1]"
+        with pytest.raises(ValueError) as column:
+            fclass.value_matrix(points(3))
+        with pytest.raises(ValueError) as one_by_one:
+            per_sample_values(fclass, points(3))
+        assert str(column.value) == str(one_by_one.value) == message
+        mixed = FiniteFunctionClass([*fclass.functions, lambda s: 0.5], names=[*fclass.names, "c"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mixed.value_matrix(points(3))
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=rules_and_samples())
+    def test_class_with_a_callable_falls_back_and_matches(self, case):
+        functions, samples = case
+        rules = rules_class(functions)
+        calls = []
+        mixed = FiniteFunctionClass([*rules.functions, lambda s: calls.append(s) or 0.25])
+        got = mixed.value_matrix(samples)
+        assert len(calls) == len(samples)  # the callable saw every sample once
+        assert got.tobytes() == per_sample_values(mixed, samples).tobytes()
+        assert got[:-1].tobytes() == rules.value_matrix(samples).tobytes()
+
+
+def fit_repr(model, exhaustive):
+    """``repr`` of a fit's stage log, ERM and config, the projected dimension
+    blanked for exhaustive fits (which no longer compute it)."""
+    config = model.config
+    if exhaustive:
+        config = dataclasses.replace(config, pool_dim=None, pool_dim_exact=None)
+    return repr((model.stage_log, model.f_hat, config))
+
+
+def digest(parts):
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def threshold_class_json(seed, d, n_functions):
+    rng = np.random.default_rng([seed, 0x6C])
+    return [
+        {
+            "name": f"t{j}", "type": "threshold", "feature": int(rng.integers(0, d)),
+            "cut": float(rng.uniform(-0.5, 0.5)),
+            "below": float(rng.uniform(0.0, 1.0)), "above": float(rng.uniform(0.0, 1.0)),
+        }
+        for j in range(n_functions)
+    ]
+
+
+class TestRecordedOutputs:
+    """Outputs recorded from the per-sample evaluator and the full F x F gap tensor.
+
+    Each digest is SHA-256 over the newline-joined ``repr`` strings, so any
+    change to a stage log, a score, an ERM pick or a projected dimension
+    breaks it.
+    """
+
+    def test_criterion_nine_instances(self):
+        rng = np.random.default_rng(909)
+        parts = []
+        for _ in range(20):
+            pool, fclass, _ = random_general_instance(rng, pool_max=200, class_max=32)
+            m = general_bbq_fit(pool, fclass)
+            parts.append(fit_repr(m, False))
+            qids = sorted({s.sample_id for _, s in m.queried})
+            if not qids:
+                continue
+            k = int(rng.integers(1, min(len(qids), 8) + 1))
+            u = set(rng.choice(qids, size=k, replace=False).tolist())
+            u |= set(rng.choice([s.sample_id for s in pool], size=min(5, len(pool)), replace=False).tolist())
+            survivors = [s for _, s in m.queried if s.sample_id not in u]
+            general_deletion_update(m, u, fclass)
+            parts.append(repr((m.f_hat, sorted(general_state_of_system(m).stored_ids))))
+            if survivors:
+                fresh = general_bbq_fit(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
+                parts.append(fit_repr(fresh, True))
+        assert digest(parts) == "2102343c5e59196c6eaadbba663e8de53b0b9dc11c36455f3055d225aa582fd3"
+
+    def test_threshold_class_pools(self):
+        # the benchmark's general-class inputs at seeds 1-3: 32 rules on d=5, 200 points
+        parts = []
+        for seed in (1, 2, 3):
+            fclass = rules_class(threshold_class_json(seed, 5, 32))
+            pool = gen_dataset(DatasetSpec(kind="realizable-linear", T=200, d=5, seed=seed)).samples
+            m = general_bbq_fit(pool, fclass)
+            parts.append(fit_repr(m, False))
+            survivors = [s for _, s in m.queried][::2]
+            fresh = general_bbq_fit(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
+            parts.append(fit_repr(fresh, True))
+        assert digest(parts) == "cf5f02a66791bbc73e919924d7c1af9002a1f97d115e4837cfa99f82f4a39828"
+
+    def test_projected_dimensions(self):
+        rng = np.random.default_rng(910)
+        parts = []
+        for _ in range(8):
+            fclass = random_function_class(rng, int(rng.integers(2, 9)), 3)
+            n = int(rng.integers(1, 8))
+            xs = unit_vectors(rng, n, 3)
+            samples = [LabeledSample(i, xs[i], 1) for i in range(n)]
+            for cap in (0, 8):
+                parts.append(repr(projected_dimension(fclass, samples, exact_cap=cap)))
+        for _ in range(4):
+            pool, fclass, _ = random_general_instance(rng, pool_max=120, class_max=32)
+            parts.append(repr(projected_dimension(fclass, pool, exact_cap=0)))
+        assert digest(parts) == "478ab89dfa21afe1b335dde7e0b3f1f811c2506d45efc0e7d2f4f3eb880343ef"

@@ -413,6 +413,12 @@ class TestCli:
     def test_bench_without_methods_is_usage_error(self, tmp_path):
         assert cli_main(["bench", "--methods", "", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("bad", [["--fraction", "-0.1"], ["--gamma", "1.5"]])
+    def test_bench_out_of_range_argument_is_usage_error(self, tmp_path, capsys, bad):
+        args = ["bench", "--t", "300", "--d", "3", *bad, "--out", str(tmp_path / "x")]
+        assert cli_main(args) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["bench", "--mystery-flag", "--out", "x"]) == 1
 
