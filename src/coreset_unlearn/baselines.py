@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import GramState, gram_init, rank_one_downdate
+from .core_linalg import GramState, gram_from_rows, rank_one_downdate
 from .datastreams import as_rows
 
 DEFAULT_RIDGE_LAMBDA = 1.0
@@ -35,20 +35,6 @@ def ridge_retrain(samples, lam: float = DEFAULT_RIDGE_LAMBDA) -> np.ndarray:
     X = rows.X
     A = lam * np.eye(X.shape[1]) + X.T @ X
     return np.linalg.solve(A, X.T @ rows.y.astype(np.float64))
-
-
-def _ridge_state(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
-    """Gram state of a fresh ridge fit on the rows of ``X``, formed in one step.
-
-    The inverse is one dense inversion (``lam > 0`` keeps the matrix positive
-    definite); this is the whole cost of a SISA shard retrain.
-    """
-    state = gram_init(X.shape[1], lam)
-    state.gram += X.T @ X
-    state.b_vec += X.T @ y.astype(np.float64)
-    state.gram_inv = np.linalg.inv(state.gram)
-    state.weight = state.gram_inv @ state.b_vec
-    return state
 
 
 @dataclass
@@ -70,7 +56,7 @@ def ridge_fit(samples, lam: float = DEFAULT_RIDGE_LAMBDA) -> RidgeModel:
     if not len(rows):
         raise ValueError("ridge_fit needs a nonempty sample")
     return RidgeModel(
-        state=_ridge_state(rows.X, rows.y, lam),
+        state=gram_from_rows(rows.X, rows.y, lam),
         live=dict(zip(rows.ids.tolist(), range(len(rows)))),
         X=rows.X,
         y=rows.y,
@@ -121,7 +107,7 @@ def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RI
     order = rng.permutation(len(data))
     rows = [order[k::n_shards] for k in range(n_shards)]
     return SisaModel(
-        shards=[_ridge_state(data.X[r], data.y[r], lam) for r in rows],
+        shards=[gram_from_rows(data.X[r], data.y[r], lam) for r in rows],
         rows=rows,
         assignment=dict(zip(data.ids[order].tolist(), (np.arange(len(order)) % n_shards).tolist())),
         ids=data.ids,
@@ -145,7 +131,7 @@ def sisa_unlearn(model: SisaModel, ids) -> SisaModel:
         touched.add(shard)
     for shard in touched:
         r = model.rows[shard]
-        model.shards[shard] = _ridge_state(model.X[r], model.y[r], model.lam)
+        model.shards[shard] = gram_from_rows(model.X[r], model.y[r], model.lam)
     return model
 
 

@@ -18,28 +18,25 @@ scan of the core set would meet them.
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
     magic               5 bytes   b"SAUL1"
-    version             u8        1
-    dim                 u32
+    version             u8        2
+    dim                 u32       at most MAX_MODEL_DIM
     horizon             u64       original stream length T
     kappa               f64
     cap_k               f64       capacity budget K (also the ridge lam)
     n_coreset           u64
-    free_deletions      u64
-    coreset_deletions   u64
-    downdates           u64       downdates since last inverse refresh
-    refresh_period      u64
     coreset records     n_coreset x (sample_id u64, y i8, x dim*f64)
-    gram                dim*dim f64, row-major
-    gram_inv            dim*dim f64, row-major
-    b_vec               dim f64
-    weight              dim f64
 
-The records are exactly :func:`row_dtype`, the row of a SADS1 dataset file,
-and are read and written as one array.  A load checks the payload against
-itself (unique ids, finite values, labels and norms, and the Gram state
-against the stored records) before trusting it.  Round-trips are bit-exact and
-a save replaces the file atomically.  The per-point query log is a fit-time
-artifact and is not serialized.
+The file keeps what a fresh fit on the surviving core set keeps, and nothing
+that tells how many deletions came before.  The records are exactly
+:func:`row_dtype`, the row of a SADS1 dataset file, in fit order, and are read
+and written as one array.  The Gram state is not stored: :func:`save_model`
+and :func:`load_model` both derive it from the records with
+:func:`~.core_linalg.gram_from_rows`, which by the exactness theorem is the
+state of a fresh fit on them, and the saved model takes that state, so the
+model in memory and the one loaded from its file agree bit for bit.  A load
+checks the records (unique ids, finite values, labels and norms) before
+trusting them.  A save replaces the file atomically.  The deletion counters
+and the per-point query log are run-time artifacts and are not serialized.
 """
 
 from __future__ import annotations
@@ -53,10 +50,10 @@ import numpy as np
 
 from .atomic_io import atomic_open
 from .core_linalg import (
-    DEFAULT_REFRESH_PERIOD,
     NORM_SLACK,
     GramState,
     as_vector,
+    gram_from_rows,
     gram_init,
     leverage,
     rank_one_downdate,
@@ -64,22 +61,14 @@ from .core_linalg import (
 )
 
 MODEL_MAGIC = b"SAUL1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+
+# Largest dimension a model file may declare.  A load derives d x d matrices
+# that the file's length does not bound (4096 is 128 MiB per matrix), so the
+# header's dim is checked against this before anything is sized from it.
+MAX_MODEL_DIM = 4096
 
 DEFAULT_CAP_K = 32.0
-
-# Rounding allowance when a loaded model is checked against itself.  Each of
-# the ``n`` updates and downdates that built ``gram`` and ``b_vec`` adds an
-# error of about eps times an entry, and entries grow to about ``lam + n``;
-# 1e-13 is a few hundred times eps.  ``weight`` is one matrix-vector product
-# away from ``gram_inv`` and ``b_vec``.
-_ACCUMULATION_TOL = 1e-13
-_PRODUCT_TOL = 1e-12
-
-# Largest ``max|A A^-1 - I|`` a loaded inverse may show.  The maintained
-# inverse is refreshed every ``refresh_period`` downdates and sits many orders
-# of magnitude below this.
-INVERSE_RESIDUAL_TOL = 1e-6
 
 
 class ModelFormatError(ValueError):
@@ -278,8 +267,11 @@ class ModelState:
     the weights at the end of the fit, rebased on the live weights whenever
     the gate's budget is reset (the state then equals a fresh fit on the
     surviving core set).  A rebase assigns a new array and never writes into
-    the old one: the gate caches its margin estimate per reference object.  It is instrumentation: it is not part of the
-    externally visible system state and is not serialized.
+    the old one: the gate caches its margin estimate per reference object.  It
+    is instrumentation: it is not part of the externally visible system state
+    and is not serialized.  Nor are ``free_deletions`` and
+    ``coreset_deletions``, which count the requests applied since this object
+    was fitted or loaded.
     """
 
     gram_state: GramState
@@ -321,7 +313,6 @@ def bbq_fit(
     *,
     horizon: int | None = None,
     dim: int | None = None,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
 ) -> ModelState:
     """Single pass of the selective sampler over ``stream``.
 
@@ -344,7 +335,7 @@ def bbq_fit(
         dim = len(stream[0].x)
     params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
-    state = gram_init(dim, params.lam, refresh_period=refresh_period)
+    state = gram_init(dim, params.lam)
     coreset = CoreSet()
     log: list[QueryRecord] = []
     for s in stream:
@@ -425,72 +416,63 @@ def replay_on_coreset(model: ModelState, ids) -> ModelState:
     )
 
 
-_HEADER = struct.Struct("<5sBIQddQQQQQ")
+_HEADER = struct.Struct("<5sBIQddQ")
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    """:func:`row_dtype` for a model file, once ``dim`` is known to lie in ``[1, MAX_MODEL_DIM]``."""
+    if not 1 <= dim <= MAX_MODEL_DIM:
+        raise ModelFormatError(f"model dimension {dim} outside [1, {MAX_MODEL_DIM}]")
+    return row_dtype(dim)
+
+
+def _records_state(records: np.ndarray, lam: float) -> GramState:
+    """The Gram state of a fresh fit on ``records``: the same bits for save and load."""
+    return gram_from_rows(np.ascontiguousarray(records["x"]), records["y"], lam)
 
 
 def save_model(model: ModelState, path) -> None:
-    """Write the binary "SAUL1" container documented in the module docstring."""
-    g = model.gram_state
+    """Write the "SAUL1" container documented in the module docstring.
+
+    After the write the model holds the Gram state derived from the written
+    records, the state :func:`load_model` gives back; its refresh period,
+    deletion counters and ``fit_weight`` are kept.
+    """
     d, n = model.dim, len(model.coreset)
-    header = _HEADER.pack(
-        MODEL_MAGIC,
-        MODEL_VERSION,
-        d,
-        model.params.horizon,
-        model.params.kappa,
-        model.params.cap_k,
-        n,
-        model.free_deletions,
-        model.coreset_deletions,
-        g.downdates_since_refresh,
-        g.refresh_period,
-    )
-    records = np.empty(n, dtype=row_dtype(d))
+    records = np.empty(n, dtype=_record_dtype(d))
     records["id"] = np.fromiter((s.sample_id for s in model.coreset), dtype=np.uint64, count=n)
     records["y"] = np.fromiter((s.y for s in model.coreset), dtype=np.int8, count=n)
     records["x"] = np.fromiter((s.x for s in model.coreset), dtype=(np.float64, (d,)), count=n)
-    tail = np.concatenate([g.gram.ravel(), g.gram_inv.ravel(), g.b_vec, g.weight]).astype("<f8", copy=False)
+    p = model.params
     with atomic_open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n))
         fh.write(records)
-        fh.write(tail)
+    state = _records_state(records, p.lam)
+    state.refresh_period = model.gram_state.refresh_period
+    model.gram_state = state
 
 
 def load_model(path) -> ModelState:
-    """Read a "SAUL1" container; the query log is not stored and comes back empty.
+    """Read a "SAUL1" container and derive its Gram state from the records.
 
-    Raises :class:`ModelFormatError` on a malformed file and on a payload that
-    contradicts itself: repeated ids, non-finite values, a record whose label
-    is not -1 or +1 or whose norm exceeds 1, a Gram matrix or label sum that
-    differs from the one the records imply, a weight vector other than
-    ``gram_inv @ b_vec``, or an inverse whose residual exceeds
-    :data:`INVERSE_RESIDUAL_TOL`.
+    The query log is not stored and comes back empty; the deletion counters
+    start at zero.  Raises :class:`ModelFormatError` on a malformed file: bad
+    magic or version, a dimension outside ``[1, MAX_MODEL_DIM]``, a length
+    other than the header implies, non-finite or invalid parameters, and
+    records with repeated ids, non-finite values, a label other than -1 or +1
+    or a norm above 1.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
         raise ModelFormatError("model file shorter than its fixed header")
-    (
-        magic,
-        version,
-        dim,
-        horizon,
-        kappa,
-        cap_k,
-        n_coreset,
-        free_dels,
-        core_dels,
-        downdates,
-        refresh_period,
-    ) = _HEADER.unpack_from(blob, 0)
+    magic, version, dim, horizon, kappa, cap_k, n_coreset = _HEADER.unpack_from(blob, 0)
     if magic != MODEL_MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    if dim < 1:
-        raise ModelFormatError("model dimension must be positive")
-    records_dtype = row_dtype(dim)
-    expected = _HEADER.size + n_coreset * records_dtype.itemsize + (2 * dim * dim + 2 * dim) * 8
+    records_dtype = _record_dtype(dim)
+    expected = _HEADER.size + n_coreset * records_dtype.itemsize
     if len(blob) != expected:
         raise ModelFormatError(f"model file has {len(blob)} bytes, expected {expected}")
     if not (math.isfinite(kappa) and math.isfinite(cap_k)):
@@ -500,59 +482,17 @@ def load_model(path) -> ModelState:
     except ValueError as exc:
         raise ModelFormatError(f"invalid model parameters: {exc}") from exc
     records = np.frombuffer(blob, dtype=records_dtype, count=n_coreset, offset=_HEADER.size)
-    ids, X, y = records["id"], records["x"], records["y"]
-    tail = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + records.nbytes).astype(np.float64)
-    gram = tail[: dim * dim].reshape(dim, dim)
-    gram_inv = tail[dim * dim : 2 * dim * dim].reshape(dim, dim)
-    b_vec = tail[2 * dim * dim : 2 * dim * dim + dim]
-    weight = tail[2 * dim * dim + dim :]
-    _check_payload(params.lam, core_dels, ids, X, y, gram, gram_inv, b_vec, weight)
-    coreset = CoreSet(trusted_samples(ids, X, y))
-    state = GramState(
-        dim=dim,
-        lam=params.lam,
-        gram=gram,
-        gram_inv=gram_inv,
-        b_vec=b_vec,
-        weight=weight,
-        downdates_since_refresh=downdates,
-        refresh_period=refresh_period,
-    )
+    try:
+        check_rows(records["x"], records["y"], records["id"])  # a non-finite record fails its norm check
+    except ValueError as exc:
+        raise ModelFormatError(f"core set: {exc}") from exc
+    state = _records_state(records, params.lam)
+    coreset = CoreSet(trusted_samples(records["id"], records["x"], records["y"]))
     return ModelState(
         gram_state=state,
         coreset=coreset,
         params=params,
         query_log=[],
-        fit_weight=weight.copy(),
+        fit_weight=state.weight.copy(),
         coreset_ids=coreset.ids(),
-        free_deletions=free_dels,
-        coreset_deletions=core_dels,
     )
-
-
-def _check_payload(lam, core_dels, ids, X, y, gram, gram_inv, b_vec, weight) -> None:
-    """The consistency checks of :func:`load_model`, each one vectorized pass."""
-    try:
-        check_rows(X, y, ids)  # a non-finite record fails its norm check
-    except ValueError as exc:
-        raise ModelFormatError(f"core set: {exc}") from exc
-    if not all(np.isfinite(a).all() for a in (gram, gram_inv, b_vec, weight)):
-        raise ModelFormatError("non-finite value in the Gram state")
-    dim = gram.shape[0]
-    steps = len(ids) + 2 * core_dels  # the updates and downdates that built gram and b_vec
-    tol = _ACCUMULATION_TOL * (steps + 1) * (lam + steps + 1)
-    direct = X.T @ X
-    direct[np.diag_indices(dim)] += lam
-    err = float(np.max(np.abs(gram - direct)))
-    if not err <= tol:
-        raise ModelFormatError(f"gram differs from lam*I + X^T X over the core set by {err:.3e}")
-    err = float(np.max(np.abs(b_vec - y @ X)))
-    if not err <= tol:
-        raise ModelFormatError(f"b_vec differs from sum(y * x) over the core set by {err:.3e}")
-    err = float(np.max(np.abs(weight - gram_inv @ b_vec)))
-    scale = 1.0 + float(np.max(np.abs(gram_inv) @ np.abs(b_vec)))
-    if not err <= _PRODUCT_TOL * scale:
-        raise ModelFormatError(f"weight differs from gram_inv @ b_vec by {err:.3e}")
-    err = float(np.max(np.abs(gram @ gram_inv - np.eye(dim))))
-    if not err <= INVERSE_RESIDUAL_TOL:
-        raise ModelFormatError(f"inverse residual max|gram @ gram_inv - I| = {err:.3e}")

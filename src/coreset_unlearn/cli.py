@@ -2,8 +2,9 @@
 
 Subcommands: ``gen`` (synthesize a dataset file), ``fit`` (train and
 serialize a model), ``unlearn`` (apply a deletion stream to a serialized
-model), ``bench`` (full multi-method experiment), ``capacity`` (Monte Carlo
-capacity curves), ``verify`` (run the invariant suites).
+model and print this run's core-set and free deletions: the model file keeps
+no deletion counts), ``bench`` (full multi-method experiment), ``capacity``
+(Monte Carlo capacity curves), ``verify`` (run the invariant suites).
 
 Exit codes: 0 success, 1 usage error, 2 runtime error, 3 verification
 failure.
@@ -60,7 +61,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap-k", type=float, default=32.0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("unlearn", help="apply a deletion stream to a serialized model")
+    p = sub.add_parser(
+        "unlearn", help="apply a deletion stream to a serialized model; prints this run's deletion counts"
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, required=True)

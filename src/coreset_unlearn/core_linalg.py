@@ -106,6 +106,23 @@ def gram_init(dim: int, lam: float, refresh_period: int = DEFAULT_REFRESH_PERIOD
     )
 
 
+def gram_from_rows(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
+    """Gram state of a fresh ridge fit on the rows of ``X``, formed in one step.
+
+    ``lam*I + X^T X`` and ``X^T y`` are one product each, the inverse is one
+    dense inversion (``lam > 0`` keeps the matrix positive definite) and the
+    weights are ``inv @ b``.  The same rows, in the same order and memory
+    layout, give the same bits, which is what lets a model file carry only
+    its records.
+    """
+    state = gram_init(X.shape[1], lam)
+    state.gram += X.T @ X
+    state.b_vec += X.T @ y.astype(np.float64)
+    state.gram_inv = np.linalg.inv(state.gram)
+    state.weight = state.gram_inv @ state.b_vec
+    return state
+
+
 def rank_one_update(state: GramState, x, y: float) -> GramState:
     """Add the contribution of a labeled point, in place.
 

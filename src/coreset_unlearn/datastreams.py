@@ -23,9 +23,10 @@ Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON
 ``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then T
 packed little-endian rows of (sample_id u64, y i8, x d*f64), i.e. exactly
 the numpy structured dtype :func:`~.bbq_linear.row_dtype`, which is also the
-core-set record of a SAUL1 model file.  Loading is one
-``np.frombuffer`` over the file followed by one vectorized validation pass;
-round-trips are bit-exact and writes replace the file atomically.
+core-set record of a SAUL1 model file (a model file stores only its params
+and these records; its Gram state is derived from them on load).  Loading is
+one ``np.frombuffer`` over the file followed by one vectorized validation
+pass; round-trips are bit-exact and writes replace the file atomically.
 """
 
 from __future__ import annotations

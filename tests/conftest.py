@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coreset_unlearn import DatasetSpec, FiniteFunctionClass, LabeledSample, bbq_fit, gen_dataset
+from coreset_unlearn.general_bbq import _Table, _Threshold
 
 
 @pytest.fixture
@@ -57,19 +58,20 @@ def random_deletion_request(rng, ds, model, max_hits=None):
 
 
 def random_function_class(rng, n_funcs, d):
-    """Mixture of axis-threshold rules and constants with values in [0, 1]."""
+    """Mixture of axis-threshold rules and constants with values in [0, 1].
+
+    Both are declarative rules (a constant is a table with no entries), so
+    ``value_matrix`` takes its column path.
+    """
     funcs = []
     for _ in range(n_funcs):
         if rng.random() < 0.8:
             j = int(rng.integers(d))
             cut = float(rng.uniform(-0.5, 0.5))
             below, above = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-            funcs.append(
-                lambda s, j=j, cut=cut, below=below, above=above: below if s.x[j] <= cut else above
-            )
+            funcs.append(_Threshold(j, cut, below, above))
         else:
-            c = float(rng.uniform(0, 1))
-            funcs.append(lambda s, c=c: c)
+            funcs.append(_Table({}, float(rng.uniform(0, 1))))
     return FiniteFunctionClass(funcs)
 
 

@@ -1,9 +1,14 @@
+import functools
 import hashlib
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_deletion_request, random_linear_instance, random_samples
 from coreset_unlearn import (
@@ -21,10 +26,20 @@ from coreset_unlearn import (
     system_states_equal,
 )
 from coreset_unlearn.baselines import weight_accuracy
-from coreset_unlearn.bbq_linear import _HEADER, CoreSet, ModelFormatError, row_dtype
+from coreset_unlearn.bbq_linear import (
+    _HEADER,
+    MAX_MODEL_DIM,
+    MODEL_MAGIC,
+    MODEL_VERSION,
+    BBQParams,
+    CoreSet,
+    ModelFormatError,
+    ModelState,
+    row_dtype,
+)
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
 from coreset_unlearn.capacity import predicted_deletion_drift
-from coreset_unlearn.core_linalg import leverage, log_det_ratio
+from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage, log_det_ratio
 
 
 def ones_stream(n):
@@ -282,7 +297,8 @@ class TestCoreSet:
         # a short refresh period puts inverse refreshes inside the batch, so
         # the order of the downdates shows in the bits
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=6, seed=42))
-        batch, single = (bbq_fit(ds.samples, cap_k=2.0, kappa=0.5, refresh_period=8) for _ in range(2))
+        batch, single = (bbq_fit(ds.samples, cap_k=2.0, kappa=0.5) for _ in range(2))
+        batch.gram_state.refresh_period = single.gram_state.refresh_period = 8
         fit_order = [s.sample_id for s in batch.coreset]
         rng = np.random.default_rng(43)
         hits = set(rng.choice(fit_order, size=30, replace=False).tolist())
@@ -391,82 +407,76 @@ class TestSerialization:
         assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
         assert (loaded.coreset == m.coreset) is True
 
-    # SHA-256 of save_model(seeded_model()), recorded while records were
-    # packed one struct call at a time (numpy 2.4, OpenBLAS, x86-64)
-    SEEDED_MODEL_SHA256 = "f83f997011d5ee816d6667e33d1120b3785aaa6407718e5e9ad1d32a187d45ae"
+    # SHA-256 of save_model(seeded_model()) in format version 2.  Its records
+    # region is byte-identical to the records region of the version-1 file,
+    # whose SHA-256 is RECORDS_SHA256 (numpy 2.4, OpenBLAS, x86-64).
+    SEEDED_MODEL_SHA256 = "d91581d2eb4ef22c881b5e0d65a5ecdcd5833683b1696398e0419159e5a612d7"
+    RECORDS_SHA256 = "ced4e2ce10f44c4e68db841c72f3f7e3b71d34f333862cc1a2f5cbc7e43b912d"
 
     def test_seeded_model_bytes_and_roundtrip(self, tmp_path):
         m = seeded_model()
         assert (len(m.coreset), m.coreset_deletions, m.free_deletions) == (65, 27, 93)
         path = tmp_path / "m.saul"
         save_model(m, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SEEDED_MODEL_SHA256
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.SEEDED_MODEL_SHA256
+        assert hashlib.sha256(blob[_HEADER.size :]).hexdigest() == self.RECORDS_SHA256
+        assert (m.coreset_deletions, m.free_deletions) == (27, 93)  # a save keeps the counters in memory
         loaded = load_model(path)
         for name in ("gram", "gram_inv", "b_vec", "weight"):
             assert getattr(loaded.gram_state, name).tobytes() == getattr(m.gram_state, name).tobytes()
         assert loaded.fit_weight.tobytes() == m.weight.tobytes()
         assert loaded.params == m.params and loaded.coreset_ids == m.coreset_ids
-        assert (loaded.coreset_deletions, loaded.free_deletions) == (m.coreset_deletions, m.free_deletions)
-        assert loaded.gram_state.downdates_since_refresh == m.gram_state.downdates_since_refresh
-        assert loaded.gram_state.refresh_period == m.gram_state.refresh_period
+        assert (loaded.coreset_deletions, loaded.free_deletions) == (0, 0)
+        assert loaded.gram_state.downdates_since_refresh == m.gram_state.downdates_since_refresh == 0
         for a, b in zip(loaded.coreset, m.coreset, strict=True):
             assert type(a) is LabeledSample and (a.sample_id, a.y) == (b.sample_id, b.y)
             assert type(a.sample_id) is int and type(a.y) is int
             assert a.x.tobytes() == b.x.tobytes() and a.x.flags.owndata
 
+    def test_saved_state_is_the_fresh_fit_state(self, tmp_path):
+        m = seeded_model()
+        m.gram_state.refresh_period = 7
+        incremental = m.gram_state.copy()
+        save_model(m, tmp_path / "m.saul")
+        fresh = replay_on_coreset(m, [])
+        np.testing.assert_allclose(m.gram_state.gram, fresh.gram_state.gram, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.weight, fresh.weight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.weight, incremental.weight, rtol=0, atol=1e-12)
+        assert (m.gram_state.refresh_period, m.gram_state.downdates_since_refresh) == (7, 0)
+
     @staticmethod
     def _tampered(tmp_path, edit):
         """Save the seeded model, let ``edit`` change its parts in place, write it back."""
         m = seeded_model()
-        d, path = m.dim, tmp_path / "m.saul"
+        path = tmp_path / "m.saul"
         save_model(m, path)
         blob = path.read_bytes()
         head = list(_HEADER.unpack_from(blob, 0))
-        records = np.frombuffer(blob, dtype=row_dtype(d), count=len(m.coreset), offset=_HEADER.size).copy()
-        tail = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size + records.nbytes).copy()
-        parts = {
-            "head": head,
-            "records": records,
-            "gram": tail[: d * d].reshape(d, d),
-            "gram_inv": tail[d * d : 2 * d * d].reshape(d, d),
-            "b_vec": tail[2 * d * d : 2 * d * d + d],
-            "weight": tail[2 * d * d + d :],
-        }
-        edit(parts)
-        path.write_bytes(_HEADER.pack(*head) + records.tobytes() + tail.tobytes())
-        return path
-
-    @staticmethod
-    def _consistent_inverse_tamper(p):
-        p["gram_inv"][0, 0] += 1e-4
-        p["weight"][:] = p["gram_inv"] @ p["b_vec"]  # so that only the residual check can object
+        records = np.frombuffer(blob, dtype=row_dtype(m.dim), offset=_HEADER.size).copy()
+        edit({"head": head, "records": records})
+        path.write_bytes(_HEADER.pack(*head) + records.tobytes())
+        return path, m
 
     @pytest.mark.parametrize(
         "edit, match",
         [
             (lambda p: p["records"]["id"].__setitem__(1, p["records"]["id"][0]), "duplicate"),
-            (lambda p: p["gram"].__setitem__((0, 0), np.nan), "non-finite"),
             (lambda p: p["records"]["x"].__setitem__((3, 0), np.inf), "exceeds 1"),
             (lambda p: p["records"]["y"].__setitem__(3, 0), "label"),
             (lambda p: p["records"]["x"].__setitem__(3, [1.0, 1.0, 0.0, 0.0]), "exceeds 1"),
-            (lambda p: p["gram"].__setitem__((0, 1), p["gram"][0, 1] + 1e-6), "gram differs"),
-            (lambda p: p["b_vec"].__setitem__(2, p["b_vec"][2] + 1e-6), "b_vec differs"),
-            (lambda p: p["weight"].__setitem__(0, p["weight"][0] + 1e-6), "weight differs"),
-            (_consistent_inverse_tamper, "residual"),
             (lambda p: p["head"].__setitem__(4, float("nan")), "non-finite kappa"),
             (lambda p: p["head"].__setitem__(5, 0.5), "invalid model parameters"),
         ],
-        ids=[
-            "duplicate-id", "nan-gram", "inf-record", "label-0", "norm-above-1", "gram",
-            "b_vec", "weight", "inverse-residual", "nan-kappa", "cap_k-below-1",
-        ],
+        ids=["duplicate-id", "inf-record", "label-0", "norm-above-1", "nan-kappa", "cap_k-below-1"],
     )
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         with pytest.raises(ModelFormatError, match=match):
-            load_model(self._tampered(tmp_path, edit))
+            load_model(self._tampered(tmp_path, edit)[0])
 
     def test_untampered_payload_loads(self, tmp_path):
-        loaded, m = load_model(self._tampered(tmp_path, lambda p: None)), seeded_model()
+        path, m = self._tampered(tmp_path, lambda p: None)
+        loaded = load_model(path)
         assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
         assert loaded.weight.tobytes() == m.weight.tobytes()
 
@@ -492,10 +502,28 @@ class TestSerialization:
         path = tmp_path / "m.bin"
         save_model(m, path)
         blob = bytearray(path.read_bytes())
-        blob[5] = 9  # version byte
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError, match="version"):
+        for version in (1, 9):  # 1: the format that stored the Gram state and deletion counters
+            blob[5] = version
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ModelFormatError, match=f"unsupported model version {version}"):
+                load_model(path)
+
+    @pytest.mark.parametrize("dim, n_coreset", [(2**31, 1), (16384, 0), (MAX_MODEL_DIM + 1, 0), (0, 0)])
+    def test_out_of_bound_dim_rejected_before_allocation(self, tmp_path, dim, n_coreset):
+        # a header alone: (16384, 0) is a consistent 42-byte file whose d x d
+        # Gram state would take 2 GiB, and 2**31 is no valid numpy shape
+        path = tmp_path / "m.bin"
+        path.write_bytes(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, dim, 10, 0.5, 2.0, n_coreset))
+        with pytest.raises(ModelFormatError, match=f"dimension {dim} "):
             load_model(path)
+
+    def test_save_rejects_out_of_bound_dim(self, tmp_path):
+        # the Gram state is never read before the bound, so it need not be allocated
+        g = GramState(dim=MAX_MODEL_DIM + 1, lam=2.0, gram=None, gram_inv=None, b_vec=None, weight=None)
+        m = ModelState(g, CoreSet(), BBQParams(horizon=10, kappa=0.5, cap_k=2.0), [], np.zeros(0))
+        with pytest.raises(ModelFormatError, match=f"dimension {MAX_MODEL_DIM + 1} "):
+            save_model(m, tmp_path / "m.bin")
+        assert not (tmp_path / "m.bin").exists()
 
     def test_failed_save_leaves_existing_file_intact(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(27)
@@ -522,6 +550,99 @@ class TestSerialization:
         path = tmp_path / "m.bin"
         save_model(m, path)
         loaded = load_model(path)
-        assert loaded.coreset_deletions == m.coreset_deletions
-        assert loaded.free_deletions == m.free_deletions
+        assert not loaded.coreset_ids & u
+        assert (loaded.coreset_deletions, loaded.free_deletions) == (0, 0)
+        assert loaded.gram_state.downdates_since_refresh == 0
         assert system_states_equal(state_of_system(loaded), state_of_system(m), tol=0.0)
+
+
+# A small fitted stream whose core set is a large share of it, so that drawn
+# requests hit the core set often; a refresh period of 3 puts inverse
+# refreshes inside the longer deletion chains.
+_STREAM = gen_dataset(DatasetSpec(kind="realizable-linear", T=150, d=5, seed=60))
+_IDS = [s.sample_id for s in _STREAM.samples]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    requests=st.lists(
+        st.lists(st.sampled_from(_IDS), min_size=1, max_size=6, unique=True), max_size=12
+    ),
+    refresh_period=st.sampled_from([3, DEFAULT_REFRESH_PERIOD]),
+)
+def test_saved_bytes_equal_a_fresh_fit_on_the_survivors(requests, refresh_period):
+    """After any deletion stream the file says no more than a fresh fit on the survivors."""
+    m = bbq_fit(_STREAM.samples, cap_k=1.0, kappa=0.5)
+    m.gram_state.refresh_period = refresh_period
+    for ids in requests:
+        deletion_update(m, ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a"), Path(tmp, "b")
+        save_model(m, a)
+        save_model(replay_on_coreset(m, []), b)
+        assert a.read_bytes() == b.read_bytes()
+        loaded = load_model(a)
+    for name in ("gram", "gram_inv", "b_vec", "weight"):
+        assert getattr(loaded.gram_state, name).tobytes() == getattr(m.gram_state, name).tobytes()
+
+
+def _load_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.saul")
+        path.write_bytes(blob)
+        loaded = load_model(path)
+        save_model(loaded, path)
+        return path.read_bytes()
+
+
+def _loads_or_rejects(blob: bytes) -> None:
+    """The parser's contract: a typed rejection, or a model that saves back to the same bytes."""
+    try:
+        again = _load_bytes(blob)
+    except ModelFormatError:
+        return
+    assert again == blob
+
+
+class TestParserFuzz:
+    @staticmethod
+    @functools.cache
+    def blob() -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(seeded_model(), Path(tmp, "m.saul"))
+            return Path(tmp, "m.saul").read_bytes()
+
+    def test_every_truncation_rejected(self):
+        blob = self.blob()
+        for n in range(len(blob)):
+            with pytest.raises(ModelFormatError):
+                _load_bytes(blob[:n])
+        assert _load_bytes(blob) == blob
+        with pytest.raises(ModelFormatError, match="bytes"):
+            _load_bytes(blob + b"\x00")
+
+    def test_every_header_bit_flip(self):
+        blob = self.blob()
+        for bit in range(8 * _HEADER.size):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            _loads_or_rejects(bytes(flipped))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_record_bit_flips(self, data):
+        blob = bytearray(self.blob())
+        for bit in data.draw(st.lists(st.integers(8 * _HEADER.size, 8 * len(blob) - 1), min_size=1, max_size=3)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+        _loads_or_rejects(bytes(blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        version=st.just(MODEL_VERSION) | st.integers(0, 255),
+        dim=st.integers(0, 2**32 - 1) | st.integers(0, 12),
+        n_coreset=st.integers(0, 2**64 - 1) | st.integers(0, 100),
+    )
+    def test_lying_header_fields(self, version, dim, n_coreset):
+        head = list(_HEADER.unpack_from(self.blob(), 0))
+        head[1], head[2], head[6] = version, dim, n_coreset
+        _loads_or_rejects(_HEADER.pack(*head) + self.blob()[_HEADER.size :])

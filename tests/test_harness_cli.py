@@ -15,7 +15,7 @@ from coreset_unlearn import (
 )
 from coreset_unlearn import harness
 from coreset_unlearn.baselines import exact_unlearn, weight_accuracy
-from coreset_unlearn.bbq_linear import deletion_update, replay_on_coreset, state_of_system, system_states_equal
+from coreset_unlearn.bbq_linear import _HEADER, deletion_update, replay_on_coreset, state_of_system, system_states_equal
 from coreset_unlearn.capacity import CapacityParams, coreset_capacity
 from coreset_unlearn.cli import _build_parser, cli_main
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
@@ -353,11 +353,15 @@ class TestCli:
         for p in (ds, m1, m2):
             assert p.exists() and p.stat().st_size > 0
 
-    # SHA-256 of the two model files of the pipeline below, recorded while
-    # SAUL1 records were packed one struct call at a time and every core-set
-    # deletion rebuilt the survivor list (numpy 2.4, OpenBLAS, x86-64)
-    FIT_SHA256 = "250bd99269e50b43d5044908f456db64b385a146c94dc548858bcdf51904863b"
-    UNLEARN_SHA256 = "82b3226f5ca72b3e5123ec6b5d35b3d042ee3b7b3d0f07949c97082d8b423087"
+    # SHA-256 of the two model files of the pipeline below in format version
+    # 2 (header and core-set records).  Their records regions are
+    # byte-identical to those of the version-1 files, which were recorded
+    # while records were packed one struct call at a time and every core-set
+    # deletion rebuilt the survivor list (numpy 2.4, OpenBLAS, x86-64).
+    FIT_SHA256 = "471756506a40f4fcf0d945cb4ee1cbb9c6954484b702e3748a6c356af37eea32"
+    UNLEARN_SHA256 = "f0c95856624f5d465e6060ee17a26d08a74c2e10289c2a10736ec7493a8b16e0"
+    FIT_RECORDS_SHA256 = "a48282334e50e6edf3a2e3fd5206c181acc6bc7b700f7e5c1efaae893d96c767"
+    UNLEARN_RECORDS_SHA256 = "82dc8e569a519a19bc8f5c5cb926ad4c9bc23b3d1af1d36ab3fb283bed8bec02"
 
     def test_fit_and_unlearn_write_recorded_bytes(self, tmp_path, capsys):
         ds, m1, m2 = tmp_path / "ds.bin", tmp_path / "m1.saul", tmp_path / "m2.saul"
@@ -373,6 +377,21 @@ class TestCli:
         ]
         assert hashlib.sha256(m1.read_bytes()).hexdigest() == self.FIT_SHA256
         assert hashlib.sha256(m2.read_bytes()).hexdigest() == self.UNLEARN_SHA256
+        assert hashlib.sha256(m1.read_bytes()[_HEADER.size :]).hexdigest() == self.FIT_RECORDS_SHA256
+        assert hashlib.sha256(m2.read_bytes()[_HEADER.size :]).hexdigest() == self.UNLEARN_RECORDS_SHA256
+
+    def test_unlearn_prints_this_runs_deletions(self, tmp_path, capsys):
+        # the file keeps no deletion counts, so a second run over the same
+        # stream reports only its own requests: every one of them is free now
+        ds, m1, m2, m3 = (tmp_path / name for name in ("ds.bin", "m1.saul", "m2.saul", "m3.saul"))
+        cli_main(["gen", "--kind", "margin", "--t", "600", "--d", "6", "--gamma", "0.1", "--seed", "7", "--out", str(ds)])
+        cli_main(["fit", "--data", str(ds), "--cap-k", "4", "--out", str(m1)])
+        unlearn = ["--data", str(ds), "--n", "40", "--dist", "by-label", "--target-label", "-1", "--seed", "3"]
+        cli_main(["unlearn", "--model", str(m1), *unlearn, "--out", str(m2)])
+        capsys.readouterr()
+        assert cli_main(["unlearn", "--model", str(m2), *unlearn, "--out", str(m3)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {m3} (core-set deletions 0, free 40)"]
+        assert m3.read_bytes() == m2.read_bytes()
 
     def test_pipeline_is_deterministic(self, tmp_path):
         outs = []
