@@ -116,7 +116,8 @@ def check_rows(X: np.ndarray, y: np.ndarray, ids: np.ndarray | None = None) -> N
     bad = np.flatnonzero((y != 1) & (y != -1))
     if bad.size:
         raise ValueError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
-    norms = np.linalg.norm(X, axis=1)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
+        norms = np.linalg.norm(X, axis=1)
     bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
     if bad.size:
         raise ValueError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")

@@ -221,26 +221,24 @@ def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams | No
         fh.write("\n")
 
 
-def _mean_inverse_over_stream(model: ModelState, dim: int, lam: float) -> np.ndarray:
+def _mean_inverse_over_stream(model: ModelState, positions: np.ndarray) -> np.ndarray:
     """Average of the pre-step inverse Gram matrix across the fitted stream.
 
-    Replays only the queried updates; between queries the inverse is constant,
-    so each snapshot is weighted by its run length.
+    ``positions`` are the stream positions of the core-set points, in fit
+    order.  Only the queried updates are replayed; between queries the
+    inverse is constant, so each snapshot is weighted by its run length, the
+    gap to the previous query (the last run reaches the end of the stream).
     """
-    state = gram_init(dim, lam)
-    total = np.zeros((dim, dim))
-    run = 0
-    core_iter = iter(model.coreset)
-    for record in model.query_log:
-        run += 1
-        if record.queried:
-            total += run * state.gram_inv
-            run = 0
-            s = next(core_iter)
-            rank_one_update(state, s.x, s.y)
-    if run:
+    T = model.params.horizon
+    state = gram_init(model.dim, model.params.lam)
+    total = np.zeros((model.dim, model.dim))
+    runs = np.diff(positions, prepend=-1, append=T - 1).tolist()
+    for run, s in zip(runs, model.coreset):
         total += run * state.gram_inv
-    return total / max(len(model.query_log), 1)
+        rank_one_update(state, s.x, s.y)
+    if runs[-1]:
+        total += runs[-1] * state.gram_inv
+    return total / T
 
 
 def expected_capacity_mc(
@@ -287,7 +285,8 @@ def expected_capacity_mc(
         permuted = [dataset[i] for i in perm]
         model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa)
 
-        mean_inv = _mean_inverse_over_stream(model, model.dim, model.params.lam)
+        core_ids = np.fromiter(model.coreset_ids, dtype=rows.ids.dtype, count=len(model.coreset_ids))
+        mean_inv = _mean_inverse_over_stream(model, np.flatnonzero(np.isin(rows.ids[perm], core_ids)))
         if dist.kind == "uniform":
             qf = float(np.mean(np.einsum("ij,jk,ik->i", xs_all, mean_inv, xs_all)))
         elif dist.kind == "by-label":

@@ -31,12 +31,15 @@ These declarative rules also evaluate a whole pool at once (a threshold is one
 column-wise; arbitrary callables are evaluated one sample at a time.
 Evaluators must depend on the input only, never on labels.
 
-All scores are computed on one pair layout: row ``p`` of a ``pairs x n``
-array holds ``(f(x) - g(x))^2`` for the ``p``-th pair ``f < g``.  Taken
-points are masked rather than removed, so the greedy picks, their tie-breaks
-and every recorded score are bit-identical to evaluating the full ``F x F``
-table.  The projected dimension is computed only when the residual exit
-reads it, never under ``exhaust_pool=True``.
+All scores are computed on one point-major pair layout: row ``r`` of an
+``n x pairs`` array holds ``(f(x) - g(x))^2`` of one pool point for every
+pair ``f < g``.  The points not yet taken are packed into the leading rows,
+so a pick divides and reduces only those; ties are broken explicitly (the
+smallest pool index in the greedy restarts, the smallest sample id in the
+stage loop), never by a point's row.  The greedy picks, their tie-breaks and
+every recorded score are therefore bit-identical to evaluating the full
+``F x F`` table.  The projected dimension is computed only when the
+residual exit reads it, never under ``exhaust_pool=True``.
 """
 
 from __future__ import annotations
@@ -171,42 +174,66 @@ class ProjectedDimension(NamedTuple):
 
 
 class _PairScores:
-    """Uncertainty scores of a pool against a growing prefix, on the pair layout.
+    """Uncertainty scores of a pool's live points against a growing prefix.
 
-    Row ``p`` of ``gaps`` holds ``(f(x) - g(x))^2`` over the pool for the
-    ``p``-th pair ``f < g``.  The diagonal pairs are 0 and
-    ``(a - b)^2 == (b - a)^2`` in IEEE arithmetic, so the maximum over these
-    rows equals the maximum over the full ``F x F`` table bit for bit.
-    ``take`` moves a point into the prefix: its column is added to ``denom``
-    and its score reads -1 from then on.
+    ``rows`` is C-contiguous ``n x pairs``: one row per pool point, holding
+    ``(f(x) - g(x))^2`` for each pair ``f < g``.  The diagonal pairs are 0 and
+    ``(a - b)^2 == (b - a)^2`` in IEEE arithmetic, so the maximum over a row
+    equals the maximum over the full ``F x F`` table bit for bit.  The first
+    ``m`` rows are the live points, in no particular order: ``pos[r]`` is the
+    pool index of row ``r`` and ``slot[i]`` the row of pool index ``i``.
+    ``take`` moves a point into the prefix: its row is added to ``denom`` and
+    swapped with the last live row.
     """
 
     def __init__(self, values: np.ndarray):
         f, g = np.triu_indices(len(values), 1)
-        self.gaps = (values[f] - values[g]) ** 2
+        by_point = np.ascontiguousarray(values.T)
+        self.rows = np.take(by_point, f, axis=1)  # C-contiguous, unlike by_point[:, f]
+        self.rows -= np.take(by_point, g, axis=1)
+        self.rows *= self.rows
         self.denom = np.ones(len(f))
-        self.live = np.ones(values.shape[1], dtype=bool)
-        self._ratios = np.empty_like(self.gaps)
+        self.pos = np.arange(values.shape[1])
+        self.slot = np.arange(values.shape[1])
+        self.m = values.shape[1]
+        self._ratios = np.empty_like(self.rows)
         self._scores = np.empty(values.shape[1])
+        self._spare = np.empty(len(f))
 
-    def reset(self, live=slice(None)) -> None:
+    def _swap(self, a: int, b: int) -> None:
+        if a != b:
+            rows, spare = self.rows, self._spare
+            spare[:] = rows[a]
+            rows[a] = rows[b]
+            rows[b] = spare
+            i, j = self.pos[a], self.pos[b]
+            self.pos[a], self.pos[b] = j, i
+            self.slot[i], self.slot[j] = b, a
+
+    def reset(self, revive: bool = True) -> None:
+        """Empty the prefix; ``revive`` makes every point live again, else the taken ones stay out."""
         self.denom.fill(1.0)
-        self.live.fill(False)
-        self.live[live] = True
+        if revive:
+            self.m = len(self.pos)
 
     def take(self, i: int) -> None:
-        self.live[i] = False
-        self.denom += self.gaps[:, i]
+        r = int(self.slot[i])
+        self.denom += self.rows[r]
+        self.m -= 1
+        self._swap(r, self.m)
 
     def score(self, i: int) -> float:
-        return float(np.max(self.gaps[:, i] / self.denom, initial=0.0))
+        return float((self.rows[self.slot[i]] / self.denom).max(initial=0.0))
 
-    def scores(self) -> np.ndarray:
-        """Score of every pool point; points already taken read -1."""
-        np.divide(self.gaps, self.denom[:, None], out=self._ratios)
-        np.max(self._ratios, axis=0, initial=0.0, out=self._scores)
-        self._scores[~self.live] = -1.0
-        return self._scores
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of the live points and their pool indices, both in row order.
+
+        Both are views into the kernel's buffers, valid until the next ``take``.
+        """
+        live = self._ratios[: self.m]
+        np.divide(self.rows[: self.m], self.denom, out=live)
+        np.max(live, axis=1, initial=0.0, out=self._scores[: self.m])
+        return self._scores[: self.m], self.pos[: self.m]
 
 
 def _sequence_value(kernel: _PairScores, order) -> float:
@@ -222,11 +249,11 @@ def _greedy_value(kernel: _PairScores, start: int) -> float:
     kernel.reset()
     total = kernel.score(start)
     kernel.take(start)
-    for _ in range(len(kernel.live) - 1):
-        scores = kernel.scores()
-        pick = int(np.argmax(scores))
-        total += float(scores[pick])
-        kernel.take(pick)
+    while kernel.m:
+        scores, pos = kernel.scores()
+        top = scores.max()
+        total += float(top)
+        kernel.take(int(pos[scores == top].min()))  # ties go to the smallest pool index
     return total
 
 
@@ -249,7 +276,7 @@ def projected_dimension(
     if n <= exact_cap:
         best = max(_sequence_value(kernel, order) for order in itertools.permutations(range(n)))
         return ProjectedDimension(best, True)
-    first_scores = np.max(kernel.gaps, axis=0, initial=0.0)
+    first_scores = np.max(kernel.rows, axis=1, initial=0.0)  # rows are still in pool order
     starts = np.argsort(-first_scores, kind="stable")[: min(restarts, n)]
     best = max(_greedy_value(kernel, int(s)) for s in starts)
     return ProjectedDimension(best, False)
@@ -369,8 +396,7 @@ def general_bbq_fit(
     # only the residual exit reads the projected dimension
     pdim = None if exhaust_pool else projected_dimension(fclass, pool, exact_cap=dim_exact_cap)
 
-    pool_idx = list(range(len(pool)))
-    survivors = list(pool_idx)
+    survivors = list(range(len(pool)))
     queried: list[tuple[int, LabeledSample]] = []
     stage_log: list[StageRecord] = []
     n_stages = 0
@@ -378,22 +404,22 @@ def general_bbq_fit(
     for ell in range(1, stage_cap + 1):
         n_stages = ell
         eps2 = 4.0 ** (-ell) / rate_bound
-        kernel.reset(pool_idx)
+        kernel.reset(revive=False)  # the live points are this stage's pool
         stage_queries: list[int] = []
         stage_scores: list[float] = []
         exit_score = 0.0
-        for _ in pool_idx:
-            scores = kernel.scores()
+        while kernel.m:
+            scores, pos = kernel.scores()
             top = float(scores.max())
             if top <= eps2:
                 exit_score = top
                 break
-            tied = np.flatnonzero(scores == top)
-            chosen = int(tied[np.argmin(ids[tied])])
+            tied = np.sort(pos[scores == top])
+            chosen = int(tied[np.argmin(ids[tied])])  # ties go to the smallest sample id
             stage_queries.append(chosen)
             stage_scores.append(top)
             kernel.take(chosen)
-        candidates = [i for i in pool_idx if kernel.live[i]]
+        candidates = np.sort(kernel.pos[: kernel.m]).tolist()
 
         if stage_queries:
             stage_erm = erm_fit(fclass, [pool[i] for i in stage_queries])
@@ -407,7 +433,6 @@ def general_bbq_fit(
 
         for i in stage_queries:
             queried.append((ell, pool[i]))
-        pool_idx = candidates
         dropped = set(stage_queries) | set(confident)
         survivors = [i for i in survivors if i not in dropped]
         stage_log.append(
@@ -418,21 +443,21 @@ def general_bbq_fit(
                 queried_scores=tuple(stage_scores),
                 exit_score=exit_score,
                 confident_ids=tuple(int(ids[i]) for i in confident),
-                pool_ids=tuple(int(ids[i]) for i in pool_idx),
+                pool_ids=tuple(int(ids[i]) for i in candidates),
                 survivor_ids=tuple(int(ids[i]) for i in survivors),
                 stage_erm=stage_erm,
             )
         )
 
         if exhaust_pool:
-            undecided = float(np.max(kernel.gaps[:, pool_idx], initial=0.0))
+            undecided = float(np.max(kernel.rows[: kernel.m], initial=0.0))
             if undecided == 0.0:
                 break  # every separable point is queried
             continue
         if pdim.value * rate_bound / (2.0 ** (-ell + 1)) > 2.0 ** (-ell + 1) * len(survivors):
             break
         if not stage_queries and not confident:
-            remaining_gap = float(np.max(kernel.gaps[:, pool_idx], initial=0.0))
+            remaining_gap = float(np.max(kernel.rows[: kernel.m], initial=0.0))
             if remaining_gap == 0.0:
                 break  # no pair of functions disagrees anywhere; nothing can change
 

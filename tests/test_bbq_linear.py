@@ -3,6 +3,7 @@ import hashlib
 import os
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -646,3 +647,16 @@ class TestParserFuzz:
         head = list(_HEADER.unpack_from(self.blob(), 0))
         head[1], head[2], head[6] = version, dim, n_coreset
         _loads_or_rejects(_HEADER.pack(*head) + self.blob()[_HEADER.size :])
+
+    def test_huge_finite_record_rejected_without_a_warning(self):
+        # the norm of a 1e200 coordinate overflows; the record must still fail
+        # its norm check with the typed error, and numpy must not warn
+        blob = bytearray(self.blob())
+        dim = _HEADER.unpack_from(blob, 0)[2]
+        records = np.frombuffer(blob, dtype=row_dtype(dim), offset=_HEADER.size).copy()
+        records[3]["x"][0] = 1e200
+        blob[_HEADER.size :] = records.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match="exceeds 1"):
+                _load_bytes(bytes(blob))

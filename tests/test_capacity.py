@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -268,6 +269,17 @@ class TestMonteCarlo:
         assert len(doc["curve"]) == 3
         assert {"k_total", "empirical", "bound"} <= set(doc["curve"][0])
         assert doc["params"]["T"] == 100
+
+    def test_recorded_curves(self):
+        # recorded while the inverse average still walked the per-point query
+        # log; repr of a float list is exact, and the form mean is kept in hex
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=5, seed=20))
+        parts = []
+        for dist in (DeletionDistribution(kind="uniform"), DeletionDistribution(kind="by-label", target_label=-1)):
+            c = expected_capacity_mc(ds.samples, dist, K=4, trials=6, seed=21, cap_k=2.0, kappa=0.5)
+            parts.append(repr((c.k_total.tolist(), c.empirical.tolist(), c.bound.tolist(), c.quadratic_form_mean.hex())))
+        got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert got == "feb376fc0b0e78bd98321e1e8d6bf37888770a1925ec3cb8c316a7f176114964"
 
     def test_rejects_bad_arguments(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))

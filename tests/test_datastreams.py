@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ class TestDatasetIO:
 
         with pytest.raises(DatasetFormatError, match=match):
             load_dataset(self._corrupt(tmp_path, edit))
+
+    def test_huge_finite_row_rejected_without_a_warning(self, tmp_path):
+        # the norm of a 1e200 coordinate overflows to inf, which fails the norm check
+        def edit(head, rows):
+            rows[17]["x"] = [1e200, 0.0, 0.0, 0.0, 0.0]
+            return head + rows.tobytes()
+
+        path = self._corrupt(tmp_path, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="exceeds 1"):
+                load_dataset(path)
 
     def test_failed_save_leaves_existing_file_intact(self, tmp_path):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=36))

@@ -563,3 +563,41 @@ class TestRecordedOutputs:
             pool, fclass, _ = random_general_instance(rng, pool_max=120, class_max=32)
             parts.append(repr(projected_dimension(fclass, pool, exact_cap=0)))
         assert digest(parts) == "478ab89dfa21afe1b335dde7e0b3f1f811c2506d45efc0e7d2f4f3eb880343ef"
+
+
+def tie_heavy_instances():
+    """Pools and classes on which many scores tie exactly.
+
+    Rows are drawn with repetition from a few distinct points, sample ids run
+    in descending or shuffled order against pool order, and each class
+    repeats rules and holds constants, so the greedy picks and the stage
+    loop keep meeting ties that only the pool-index or id tie-break decides.
+    """
+    rng = np.random.default_rng(911)
+    for case in range(6):
+        n = int(rng.integers(30, 61))
+        distinct = unit_vectors(rng, int(rng.integers(3, 9)), 2)
+        xs = distinct[rng.integers(0, len(distinct), n)]
+        ids = rng.choice(1000, size=n, replace=False)
+        ids = np.sort(ids)[::-1] if case % 2 == 0 else ids
+        rules = [
+            {"type": "threshold", "feature": int(rng.integers(0, 2)), "cut": float(rng.uniform(-0.5, 0.5)),
+             "below": float(rng.choice([0.0, 0.25, 1.0])), "above": float(rng.choice([0.5, 0.75, 1.0]))}
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        rules += rules[: 1 + case % 2]  # repeated rules: their pairs never disagree
+        rules += [{"type": "table", "default": v} for v in (0.5, 0.5, float(rng.choice([0.0, 1.0])))]
+        pool = [LabeledSample(int(i), x, int(rng.choice([-1, 1]))) for i, x in zip(ids, xs)]
+        yield pool, rules_class(rules)
+
+
+def test_tie_breaks_are_recorded():
+    """Recorded before the pair kernel packed live points to the front: ties
+    go to the smallest pool index in the greedy restarts and to the smallest
+    sample id in the stage loop, never to a point's position in the kernel."""
+    parts = []
+    for pool, fclass in tie_heavy_instances():
+        parts.append(fit_repr(general_bbq_fit(pool, fclass), False))
+        parts.append(fit_repr(general_bbq_fit(pool, fclass, exhaust_pool=True), True))
+        parts.append(repr(projected_dimension(fclass, pool, exact_cap=0)))
+    assert digest(parts) == "afea280a2f87d10a5ca8bce56e93e882195860decb2ced87135dc9d082d8e2d0"
