@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic_io import atomic_open
 from .bbq_linear import ModelState, bbq_fit
-from .core_linalg import GramState, gram_init, rank_one_downdate, rank_one_update
+from .core_linalg import GramState, inverse_rank_one_update, rank_one_downdate
 from .datastreams import DeletionDistribution, as_rows, deletion_stream
 
 ACCEPT = "accept"
@@ -228,16 +228,17 @@ def _mean_inverse_over_stream(model: ModelState, positions: np.ndarray) -> np.nd
     order.  Only the queried updates are replayed; between queries the
     inverse is constant, so each snapshot is weighted by its run length, the
     gap to the previous query (the last run reaches the end of the stream).
+    The replay keeps only the inverse, stepped exactly as the fit stepped it.
     """
     T = model.params.horizon
-    state = gram_init(model.dim, model.params.lam)
+    inv = np.eye(model.dim) / model.params.lam
     total = np.zeros((model.dim, model.dim))
     runs = np.diff(positions, prepend=-1, append=T - 1).tolist()
     for run, s in zip(runs, model.coreset):
-        total += run * state.gram_inv
-        rank_one_update(state, s.x, s.y)
+        total += run * inv
+        inverse_rank_one_update(inv, s.x)
     if runs[-1]:
-        total += runs[-1] * state.gram_inv
+        total += runs[-1] * inv
     return total / T
 
 
@@ -259,8 +260,8 @@ def expected_capacity_mc(
     draws deletion requests from ``dist`` without replacement, and counts how
     many of the first ``k_total`` requests hit that trial's core set.  The
     closed-form bound side is estimated through the average pre-step inverse
-    Gram matrix.  Trials own their seeds, so parallel and serial evaluation
-    orders agree.
+    Gram matrix.  Each trial draws its permutation and its deletion requests
+    from its own seed, spawned from ``seed``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -8,6 +8,15 @@ in sync in O(d^2) time via the Sherman-Morrison identity; a periodic refresh
 by direct factorization bounds floating-point drift across long downdate
 chains.
 
+The kernels sit on the sampler's per-point loop, so they do only the
+arithmetic the identity needs.  Outer products are formed by broadcasting
+(``x[:, None] * x``), which multiplies the same pairs in the same order as
+``np.outer`` and so gives the same bits without its wrapper; ``as_vector``
+hands back an array that already is a float64 vector of the right shape.
+:func:`inverse_rank_one_update` is the Sherman-Morrison step on the inverse
+alone: :func:`rank_one_update` runs it, and so does the capacity estimate's
+replay, which averages the inverse and keeps no other part of the state.
+
 All vectors are assumed to satisfy ``||x|| <= 1`` and states are single-writer:
 callers serialize mutations, concurrent read-only leverage queries are safe
 between mutations.
@@ -30,6 +39,9 @@ DEFAULT_REFRESH_PERIOD = 1024
 
 # Slack on the unit-norm input contract.
 NORM_SLACK = 1e-9
+
+# Native float64; any other dtype object, equal or not, takes the np.asarray path.
+_FLOAT64 = np.dtype(np.float64)
 
 
 class SingularDowndateError(RuntimeError):
@@ -82,7 +94,13 @@ class GramState:
 
 
 def as_vector(x, dim: int) -> np.ndarray:
-    """``x`` as a float64 vector of shape ``(dim,)``; ``ValueError`` on any other shape."""
+    """``x`` as a float64 vector of shape ``(dim,)``; ``ValueError`` on any other shape.
+
+    A plain ndarray that already is one comes back as the same object, as
+    ``np.asarray`` would return it.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (dim,):
+        return x
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (dim,):
         raise ValueError(f"expected vector of shape ({dim},), got {v.shape}")
@@ -123,6 +141,16 @@ def gram_from_rows(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
     return state
 
 
+def inverse_rank_one_update(inv: np.ndarray, x: np.ndarray) -> None:
+    """Sherman-Morrison step ``inv <- (inv^-1 + x x^T)^-1``, in place.
+
+    ``x`` must already be a float64 vector of matching dimension; nothing is
+    checked, so callers validate it first (:func:`rank_one_update` does).
+    """
+    v = inv.dot(x)
+    inv -= (v[:, None] * v) / (1.0 + v.dot(x))
+
+
 def rank_one_update(state: GramState, x, y: float) -> GramState:
     """Add the contribution of a labeled point, in place.
 
@@ -133,10 +161,8 @@ def rank_one_update(state: GramState, x, y: float) -> GramState:
     nrm = math.sqrt(x.dot(x))  # bit-identical to np.linalg.norm of a real vector
     if nrm > 1.0 + NORM_SLACK:
         raise ValueError(f"||x|| = {nrm} exceeds the unit-norm contract")
-    v = state.gram_inv.dot(x)
-    denom = 1.0 + v.dot(x)
-    state.gram += np.outer(x, x)
-    state.gram_inv -= np.outer(v, v) / denom
+    state.gram += x[:, None] * x
+    inverse_rank_one_update(state.gram_inv, x)
     state.b_vec += y * x
     state.weight = state.gram_inv.dot(state.b_vec)
     return state
@@ -157,8 +183,8 @@ def rank_one_downdate(state: GramState, x, y: float) -> GramState:
             f"downdate denominator {denom:.3e} below tolerance; "
             "the point is not part of the maintained state"
         )
-    state.gram -= np.outer(x, x)
-    state.gram_inv += np.outer(v, v) / denom
+    state.gram -= x[:, None] * x
+    state.gram_inv += (v[:, None] * v) / denom
     state.b_vec -= y * x
     state.weight = state.gram_inv.dot(state.b_vec)
     state.downdates_since_refresh += 1

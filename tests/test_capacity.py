@@ -29,6 +29,7 @@ from coreset_unlearn.capacity import (
     capacity_report_json,
     margin_estimate,
 )
+from coreset_unlearn.core_linalg import gram_init, rank_one_update
 
 
 class TestParams:
@@ -280,6 +281,25 @@ class TestMonteCarlo:
             parts.append(repr((c.k_total.tolist(), c.empirical.tolist(), c.bound.tolist(), c.quadratic_form_mean.hex())))
         got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         assert got == "feb376fc0b0e78bd98321e1e8d6bf37888770a1925ec3cb8c316a7f176114964"
+
+    @pytest.mark.parametrize("T,d", [(200, 1), (300, 3), (500, 10)])
+    def test_mean_inverse_equals_full_state_replay(self, T, d):
+        # the inverse-only replay must step the inverse exactly as
+        # rank_one_update does inside the fit
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=T, d=d, seed=30 + d))
+        perm = np.random.default_rng(d).permutation(T)
+        model = bbq_fit([ds.samples[i] for i in perm], cap_k=2.0, kappa=0.5)
+        positions = np.flatnonzero(np.isin(ds.ids[perm], list(model.coreset_ids)))
+        state = gram_init(d, model.params.lam)
+        total = np.zeros((d, d))
+        runs = np.diff(positions, prepend=-1, append=T - 1).tolist()
+        for run, s in zip(runs, model.coreset):
+            total += run * state.gram_inv
+            rank_one_update(state, s.x, s.y)
+        if runs[-1]:
+            total += runs[-1] * state.gram_inv
+        assert np.array_equal(state.gram_inv, model.gram_state.gram_inv)
+        assert np.array_equal(capacity._mean_inverse_over_stream(model, positions), total / T)
 
     def test_rejects_bad_arguments(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from coreset_unlearn.core_linalg import (
     CorruptedStateError,
     SingularDowndateError,
+    as_vector,
     gram_init,
     leverage,
     log_det_ratio,
@@ -140,6 +143,114 @@ class TestDowndate:
         for x, y in pts[:5]:
             rank_one_downdate(s, x, y)
         assert s.downdates_since_refresh == 0  # period hit, refreshed
+
+
+def outer_update(state, x, y):
+    """``rank_one_update`` as written with ``np.outer``: the bits the kernel must keep."""
+    v = state.gram_inv.dot(x)
+    denom = 1.0 + v.dot(x)
+    state.gram += np.outer(x, x)
+    state.gram_inv -= np.outer(v, v) / denom
+    state.b_vec += y * x
+    state.weight = state.gram_inv.dot(state.b_vec)
+
+
+def outer_downdate(state, x, y):
+    """``rank_one_downdate`` as written with ``np.outer``."""
+    v = state.gram_inv.dot(x)
+    denom = 1.0 - v.dot(x)
+    state.gram -= np.outer(x, x)
+    state.gram_inv += np.outer(v, v) / denom
+    state.b_vec -= y * x
+    state.weight = state.gram_inv.dot(state.b_vec)
+    state.downdates_since_refresh += 1
+    if state.downdates_since_refresh >= state.refresh_period:
+        refresh_inverse(state)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("d", [1, 2, 10, 20])
+    def test_mixed_chain_matches_outer_formulas(self, d):
+        # the broadcast outer products must reproduce np.outer bit for bit,
+        # also across automatic refreshes (period 7)
+        rng = np.random.default_rng(100 + d)
+        s, ref = gram_init(d, 2.0, refresh_period=7), gram_init(d, 2.0, refresh_period=7)
+        live, downdates = [], 0
+        for _ in range(120):
+            if live and rng.random() < 0.4:
+                x, y = live.pop(int(rng.integers(len(live))))
+                rank_one_downdate(s, x, y)
+                outer_downdate(ref, x, y)
+                downdates += 1
+            else:
+                x, y = random_unit(rng, d), int(rng.choice([-1, 1]))
+                rank_one_update(s, x, y)
+                outer_update(ref, x, y)
+                live.append((x, y))
+            for name in ("gram", "gram_inv", "b_vec", "weight"):
+                assert np.array_equal(getattr(s, name), getattr(ref, name)), name
+            assert s.downdates_since_refresh == ref.downdates_since_refresh
+        assert downdates >= s.refresh_period
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+def asarray_as_vector(x, dim):
+    """``as_vector`` as written before its fast path: the conversions it must keep."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape != (dim,):
+        raise ValueError(f"expected vector of shape ({dim},), got {v.shape}")
+    return v
+
+
+_GRID = np.arange(24, dtype=np.float64).reshape(3, 8) / 100.0
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", PendingDeprecationWarning)
+    _MATRIX = np.matrix(_GRID[0, :4])
+
+
+class TestAsVector:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            _GRID[0, :4].astype(np.float32),
+            [0, 1, 2, 3],
+            _GRID[0, :4].astype(">f8"),
+            _GRID[0, :4].copy().view(_Sub),
+            _GRID[:, ::2][1],
+            _GRID[0, :4].copy(),
+        ],
+        ids=["float32", "int list", "big-endian", "subclass", "strided row view", "float64"],
+    )
+    def test_converts_exactly_as_asarray(self, x):
+        got, ref = as_vector(x, 4), asarray_as_vector(x, 4)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (4,)
+        assert np.array_equal(got, ref)
+        assert (got is x) == (ref is x)  # a float64 vector comes back as itself
+        arr = np.asarray(x)
+        assert np.shares_memory(got, arr) == np.shares_memory(ref, arr)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.zeros((1, 4)),
+            np.zeros((4, 1)),
+            np.array(0.5),
+            np.zeros(5),
+            _MATRIX,
+            _GRID[:1, :4].view(_Sub),
+            [0.0, 0.0, 0.0],
+        ],
+        ids=["(1,d)", "(d,1)", "0-d", "long", "matrix", "(1,d) subclass", "short list"],
+    )
+    def test_rejects_every_other_shape(self, x):
+        with pytest.raises(ValueError, match="shape"):
+            asarray_as_vector(x, 4)
+        with pytest.raises(ValueError, match="shape"):
+            as_vector(x, 4)
 
 
 class TestLeverage:
