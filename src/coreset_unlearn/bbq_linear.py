@@ -15,6 +15,10 @@ core-set hit is looked up and taken out in O(1), so its whole cost is the one
 ``O(d^2)`` downdate; a batch of hits is downdated in fit order, exactly as a
 scan of the core set would meet them.
 
+The fit's per-point work is one leverage evaluation.  Its query log
+(:class:`QueryLog`) keeps the stream's ids and those leverages as two lists
+and builds a :class:`QueryRecord` only when one is read.
+
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
     magic               5 bytes   b"SAUL1"
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -50,6 +55,7 @@ import numpy as np
 
 from .atomic_io import atomic_open
 from .core_linalg import (
+    FLOAT64,
     NORM_SLACK,
     GramState,
     as_vector,
@@ -238,8 +244,8 @@ class BBQParams:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if self.cap_k < 1:
-            raise ValueError(f"cap_k must be >= 1, got {self.cap_k}")
+        if not 1 <= self.cap_k < math.inf:  # NaN fails too
+            raise ValueError(f"cap_k must be finite and >= 1, got {self.cap_k}")
 
     @property
     def lam(self) -> float:
@@ -257,12 +263,45 @@ class QueryRecord:
     queried: bool
 
 
+class QueryLog(Sequence):
+    """The fit's per-point log, read-only: one :class:`QueryRecord` per streamed point.
+
+    The fit keeps only the stream's ids and each point's leverage, in stream
+    order; a record is built when it is read, its ``queried`` flag being
+    ``leverage > threshold``, the sampler's own test.  Supports ``len``, int
+    indexing (negative too), slices (a list of records) and iteration.
+    """
+
+    __slots__ = ("_ids", "_leverages", "_threshold")
+
+    def __init__(self, ids: list[int], leverages: list[float], threshold: float):
+        self._ids = ids
+        self._leverages = leverages
+        self._threshold = threshold
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._ids)))]
+        lev = self._leverages[index]
+        return QueryRecord(self._ids[index], lev, lev > self._threshold)
+
+    def __iter__(self):
+        thr = self._threshold
+        for sid, lev in zip(self._ids, self._leverages):
+            yield QueryRecord(sid, lev, lev > thr)
+
+
 @dataclass
 class ModelState:
     """Fitted sampler state: Gram state, ordered core set, and fit metadata.
 
     ``coreset_ids`` is the id set of ``coreset``, kept beside it for callers
-    that test membership.
+    that test membership.  ``query_log`` holds the fit's ids and leverages,
+    one per streamed point, and builds its records on read; it is empty for a
+    loaded model.
 
     ``fit_weight`` is the drift reference for capacity gating: a snapshot of
     the weights at the end of the fit, rebased on the live weights whenever
@@ -278,7 +317,7 @@ class ModelState:
     gram_state: GramState
     coreset: CoreSet
     params: BBQParams
-    query_log: list[QueryRecord]
+    query_log: QueryLog
     fit_weight: np.ndarray
     coreset_ids: set[int] = field(default_factory=set)
     free_deletions: int = 0
@@ -324,7 +363,8 @@ def bbq_fit(
     must be unique within the stream.
     """
     stream = list(stream)
-    if len({s.sample_id for s in stream}) != len(stream):
+    ids = [s.sample_id for s in stream]
+    if len(set(ids)) != len(ids):
         raise ValueError("sample ids repeat within the stream")
     if horizon is None:
         if not stream:
@@ -338,20 +378,19 @@ def bbq_fit(
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
     coreset = CoreSet()
-    log: list[QueryRecord] = []
+    leverages: list[float] = []
+    record = leverages.append
     for s in stream:
-        lev = leverage(state, s.x)
+        lev = leverage(state, s.x)  # the module global, so a wrapper installed on it sees every call
+        record(lev)
         if lev > threshold:
             rank_one_update(state, s.x, s.y)  # label read only on query
             coreset.append(s)
-            log.append(QueryRecord(s.sample_id, lev, True))
-        else:
-            log.append(QueryRecord(s.sample_id, lev, False))
     return ModelState(
         gram_state=state,
         coreset=coreset,
         params=params,
-        query_log=log,
+        query_log=QueryLog(ids, leverages, threshold),
         fit_weight=state.weight.copy(),
         coreset_ids=coreset.ids(),
     )
@@ -360,7 +399,9 @@ def bbq_fit(
 def predict(model: ModelState, x) -> int:
     """``sign(w^T x)`` with the tie broken as ``sign(0) = +1``."""
     g = model.gram_state
-    return -1 if g.weight.dot(as_vector(x, g.dim)) < 0.0 else 1
+    if not (type(x) is np.ndarray and x.dtype is FLOAT64 and x.shape == (g.dim,)):
+        x = as_vector(x, g.dim)  # the fast-path test is inlined: serving calls this per request
+    return -1 if g.weight.dot(x) < 0.0 else 1
 
 
 def deletion_update(model: ModelState, ids) -> ModelState:
@@ -456,12 +497,12 @@ def save_model(model: ModelState, path) -> None:
 def load_model(path) -> ModelState:
     """Read a "SAUL1" container and derive its Gram state from the records.
 
-    The query log is not stored and comes back empty; the deletion counters
-    start at zero.  Raises :class:`ModelFormatError` on a malformed file: bad
-    magic or version, a dimension outside ``[1, MAX_MODEL_DIM]``, a length
-    other than the header implies, non-finite or invalid parameters, and
-    records with repeated ids, non-finite values, a label other than -1 or +1
-    or a norm above 1.
+    The query log is not stored: the loaded model's :class:`QueryLog` is
+    empty.  The deletion counters start at zero.  Raises
+    :class:`ModelFormatError` on a malformed file: bad magic or version, a
+    dimension outside ``[1, MAX_MODEL_DIM]``, a length other than the header
+    implies, non-finite or invalid parameters, and records with repeated ids,
+    non-finite values, a label other than -1 or +1 or a norm above 1.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -493,7 +534,7 @@ def load_model(path) -> ModelState:
         gram_state=state,
         coreset=coreset,
         params=params,
-        query_log=[],
+        query_log=QueryLog([], [], params.query_threshold),
         fit_weight=state.weight.copy(),
         coreset_ids=coreset.ids(),
     )

@@ -59,10 +59,10 @@ class CapacityParams:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eps_bar < 0:
-            raise ValueError("eps_bar must be nonnegative")
-        if self.K <= 0:
-            raise ValueError("K must be positive")
+        if not 0 <= self.eps_bar < math.inf:  # NaN fails too
+            raise ValueError(f"eps_bar must be finite and nonnegative, got {self.eps_bar}")
+        if not 0 < self.K < math.inf:
+            raise ValueError(f"K must be finite and positive, got {self.K}")
 
 
 @dataclass
@@ -265,6 +265,8 @@ def expected_capacity_mc(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     dataset = list(dataset)
     T = len(dataset)
     if k_total_grid is None:

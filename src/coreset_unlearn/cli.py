@@ -7,7 +7,9 @@ no deletion counts), ``bench`` (full multi-method experiment), ``capacity``
 (Monte Carlo capacity curves), ``verify`` (run the invariant suites).
 
 Exit codes: 0 success, 1 usage error, 2 runtime error, 3 verification
-failure.
+failure.  A subcommand checks its arguments' ranges before it reads or
+writes any file, so an out-of-range argument is a usage error; a malformed
+input file is a runtime error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import sys
 
 from . import verify as verify_mod
-from .bbq_linear import bbq_fit, deletion_update, load_model, save_model
+from .bbq_linear import BBQParams, bbq_fit, deletion_update, load_model, save_model
 from .capacity import CapacityParams, capacity_report_json, coreset_capacity, expected_capacity_mc
 from .datastreams import (
     DatasetSpec,
@@ -68,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="uniform", choices=["uniform", "by-label"])
-    p.add_argument("--target-label", type=int, default=-1)
+    p.add_argument("--target-label", type=int, default=-1, choices=[-1, 1])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -107,14 +109,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _usage_checked(make, **kwargs):
+    """``make(**kwargs)``, a parameter object; the ``ValueError`` it raises is an out-of-range argument."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _check_sampler_args(args) -> None:
+    """``--kappa`` and ``--cap-k``; the horizon comes from the data, so 1 stands in for it."""
+    _usage_checked(BBQParams, horizon=1, kappa=args.kappa, cap_k=args.cap_k)
+
+
 def _cmd_gen(args) -> int:
-    spec = DatasetSpec(kind=args.kind, T=args.t, d=args.d, seed=args.seed, gamma=args.gamma)
+    spec = _usage_checked(DatasetSpec, kind=args.kind, T=args.t, d=args.d, seed=args.seed, gamma=args.gamma)
     save_dataset(gen_dataset(spec), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
+    _check_sampler_args(args)
     ds = load_dataset(args.data)
     model = bbq_fit(ds.samples, cap_k=args.cap_k, kappa=args.kappa)
     save_model(model, args.out)
@@ -123,6 +139,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
+    if args.n < 0:
+        raise _UsageError(f"--n must be >= 0, got {args.n}")
     model = load_model(args.model)
     ds = load_dataset(args.data)
     dist = DeletionDistribution(kind=args.dist, target_label=args.target_label)
@@ -140,22 +158,22 @@ def _cmd_bench(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
     if not methods:
         raise _UsageError("bench requires at least one method")
-    try:
-        dataset = args.data or DatasetSpec(kind="margin", T=args.t, d=args.d, seed=args.seed, gamma=args.gamma)
-        cfg = ExperimentConfig(
-            dataset=dataset,
-            methods=methods,
-            kappa=args.kappa,
-            cap_k=args.cap_k,
-            delta=args.delta,
-            shards=args.shards,
-            deletion_fraction=args.fraction,
-            cadence=args.cadence,
-            seed=args.seed,
-            gate_policy=args.gate_policy,
-        )
-    except ValueError as exc:  # an out-of-range argument, not a runtime failure
-        raise _UsageError(str(exc)) from exc
+    dataset = args.data or _usage_checked(
+        DatasetSpec, kind="margin", T=args.t, d=args.d, seed=args.seed, gamma=args.gamma
+    )
+    cfg = _usage_checked(
+        ExperimentConfig,
+        dataset=dataset,
+        methods=methods,
+        kappa=args.kappa,
+        cap_k=args.cap_k,
+        delta=args.delta,
+        shards=args.shards,
+        deletion_fraction=args.fraction,
+        cadence=args.cadence,
+        seed=args.seed,
+        gate_policy=args.gate_policy,
+    )
     report = run_experiment(cfg)
     for path in emit_report(report, args.out):
         print(f"wrote {path}")
@@ -163,10 +181,18 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    if args.k < 1 or args.trials < 1:
+        raise _UsageError(f"--k and --trials must be >= 1, got {args.k} and {args.trials}")
+    _check_sampler_args(args)
+    # T and d come from the data; 1 stands in for them while the other ranges are checked
+    _usage_checked(
+        CapacityParams, T=1, d=1, kappa=args.kappa, delta=args.delta, eps_bar=args.eps_bar, K=args.cap_k
+    )
     if args.data:
         ds = load_dataset(args.data)
     else:
-        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=args.t, d=args.d, seed=args.seed))
+        spec = _usage_checked(DatasetSpec, kind="realizable-linear", T=args.t, d=args.d, seed=args.seed)
+        ds = gen_dataset(spec)
     curve = expected_capacity_mc(
         ds.samples,
         DeletionDistribution(kind="uniform"),
@@ -186,6 +212,8 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:  # zero trials would pass every suite without checking anything
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     results = verify_mod.run_all(args.seed, args.trials)
     failed = False
     for name, ok, detail in results:

@@ -12,7 +12,9 @@ The kernels sit on the sampler's per-point loop, so they do only the
 arithmetic the identity needs.  Outer products are formed by broadcasting
 (``x[:, None] * x``), which multiplies the same pairs in the same order as
 ``np.outer`` and so gives the same bits without its wrapper; ``as_vector``
-hands back an array that already is a float64 vector of the right shape.
+hands back an array that already is a float64 vector of the right shape, and
+:func:`leverage`, called once per streamed point, tests for such an array
+inline before it calls ``as_vector`` at all.
 :func:`inverse_rank_one_update` is the Sherman-Morrison step on the inverse
 alone: :func:`rank_one_update` runs it, and so does the capacity estimate's
 replay, which averages the inverse and keeps no other part of the state.
@@ -41,7 +43,7 @@ DEFAULT_REFRESH_PERIOD = 1024
 NORM_SLACK = 1e-9
 
 # Native float64; any other dtype object, equal or not, takes the np.asarray path.
-_FLOAT64 = np.dtype(np.float64)
+FLOAT64 = np.dtype(np.float64)
 
 
 class SingularDowndateError(RuntimeError):
@@ -99,7 +101,7 @@ def as_vector(x, dim: int) -> np.ndarray:
     A plain ndarray that already is one comes back as the same object, as
     ``np.asarray`` would return it.
     """
-    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (dim,):
+    if type(x) is np.ndarray and x.dtype is FLOAT64 and x.shape == (dim,):
         return x
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (dim,):
@@ -195,7 +197,8 @@ def rank_one_downdate(state: GramState, x, y: float) -> GramState:
 
 def leverage(state: GramState, x) -> float:
     """Quadratic form ``x^T A^-1 x``; lies in ``[0, ||x||^2 / lam]``."""
-    x = as_vector(x, state.dim)
+    if not (type(x) is np.ndarray and x.dtype is FLOAT64 and x.shape == (state.dim,)):
+        x = as_vector(x, state.dim)  # the fast-path test is inlined: this runs once per streamed point
     return float(state.gram_inv.dot(x).dot(x))
 
 

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -105,8 +106,9 @@ class TestFit:
         assert m.coreset == [] and m.dim == 3
 
     def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            bbq_fit(ones_stream(4), cap_k=0.5)
+        for cap_k in (0.5, math.nan, math.inf):  # a NaN cap_k would save a model that no load accepts
+            with pytest.raises(ValueError):
+                bbq_fit(ones_stream(4), cap_k=cap_k)
         with pytest.raises(ValueError):
             bbq_fit(ones_stream(4), kappa=1.5)
 
@@ -144,6 +146,58 @@ class TestFit:
         queried = {s.sample_id for s in m.coreset}
         for s in stream:
             assert s.reads == (1 if s.sample_id in queried else 0)
+
+
+def query_log_digest(log) -> str:
+    h = hashlib.sha256()
+    for rec in log:
+        h.update(f"{rec.sample_id},{rec.leverage.hex()},{rec.queried}\n".encode())
+    return h.hexdigest()
+
+
+class TestQueryLog:
+    """The sampler's decisions and the exact leverages behind them, pinned."""
+
+    # name: (stream, cap_k, kappa, SHA-256 of the (id, leverage.hex(), queried) records)
+    INSTANCES = {
+        "realizable-linear": (
+            lambda: gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=10, seed=61)).samples,
+            2.0, 0.5, "f1d7284d351445cbabc003dce0feeb796e7ce9747eb371ebe4865bda1516259f",
+        ),
+        "margin": (
+            lambda: gen_dataset(DatasetSpec(kind="margin", T=3000, d=20, gamma=0.1, seed=62)).samples,
+            32.0, 0.5, "c43d7a51070f63e253e78fc1db3a88120e58035b27dc2108fadd35218fab999f",
+        ),
+        "ones at the threshold": (
+            lambda: ones_stream(16),
+            1.0, 0.5, "5adbe57cad362ea73b4c61bfc8b2b3e5bdf9a1c4719e40e5ef3e5d36b6de0227",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(INSTANCES))
+    def test_records_are_pinned(self, name):
+        make, cap_k, kappa, sha = self.INSTANCES[name]
+        stream = make()
+        m = bbq_fit(stream, cap_k=cap_k, kappa=kappa)
+        log = m.query_log
+        assert query_log_digest(log) == sha
+        assert len(log) == len(stream)
+        assert [r.sample_id for r in log if r.queried] == [s.sample_id for s in m.coreset]
+        records = list(log)
+        assert [log[i] for i in range(len(log))] == records
+        assert log[-1] == records[-1] and log[-len(log)] == records[0]
+        assert log[2:7] == records[2:7] and log[::-5] == records[::-5] and log[:] == records
+        for bad in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log[bad]
+
+    def test_loaded_model_has_an_empty_log(self, tmp_path):
+        m = bbq_fit(ones_stream(16), cap_k=1.0, kappa=0.5)
+        save_model(m, tmp_path / "m.saul")
+        log = load_model(tmp_path / "m.saul").query_log
+        assert len(log) == 0 and list(log) == [] and log[:] == []
+        with pytest.raises(IndexError):
+            log[0]
 
 
 class TestPredict:

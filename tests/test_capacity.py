@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ class TestParams:
         [
             dict(T=0), dict(d=0), dict(kappa=1.5), dict(kappa=-0.1),
             dict(delta=0.0), dict(delta=1.0), dict(eps_bar=-0.1), dict(K=0),
+            dict(eps_bar=math.nan), dict(eps_bar=math.inf), dict(K=math.nan), dict(K=math.inf),
         ],
     )
     def test_validation(self, kw):
@@ -309,6 +311,15 @@ class TestMonteCarlo:
             expected_capacity_mc(
                 ds.samples, DeletionDistribution(), K=1, trials=1, seed=0, k_total_grid=[0]
             )
+
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_rejects_a_budget_below_one(self, K):
+        # K = 0 would divide by zero in the bound; K = -2 would give negative bounds and every probability 1
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="K must be >= 1"):
+                expected_capacity_mc(ds.samples, DeletionDistribution(), K=K, trials=2, seed=0)
 
     def test_free_deletion_fraction_matches_query_fraction(self):
         # uniform deletion of the whole dataset makes the split exact: free

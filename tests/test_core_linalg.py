@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coreset_unlearn import DatasetSpec, bbq_fit, gen_dataset, predict
 from coreset_unlearn.core_linalg import (
     CorruptedStateError,
     SingularDowndateError,
@@ -212,19 +213,36 @@ with warnings.catch_warnings():
     _MATRIX = np.matrix(_GRID[0, :4])
 
 
+_CONVERTIBLE = pytest.mark.parametrize(
+    "x",
+    [
+        _GRID[0, :4].astype(np.float32),
+        [0, 1, 2, 3],
+        _GRID[0, :4].astype(">f8"),
+        _GRID[0, :4].copy().view(_Sub),
+        _GRID[:, ::2][1],
+        _GRID[0, :4].copy(),
+    ],
+    ids=["float32", "int list", "big-endian", "subclass", "strided row view", "float64"],
+)
+
+_MISSHAPEN = pytest.mark.parametrize(
+    "x",
+    [
+        np.zeros((1, 4)),
+        np.zeros((4, 1)),
+        np.array(0.5),
+        np.zeros(5),
+        _MATRIX,
+        _GRID[:1, :4].view(_Sub),
+        [0.0, 0.0, 0.0],
+    ],
+    ids=["(1,d)", "(d,1)", "0-d", "long", "matrix", "(1,d) subclass", "short list"],
+)
+
+
 class TestAsVector:
-    @pytest.mark.parametrize(
-        "x",
-        [
-            _GRID[0, :4].astype(np.float32),
-            [0, 1, 2, 3],
-            _GRID[0, :4].astype(">f8"),
-            _GRID[0, :4].copy().view(_Sub),
-            _GRID[:, ::2][1],
-            _GRID[0, :4].copy(),
-        ],
-        ids=["float32", "int list", "big-endian", "subclass", "strided row view", "float64"],
-    )
+    @_CONVERTIBLE
     def test_converts_exactly_as_asarray(self, x):
         got, ref = as_vector(x, 4), asarray_as_vector(x, 4)
         assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (4,)
@@ -233,24 +251,37 @@ class TestAsVector:
         arr = np.asarray(x)
         assert np.shares_memory(got, arr) == np.shares_memory(ref, arr)
 
-    @pytest.mark.parametrize(
-        "x",
-        [
-            np.zeros((1, 4)),
-            np.zeros((4, 1)),
-            np.array(0.5),
-            np.zeros(5),
-            _MATRIX,
-            _GRID[:1, :4].view(_Sub),
-            [0.0, 0.0, 0.0],
-        ],
-        ids=["(1,d)", "(d,1)", "0-d", "long", "matrix", "(1,d) subclass", "short list"],
-    )
+    @_MISSHAPEN
     def test_rejects_every_other_shape(self, x):
         with pytest.raises(ValueError, match="shape"):
             asarray_as_vector(x, 4)
         with pytest.raises(ValueError, match="shape"):
             as_vector(x, 4)
+
+
+class TestVectorArguments:
+    """``leverage`` and ``predict`` test ``as_vector``'s fast path inline and keep its contract."""
+
+    @staticmethod
+    def model():
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=200, d=4, seed=7))
+        return bbq_fit(ds.samples, cap_k=1.0, kappa=0.5)
+
+    @_CONVERTIBLE
+    def test_value_of_the_asarray_form(self, x):
+        m = self.model()
+        ref = np.asarray(x, dtype=np.float64)
+        assert leverage(m.gram_state, x) == leverage(m.gram_state, ref)
+        assert predict(m, x) == predict(m, ref)
+        assert predict(m, -ref) == -predict(m, ref)  # the model's weights are not orthogonal to x
+
+    @_MISSHAPEN
+    def test_rejects_every_other_shape(self, x):
+        m = self.model()
+        with pytest.raises(ValueError, match="expected vector of shape"):  # not numpy's "shapes not aligned"
+            leverage(m.gram_state, x)
+        with pytest.raises(ValueError, match="expected vector of shape"):
+            predict(m, x)
 
 
 class TestLeverage:

@@ -438,6 +438,50 @@ class TestCli:
         assert cli_main(args) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--t", "0", "--d", "3"],
+            ["gen", "--t", "10", "--d", "3", "--gamma", "1.5"],
+            ["fit", "--data", "{missing}", "--kappa", "2"],
+            ["fit", "--data", "{missing}", "--cap-k", "0.5"],
+            ["fit", "--data", "{missing}", "--cap-k", "nan"],
+            ["unlearn", "--model", "{missing}", "--data", "{missing}", "--n", "-1"],
+            ["unlearn", "--model", "{missing}", "--data", "{missing}", "--n", "1", "--target-label", "0"],
+            ["capacity", "--data", "{missing}", "--trials", "0"],
+            ["capacity", "--data", "{missing}", "--k", "-2"],
+            ["capacity", "--data", "{missing}", "--delta", "2"],
+            ["capacity", "--data", "{missing}", "--eps-bar", "nan"],
+            ["capacity", "--t", "0"],
+        ],
+        ids=[
+            "gen t", "gen gamma", "fit kappa", "fit cap-k", "fit NaN cap-k", "unlearn n",
+            "unlearn target label", "capacity trials", "capacity k", "capacity delta",
+            "capacity NaN eps-bar", "capacity t",
+        ],
+    )
+    def test_out_of_range_argument_is_usage_error_before_any_file(self, tmp_path, capsys, argv):
+        # the input files do not exist: reading one first would be a runtime error (exit 2)
+        out = tmp_path / "out"
+        argv = [a.format(missing=tmp_path / "missing") for a in argv] + ["--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_without_trials_is_usage_error(self, capsys):
+        assert cli_main(["verify", "--trials", "0"]) == 1
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_corrupt_input_file_is_runtime_error(self, tmp_path):
+        ds, model, out = tmp_path / "ds.bin", tmp_path / "m.saul", tmp_path / "out"
+        assert cli_main(["gen", "--kind", "realizable-linear", "--t", "200", "--d", "3", "--out", str(ds)]) == 0
+        assert cli_main(["fit", "--data", str(ds), "--cap-k", "2", "--out", str(model)]) == 0
+        model.write_bytes(model.read_bytes()[:-1])  # a ModelFormatError, which is a ValueError
+        assert cli_main(["unlearn", "--model", str(model), "--data", str(ds), "--n", "5", "--out", str(out)]) == 2
+        ds.write_bytes(ds.read_bytes()[:-1])  # a DatasetFormatError
+        assert cli_main(["fit", "--data", str(ds), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["bench", "--mystery-flag", "--out", "x"]) == 1
 
