@@ -49,6 +49,7 @@ from .general_bbq import (
     d2_score,
     erm_fit,
     general_bbq_fit,
+    general_bbq_trace,
     general_capacity,
     general_deletion_update,
     general_state_of_system,

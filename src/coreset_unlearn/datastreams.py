@@ -161,6 +161,8 @@ class DeletionDistribution:
             raise ValueError(f"unknown deletion distribution kind {self.kind!r}")
         if self.kind == "weighted" and self.weights is None:
             raise ValueError("weighted deletion distribution needs weights")
+        if self.kind == "by-label" and self.target_label not in (-1, 1):
+            raise ValueError(f"by-label target_label must be -1 or 1, got {self.target_label!r}")
 
 
 def _unit_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -12,8 +12,8 @@ halving threshold, fits a squared-loss ERM on the stage's queries, marks the
 remaining points the stage ERM is confident about, and stops once the
 residual unsure set is small relative to the projected dimension of the
 class on the pool.  The query rule never reads labels, so a fresh run on the
-surviving queried set re-queries exactly the survivors; deletion therefore
-reduces to dropping the points and refitting the ERM.
+surviving queried set re-queries exactly the survivors; the model keeps just
+their value columns, and a deletion drops columns and retakes the ERM argmin.
 
 Function classes can be declared in JSON::
 
@@ -47,7 +47,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -137,26 +138,70 @@ class _Table:
         return np.array([self.values.get(i, self.default) for i in ids], dtype=np.float64)
 
 
+def _field(entry: dict, key: str, where: str):
+    if key not in entry:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return entry[key]
+
+
+def _number(entry: dict, key: str, where: str) -> float:
+    value = _field(entry, key, where)
+    # NaN, infinities and integers beyond the float range all fail the bound
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where}: {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _rule(entry, where: str):
+    """One threshold or table rule from its JSON object."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: must be an object, got {entry!r}")
+    kind = _field(entry, "type", where)
+    if kind == "threshold":
+        feature = _field(entry, "feature", where)
+        if isinstance(feature, bool) or not isinstance(feature, int) or feature < 0:
+            raise ValueError(f"{where}: 'feature' must be a nonnegative integer, got {feature!r}")
+        return _Threshold(
+            feature, _number(entry, "cut", where), _number(entry, "below", where), _number(entry, "above", where)
+        )
+    if kind == "table":
+        values = entry.get("values", {})
+        if not isinstance(values, dict):
+            raise ValueError(f"{where}: 'values' must be an object, got {values!r}")
+        table = {}
+        for key in values:
+            try:
+                sample_id = int(key)
+            except ValueError:
+                raise ValueError(f"{where}: 'values' key {key!r} is not a sample id") from None
+            table[sample_id] = _number(values, key, where)
+        return _Table(table, _number(entry, "default", where) if "default" in entry else 0.5)
+    raise ValueError(f"{where}: unknown function type {kind!r}")
+
+
 def load_function_class(path) -> FiniteFunctionClass:
-    """Build a class from the declarative JSON format in the module docstring."""
+    """Build a class from the declarative JSON format in the module docstring.
+
+    A malformed document raises ``ValueError`` naming the entry at fault:
+    a missing key, a value of the wrong type, a negative or non-integer
+    feature, or a number that is not finite.  Rule values outside ``[0, 1]``
+    load and are rejected when evaluated.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "finite-function-class" or doc.get("version") != 1:
+    if not isinstance(doc, dict) or doc.get("format") != "finite-function-class" or doc.get("version") != 1:
         raise ValueError(f"{path}: not a version-1 finite-function-class file")
+    entries = _field(doc, "functions", str(path))
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'functions' must be a list, got {entries!r}")
     functions, names = [], []
-    for entry in doc["functions"]:
-        kind = entry["type"]
-        if kind == "threshold":
-            f = _Threshold(
-                int(entry["feature"]), float(entry["cut"]), float(entry["below"]), float(entry["above"])
-            )
-        elif kind == "table":
-            default = float(entry.get("default", 0.5))
-            f = _Table({int(k): float(v) for k, v in entry.get("values", {}).items()}, default)
-        else:
-            raise ValueError(f"unknown function type {kind!r}")
-        functions.append(f)
-        names.append(str(entry.get("name", f"f{len(names)}")))
+    for k, entry in enumerate(entries):
+        where = f"{path}: function {k}"
+        functions.append(_rule(entry, where))
+        name = entry.get("name", f"f{k}")
+        if not isinstance(name, str):
+            raise ValueError(f"{where}: 'name' must be a string, got {name!r}")
+        names.append(name)
     return FiniteFunctionClass(functions, names=names)
 
 
@@ -289,9 +334,11 @@ def erm_fit(fclass: FiniteFunctionClass, labeled) -> int:
     leaves every loss at zero, so the tie-break returns index 0.
     """
     labeled = list(labeled)
-    if not labeled:
-        return 0
-    values = fclass.value_matrix(labeled)
+    return _erm_index(fclass.value_matrix(labeled), labeled)
+
+
+def _erm_index(values: np.ndarray, labeled) -> int:
+    """``erm_fit`` on a table whose columns are ``labeled``'s values, in order: the same bits."""
     targets = np.array([(1.0 + s.y) / 2.0 for s in labeled])
     losses = np.sum((targets[None, :] - values) ** 2, axis=1)
     return int(np.argmin(losses))
@@ -331,8 +378,8 @@ class GeneralConfig:
 
 @dataclass
 class GeneralModelState:
-    queried: list[tuple[int, LabeledSample]]
-    stage_log: list[StageRecord]
+    queried: list[tuple[int, LabeledSample]]  # (stage, sample) in fit order
+    values: np.ndarray = field(compare=False)  # C-contiguous F x len(queried), derived from queried
     f_hat: int
     config: GeneralConfig
 
@@ -356,7 +403,7 @@ def default_rate_bound(class_size: int, pool_size: int, delta: float) -> float:
     return math.log(max(class_size, 1) * max(pool_size, 1) / delta)
 
 
-def general_bbq_fit(
+def general_bbq_trace(
     pool,
     fclass: FiniteFunctionClass,
     delta: float = 0.05,
@@ -365,8 +412,8 @@ def general_bbq_fit(
     stage_cap: int = DEFAULT_STAGE_CAP,
     dim_exact_cap: int = DEFAULT_DIM_EXACT_CAP,
     exhaust_pool: bool = False,
-) -> GeneralModelState:
-    """Run the staged greedy sampler over ``pool`` and fit the final ERM.
+) -> tuple[GeneralModelState, list[StageRecord]]:
+    """Run the staged greedy sampler over ``pool``, fit the final ERM, and log each stage.
 
     Labels are read only for queried points.  Stages halve the query
     threshold; the loop exits once the unsure residual is small relative to
@@ -398,6 +445,7 @@ def general_bbq_fit(
 
     survivors = list(range(len(pool)))
     queried: list[tuple[int, LabeledSample]] = []
+    queried_idx: list[int] = []
     stage_log: list[StageRecord] = []
     n_stages = 0
 
@@ -422,7 +470,7 @@ def general_bbq_fit(
         candidates = np.sort(kernel.pos[: kernel.m]).tolist()
 
         if stage_queries:
-            stage_erm = erm_fit(fclass, [pool[i] for i in stage_queries])
+            stage_erm = _erm_index(np.take(values, stage_queries, axis=1), [pool[i] for i in stage_queries])
             conf_margin = 3.0 * 2.0 ** (-ell)
             confident = [
                 i for i in candidates if abs(values[stage_erm, i] - 0.5) > conf_margin
@@ -431,8 +479,8 @@ def general_bbq_fit(
             stage_erm = None
             confident = []
 
-        for i in stage_queries:
-            queried.append((ell, pool[i]))
+        queried += [(ell, pool[i]) for i in stage_queries]
+        queried_idx += stage_queries
         dropped = set(stage_queries) | set(confident)
         survivors = [i for i in survivors if i not in dropped]
         stage_log.append(
@@ -461,7 +509,8 @@ def general_bbq_fit(
             if remaining_gap == 0.0:
                 break  # no pair of functions disagrees anywhere; nothing can change
 
-    f_hat = erm_fit(fclass, [s for _, s in queried])
+    kept = np.take(values, queried_idx, axis=1)  # C-contiguous, unlike values[:, queried_idx]
+    f_hat = _erm_index(kept, [s for _, s in queried])
     config = GeneralConfig(
         delta=delta,
         rate_bound=rate_bound,
@@ -470,41 +519,36 @@ def general_bbq_fit(
         pool_dim_exact=None if pdim is None else pdim.exact,
         n_stages=n_stages,
     )
-    return GeneralModelState(queried=queried, stage_log=stage_log, f_hat=f_hat, config=config)
+    return GeneralModelState(queried=queried, values=kept, f_hat=f_hat, config=config), stage_log
+
+
+def general_bbq_fit(
+    pool, fclass: FiniteFunctionClass, delta: float = 0.05, rate_bound: float | None = None, *,
+    stage_cap: int = DEFAULT_STAGE_CAP, dim_exact_cap: int = DEFAULT_DIM_EXACT_CAP, exhaust_pool: bool = False,
+) -> GeneralModelState:
+    """:func:`general_bbq_trace`'s model; its stage log, which names never-queried points, is dropped."""
+    return general_bbq_trace(pool, fclass, delta, rate_bound, stage_cap=stage_cap,
+                             dim_exact_cap=dim_exact_cap, exhaust_pool=exhaust_pool)[0]
 
 
 def general_state_of_system(model: GeneralModelState) -> GeneralSystemState:
-    return GeneralSystemState(
-        f_hat=model.f_hat,
-        stored_ids=frozenset(s.sample_id for _, s in model.queried),
-    )
-
-
-def _scrub(record: StageRecord, ids: set) -> StageRecord:
-    kept = [(i, v) for i, v in zip(record.queried_ids, record.queried_scores) if i not in ids]
-    return replace(
-        record,
-        queried_ids=tuple(i for i, _ in kept),
-        queried_scores=tuple(v for _, v in kept),
-        confident_ids=tuple(i for i in record.confident_ids if i not in ids),
-        pool_ids=tuple(i for i in record.pool_ids if i not in ids),
-        survivor_ids=tuple(i for i in record.survivor_ids if i not in ids),
-    )
+    return GeneralSystemState(f_hat=model.f_hat, stored_ids=frozenset(model.queried_ids))
 
 
 def general_deletion_update(model: GeneralModelState, ids, fclass: FiniteFunctionClass) -> GeneralModelState:
-    """Drop deleted queried points and refit the ERM, in place.
+    """Drop deleted queried points and their value columns, then retake the ERM argmin, in place.
 
-    Every requested id, queried or not, is removed from the stage log.
-    Requests entirely outside the queried set leave ``queried`` and ``f_hat``
-    untouched.
+    The kept columns equal ``fclass.value_matrix`` of the stored samples, so no rule is
+    evaluated; ``fclass`` is only checked for size.  Other requests change nothing.
     """
+    if len(fclass) != len(model.values):
+        raise ValueError(f"function class has {len(fclass)} functions, the model was fit with {len(model.values)}")
     ids = set(ids)
-    model.stage_log = [_scrub(record, ids) for record in model.stage_log]
-    if not ids & model.queried_ids:
-        return model
-    model.queried = [(stage, s) for stage, s in model.queried if s.sample_id not in ids]
-    model.f_hat = erm_fit(fclass, [s for _, s in model.queried])
+    keep = np.array([s.sample_id not in ids for _, s in model.queried], dtype=bool)
+    if not keep.all():
+        model.queried = [pair for pair, kept in zip(model.queried, keep) if kept]
+        model.values = np.compress(keep, model.values, axis=1)
+        model.f_hat = _erm_index(model.values, [s for _, s in model.queried])
     return model
 
 

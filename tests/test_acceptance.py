@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
+from instances import (
     random_deletion_request,
     random_general_instance,
     random_linear_instance,

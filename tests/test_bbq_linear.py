@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_deletion_request, random_linear_instance, random_samples
+from instances import random_deletion_request, random_linear_instance, random_samples
 from coreset_unlearn import (
     DatasetSpec,
     LabeledSample,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_linear_instance
+from instances import random_linear_instance
 from coreset_unlearn import (
     CapacityParams,
     DatasetSpec,

@@ -10,7 +10,9 @@ from coreset_unlearn import DatasetSpec, bbq_fit, gen_dataset, predict
 from coreset_unlearn.core_linalg import (
     CorruptedStateError,
     SingularDowndateError,
+    DEFAULT_REFRESH_PERIOD,
     as_vector,
+    gram_from_rows,
     gram_init,
     leverage,
     log_det_ratio,
@@ -339,6 +341,25 @@ class TestRefresh:
         maintained = s.gram_inv.copy()
         refresh_inverse(s)
         assert np.max(np.abs(maintained - s.gram_inv)) < 1e-6
+
+    def test_long_downdate_chain_ends_at_the_fresh_fit(self):
+        # 20,000 near-collinear unit vectors push the condition number to about 2e4,
+        # then all but 5 are downdated; without the periodic refresh the weights
+        # end about 6e-8 from the fresh fit on this chain
+        rng = np.random.default_rng(2)
+        d, n = 20, 20_000
+        base = rng.standard_normal(d)
+        X = base / np.linalg.norm(base) + 1e-4 * rng.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = rng.choice([-1.0, 1.0], size=n)
+        s = gram_init(d, 1.0)
+        for x, label in zip(X, y):
+            rank_one_update(s, x, label)
+        for x, label in zip(X[5:], y[5:]):
+            rank_one_downdate(s, x, label)
+        assert s.downdates_since_refresh == (n - 5) % DEFAULT_REFRESH_PERIOD  # 19 refreshes on the way
+        fresh = gram_from_rows(np.ascontiguousarray(X[:5]), y[:5], 1.0)
+        assert np.max(np.abs(s.weight - fresh.weight)) < 1e-8
 
     def test_refresh_accuracy(self):
         rng = np.random.default_rng(8)

@@ -102,6 +102,12 @@ class TestDeletionStreams:
         assert sorted(stream) == sorted(negatives)
         assert all(labels[i] == -1 for i in stream)
 
+    @pytest.mark.parametrize("label", [0, 2, -2, 0.5, None])
+    def test_by_label_rejects_a_label_outside_plus_minus_one(self, label):
+        with pytest.raises(ValueError, match=f"target_label must be -1 or 1, got {label!r}"):
+            DeletionDistribution(kind="by-label", target_label=label)
+        DeletionDistribution(kind="uniform", target_label=label)  # read only by by-label
+
     def test_streams_never_repeat(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=26))
         stream = deletion_stream(ds.samples, DeletionDistribution(kind="uniform"), 150, seed=3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_function_class, random_general_instance, unit_vectors
+from instances import random_function_class, random_general_instance, unit_vectors
 from coreset_unlearn import (
     DatasetSpec,
     FiniteFunctionClass,
@@ -20,6 +20,7 @@ from coreset_unlearn import (
     erm_fit,
     gen_dataset,
     general_bbq_fit,
+    general_bbq_trace,
     general_capacity,
     general_deletion_update,
     general_state_of_system,
@@ -176,9 +177,9 @@ class TestGeneralFit:
     def test_two_constant_realizable_trace(self):
         # frozen stage trace: eps_1^2 = 0.25/4, scores 1, 1/2, ..., 1/15, the
         # 16th candidate sits exactly on the boundary and is not queried
-        m = general_bbq_fit(points(20), TWO_CONSTANT, rate_bound=4.0)
+        m, stage_log = general_bbq_trace(points(20), TWO_CONSTANT, rate_bound=4.0)
         assert m.config.n_stages == 1
-        rec = m.stage_log[0]
+        rec = stage_log[0]
         assert rec.queried_ids == tuple(range(15))
         assert rec.queried_scores[:3] == pytest.approx((1.0, 0.5, 1.0 / 3.0))
         assert rec.exit_score == pytest.approx(1.0 / 16.0)
@@ -189,8 +190,8 @@ class TestGeneralFit:
         rng = np.random.default_rng(65)
         for _ in range(10):
             pool, fclass, _ = random_general_instance(rng, pool_max=80, class_max=12)
-            m = general_bbq_fit(pool, fclass)
-            for rec in m.stage_log:
+            _, stage_log = general_bbq_trace(pool, fclass)
+            for rec in stage_log:
                 eps2 = rec.eps**2
                 assert all(score > eps2 for score in rec.queried_scores)
                 assert rec.exit_score <= eps2 + 1e-15
@@ -240,9 +241,9 @@ class TestGeneralFit:
             pool, fclass, planted = random_general_instance(rng, pool_max=120, class_max=10)
             if planted is None:
                 continue
-            m = general_bbq_fit(pool, fclass)
+            _, stage_log = general_bbq_trace(pool, fclass)
             by_id = {s.sample_id: s for s in pool}
-            for rec in m.stage_log:
+            for rec in stage_log:
                 margin = 2.0 * 2.0 ** (-rec.stage)
                 for sid in rec.confident_ids:
                     s = by_id[sid]
@@ -310,32 +311,96 @@ class TestGeneralDeletion:
             assert got.f_hat == want.f_hat
 
 
-    def test_deleted_ids_are_scrubbed_from_the_stage_log(self):
-        rng = np.random.default_rng(72)
-        for _ in range(15):
-            pool, fclass, _ = random_general_instance(rng, pool_max=100, class_max=12)
-            m = general_bbq_fit(pool, fclass)
-            before = list(m.stage_log)
-            qids = sorted(s.sample_id for _, s in m.queried)
-            u = set(rng.choice([s.sample_id for s in pool], size=5, replace=False).tolist())
-            if qids:
-                u |= set(rng.choice(qids, size=min(len(qids), 3), replace=False).tolist())
-            general_deletion_update(m, u, fclass)
-            assert len(m.stage_log) == len(before)
-            for rec, old in zip(m.stage_log, before):
-                for field in ("queried_ids", "confident_ids", "pool_ids", "survivor_ids"):
-                    assert getattr(rec, field) == tuple(i for i in getattr(old, field) if i not in u)
-                kept = [(i, v) for i, v in zip(old.queried_ids, old.queried_scores) if i not in u]
-                assert tuple(zip(rec.queried_ids, rec.queried_scores)) == tuple(kept)
-                assert (rec.stage, rec.eps, rec.exit_score, rec.stage_erm) == (
-                    old.stage, old.eps, old.exit_score, old.stage_erm
-                )
+ID_OFFSET = 1000  # above every stage number, class size and stage cap, so an int that is an id is one
 
-    def test_free_request_is_scrubbed_from_the_stage_log(self):
-        m = general_bbq_fit(points(20), TWO_CONSTANT, rate_bound=4.0)
-        assert 17 in m.stage_log[0].pool_ids
-        general_deletion_update(m, {17}, TWO_CONSTANT)
-        assert 17 not in m.stage_log[0].pool_ids + m.stage_log[0].survivor_ids
+
+def ints_reachable(obj):
+    """Every integer a model holds: sample ids, ints in any field or container, integer arrays."""
+    if hasattr(obj, "sample_id"):
+        return {obj.sample_id}
+    if dataclasses.is_dataclass(obj):
+        return set().union(*(ints_reachable(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    if isinstance(obj, dict):
+        return ints_reachable(list(obj.items()))
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return set().union(*map(ints_reachable, obj))
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        return set(obj.ravel().tolist())
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return {int(obj)}
+    return set()
+
+
+class TestStoredState:
+    """After any deletion stream the model holds what a fresh fit on the survivors holds."""
+
+    def test_deletion_streams(self):
+        rng = np.random.default_rng(73)
+        for _ in range(12):
+            pool, fclass, _ = random_general_instance(rng, pool_max=120, class_max=16)
+            pool = [LabeledSample(s.sample_id + ID_OFFSET, s.x, s.y) for s in pool]
+            pool_ids = {s.sample_id for s in pool}
+            m = general_bbq_fit(pool, fclass)
+            assert m.values.flags.c_contiguous  # the layout value_matrix gives, so the ERM sums alike
+            assert m.values.tobytes() == fclass.value_matrix([s for _, s in m.queried]).tobytes()
+            queried, never = sorted(m.queried_ids), sorted(pool_ids - m.queried_ids)
+            requests = rng.choice(queried, size=int(rng.integers(0, len(queried) + 1)), replace=False).tolist()
+            requests += rng.choice(never, size=min(len(never), 8), replace=False).tolist()
+            requests = rng.permutation(requests).tolist()
+            while requests:  # batches of 1-3 ids, queried and never-queried mixed
+                k = int(rng.integers(1, 4))
+                general_deletion_update(m, requests[:k], fclass)
+                requests = requests[k:]
+
+            stored = [s for _, s in m.queried]
+            assert m.values.flags.c_contiguous
+            assert m.values.tobytes() == fclass.value_matrix(stored).tobytes()
+            assert m.values.shape == (len(fclass), len(stored))
+            assert ints_reachable(m) & pool_ids == m.queried_ids
+            if not stored:
+                assert m.f_hat == 0
+                continue
+            fresh = general_bbq_fit(stored, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
+            assert fresh.queried_ids == m.queried_ids
+            assert fresh.f_hat == m.f_hat == erm_fit(fclass, stored)
+
+    def test_the_stage_log_is_only_in_the_trace(self):
+        pool, fclass, _ = random_general_instance(np.random.default_rng(75), pool_max=80, class_max=12)
+        pool = [LabeledSample(s.sample_id + ID_OFFSET, s.x, s.y) for s in pool]
+        pool_ids = {s.sample_id for s in pool}
+        m, stage_log = general_bbq_trace(pool, fclass)
+        assert ints_reachable(stage_log) & pool_ids - m.queried_ids  # the log names never-queried points
+        assert ints_reachable(m) & pool_ids == m.queried_ids
+        assert [f.name for f in dataclasses.fields(m)] == ["queried", "values", "f_hat", "config"]
+
+    def test_models_compare_by_what_they_store(self):
+        pool, fclass, _ = random_general_instance(np.random.default_rng(77), pool_max=60, class_max=8)
+        m, again = general_bbq_fit(pool, fclass), general_bbq_fit(pool, fclass)
+        assert m == again
+        general_deletion_update(again, [again.queried[0][1].sample_id], fclass)
+        assert m != again
+
+    def test_deletions_evaluate_no_rule(self):
+        pool, fclass, _ = random_general_instance(np.random.default_rng(74), pool_max=100, class_max=12)
+        m = general_bbq_fit(pool, fclass)
+        real, calls = fclass.value_matrix, []
+        fclass.value_matrix = lambda samples: calls.append(len(samples)) or real(samples)
+        queried = sorted(m.queried_ids)
+        never = sorted({s.sample_id for s in pool} - m.queried_ids)
+        for sid in queried[::2] + never[:5]:
+            general_deletion_update(m, [sid], fclass)
+        general_deletion_update(m, queried[1::4], fclass)
+        assert calls == []
+        assert m.values.tobytes() == real([s for _, s in m.queried]).tobytes()
+
+    def test_a_class_of_another_size_is_rejected(self):
+        pool, fclass, _ = random_general_instance(np.random.default_rng(76), pool_max=60, class_max=8)
+        m = general_bbq_fit(pool, fclass)
+        before = (list(m.queried), m.values.copy(), m.f_hat)
+        for other in (fclass.functions[:-1], [*fclass.functions, fclass.functions[0]]):
+            with pytest.raises(ValueError, match=f"function class has {len(other)} functions"):
+                general_deletion_update(m, m.queried_ids, FiniteFunctionClass(other))
+        assert m.queried == before[0] and m.values.tobytes() == before[1].tobytes() and m.f_hat == before[2]
 
 
 class TestGeneralCapacity:
@@ -355,6 +420,106 @@ class TestGeneralCapacity:
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ValueError):
             general_capacity(4, 1.0, lambda n: 0.0)
+
+
+def valid_document():
+    return {
+        "format": "finite-function-class", "version": 1,
+        "functions": [
+            {"name": "t", "type": "threshold", "feature": 1, "cut": 0.25, "below": 0.2, "above": 0.9},
+            {"name": "v", "type": "table", "default": 0.5, "values": {"17": 0.8, "3": 0.1}},
+        ],
+    }
+
+
+def load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "class.json"
+        path.write_text(text)
+        return load_function_class(path)
+
+
+def _set(*path_and_value):
+    """An edit setting the value at a key path of the document; ``_set`` as the value deletes the key."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        holder = doc
+        for step in path:
+            holder = holder[step]
+        if value is _set:
+            del holder[key]
+        else:
+            holder[key] = value
+        return doc
+
+    return edit
+
+
+BAD_FEATURE = "function 0: 'feature' must be a nonnegative integer, got "
+NOT_FINITE = "must be a finite number, got "
+MALFORMED = [
+    ("no-functions", _set("functions", _set), "missing key 'functions'"),
+    ("no-type", _set("functions", 0, "type", _set), "function 0: missing key 'type'"),
+    ("no-feature", _set("functions", 0, "feature", _set), "function 0: missing key 'feature'"),
+    ("no-below", _set("functions", 0, "below", _set), "function 0: missing key 'below'"),
+    ("list-feature", _set("functions", 0, "feature", [1]), BAD_FEATURE + "[1]"),
+    ("negative-feature", _set("functions", 0, "feature", -1), BAD_FEATURE + "-1"),
+    ("float-feature", _set("functions", 0, "feature", 1.5), BAD_FEATURE + "1.5"),
+    ("bool-feature", _set("functions", 0, "feature", True), BAD_FEATURE + "True"),
+    ("string-functions", _set("functions", "abc"), "'functions' must be a list, got 'abc'"),
+    ("list-values", _set("functions", 1, "values", [0.5]), "function 1: 'values' must be an object, got [0.5]"),
+    ("string-value", _set("functions", 1, "values", "17", "x"), f"function 1: '17' {NOT_FINITE}'x'"),
+    ("bad-key", _set("functions", 1, "values", {"a7": 0.5}), "function 1: 'values' key 'a7' is not a sample id"),
+    ("null-default", _set("functions", 1, "default", None), f"function 1: 'default' {NOT_FINITE}None"),
+    ("string-cut", _set("functions", 0, "cut", "nan"), f"function 0: 'cut' {NOT_FINITE}'nan'"),
+    ("nan-cut", _set("functions", 0, "cut", math.nan), f"function 0: 'cut' {NOT_FINITE}nan"),
+    ("inf-above", _set("functions", 0, "above", -math.inf), f"function 0: 'above' {NOT_FINITE}-inf"),
+    ("inf-value", _set("functions", 1, "values", "3", math.inf), f"function 1: '3' {NOT_FINITE}inf"),
+    ("huge-int-cut", _set("functions", 0, "cut", 10**400), f"function 0: 'cut' {NOT_FINITE}1000"),
+    ("int-name", _set("functions", 0, "name", 5), "function 0: 'name' must be a string, got 5"),
+    ("string-entry", _set("functions", 1, "nope"), "function 1: must be an object, got 'nope'"),
+    ("unknown-type", _set("functions", 1, "type", "mystery"), "function 1: unknown function type 'mystery'"),
+    ("list-document", lambda doc: [doc], "not a version-1 finite-function-class file"),
+]
+
+
+def _paths(node, path=()):
+    """Every (container path, key) position of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path, key
+        yield from _paths(child, (*path, key))
+
+
+json_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=2), st.dictionaries(st.text(max_size=2), st.floats(0, 1), max_size=2),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with keys dropped, values swapped for other types, and its text truncated."""
+    doc = valid_document()
+    doc["functions"] += draw(st.lists(st.sampled_from(valid_document()["functions"]), max_size=2))
+    doc = json.loads(json.dumps(doc))  # no shared entries
+    for _ in range(draw(st.integers(1, 3))):
+        positions = list(_paths(doc))
+        if not positions:
+            break
+        path, key = draw(st.sampled_from(positions))
+        holder = doc
+        for step in path:
+            holder = holder[step]
+        if draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(json_value)
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
 
 
 class TestFunctionClassIO:
@@ -393,6 +558,11 @@ class TestFunctionClassIO:
         with pytest.raises(ValueError, match="unknown function type"):
             load_function_class(bad)
 
+    @pytest.mark.parametrize("case, edit, message", MALFORMED, ids=[case for case, _, _ in MALFORMED])
+    def test_malformed_entries_raise_value_error_naming_the_entry(self, case, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_text(json.dumps(edit(valid_document())))
+
     def test_out_of_range_values_rejected(self):
         fclass = FiniteFunctionClass([lambda s: 1.5])
         with pytest.raises(ValueError, match="outside"):
@@ -401,6 +571,23 @@ class TestFunctionClassIO:
     def test_class_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             FiniteFunctionClass([lambda s: 0.0] * 10, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_documents())
+def test_loader_fuzz_loads_or_raises_value_error(text):
+    try:
+        fclass = load_text(text)
+    except ValueError:
+        return
+    for f in fclass.functions:  # anything that loads is well formed
+        if isinstance(f, general_bbq._Threshold):
+            assert type(f.feature) is int and f.feature >= 0
+            assert all(math.isfinite(v) for v in (f.cut, f.below, f.above))
+        else:
+            assert all(math.isfinite(v) for v in (f.default, *f.values.values()))
+            assert all(type(k) is int for k in f.values)
+    assert all(isinstance(name, str) for name in fclass.names)
 
 
 # [0, 1] plus the tolerance band that is clamped, its edges drawn on purpose
@@ -482,13 +669,14 @@ class TestColumnRules:
         assert got[:-1].tobytes() == rules.value_matrix(samples).tobytes()
 
 
-def fit_repr(model, exhaustive):
+def fit_repr(trace, exhaustive):
     """``repr`` of a fit's stage log, ERM and config, the projected dimension
     blanked for exhaustive fits (which no longer compute it)."""
+    model, stage_log = trace
     config = model.config
     if exhaustive:
         config = dataclasses.replace(config, pool_dim=None, pool_dim_exact=None)
-    return repr((model.stage_log, model.f_hat, config))
+    return repr((stage_log, model.f_hat, config))
 
 
 def digest(parts):
@@ -520,8 +708,9 @@ class TestRecordedOutputs:
         parts = []
         for _ in range(20):
             pool, fclass, _ = random_general_instance(rng, pool_max=200, class_max=32)
-            m = general_bbq_fit(pool, fclass)
-            parts.append(fit_repr(m, False))
+            trace = general_bbq_trace(pool, fclass)
+            parts.append(fit_repr(trace, False))
+            m = trace[0]
             qids = sorted({s.sample_id for _, s in m.queried})
             if not qids:
                 continue
@@ -532,7 +721,7 @@ class TestRecordedOutputs:
             general_deletion_update(m, u, fclass)
             parts.append(repr((m.f_hat, sorted(general_state_of_system(m).stored_ids))))
             if survivors:
-                fresh = general_bbq_fit(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
+                fresh = general_bbq_trace(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
                 parts.append(fit_repr(fresh, True))
         assert digest(parts) == "2102343c5e59196c6eaadbba663e8de53b0b9dc11c36455f3055d225aa582fd3"
 
@@ -542,10 +731,11 @@ class TestRecordedOutputs:
         for seed in (1, 2, 3):
             fclass = rules_class(threshold_class_json(seed, 5, 32))
             pool = gen_dataset(DatasetSpec(kind="realizable-linear", T=200, d=5, seed=seed)).samples
-            m = general_bbq_fit(pool, fclass)
-            parts.append(fit_repr(m, False))
+            trace = general_bbq_trace(pool, fclass)
+            parts.append(fit_repr(trace, False))
+            m = trace[0]
             survivors = [s for _, s in m.queried][::2]
-            fresh = general_bbq_fit(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
+            fresh = general_bbq_trace(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
             parts.append(fit_repr(fresh, True))
         assert digest(parts) == "cf5f02a66791bbc73e919924d7c1af9002a1f97d115e4837cfa99f82f4a39828"
 
@@ -597,7 +787,7 @@ def test_tie_breaks_are_recorded():
     sample id in the stage loop, never to a point's position in the kernel."""
     parts = []
     for pool, fclass in tie_heavy_instances():
-        parts.append(fit_repr(general_bbq_fit(pool, fclass), False))
-        parts.append(fit_repr(general_bbq_fit(pool, fclass, exhaust_pool=True), True))
+        parts.append(fit_repr(general_bbq_trace(pool, fclass), False))
+        parts.append(fit_repr(general_bbq_trace(pool, fclass, exhaust_pool=True), True))
         parts.append(repr(projected_dimension(fclass, pool, exact_cap=0)))
     assert digest(parts) == "afea280a2f87d10a5ca8bce56e93e882195860decb2ced87135dc9d082d8e2d0"
