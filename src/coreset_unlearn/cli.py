@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """The type of every ``--seed``: numpy seeds only from non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="coreset-unlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,7 +61,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="fit the selective sampler and serialize the model")
@@ -71,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="uniform", choices=["uniform", "by-label"])
     p.add_argument("--target-label", type=int, default=-1, choices=[-1, 1])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="run the full experiment and emit reports")
@@ -87,7 +94,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--fraction", type=float, default=0.4)
     p.add_argument("--cadence", type=int, default=250)
     p.add_argument("--gate-policy", default="halt", choices=["halt", "refit"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output prefix for report files")
 
     p = sub.add_parser("capacity", help="Monte Carlo deletion-capacity curves")
@@ -100,11 +107,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--eps-bar", type=float, default=0.1, help="margin estimate for the closed-form budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=25)
     return parser
 
@@ -212,7 +219,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:  # zero trials would pass every suite without checking anything
+    if args.trials < 1:  # a bad argument (exit 1), not a failed invariant (exit 3)
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     results = verify_mod.run_all(args.seed, args.trials)
     failed = False

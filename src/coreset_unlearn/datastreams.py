@@ -67,10 +67,14 @@ class DatasetSpec:
     u: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # one saved form: a spec made with ``gamma=0`` saves as ``0.0``, like one made with ``0.0``
+        object.__setattr__(self, "gamma", float(self.gamma))
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.T < 1 or self.d < 1:
             raise ValueError("T and d must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.u is not None and len(self.u) != self.d:
@@ -264,23 +268,28 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
     return eligible[order[:n]].tolist()
 
 
+def _header_line(spec: DatasetSpec, u: np.ndarray) -> bytes:
+    """The JSON header line of a SADS1 file, without its newline; the only form a load accepts."""
+    header = {
+        "T": int(spec.T),
+        "d": int(spec.d),
+        "kind": spec.kind,
+        "gamma": float(spec.gamma),
+        "seed": int(spec.seed),
+        "u": u.tolist(),
+    }
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` as SADS1: the two header lines, then all rows as one packed buffer."""
-    header = {
-        "T": ds.spec.T,
-        "d": ds.spec.d,
-        "kind": ds.spec.kind,
-        "gamma": ds.spec.gamma,
-        "seed": ds.spec.seed,
-        "u": ds.u.tolist(),
-    }
     rows = np.empty(ds.spec.T, dtype=row_dtype(ds.spec.d))
     rows["id"] = ds.ids
     rows["y"] = ds.y
     rows["x"] = ds.X
     with atomic_open(path, "wb") as fh:
         fh.write(DATASET_MAGIC + b"\n")
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(_header_line(ds.spec, ds.u) + b"\n")
         fh.write(rows)  # the packed array's own buffer, written without a copy
 
 
@@ -289,8 +298,10 @@ def load_dataset(path) -> Dataset:
 
     The payload is decoded by one ``np.frombuffer`` call over the file's bytes
     and copied once into the native ``ids``/``X``/``y`` arrays.  Labels outside
-    {-1, +1}, rows with ``||x|| > 1`` (or non-finite), duplicate ids, and a
-    payload whose length is not exactly ``T`` rows are all rejected.
+    {-1, +1}, rows with ``||x|| > 1`` (or non-finite), duplicate ids, a payload
+    whose length is not exactly ``T`` rows, and a header line other than the
+    one :func:`save_dataset` writes for the fields it holds are all rejected,
+    so every file that loads saves back to the same bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -300,17 +311,20 @@ def load_dataset(path) -> Dataset:
     header_end = blob.find(b"\n", magic_end + 1)
     if header_end < 0:
         raise DatasetFormatError("missing dataset header line")
+    line = blob[magic_end + 1 : header_end]
     try:
-        header = json.loads(blob[magic_end + 1 : header_end].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
         spec = DatasetSpec(
             kind=header["kind"], T=int(header["T"]), d=int(header["d"]),
             seed=int(header["seed"]), gamma=float(header["gamma"]),
         )
         u = np.asarray(header["u"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"malformed dataset header: {exc}") from exc
     if u.shape != (spec.d,):
         raise DatasetFormatError(f"planted u has shape {u.shape}, header promises ({spec.d},)")
+    if line != _header_line(spec, u):
+        raise DatasetFormatError("dataset header is not in the form save_dataset writes")
     dtype = row_dtype(spec.d)
     offset = header_end + 1
     if len(blob) - offset != spec.T * dtype.itemsize:

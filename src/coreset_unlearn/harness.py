@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gate_policy not in GATE_POLICIES:
             raise ValueError(f"gate_policy must be one of {GATE_POLICIES}")
         if not 0.0 < self.test_fraction < 1.0:

@@ -1,8 +1,8 @@
-"""Seeded instance generators shared by the test modules."""
+"""Seeded instance generators shared by the test modules; fitted linear instances come from ``verify``."""
 
 import numpy as np
 
-from coreset_unlearn import DatasetSpec, FiniteFunctionClass, LabeledSample, bbq_fit, gen_dataset
+from coreset_unlearn import FiniteFunctionClass, LabeledSample
 from coreset_unlearn.general_bbq import _Table, _Threshold
 
 
@@ -16,35 +16,6 @@ def random_samples(rng, n, d):
     xs = unit_vectors(rng, n, d)
     ys = rng.choice([-1, 1], size=n)
     return [LabeledSample(i, xs[i], int(ys[i])) for i in range(n)]
-
-
-def random_linear_instance(rng, t_max=2000, d_max=20, kappas=(0.3, 0.5, 0.7)):
-    """A fitted sampler on synthetic realizable data with a satisfiable query condition."""
-    T = int(rng.integers(200, t_max + 1))
-    d = int(rng.integers(2, d_max + 1))
-    kappa = float(rng.choice(kappas))
-    cap_k = float(rng.choice([1, 2, 4, 8]))
-    while cap_k >= T**kappa:
-        cap_k /= 2
-    cap_k = max(cap_k, 1.0)
-    ds = gen_dataset(
-        DatasetSpec(kind="realizable-linear", T=T, d=d, seed=int(rng.integers(0, 2**31)))
-    )
-    model = bbq_fit(ds.samples, cap_k=cap_k, kappa=kappa)
-    return ds, model
-
-
-def random_deletion_request(rng, ds, model, max_hits=None):
-    """Mixed deletion set: up to the capacity budget inside the core set, plus outsiders."""
-    core_ids = sorted(model.coreset_ids)
-    if max_hits is None:
-        max_hits = int(model.params.cap_k)
-    hits = int(rng.integers(0, min(len(core_ids), max_hits) + 1)) if core_ids else 0
-    u = set(rng.choice(core_ids, size=hits, replace=False).tolist()) if hits else set()
-    outside = [s.sample_id for s in ds.samples if s.sample_id not in model.coreset_ids]
-    if outside:
-        u |= set(rng.choice(outside, size=min(10, len(outside)), replace=False).tolist())
-    return u
 
 
 def random_function_class(rng, n_funcs, d):

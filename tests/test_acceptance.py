@@ -11,11 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from instances import (
-    random_deletion_request,
-    random_general_instance,
-    random_linear_instance,
-)
+from instances import random_general_instance
 from coreset_unlearn import (
     CapacityParams,
     DatasetSpec,
@@ -25,7 +21,6 @@ from coreset_unlearn import (
     LabeledSample,
     bbq_fit,
     d2_score,
-    deletion_update,
     erm_fit,
     expected_capacity_mc,
     expected_capacity_uniform,
@@ -34,20 +29,11 @@ from coreset_unlearn import (
     general_deletion_update,
     general_state_of_system,
     projected_dimension,
-    replay_on_coreset,
     run_experiment,
-    state_of_system,
-    system_states_equal,
+    verify,
 )
-from coreset_unlearn.capacity import predicted_deletion_drift
 from coreset_unlearn.cli import cli_main
-from coreset_unlearn.core_linalg import (
-    gram_init,
-    leverage,
-    log_det_ratio,
-    rank_one_downdate,
-    rank_one_update,
-)
+from coreset_unlearn.core_linalg import log_det_ratio
 
 SEED = 20240
 
@@ -58,51 +44,10 @@ def verdict(ok: bool, name: str, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def linear_suite():
-    """200 seeded instances exercising deletion, replay, and leverage bounds."""
-    rng = np.random.default_rng(SEED)
+    """Criteria 1, 2 and 4 over one set of 200 seeded instances."""
     t0 = time.perf_counter()
-    equality_failures = monotonicity_failures = 0
-    stored_bound_failures = unqueried_bound_failures = 0
-    for _ in range(200):
-        ds, model = random_linear_instance(rng, t_max=2000, d_max=20)
-        u = random_deletion_request(rng, ds, model)
-
-        replay = replay_on_coreset(model, u)
-        if replay.coreset_ids != model.coreset_ids - u:
-            monotonicity_failures += 1
-
-        lam = model.params.lam
-        for s in model.coreset:
-            if leverage(model.gram_state, s.x) > 1.0 / (lam + 1.0) + 1e-12:
-                stored_bound_failures += 1
-                break
-
-        fresh = bbq_fit(
-            [s for s in model.coreset if s.sample_id not in u],
-            cap_k=model.params.cap_k,
-            kappa=model.params.kappa,
-            horizon=model.params.horizon,
-            dim=model.dim,
-        )
-        queried = set(model.coreset_ids)
-        deletion_update(model, u)
-        if not system_states_equal(state_of_system(model), state_of_system(fresh), tol=1e-8):
-            equality_failures += 1
-
-        limit = math.e * model.params.horizon ** (-model.params.kappa) + 1e-12
-        for s in ds.samples:
-            if s.sample_id in queried:
-                continue
-            if leverage(model.gram_state, s.x) > limit:
-                unqueried_bound_failures += 1
-                break
-    return {
-        "elapsed": time.perf_counter() - t0,
-        "equality_failures": equality_failures,
-        "monotonicity_failures": monotonicity_failures,
-        "stored_bound_failures": stored_bound_failures,
-        "unqueried_bound_failures": unqueried_bound_failures,
-    }
+    exact, replay, bounds = verify.check_linear_instances(SEED, 200)
+    return {"elapsed": time.perf_counter() - t0, "exact": exact, "replay": replay, "bounds": bounds}
 
 
 @pytest.fixture(scope="module")
@@ -124,106 +69,35 @@ def bench_report():
 
 
 def test_criterion_01_exact_unlearning_oracle_equivalence(linear_suite):
-    ok = linear_suite["equality_failures"] == 0 and linear_suite["elapsed"] < 60.0
+    _, ok, detail = linear_suite["exact"]
+    elapsed = linear_suite["elapsed"]
     verdict(
-        ok,
+        ok and elapsed < 60.0,
         "criterion 1: deletion state equals fresh fit on surviving core set (200 instances)",
-        f"failures={linear_suite['equality_failures']}, elapsed={linear_suite['elapsed']:.1f}s",
+        f"{detail}, elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_02_replay_monotonicity(linear_suite):
-    ok = linear_suite["monotonicity_failures"] == 0
-    verdict(
-        ok,
-        "criterion 2: replay re-queries exactly the surviving core set (200 instances)",
-        f"failures={linear_suite['monotonicity_failures']}",
-    )
+    _, ok, detail = linear_suite["replay"]
+    verdict(ok, "criterion 2: replay re-queries exactly the surviving core set (200 instances)", detail)
 
 
 def test_criterion_03_inverse_maintenance():
-    rng = np.random.default_rng(SEED + 3)
-    worst_dense = worst_roundtrip = 0.0
-    ops = 0
-    for _ in range(100):
-        d = int(rng.integers(1, 9))
-        lam = float(rng.uniform(1.0, 4.0))
-        state = gram_init(d, lam)
-        live = []
-        for _ in range(100):
-            if live and rng.random() < 0.45:
-                x, y = live.pop(int(rng.integers(len(live))))
-                rank_one_downdate(state, x, y)
-            else:
-                x = rng.standard_normal(d)
-                x *= rng.uniform(0.05, 1.0) / np.linalg.norm(x)
-                y = int(rng.choice([-1, 1]))
-                rank_one_update(state, x, y)
-                live.append((x, y))
-            ops += 1
-            dense = lam * np.eye(d)
-            for x, _ in live:
-                dense += np.outer(x, x)
-            worst_dense = max(worst_dense, float(np.max(np.abs(state.gram_inv - np.linalg.inv(dense)))))
-        if live:
-            before = state.copy()
-            x, y = live[0]
-            rank_one_update(state, x, y)
-            rank_one_downdate(state, x, y)
-            for got, want in (
-                (state.gram, before.gram),
-                (state.gram_inv, before.gram_inv),
-                (state.b_vec, before.b_vec),
-                (state.weight, before.weight),
-            ):
-                worst_roundtrip = max(worst_roundtrip, float(np.max(np.abs(got - want), initial=0.0)))
-    ok = ops == 10_000 and worst_dense < 1e-8 and worst_roundtrip < 1e-10
-    verdict(
-        ok,
-        "criterion 3: rank-one inverse maintenance vs dense re-inversion (1e4 ops)",
-        f"max dense err={worst_dense:.2e}, max roundtrip err={worst_roundtrip:.2e}",
-    )
+    _, ok, detail = verify.check_sherman_morrison(SEED + 3, 100)
+    counted = detail.startswith("10000 operations")
+    verdict(ok and counted, "criterion 3: rank-one inverse maintenance vs dense re-inversion (1e4 ops)", detail)
 
 
 def test_criterion_04_leverage_bounds(linear_suite):
-    ok = (
-        linear_suite["stored_bound_failures"] == 0
-        and linear_suite["unqueried_bound_failures"] == 0
-    )
-    verdict(
-        ok,
-        "criterion 4: stored-point and post-deletion unqueried leverage bounds",
-        f"stored failures={linear_suite['stored_bound_failures']}, "
-        f"unqueried failures={linear_suite['unqueried_bound_failures']}",
-    )
+    _, ok, detail = linear_suite["bounds"]
+    verdict(ok, "criterion 4: stored-point and post-deletion unqueried leverage bounds", detail)
 
 
 def test_criterion_05_drift_identity():
-    rng = np.random.default_rng(SEED + 5)
-    probes_checked = 0
-    worst = 0.0
-    while probes_checked < 1000:
-        ds, model = random_linear_instance(rng, t_max=800)
-        if not model.coreset:
-            continue
-        victims = list(model.coreset)
-        rng.shuffle(victims)
-        for victim in victims[: max(int(model.params.cap_k), 1)]:
-            probes = [ds.samples[int(i)].x for i in rng.integers(0, len(ds.samples), size=25)]
-            predictions = [
-                predicted_deletion_drift(model.gram_state, victim.x, victim.y, p) for p in probes
-            ]
-            before = [float(model.weight @ p) for p in probes]
-            deletion_update(model, {victim.sample_id})
-            for p, b, pred in zip(probes, before, predictions):
-                worst = max(worst, abs((float(model.weight @ p) - b) - pred))
-                probes_checked += 1
-    ok = worst < 1e-8
-    verdict(
-        ok,
-        "criterion 5: rank-one deletion drift identity on 1e3 probes",
-        f"probes={probes_checked}, max err={worst:.2e}",
-    )
+    _, ok, detail = verify.check_drift_identity(SEED + 5, 40)
+    probes = int(detail.split()[0])  # the detail opens with the probe count
+    verdict(ok and probes >= 1000, "criterion 5: rank-one deletion drift identity on 1e3 probes", detail)
 
 
 def test_criterion_06_query_complexity():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import random_deletion_request, random_linear_instance, random_samples
+from instances import random_samples
 from coreset_unlearn import (
     DatasetSpec,
     LabeledSample,
@@ -40,8 +40,8 @@ from coreset_unlearn.bbq_linear import (
     row_dtype,
 )
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
-from coreset_unlearn.capacity import predicted_deletion_drift
 from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage, log_det_ratio
+from coreset_unlearn.verify import random_deletion_request, random_linear_instance
 
 
 def ones_stream(n):
@@ -246,21 +246,6 @@ class TestDeletion:
         np.testing.assert_allclose(m.weight, np.zeros(m.dim), atol=1e-8)
         assert m.coreset == []
 
-    def test_matches_fresh_fit_on_survivors(self):
-        rng = np.random.default_rng(16)
-        for _ in range(25):
-            ds, m = random_linear_instance(rng, t_max=800)
-            u = random_deletion_request(rng, ds, m)
-            fresh = bbq_fit(
-                [s for s in m.coreset if s.sample_id not in u],
-                cap_k=m.params.cap_k,
-                kappa=m.params.kappa,
-                horizon=m.params.horizon,
-                dim=m.dim,
-            )
-            deletion_update(m, u)
-            assert system_states_equal(state_of_system(m), state_of_system(fresh))
-
     def test_deletion_order_does_not_matter(self):
         rng = np.random.default_rng(17)
         ds, m = random_linear_instance(rng, t_max=600)
@@ -291,20 +276,6 @@ class TestDeletion:
                 if s.sample_id in queried:
                     continue
                 assert leverage(m.gram_state, s.x) <= limit + 1e-9
-
-    def test_drift_identity_on_probes(self):
-        rng = np.random.default_rng(19)
-        ds, m = random_linear_instance(rng, t_max=600)
-        if not m.coreset:
-            pytest.skip("instance queried nothing")
-        probes = [s.x for s in ds.samples[:50]]
-        victim = m.coreset[len(m.coreset) // 2]
-        predicted = [predicted_deletion_drift(m.gram_state, victim.x, victim.y, p) for p in probes]
-        before = [float(m.weight @ p) for p in probes]
-        deletion_update(m, {victim.sample_id})
-        for p, b, pred in zip(probes, before, predicted):
-            observed = float(m.weight @ p) - b
-            assert observed == pytest.approx(pred, abs=1e-8)
 
 
 class TestCoreSet:
@@ -407,13 +378,6 @@ class TestSamples:
 
 
 class TestReplay:
-    def test_empty_request_reproduces_state(self):
-        rng = np.random.default_rng(20)
-        ds, m = random_linear_instance(rng, t_max=600)
-        replay = replay_on_coreset(m, set())
-        assert replay.coreset_ids == m.coreset_ids
-        np.testing.assert_allclose(replay.weight, m.weight, atol=1e-8)
-
     def test_monotone_requery_random(self):
         rng = np.random.default_rng(21)
         for _ in range(25):

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from instances import random_linear_instance
 from coreset_unlearn import (
     CapacityParams,
     DatasetSpec,
@@ -31,6 +30,7 @@ from coreset_unlearn.capacity import (
     margin_estimate,
 )
 from coreset_unlearn.core_linalg import gram_init, rank_one_update
+from coreset_unlearn.verify import random_linear_instance
 
 
 class TestParams:

@@ -83,16 +83,6 @@ class TestUpdate:
         with pytest.raises(ValueError, match="shape"):
             rank_one_update(s, [1.0], 1)
 
-    def test_random_updates_match_dense_inversion(self):
-        rng = np.random.default_rng(1)
-        s = gram_init(3, 1.0)
-        applied = []
-        for _ in range(50):
-            x, y = random_unit(rng, 3), int(rng.choice([-1, 1]))
-            rank_one_update(s, x, y)
-            applied.append((x, y))
-        np.testing.assert_allclose(s.gram_inv, dense_inverse(1.0, 3, applied), atol=1e-8)
-
 
 class TestDowndate:
     def test_scalar_closed_form(self):
@@ -102,20 +92,6 @@ class TestDowndate:
         assert s.gram[0, 0] == pytest.approx(1.0)
         # 0.5 + 0.25 / 0.5 restores the fresh inverse
         assert s.gram_inv[0, 0] == pytest.approx(1.0)
-
-    def test_roundtrip_restores_state(self):
-        rng = np.random.default_rng(2)
-        s = gram_init(4, 2.0)
-        for _ in range(10):
-            rank_one_update(s, random_unit(rng, 4), int(rng.choice([-1, 1])))
-        before = s.copy()
-        x, y = random_unit(rng, 4), 1
-        rank_one_update(s, x, y)
-        rank_one_downdate(s, x, y)
-        np.testing.assert_allclose(s.gram, before.gram, atol=1e-10)
-        np.testing.assert_allclose(s.gram_inv, before.gram_inv, atol=1e-10)
-        np.testing.assert_allclose(s.b_vec, before.b_vec, atol=1e-10)
-        np.testing.assert_allclose(s.weight, before.weight, atol=1e-10)
 
     def test_mixed_sequence_matches_dense_inversion(self):
         rng = np.random.default_rng(3)
@@ -306,17 +282,6 @@ class TestLeverage:
             x = random_unit(rng, 4)
             lev = leverage(s, x)
             assert 0.0 <= lev <= float(x @ x) / 2.0 + 1e-12
-
-    def test_stored_point_bound(self):
-        # any point contributing to the state has leverage at most 1/(lam+1)
-        rng = np.random.default_rng(6)
-        for lam in (1.0, 2.0, 8.0):
-            s = gram_init(6, lam)
-            stored = [random_unit(rng, 6) for _ in range(25)]
-            for x in stored:
-                rank_one_update(s, x, 1)
-            for x in stored:
-                assert leverage(s, x) <= 1.0 / (lam + 1.0) + 1e-12
 
 
 class TestRefresh:

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import warnings
 
@@ -77,7 +79,7 @@ class TestGeneration:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(kind="mystery"), dict(T=0), dict(d=0), dict(gamma=1.0), dict(gamma=-0.1)],
+        [dict(kind="mystery"), dict(T=0), dict(d=0), dict(gamma=1.0), dict(gamma=-0.1), dict(seed=-1)],
     )
     def test_spec_validation(self, kw):
         base = dict(kind="margin", T=10, d=3, seed=0, gamma=0.1)
@@ -182,14 +184,11 @@ class TestDatasetIO:
             np.testing.assert_array_equal(s.x, t.x)
         np.testing.assert_array_equal(ds.u, loaded.u)
 
-    def test_truncated_file_rejected_without_partial_data(self, tmp_path):
-        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=4, seed=33))
+    def test_integer_gamma_saves_as_float(self, tmp_path):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=4, seed=34, gamma=0))
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(DatasetFormatError, match="payload"):
-            load_dataset(path)
+        assert load_dataset(path).spec == ds.spec and b'"gamma": 0.0' in path.read_bytes()
 
     def test_header_payload_mismatch_rejected(self, tmp_path):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=4, seed=34))
@@ -350,3 +349,82 @@ class TestRows:
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=41))
         for dist in (DeletionDistribution(kind="uniform"), DeletionDistribution(kind="by-label", target_label=1)):
             assert deletion_stream(ds, dist, 60, seed=7) == deletion_stream(ds.samples, dist, 60, seed=7)
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory):
+    """A small saved dataset: its path, which the fuzz cases overwrite, and its bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "ds.bin"
+    save_dataset(gen_dataset(DatasetSpec(kind="margin", T=5, d=2, seed=39, gamma=0.1)), path)
+    return path, path.read_bytes()
+
+
+def _load_bytes(path, blob: bytes) -> bytes:
+    """Load ``blob`` as a dataset file and return the bytes ``save_dataset`` writes for it."""
+    path.write_bytes(blob)
+    save_dataset(load_dataset(path), path)
+    return path.read_bytes()
+
+
+def _loads_or_rejects(path, blob: bytes) -> None:
+    """The parser's contract: a typed rejection, or a dataset that saves back to the same bytes."""
+    try:
+        again = _load_bytes(path, blob)
+    except DatasetFormatError:
+        return
+    assert again == blob
+
+
+def _rows_offset(blob: bytes) -> int:
+    return blob.index(b"\n", len(b"SADS1\n")) + 1
+
+
+class TestParserFuzz:
+    def test_every_truncation_rejected(self, dataset_file):
+        path, blob = dataset_file
+        for n in range(len(blob)):
+            with pytest.raises(DatasetFormatError):
+                _load_bytes(path, blob[:n])
+        assert _load_bytes(path, blob) == blob
+
+    def test_every_header_bit_flip(self, dataset_file):
+        path, blob = dataset_file
+        for bit in range(8 * _rows_offset(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            _loads_or_rejects(path, bytes(flipped))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_record_bit_flips(self, dataset_file, data):
+        path, blob = dataset_file
+        flipped = bytearray(blob)
+        for bit in data.draw(st.lists(st.integers(8 * _rows_offset(blob), 8 * len(blob) - 1), min_size=1, max_size=3)):
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        _loads_or_rejects(path, bytes(flipped))
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            (b'"T": 5', b'"T": Infinity', "malformed"),
+            (b'"T": 5', b'"T": "5"', "form"),
+            (b'"gamma": 0.1', b'"gamma": 0.10', "form"),
+            (b'"gamma": 0.1', b'"gamma": 0', "form"),
+            (b'"seed": 39', b'"seed": -39', "seed"),
+        ],
+        ids=["infinite-T", "T-as-string", "long-gamma", "integer-gamma", "negative-seed"],
+    )
+    def test_header_that_would_not_save_back_rejected(self, dataset_file, old, new, match):
+        path, blob = dataset_file
+        with pytest.raises(DatasetFormatError, match=match):
+            _load_bytes(path, blob.replace(old, new, 1))
+
+    lies = st.integers() | st.floats() | st.sampled_from([math.inf, math.nan]) | st.text(max_size=3) | st.booleans() | st.none()
+
+    @settings(max_examples=100, deadline=None)
+    @given(T=st.integers(-2, 30) | lies, d=st.integers(-2, 6) | lies)
+    def test_lying_T_and_d(self, dataset_file, T, d):
+        path, blob = dataset_file
+        magic, header, rows = blob.split(b"\n", 2)
+        fields = json.loads(header) | {"T": T, "d": d}
+        _loads_or_rejects(path, b"\n".join([magic, json.dumps(fields, sort_keys=True).encode(), rows]))

@@ -13,11 +13,12 @@ from coreset_unlearn import (
     ridge_fit,
     run_experiment,
 )
-from coreset_unlearn import harness
+from coreset_unlearn import bbq_linear, capacity, core_linalg, harness, verify
 from coreset_unlearn.baselines import exact_unlearn, weight_accuracy
 from coreset_unlearn.bbq_linear import _HEADER, deletion_update, replay_on_coreset, state_of_system, system_states_equal
-from coreset_unlearn.capacity import CapacityParams, coreset_capacity
+from coreset_unlearn.capacity import CapacityParams, coreset_capacity, predicted_deletion_drift
 from coreset_unlearn.cli import _build_parser, cli_main
+from coreset_unlearn.core_linalg import leverage
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
 from coreset_unlearn.harness import load_report_json, stratified_split
 
@@ -286,6 +287,8 @@ class TestRunExperiment:
             small_config(cadence=0)
         with pytest.raises(ValueError, match="gate_policy"):
             small_config(gate_policy="shrug")
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=-1)
 
     @pytest.mark.parametrize("overrides", [
         {"deletion_fraction": -0.1}, {"deletion_fraction": 1.1}, {"deletion_count": -1},
@@ -334,6 +337,24 @@ class TestReports:
         paths = emit_report(rep, str(tmp_path / "rep"))
         csv_path = [p for p in paths if p.endswith(".csv")][0]
         assert open(csv_path).read() == "deletions,accuracy,method\n"
+
+
+def _deletion_without_downdate(model, ids):
+    for sid in model.coreset_ids & set(ids):
+        model.coreset.remove(sid)
+        model.coreset_ids.discard(sid)
+
+
+def _downdate_without_inverse_step(state, x, y):
+    state.gram -= np.outer(x, x)
+    state.b_vec -= y * np.asarray(x)
+    state.weight = state.gram_inv @ state.b_vec
+
+
+def _replay_at_the_survivors_horizon(model, ids):
+    survivors = [s for s in model.coreset if s.sample_id not in set(ids)]
+    p = model.params
+    return bbq_fit(survivors, cap_k=p.cap_k, kappa=p.kappa, horizon=max(len(survivors), 1), dim=model.dim)
 
 
 class TestCli:
@@ -468,6 +489,24 @@ class TestCli:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--t", "10", "--d", "3", "--out", "{out}"],
+            ["unlearn", "--model", "{missing}", "--data", "{missing}", "--n", "1", "--out", "{out}"],
+            ["bench", "--t", "300", "--d", "3", "--out", "{out}"],
+            ["capacity", "--t", "300", "--d", "3", "--out", "{out}"],
+            ["verify"],
+        ],
+        ids=["gen", "unlearn", "bench", "capacity", "verify"],
+    )
+    def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, argv):
+        argv = [a.format(out=tmp_path / "out", missing=tmp_path / "missing") for a in argv]
+        assert cli_main(argv + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: argument --seed" in captured.err and "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_without_trials_is_usage_error(self, capsys):
         assert cli_main(["verify", "--trials", "0"]) == 1
         assert "PASS" not in capsys.readouterr().out
@@ -517,11 +556,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5 and "FAIL" not in out
 
-    def test_verify_failure_exits_3(self, monkeypatch, capsys):
-        from coreset_unlearn import verify as verify_mod
-
-        monkeypatch.setattr(
-            verify_mod, "run_all", lambda seed, trials: [("forced failure", False, "synthetic")]
-        )
-        assert cli_main(["verify", "--seed", "1", "--trials", "1"]) == 3
-        assert "FAIL" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "name, mutant, suite",
+        [
+            ("deletion_update", _deletion_without_downdate, "deletion equals fresh fit on survivors"),
+            ("rank_one_downdate", _downdate_without_inverse_step, "sherman-morrison vs dense inversion"),
+            ("predicted_deletion_drift", lambda *args: -predicted_deletion_drift(*args), "rank-one deletion drift identity"),
+            ("replay_on_coreset", _replay_at_the_survivors_horizon, "replay re-queries exactly the survivors"),
+            ("leverage", lambda state, x: leverage(state, x) / 4, "leverage bounds"),
+        ],
+        ids=["pop-without-downdate", "downdate-keeps-inverse", "drift-sign", "replay-horizon", "leverage-quartered"],
+    )
+    def test_verify_catches_a_planted_defect(self, monkeypatch, capsys, name, mutant, suite):
+        for module in (core_linalg, bbq_linear, capacity, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, mutant)
+        assert cli_main(["verify", "--seed", "1", "--trials", "2"]) == 3
+        assert f"FAIL  {suite}:" in capsys.readouterr().out
