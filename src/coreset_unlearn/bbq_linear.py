@@ -301,24 +301,17 @@ class ModelState:
     ``coreset_ids`` is the id set of ``coreset``, kept beside it for callers
     that test membership.  ``query_log`` holds the fit's ids and leverages,
     one per streamed point, and builds its records on read; it is empty for a
-    loaded model.
-
-    ``fit_weight`` is the drift reference for capacity gating: a snapshot of
-    the weights at the end of the fit, rebased on the live weights whenever
-    the gate's budget is reset (the state then equals a fresh fit on the
-    surviving core set).  A rebase assigns a new array and never writes into
-    the old one: the gate caches its margin estimate per reference object.  It
-    is instrumentation: it is not part of the externally visible system state
-    and is not serialized.  Nor are ``free_deletions`` and
-    ``coreset_deletions``, which count the requests applied since this object
-    was fitted or loaded.
+    loaded model.  ``free_deletions`` and ``coreset_deletions`` count the
+    requests applied since this object was fitted or loaded; they are not
+    serialized.  The weights at the fit are not kept: they depend on every
+    core-set point deleted since.  The capacity gate holds its own drift
+    reference (:class:`~.capacity.MetricSet`).
     """
 
     gram_state: GramState
     coreset: CoreSet
     params: BBQParams
     query_log: QueryLog
-    fit_weight: np.ndarray
     coreset_ids: set[int] = field(default_factory=set)
     free_deletions: int = 0
     coreset_deletions: int = 0
@@ -391,7 +384,6 @@ def bbq_fit(
         coreset=coreset,
         params=params,
         query_log=QueryLog(ids, leverages, threshold),
-        fit_weight=state.weight.copy(),
         coreset_ids=coreset.ids(),
     )
 
@@ -477,8 +469,8 @@ def save_model(model: ModelState, path) -> None:
     """Write the "SAUL1" container documented in the module docstring.
 
     After the write the model holds the Gram state derived from the written
-    records, the state :func:`load_model` gives back; its refresh period,
-    deletion counters and ``fit_weight`` are kept.
+    records, the state :func:`load_model` gives back; its deletion counters
+    are kept.
     """
     d, n = model.dim, len(model.coreset)
     records = np.empty(n, dtype=_record_dtype(d))
@@ -489,9 +481,7 @@ def save_model(model: ModelState, path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n))
         fh.write(records)
-    state = _records_state(records, p.lam)
-    state.refresh_period = model.gram_state.refresh_period
-    model.gram_state = state
+    model.gram_state = _records_state(records, p.lam)
 
 
 def load_model(path) -> ModelState:
@@ -535,6 +525,5 @@ def load_model(path) -> ModelState:
         coreset=coreset,
         params=params,
         query_log=QueryLog([], [], params.query_threshold),
-        fit_weight=state.weight.copy(),
         coreset_ids=coreset.ids(),
     )

@@ -9,7 +9,9 @@ Three layers:
     uniform deletion distribution (:func:`expected_capacity_uniform`) with
     its per-deletion time consequence (:func:`expected_deletion_time`);
   * a runtime gate (:func:`capacity_gate`) that accepts core-set deletions
-    while both the count budget and the measured drift budget hold;
+    while both the count budget and the measured drift budget hold; its
+    state since the last fit or rebase, drift reference included, is a
+    :class:`MetricSet`, and the model keeps none of it;
   * Monte Carlo estimators (:func:`expected_capacity_mc`) that replay random
     stream permutations and deletion draws to compare the empirical
     exhaustion probability against its closed-form bound.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +67,20 @@ class CapacityParams:
             raise ValueError(f"K must be finite and positive, got {self.K}")
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricSet:
-    """Gate state kept while a deletion stream replays: budget counter and event log.
+    """The gate's state since the last fit or rebase.
 
-    ``eps_cache`` memoizes the gate's margin estimate as ``(fit_weight,
-    probe_x, eps_hat)``, valid while both arrays are the very objects the gate
-    is called with (compared with ``is``).  A rebase assigns a new
-    ``fit_weight`` array rather than writing into the old one, so the key
-    changes exactly when the drift reference does.
+    ``reference`` is the weights at that fit or rebase, the drift reference;
+    ``coreset_deletions`` counts the core-set deletions accepted since; and
+    ``eps_hat`` is the margin estimate about ``reference``, set by the first
+    gate call from that call's probe rows.  A rebase starts a new
+    ``MetricSet`` from the weights it leaves.
     """
 
+    reference: np.ndarray
     coreset_deletions: int = 0
-    gate_events: list[str] = field(default_factory=list)
-    eps_cache: tuple | None = field(default=None, repr=False, compare=False)
+    eps_hat: float | None = None
 
 
 def coreset_capacity(p: CapacityParams) -> int:
@@ -119,12 +121,13 @@ def expected_deletion_time(K: int, k_total: int, core_cost: float) -> float:
     return (K / k_total) * core_cost
 
 
-def margin_estimate(weight: np.ndarray, probe_x, max_points: int = DEFAULT_PROBE_SIZE) -> float:
+def margin_estimate(weight: np.ndarray, probe_x) -> float:
     """Estimated decision margin: twice the smallest ``|w @ x|`` over unqueried probe rows.
 
-    ``probe_x`` is an ``(n, d)`` array of feature vectors of unqueried points.
+    ``probe_x`` is an ``(n, d)`` array of feature vectors of unqueried
+    points; only its first ``DEFAULT_PROBE_SIZE`` rows are read.
     """
-    xs = np.asarray(probe_x, dtype=np.float64)[:max_points]
+    xs = np.asarray(probe_x, dtype=np.float64)[:DEFAULT_PROBE_SIZE]
     if xs.size == 0:
         raise ValueError("margin estimation needs at least one probe point")
     return 2.0 * float(np.min(np.abs(xs @ weight)))
@@ -135,17 +138,16 @@ def capacity_gate(model: ModelState, history: MetricSet, probe_x, delta: float =
 
     Accepts while the core-set deletion count stays below the closed-form
     budget (floored at one, so the first deletion is always admissible) and
-    the measured drift of the live weights against the drift reference
-    ``model.fit_weight`` over the probe rows ``probe_x`` (an ``(n, d)``
-    array of unqueried points) stays below half the estimated margin.  The
-    margin estimate depends only on the drift reference and the probe rows,
-    so it is computed once per reference and kept in ``history.eps_cache``.
+    the measured drift of the live weights against ``history.reference``
+    over the probe rows ``probe_x`` (an ``(n, d)`` array of unqueried
+    points) stays below half the estimated margin.  The margin estimate
+    depends only on the reference and the probe rows, so the first call on
+    ``history`` computes it and later calls read ``history.eps_hat``.
     """
     xs = np.asarray(probe_x, dtype=np.float64)[:DEFAULT_PROBE_SIZE]
-    cached = history.eps_cache
-    if cached is None or cached[0] is not model.fit_weight or cached[1] is not probe_x:
-        cached = history.eps_cache = (model.fit_weight, probe_x, margin_estimate(model.fit_weight, xs))
-    eps_hat = cached[2]
+    if history.eps_hat is None:
+        history.eps_hat = margin_estimate(history.reference, xs)
+    eps_hat = history.eps_hat
     params = CapacityParams(
         T=model.params.horizon,
         d=model.dim,
@@ -157,7 +159,7 @@ def capacity_gate(model: ModelState, history: MetricSet, probe_x, delta: float =
     budget = max(coreset_capacity(params), 1)
     if history.coreset_deletions >= budget:
         return BUDGET_EXHAUSTED
-    drift = float(np.max(np.abs(xs @ (model.weight - model.fit_weight))))
+    drift = float(np.max(np.abs(xs @ (model.weight - history.reference))))
     if drift >= eps_hat / 2.0:
         return BUDGET_EXHAUSTED
     return ACCEPT
@@ -191,8 +193,8 @@ class CapacityCurve:
     trials: int
     K: int
 
-    def to_report_dict(self, params: CapacityParams | None = None) -> dict:
-        report = {
+    def to_report_dict(self, params: CapacityParams) -> dict:
+        return {
             "report_version": 1,
             "trials": self.trials,
             "K": self.K,
@@ -201,21 +203,19 @@ class CapacityCurve:
                 {"k_total": int(k), "empirical": float(e), "bound": float(b)}
                 for k, e, b in zip(self.k_total, self.empirical, self.bound)
             ],
-        }
-        if params is not None:
-            report["params"] = {
+            "params": {
                 "T": params.T,
                 "d": params.d,
                 "kappa": params.kappa,
                 "delta": params.delta,
                 "eps_bar": params.eps_bar,
                 "K": params.K,
-            }
-            report["K_max"] = coreset_capacity(params)
-        return report
+            },
+            "K_max": coreset_capacity(params),
+        }
 
 
-def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams | None = None) -> None:
+def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(curve.to_report_dict(params), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -265,6 +265,8 @@ def expected_capacity_mc(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     dataset = list(dataset)

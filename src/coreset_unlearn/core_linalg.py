@@ -69,8 +69,8 @@ class GramState:
         gram_inv: maintained inverse of ``gram``.
         b_vec: accumulated ``sum(y * x)``.
         weight: ``gram_inv @ b_vec``, kept in sync by every mutation.
-        downdates_since_refresh: counter driving the automatic refresh.
-        refresh_period: downdates tolerated before a forced refresh.
+        downdates_since_refresh: downdates since the last refresh; one every
+            ``DEFAULT_REFRESH_PERIOD`` downdates is forced.
     """
 
     dim: int
@@ -80,7 +80,6 @@ class GramState:
     b_vec: np.ndarray
     weight: np.ndarray
     downdates_since_refresh: int = 0
-    refresh_period: int = DEFAULT_REFRESH_PERIOD
 
     def copy(self) -> "GramState":
         return GramState(
@@ -91,7 +90,6 @@ class GramState:
             b_vec=self.b_vec.copy(),
             weight=self.weight.copy(),
             downdates_since_refresh=self.downdates_since_refresh,
-            refresh_period=self.refresh_period,
         )
 
 
@@ -109,7 +107,7 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def gram_init(dim: int, lam: float, refresh_period: int = DEFAULT_REFRESH_PERIOD) -> GramState:
+def gram_init(dim: int, lam: float) -> GramState:
     """Fresh state: ``gram = lam*I``, zero b and weight."""
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
@@ -122,7 +120,6 @@ def gram_init(dim: int, lam: float, refresh_period: int = DEFAULT_REFRESH_PERIOD
         gram_inv=np.eye(dim) / float(lam),
         b_vec=np.zeros(dim),
         weight=np.zeros(dim),
-        refresh_period=refresh_period,
     )
 
 
@@ -190,7 +187,7 @@ def rank_one_downdate(state: GramState, x, y: float) -> GramState:
     state.b_vec -= y * x
     state.weight = state.gram_inv.dot(state.b_vec)
     state.downdates_since_refresh += 1
-    if state.downdates_since_refresh >= state.refresh_period:
+    if state.downdates_since_refresh >= DEFAULT_REFRESH_PERIOD:
         refresh_inverse(state)
     return state
 

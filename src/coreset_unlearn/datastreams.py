@@ -39,6 +39,7 @@ import numpy as np
 
 from .atomic_io import atomic_open
 from .bbq_linear import LabeledSample, check_rows, row_dtype, trusted_samples
+from .core_linalg import NORM_SLACK
 
 DATASET_MAGIC = b"SADS1"
 
@@ -188,6 +189,14 @@ def _cluster_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return pts
 
 
+def _check_planted(u: np.ndarray) -> None:
+    """``ValueError`` unless the planted direction has ``||u|| <= 1`` (a NaN or infinite ``u`` fails too)."""
+    with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
+        nrm = float(np.linalg.norm(u))
+    if not nrm <= 1.0 + NORM_SLACK:
+        raise ValueError(f"planted u must satisfy ||u|| <= 1, got ||u|| = {nrm}")
+
+
 def gen_dataset(spec: DatasetSpec) -> Dataset:
     """Deterministically generate a dataset from its spec.
 
@@ -197,8 +206,7 @@ def gen_dataset(spec: DatasetSpec) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     if spec.u is not None:
         u = np.asarray(spec.u, dtype=np.float64)
-        if np.linalg.norm(u) > 1.0 + 1e-9:
-            raise ValueError("planted u must satisfy ||u|| <= 1")
+        _check_planted(u)
     else:
         u = rng.standard_normal(spec.d)
         u /= np.linalg.norm(u)
@@ -233,6 +241,8 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
     """
     if n < 0:
         raise ValueError(f"requested {n} deletions; the count must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ids, y = ids_and_labels(samples)
     if dist.kind == "uniform":
         eligible = ids
@@ -299,9 +309,10 @@ def load_dataset(path) -> Dataset:
     The payload is decoded by one ``np.frombuffer`` call over the file's bytes
     and copied once into the native ``ids``/``X``/``y`` arrays.  Labels outside
     {-1, +1}, rows with ``||x|| > 1`` (or non-finite), duplicate ids, a payload
-    whose length is not exactly ``T`` rows, and a header line other than the
-    one :func:`save_dataset` writes for the fields it holds are all rejected,
-    so every file that loads saves back to the same bytes.
+    whose length is not exactly ``T`` rows, a header line other than the one
+    :func:`save_dataset` writes for the fields it holds, and a planted ``u``
+    that :func:`gen_dataset` would refuse are all rejected, so every file
+    that loads saves back to the same bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -323,6 +334,10 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"malformed dataset header: {exc}") from exc
     if u.shape != (spec.d,):
         raise DatasetFormatError(f"planted u has shape {u.shape}, header promises ({spec.d},)")
+    try:
+        _check_planted(u)
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc)) from exc
     if line != _header_line(spec, u):
         raise DatasetFormatError("dataset header is not in the form save_dataset writes")
     dtype = row_dtype(spec.d)

@@ -57,7 +57,9 @@ from .bbq_linear import LabeledSample
 
 DEFAULT_MAX_CLASS_SIZE = 256
 DEFAULT_STAGE_CAP = 30
+EXHAUST_STAGE_CAP = 64
 DEFAULT_DIM_EXACT_CAP = 8
+GREEDY_RESTARTS = 8
 
 UNBOUNDED = math.inf
 
@@ -65,12 +67,12 @@ UNBOUNDED = math.inf
 class FiniteFunctionClass:
     """An ordered list of named evaluators mapping a sample to ``[0, 1]``."""
 
-    def __init__(self, functions, names=None, max_size: int = DEFAULT_MAX_CLASS_SIZE):
+    def __init__(self, functions, names=None):
         functions = list(functions)
         if not functions:
             raise ValueError("function class must be nonempty")
-        if len(functions) > max_size:
-            raise ValueError(f"function class size {len(functions)} exceeds cap {max_size}")
+        if len(functions) > DEFAULT_MAX_CLASS_SIZE:
+            raise ValueError(f"function class size {len(functions)} exceeds cap {DEFAULT_MAX_CLASS_SIZE}")
         self.functions: list[Callable] = functions
         self.names = list(names) if names is not None else [f"f{i}" for i in range(len(functions))]
         if len(self.names) != len(self.functions):
@@ -306,13 +308,12 @@ def projected_dimension(
     fclass: FiniteFunctionClass,
     samples,
     exact_cap: int = DEFAULT_DIM_EXACT_CAP,
-    restarts: int = 8,
 ) -> ProjectedDimension:
     """Worst-case-over-orderings sum of uncertainty scores for a pool.
 
     Exact (full permutation enumeration) for pools up to ``exact_cap``
-    points; larger pools get a greedy lower bound with restarts, flagged by
-    ``exact=False``.
+    points; larger pools get a greedy lower bound from ``GREEDY_RESTARTS``
+    starts, flagged by ``exact=False``.
     """
     kernel = _PairScores(fclass.value_matrix(samples))
     n = len(samples)
@@ -322,7 +323,7 @@ def projected_dimension(
         best = max(_sequence_value(kernel, order) for order in itertools.permutations(range(n)))
         return ProjectedDimension(best, True)
     first_scores = np.max(kernel.rows, axis=1, initial=0.0)  # rows are still in pool order
-    starts = np.argsort(-first_scores, kind="stable")[: min(restarts, n)]
+    starts = np.argsort(-first_scores, kind="stable")[:GREEDY_RESTARTS]
     best = max(_greedy_value(kernel, int(s)) for s in starts)
     return ProjectedDimension(best, False)
 
@@ -409,8 +410,6 @@ def general_bbq_trace(
     delta: float = 0.05,
     rate_bound: float | None = None,
     *,
-    stage_cap: int = DEFAULT_STAGE_CAP,
-    dim_exact_cap: int = DEFAULT_DIM_EXACT_CAP,
     exhaust_pool: bool = False,
 ) -> tuple[GeneralModelState, list[StageRecord]]:
     """Run the staged greedy sampler over ``pool``, fit the final ERM, and log each stage.
@@ -418,7 +417,8 @@ def general_bbq_trace(
     Labels are read only for queried points.  Stages halve the query
     threshold; the loop exits once the unsure residual is small relative to
     the projected dimension of the class on the pool, when nothing in the
-    pool separates any pair of functions, or at the hard stage cap.
+    pool separates any pair of functions, or at the hard stage cap,
+    ``DEFAULT_STAGE_CAP`` (``EXHAUST_STAGE_CAP`` under ``exhaust_pool=True``).
 
     ``exhaust_pool=True`` disables the residual-based exit so stages continue
     until every point on which some pair of functions disagrees has been
@@ -434,14 +434,13 @@ def general_bbq_trace(
         rate_bound = default_rate_bound(len(fclass), len(pool), delta)
     if rate_bound <= 0:
         raise ValueError("rate_bound must be positive")
-    if exhaust_pool:
-        stage_cap = max(stage_cap, 64)
+    stage_cap = EXHAUST_STAGE_CAP if exhaust_pool else DEFAULT_STAGE_CAP
 
     values = fclass.value_matrix(pool)
     kernel = _PairScores(values)
     ids = np.array([s.sample_id for s in pool])
     # only the residual exit reads the projected dimension
-    pdim = None if exhaust_pool else projected_dimension(fclass, pool, exact_cap=dim_exact_cap)
+    pdim = None if exhaust_pool else projected_dimension(fclass, pool)
 
     survivors = list(range(len(pool)))
     queried: list[tuple[int, LabeledSample]] = []
@@ -524,11 +523,10 @@ def general_bbq_trace(
 
 def general_bbq_fit(
     pool, fclass: FiniteFunctionClass, delta: float = 0.05, rate_bound: float | None = None, *,
-    stage_cap: int = DEFAULT_STAGE_CAP, dim_exact_cap: int = DEFAULT_DIM_EXACT_CAP, exhaust_pool: bool = False,
+    exhaust_pool: bool = False,
 ) -> GeneralModelState:
     """:func:`general_bbq_trace`'s model; its stage log, which names never-queried points, is dropped."""
-    return general_bbq_trace(pool, fclass, delta, rate_bound, stage_cap=stage_cap,
-                             dim_exact_cap=dim_exact_cap, exhaust_pool=exhaust_pool)[0]
+    return general_bbq_trace(pool, fclass, delta, rate_bound, exhaust_pool=exhaust_pool)[0]
 
 
 def general_state_of_system(model: GeneralModelState) -> GeneralSystemState:

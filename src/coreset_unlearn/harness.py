@@ -15,11 +15,12 @@ built only for the selective sampler, which consumes a stream of them.
 The capacity gate applies only to the selective sampler and only to core-set
 hits, and its cost counts toward the sampler's deletion time.  Exhaustion is
 handled per the configured policy and is logged, never fatal: "halt" stops
-the stream; "refit" applies the deletion, refreshes the inverse, rebases the
-drift reference on the current weights and resets the budget.  The
-exactness theorem makes the downdated state the state of a fresh fit on the
-surviving core set, so this is identical to a refit without replaying the
-core set.
+the stream; "refit" applies the deletion, refreshes the inverse and starts a
+new gate state (:class:`~.capacity.MetricSet`) from the current weights,
+with the budget reset.  The exactness theorem makes the downdated state the
+state of a fresh fit on the surviving core set, so this is identical to a
+refit without replaying the core set.  The gate state lives here, beside
+the model; the model itself keeps no drift reference.
 """
 
 from __future__ import annotations
@@ -145,17 +146,6 @@ def stratified_split(samples, test_fraction: float, seed: int):
     return [samples[i] for i in train.tolist()], [samples[i] for i in test.tolist()]
 
 
-def _rebase(model) -> None:
-    """Make ``model`` what a fresh fit on its surviving core set would be.
-
-    The downdated Gram state already equals the refit's; what remains is a
-    fresh inverse (which also resets the downdate counter) and the refit's
-    drift reference, its current weights.
-    """
-    refresh_inverse(model.gram_state)
-    model.fit_weight = model.weight.copy()
-
-
 def _timed_fit(fit, warmup, rows, **kwargs):
     """``fit(rows, **kwargs)`` and its wall time, after a discarded warmup ``fit(warmup, **kwargs)``."""
     fit(warmup, **kwargs)
@@ -173,27 +163,29 @@ def _bbq(cfg: ExperimentConfig, train: Rows, test: Rows):
     model, train_time = _timed_fit(bbq_fit, samples[:512], samples, cap_k=cfg.cap_k, kappa=cfg.kappa)
     queried = np.fromiter(model.coreset_ids, dtype=np.uint64, count=len(model.coreset_ids))
     probe_x = train.X[~np.isin(train.ids, queried)][: capacity.DEFAULT_PROBE_SIZE]
-    metrics = capacity.MetricSet()
-    if not len(probe_x):
-        metrics.gate_events.append("gate-skipped: no unqueried probe points")
+    gate = capacity.MetricSet(model.weight.copy())
+    gate_events = [] if len(probe_x) else ["gate-skipped: no unqueried probe points"]
 
     def delete(pos: int, sid: int) -> bool:
+        nonlocal gate
         hit = sid in model.coreset_ids
         exhausted = (
             hit
             and len(probe_x) > 0
-            and capacity.capacity_gate(model, metrics, probe_x, delta=cfg.delta) == capacity.BUDGET_EXHAUSTED
+            and capacity.capacity_gate(model, gate, probe_x, delta=cfg.delta) == capacity.BUDGET_EXHAUSTED
         )
         if exhausted:
-            metrics.gate_events.append(f"exhausted@{pos}")
+            gate_events.append(f"exhausted@{pos}")
             if cfg.gate_policy == "halt":
                 return False
         deletion_update(model, [sid])
         if exhausted:
-            _rebase(model)
-            metrics.coreset_deletions = 0  # budget reset
+            # the downdated state is a fresh fit's on the survivors; give it a
+            # fresh inverse, and the gate a new reference and budget
+            refresh_inverse(model.gram_state)
+            gate = capacity.MetricSet(model.weight.copy())
         elif hit:
-            metrics.coreset_deletions += 1
+            gate.coreset_deletions += 1
         return True
 
     def report_fields() -> dict:
@@ -203,7 +195,7 @@ def _bbq(cfg: ExperimentConfig, train: Rows, test: Rows):
             model_scalars=2 * d * d + 2 * d,
             coreset_deletions=model.coreset_deletions,
             free_deletions=model.free_deletions,
-            gate_events=metrics.gate_events,
+            gate_events=gate_events,
         )
 
     return train_time, delete, lambda: baselines.weight_accuracy(model.weight, test), report_fields
@@ -289,29 +281,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def emit_report(report: ExperimentReport, out_prefix: str, formats=("json", "csv")) -> list[str]:
+def emit_report(report: ExperimentReport, out_prefix: str) -> list[str]:
     """Write the report; one JSON file plus one accuracy-curve CSV per method.
 
     CSV columns are ``deletions,accuracy,method`` and contain no timing
     fields, so byte-identical reruns produce byte-identical CSVs.  Each file
     is replaced atomically.
     """
-    written = []
-    if "json" in formats:
-        path = f"{out_prefix}.json"
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    path = f"{out_prefix}.json"
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written = [path]
+    for name, rep in report.methods.items():
+        path = f"{out_prefix}_{name}.csv"
+        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["deletions", "accuracy", "method"])
+            for deletions, acc in rep.accuracy_curve:
+                writer.writerow([deletions, repr(float(acc)), name])
         written.append(path)
-    if "csv" in formats:
-        for name, rep in report.methods.items():
-            path = f"{out_prefix}_{name}.csv"
-            with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["deletions", "accuracy", "method"])
-                for deletions, acc in rep.accuracy_curve:
-                    writer.writerow([deletions, repr(float(acc)), name])
-            written.append(path)
     return written
 
 

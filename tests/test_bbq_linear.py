@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -6,6 +7,7 @@ import struct
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from coreset_unlearn.bbq_linear import (
     ModelState,
     row_dtype,
 )
+from coreset_unlearn import core_linalg
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
 from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage, log_det_ratio
 from coreset_unlearn.verify import random_deletion_request, random_linear_instance
@@ -146,6 +149,13 @@ class TestFit:
         queried = {s.sample_id for s in m.coreset}
         for s in stream:
             assert s.reads == (1 if s.sample_id in queried else 0)
+
+    def test_model_fields(self):
+        # the model, its core set, the query log and the counters: no weights
+        # from before a deletion, which depend on the deleted points
+        assert [f.name for f in dataclasses.fields(ModelState)] == [
+            "gram_state", "coreset", "params", "query_log", "coreset_ids", "free_deletions", "coreset_deletions",
+        ]
 
 
 def query_log_digest(log) -> str:
@@ -319,12 +329,12 @@ class TestCoreSet:
             gone.add(sid)
         assert [s.sample_id for s in m.coreset] == [sid for sid in fitted if sid not in gone]
 
-    def test_batch_equals_single_deletions_in_fit_order(self):
+    def test_batch_equals_single_deletions_in_fit_order(self, monkeypatch):
         # a short refresh period puts inverse refreshes inside the batch, so
         # the order of the downdates shows in the bits
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=6, seed=42))
         batch, single = (bbq_fit(ds.samples, cap_k=2.0, kappa=0.5) for _ in range(2))
-        batch.gram_state.refresh_period = single.gram_state.refresh_period = 8
+        monkeypatch.setattr(core_linalg, "DEFAULT_REFRESH_PERIOD", 8)
         fit_order = [s.sample_id for s in batch.coreset]
         rng = np.random.default_rng(43)
         hits = set(rng.choice(fit_order, size=30, replace=False).tolist())
@@ -444,7 +454,6 @@ class TestSerialization:
         loaded = load_model(path)
         for name in ("gram", "gram_inv", "b_vec", "weight"):
             assert getattr(loaded.gram_state, name).tobytes() == getattr(m.gram_state, name).tobytes()
-        assert loaded.fit_weight.tobytes() == m.weight.tobytes()
         assert loaded.params == m.params and loaded.coreset_ids == m.coreset_ids
         assert (loaded.coreset_deletions, loaded.free_deletions) == (0, 0)
         assert loaded.gram_state.downdates_since_refresh == m.gram_state.downdates_since_refresh == 0
@@ -455,14 +464,13 @@ class TestSerialization:
 
     def test_saved_state_is_the_fresh_fit_state(self, tmp_path):
         m = seeded_model()
-        m.gram_state.refresh_period = 7
         incremental = m.gram_state.copy()
         save_model(m, tmp_path / "m.saul")
         fresh = replay_on_coreset(m, [])
         np.testing.assert_allclose(m.gram_state.gram, fresh.gram_state.gram, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m.weight, fresh.weight, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m.weight, incremental.weight, rtol=0, atol=1e-12)
-        assert (m.gram_state.refresh_period, m.gram_state.downdates_since_refresh) == (7, 0)
+        assert m.gram_state.downdates_since_refresh == 0
 
     @staticmethod
     def _tampered(tmp_path, edit):
@@ -539,7 +547,7 @@ class TestSerialization:
     def test_save_rejects_out_of_bound_dim(self, tmp_path):
         # the Gram state is never read before the bound, so it need not be allocated
         g = GramState(dim=MAX_MODEL_DIM + 1, lam=2.0, gram=None, gram_inv=None, b_vec=None, weight=None)
-        m = ModelState(g, CoreSet(), BBQParams(horizon=10, kappa=0.5, cap_k=2.0), [], np.zeros(0))
+        m = ModelState(g, CoreSet(), BBQParams(horizon=10, kappa=0.5, cap_k=2.0), [])
         with pytest.raises(ModelFormatError, match=f"dimension {MAX_MODEL_DIM + 1} "):
             save_model(m, tmp_path / "m.bin")
         assert not (tmp_path / "m.bin").exists()
@@ -592,9 +600,9 @@ _IDS = [s.sample_id for s in _STREAM.samples]
 def test_saved_bytes_equal_a_fresh_fit_on_the_survivors(requests, refresh_period):
     """After any deletion stream the file says no more than a fresh fit on the survivors."""
     m = bbq_fit(_STREAM.samples, cap_k=1.0, kappa=0.5)
-    m.gram_state.refresh_period = refresh_period
-    for ids in requests:
-        deletion_update(m, ids)
+    with mock.patch.object(core_linalg, "DEFAULT_REFRESH_PERIOD", refresh_period):
+        for ids in requests:
+            deletion_update(m, ids)
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a"), Path(tmp, "b")
         save_model(m, a)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,14 +23,15 @@ from coreset_unlearn import (
     expected_deletion_time,
     gen_dataset,
 )
-from coreset_unlearn import capacity, harness
+from coreset_unlearn import capacity
 from coreset_unlearn.capacity import (
     ACCEPT,
     BUDGET_EXHAUSTED,
+    DEFAULT_PROBE_SIZE,
     capacity_report_json,
     margin_estimate,
 )
-from coreset_unlearn.core_linalg import gram_init, rank_one_update
+from coreset_unlearn.core_linalg import gram_init, rank_one_update, refresh_inverse
 from coreset_unlearn.verify import random_linear_instance
 
 
@@ -149,33 +151,44 @@ def margin_fit(seed=41, T=3000, d=8):
 
 
 class TestGate:
+    def test_state_fields(self):
+        # the gate's state since the last fit or rebase, drift reference included
+        assert [f.name for f in dataclasses.fields(MetricSet)] == ["reference", "coreset_deletions", "eps_hat"]
+
     def test_first_deletion_always_accepted(self):
         ds, m, probe = margin_fit()
-        assert capacity_gate(m, MetricSet(), probe) == ACCEPT
+        assert capacity_gate(m, MetricSet(m.weight.copy()), probe) == ACCEPT
 
     def test_counter_exhaustion(self):
         ds, m, probe = margin_fit()
-        history = MetricSet(coreset_deletions=10**6)  # past any budget
+        history = MetricSet(m.weight.copy(), coreset_deletions=10**6)  # past any budget
         assert capacity_gate(m, history, probe) == BUDGET_EXHAUSTED
 
     def test_drift_exhaustion(self):
         ds, m, probe = margin_fit()
-        m.gram_state.weight = m.fit_weight + 10.0  # force massive drift
-        assert capacity_gate(m, MetricSet(), probe) == BUDGET_EXHAUSTED
+        history = MetricSet(m.weight.copy())
+        m.gram_state.weight = history.reference + 10.0  # force massive drift
+        assert capacity_gate(m, history, probe) == BUDGET_EXHAUSTED
 
     def test_margin_estimate_positive_on_margin_data(self):
         ds, m, probe = margin_fit()
-        assert margin_estimate(m.fit_weight, probe) > 0.0
+        assert margin_estimate(m.weight, probe) > 0.0
         with pytest.raises(ValueError):
-            margin_estimate(m.fit_weight, [])
+            margin_estimate(m.weight, [])
+
+    def test_margin_estimate_reads_the_probe_size(self):
+        ds, m, probe = margin_fit()
+        wide = np.vstack([probe, np.zeros((1, m.dim))])  # a zero row past the probe size has zero margin
+        assert len(probe) == DEFAULT_PROBE_SIZE
+        assert margin_estimate(m.weight, wide) == margin_estimate(m.weight, probe) > 0.0
 
     def test_sign_agreement_while_gate_accepts(self):
         # whenever the gate still accepts, the live model agrees with the
         # fit-time model on every probe sign: accepted drift stays below half
         # the estimated margin, and every probe carries at least that margin
         ds, m, probe = margin_fit()
-        reference = np.sign(probe @ m.fit_weight)
-        history = MetricSet()
+        history = MetricSet(m.weight.copy())
+        reference = np.sign(probe @ history.reference)
         accepted = 0
         for s in list(m.coreset):
             if capacity_gate(m, history, probe) == BUDGET_EXHAUSTED:
@@ -186,40 +199,37 @@ class TestGate:
             accepted += 1
         assert accepted >= 1
 
-
-    def test_cached_margin_estimate_decides_like_the_uncached_gate(self, monkeypatch):
-        # walk the core set under the refit policy; a fresh MetricSet each call
-        # is the uncached gate, and the margin estimate is computed once per
-        # drift reference on the cached one
+    def test_one_margin_estimate_per_gate_state(self, monkeypatch):
+        # walk the core set under the refit policy: a gate state keeps its
+        # first margin estimate and decides like a fresh state on each call
         ds, m, probe = margin_fit(T=2000)
-        calls = {"cached": 0, "uncached": 0}
-        side = "uncached"
+        calls = {"kept": 0, "fresh": 0}
+        side = "fresh"
 
         def counting_estimate(*args, **kwargs):
             calls[side] += 1
             return margin_estimate(*args, **kwargs)
 
         monkeypatch.setattr(capacity, "margin_estimate", counting_estimate)
-        history = MetricSet()
-        decisions = []
+        history = MetricSet(m.weight.copy())
+        states, decisions = 1, []
         for s in list(m.coreset):
-            side = "uncached"
-            uncached = capacity_gate(m, MetricSet(coreset_deletions=history.coreset_deletions), probe)
-            side = "cached"
-            cached = capacity_gate(m, history, probe)
-            assert cached == uncached
-            assert history.eps_cache[0] is m.fit_weight
-            decisions.append(cached)
+            side = "fresh"
+            fresh = capacity_gate(m, MetricSet(history.reference, history.coreset_deletions), probe)
+            side = "kept"
+            kept = capacity_gate(m, history, probe)
+            assert kept == fresh
+            decisions.append(kept)
             deletion_update(m, {s.sample_id})
-            if cached == BUDGET_EXHAUSTED:
-                harness._rebase(m)
-                history.coreset_deletions = 0
+            if kept == BUDGET_EXHAUSTED:
+                refresh_inverse(m.gram_state)
+                history = MetricSet(m.weight.copy())
+                states += 1
             else:
                 history.coreset_deletions += 1
-        rebases = decisions.count(BUDGET_EXHAUSTED)
-        assert rebases >= 2 and ACCEPT in decisions
-        assert calls["uncached"] == len(decisions)
-        assert calls["cached"] == 1 + rebases - (decisions[-1] == BUDGET_EXHAUSTED)
+        assert decisions.count(BUDGET_EXHAUSTED) >= 2 and ACCEPT in decisions
+        assert calls["fresh"] == len(decisions)
+        assert calls["kept"] == states - (decisions[-1] == BUDGET_EXHAUSTED)  # the last state may see no call
 
 
 class TestMonteCarlo:
@@ -311,6 +321,11 @@ class TestMonteCarlo:
             expected_capacity_mc(
                 ds.samples, DeletionDistribution(), K=1, trials=1, seed=0, k_total_grid=[0]
             )
+
+    def test_rejects_a_negative_seed(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            expected_capacity_mc(ds.samples, DeletionDistribution(), K=1, trials=2, seed=-1)
 
     @pytest.mark.parametrize("K", [0, -2])
     def test_rejects_a_budget_below_one(self, K):

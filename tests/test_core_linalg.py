@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coreset_unlearn import DatasetSpec, bbq_fit, gen_dataset, predict
+from coreset_unlearn import DatasetSpec, bbq_fit, core_linalg, gen_dataset, predict
 from coreset_unlearn.core_linalg import (
     CorruptedStateError,
     SingularDowndateError,
@@ -113,9 +113,10 @@ class TestDowndate:
         with pytest.raises(SingularDowndateError):
             rank_one_downdate(s, [1.0, 0.0], 1)
 
-    def test_automatic_refresh_resets_counter(self):
+    def test_automatic_refresh_resets_counter(self, monkeypatch):
+        monkeypatch.setattr(core_linalg, "DEFAULT_REFRESH_PERIOD", 5)
         rng = np.random.default_rng(4)
-        s = gram_init(3, 1.0, refresh_period=5)
+        s = gram_init(3, 1.0)
         pts = [(random_unit(rng, 3), 1) for _ in range(6)]
         for x, y in pts:
             rank_one_update(s, x, y)
@@ -143,17 +144,18 @@ def outer_downdate(state, x, y):
     state.b_vec -= y * x
     state.weight = state.gram_inv.dot(state.b_vec)
     state.downdates_since_refresh += 1
-    if state.downdates_since_refresh >= state.refresh_period:
+    if state.downdates_since_refresh >= core_linalg.DEFAULT_REFRESH_PERIOD:
         refresh_inverse(state)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("d", [1, 2, 10, 20])
-    def test_mixed_chain_matches_outer_formulas(self, d):
+    def test_mixed_chain_matches_outer_formulas(self, d, monkeypatch):
         # the broadcast outer products must reproduce np.outer bit for bit,
         # also across automatic refreshes (period 7)
+        monkeypatch.setattr(core_linalg, "DEFAULT_REFRESH_PERIOD", 7)
         rng = np.random.default_rng(100 + d)
-        s, ref = gram_init(d, 2.0, refresh_period=7), gram_init(d, 2.0, refresh_period=7)
+        s, ref = gram_init(d, 2.0), gram_init(d, 2.0)
         live, downdates = [], 0
         for _ in range(120):
             if live and rng.random() < 0.4:
@@ -169,7 +171,7 @@ class TestBitIdentity:
             for name in ("gram", "gram_inv", "b_vec", "weight"):
                 assert np.array_equal(getattr(s, name), getattr(ref, name)), name
             assert s.downdates_since_refresh == ref.downdates_since_refresh
-        assert downdates >= s.refresh_period
+        assert downdates >= core_linalg.DEFAULT_REFRESH_PERIOD
 
 
 class _Sub(np.ndarray):
@@ -291,9 +293,10 @@ class TestRefresh:
         refresh_inverse(s)
         np.testing.assert_allclose(s.gram_inv, before.gram_inv, atol=1e-15)
 
-    def test_long_alternating_chain_drift(self):
+    def test_long_alternating_chain_drift(self, monkeypatch):
+        monkeypatch.setattr(core_linalg, "DEFAULT_REFRESH_PERIOD", 10**9)  # suppress automatic refreshes
         rng = np.random.default_rng(7)
-        s = gram_init(4, 1.0, refresh_period=10**9)  # suppress automatic refreshes
+        s = gram_init(4, 1.0)
         live = []
         for _ in range(10_000):
             if live and rng.random() < 0.5:

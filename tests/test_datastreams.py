@@ -77,6 +77,16 @@ class TestGeneration:
         ds = gen_dataset(DatasetSpec(kind="margin", T=100, d=3, seed=23, gamma=0.2, u=u))
         np.testing.assert_array_equal(ds.u, np.asarray(u))
 
+    # planted directions outside the unit ball, a non-finite one included
+    BAD_U = [(math.nan, 0.0, 0.0), (3.0, math.nan, 0.0), (2.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (1e200, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("u", BAD_U)
+    def test_planted_u_outside_the_ball_rejected(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="planted u must satisfy"):
+                gen_dataset(DatasetSpec(kind="realizable-linear", T=10, d=3, seed=0, u=u))
+
     @pytest.mark.parametrize(
         "kw",
         [dict(kind="mystery"), dict(T=0), dict(d=0), dict(gamma=1.0), dict(gamma=-0.1), dict(seed=-1)],
@@ -131,6 +141,13 @@ class TestDeletionStreams:
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=3, seed=28))
         with pytest.raises(ValueError, match=">= 0"):
             deletion_stream(ds, DeletionDistribution(), -1, seed=0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "by-label", "weighted"])
+    def test_negative_seed_rejected(self, kind):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=3, seed=28))
+        weights = {int(i): 1.0 / 30 for i in ds.ids} if kind == "weighted" else None
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            deletion_stream(ds, DeletionDistribution(kind=kind, weights=weights), 5, seed=-1)
 
     def test_weighted_first_draw_frequencies(self):
         # resample the stream head many times; marginal must match the weights
@@ -282,6 +299,17 @@ class TestDatasetIO:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DatasetFormatError, match="exceeds 1"):
+                load_dataset(path)
+
+    @pytest.mark.parametrize("u", TestGeneration.BAD_U)
+    def test_planted_u_outside_the_ball_rejected(self, tmp_path, u):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=10, d=3, seed=33))
+        ds.u = np.array(u)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="planted u must satisfy"):
                 load_dataset(path)
 
     def test_failed_save_leaves_existing_file_intact(self, tmp_path):

@@ -28,7 +28,7 @@ from coreset_unlearn import (
     projected_dimension,
 )
 from coreset_unlearn import general_bbq
-from coreset_unlearn.general_bbq import UNBOUNDED, default_rate_bound
+from coreset_unlearn.general_bbq import DEFAULT_MAX_CLASS_SIZE, UNBOUNDED, default_rate_bound
 
 TWO_CONSTANT = FiniteFunctionClass([lambda s: 0.0, lambda s: 1.0], names=["zero", "one"])
 
@@ -569,8 +569,9 @@ class TestFunctionClassIO:
             fclass.evaluate(0, points(1)[0])
 
     def test_class_size_cap(self):
+        assert len(FiniteFunctionClass([lambda s: 0.0] * DEFAULT_MAX_CLASS_SIZE)) == DEFAULT_MAX_CLASS_SIZE
         with pytest.raises(ValueError, match="cap"):
-            FiniteFunctionClass([lambda s: 0.0] * 10, max_size=4)
+            FiniteFunctionClass([lambda s: 0.0] * (DEFAULT_MAX_CLASS_SIZE + 1))
 
 
 @settings(max_examples=300, deadline=None)

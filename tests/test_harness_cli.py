@@ -248,20 +248,32 @@ class TestRunExperiment:
         assert len(bbq.gate_events) == 44
         assert len(fits) == 2  # the discarded warm-up and the timed fit
 
-    def test_rebase_equals_fresh_fit_on_survivors(self):
-        cfg = small_config()
-        train, _ = stratified_split(gen_dataset(cfg.dataset).samples, cfg.test_fraction, cfg.seed)
-        model = bbq_fit(train, cap_k=cfg.cap_k, kappa=cfg.kappa)
-        free = next(s.sample_id for s in train if s.sample_id not in model.coreset_ids)
-        deletion_update(model, [free])
-        for s in model.coreset[:5]:
-            deletion_update(model, [s.sample_id])
-            harness._rebase(model)
+    def test_every_gate_state_starts_from_a_fresh_fit_on_survivors(self, monkeypatch):
+        # at the fit and at every refit-policy rebase, the model is a fresh fit
+        # on its surviving core set and the new gate state's reference is that
+        # fit's weights
+        models, rebases = [], []
+        gate_state = capacity.MetricSet
+
+        def recording_fit(*args, **kwargs):
+            models.append(bbq_fit(*args, **kwargs))
+            return models[-1]
+
+        def recording_gate_state(reference):
+            model = models[-1]
             refit = replay_on_coreset(model, [])
             assert system_states_equal(state_of_system(model), state_of_system(refit))
-            assert np.max(np.abs(model.fit_weight - refit.fit_weight)) <= 1e-8
+            assert np.max(np.abs(reference - refit.weight)) <= 1e-8
             assert model.gram_state.downdates_since_refresh == 0
-        assert (model.coreset_deletions, model.free_deletions) == (5, 1)
+            assert reference is not model.weight
+            rebases.append((model.coreset_deletions, model.free_deletions))
+            return gate_state(reference)
+
+        monkeypatch.setattr(harness, "bbq_fit", recording_fit)
+        monkeypatch.setattr(capacity, "MetricSet", recording_gate_state)
+        bbq = run_experiment(small_config(gate_policy="refit", methods=("bbq",))).methods["bbq"]
+        assert len(rebases) == 1 + len(bbq.gate_events) == 45
+        assert rebases[0] == (0, 0) and rebases[-1][0] > 0 and rebases[-1][1] > 0
 
     def test_gate_skip_is_reported_when_everything_is_queried(self):
         cfg = ExperimentConfig(
@@ -316,20 +328,21 @@ class TestReports:
             assert all(line.endswith(f",{method}") for line in lines[1:])
 
     def test_emit_json_roundtrip(self, report, tmp_path):
-        emit_report(report, str(tmp_path / "rep"), formats=("json",))
+        emit_report(report, str(tmp_path / "rep"))
         doc = load_report_json(tmp_path / "rep.json")
         assert doc == report.to_json_dict()
         assert doc["report_version"] == 1
 
     def test_failed_emit_leaves_existing_report_intact(self, report, tmp_path, monkeypatch):
-        emit_report(report, str(tmp_path / "rep"), formats=("json",))
+        emit_report(report, str(tmp_path / "rep"))
         before = (tmp_path / "rep.json").read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
         # an unserializable value makes json.dump fail part-way through the file
         monkeypatch.setattr(type(report), "to_json_dict", lambda self: {"a": 1, "z": object()})
         with pytest.raises(TypeError):
-            emit_report(report, str(tmp_path / "rep"), formats=("json",))
+            emit_report(report, str(tmp_path / "rep"))
         assert (tmp_path / "rep.json").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names  # no temporary file left behind
 
     def test_empty_curve_guard(self, tmp_path):
         rep = run_experiment(small_config(deletion_count=0, methods=("retrain",)))
