@@ -101,6 +101,8 @@ def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RI
     data = as_rows(samples)
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not len(data):
         raise ValueError("sisa_fit needs a nonempty sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -32,7 +32,7 @@ import numpy as np
 from .atomic_io import atomic_open
 from .bbq_linear import ModelState, bbq_fit
 from .core_linalg import GramState, inverse_rank_one_update, rank_one_downdate
-from .datastreams import DeletionDistribution, as_rows, deletion_stream
+from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights
 
 ACCEPT = "accept"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -282,6 +282,8 @@ def expected_capacity_mc(
     qf_values = np.zeros(trials)
     rows = as_rows(dataset)
     xs_all = rows.X
+    if dist.kind == "weighted":
+        weights = deletion_weights(rows.ids, dist)
 
     for trial, child in enumerate(children):
         perm_seq, draw_seq = child.spawn(2)
@@ -298,8 +300,7 @@ def expected_capacity_mc(
             sub = xs_all[rows.y == dist.target_label]
             qf = float(np.mean(np.einsum("ij,jk,ik->i", sub, mean_inv, sub)))
         else:
-            w = np.array([dist.weights[sid] for sid in rows.ids.tolist()])
-            qf = float(np.einsum("i,ij,jk,ik->", w, xs_all, mean_inv, xs_all))
+            qf = float(np.einsum("i,ij,jk,ik->", weights, xs_all, mean_inv, xs_all))
         qf_values[trial] = qf
 
         draws = deletion_stream(

@@ -4,7 +4,8 @@ Subcommands: ``gen`` (synthesize a dataset file), ``fit`` (train and
 serialize a model), ``unlearn`` (apply a deletion stream to a serialized
 model and print this run's core-set and free deletions: the model file keeps
 no deletion counts), ``bench`` (full multi-method experiment), ``capacity``
-(Monte Carlo capacity curves), ``verify`` (run the invariant suites).
+(Monte Carlo capacity curves), ``verify`` (run the invariant suites of both
+samplers).
 
 Exit codes: 0 success, 1 usage error, 2 runtime error, 3 verification
 failure.  A subcommand checks its arguments' ranges before it reads or
@@ -110,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify", help="run the invariant suites")
+    p = sub.add_parser("verify", help="run the invariant suites of both samplers")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=25)
     return parser

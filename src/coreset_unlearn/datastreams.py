@@ -234,6 +234,26 @@ def gen_dataset(spec: DatasetSpec) -> Dataset:
     return Dataset(ids=np.arange(spec.T, dtype=np.uint64), X=xs, y=ys, spec=spec, u=u)
 
 
+def deletion_weights(ids: np.ndarray, dist: DeletionDistribution) -> np.ndarray:
+    """The probability a ``weighted`` distribution gives each of ``ids``, checked.
+
+    Every id needs a weight, every weight must be nonnegative, and together
+    they must sum to one; otherwise ``ValueError``.
+    """
+    weights = dist.weights
+    id_list = ids.tolist()
+    missing = [sid for sid in id_list if sid not in weights]
+    if missing:
+        raise ValueError(f"weights missing for {len(missing)} sample ids")
+    w = np.array([weights[sid] for sid in id_list], dtype=np.float64)
+    if not np.all(w >= 0):  # NaN fails too
+        raise ValueError("deletion weights must be nonnegative")
+    total = float(w.sum())
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"deletion weights sum to {total}, expected 1")
+    return w
+
+
 def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> list[int]:
     """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``.
 
@@ -249,17 +269,7 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
     elif dist.kind == "by-label":
         eligible = ids[y == dist.target_label]
     else:
-        weights = dist.weights
-        id_list = ids.tolist()
-        missing = [sid for sid in id_list if sid not in weights]
-        if missing:
-            raise ValueError(f"weights missing for {len(missing)} sample ids")
-        w = np.array([weights[sid] for sid in id_list], dtype=np.float64)
-        if np.any(w < 0):
-            raise ValueError("deletion weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"deletion weights sum to {total}, expected 1")
+        w = deletion_weights(ids, dist)
         positive = w > 0
         eligible = ids[positive]
         if n > len(eligible):

@@ -304,22 +304,19 @@ def _greedy_value(kernel: _PairScores, start: int) -> float:
     return total
 
 
-def projected_dimension(
-    fclass: FiniteFunctionClass,
-    samples,
-    exact_cap: int = DEFAULT_DIM_EXACT_CAP,
-) -> ProjectedDimension:
+def projected_dimension(fclass: FiniteFunctionClass, samples) -> ProjectedDimension:
     """Worst-case-over-orderings sum of uncertainty scores for a pool.
 
-    Exact (full permutation enumeration) for pools up to ``exact_cap``
-    points; larger pools get a greedy lower bound from ``GREEDY_RESTARTS``
-    starts, flagged by ``exact=False``.
+    Exact (full permutation enumeration) for pools up to
+    ``DEFAULT_DIM_EXACT_CAP`` points, read at call time; larger pools get a
+    greedy lower bound from ``GREEDY_RESTARTS`` starts, flagged by
+    ``exact=False``.
     """
     kernel = _PairScores(fclass.value_matrix(samples))
     n = len(samples)
     if n == 0:
         return ProjectedDimension(0.0, True)
-    if n <= exact_cap:
+    if n <= DEFAULT_DIM_EXACT_CAP:
         best = max(_sequence_value(kernel, order) for order in itertools.permutations(range(n)))
         return ProjectedDimension(best, True)
     first_scores = np.max(kernel.rows, axis=1, initial=0.0)  # rows are still in pool order

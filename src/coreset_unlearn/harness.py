@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import baselines, capacity
 from .atomic_io import atomic_open
-from .bbq_linear import bbq_fit, deletion_update
+from .bbq_linear import BBQParams, bbq_fit, deletion_update
 from .core_linalg import refresh_inverse
 from .datastreams import (
     DatasetSpec,
@@ -89,6 +90,14 @@ class ExperimentConfig:
             raise ValueError(f"deletion_fraction must lie in [0, 1], got {self.deletion_fraction}")
         if self.deletion_count is not None and self.deletion_count < 0:
             raise ValueError(f"deletion_count must be >= 0, got {self.deletion_count}")
+        # the sampler's own range rule for kappa and cap_k; the horizon comes from the data, so 1 stands in
+        BBQParams(horizon=1, kappa=self.kappa, cap_k=self.cap_k)
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if not 0.0 < self.ridge_lambda < math.inf:  # NaN fails too
+            raise ValueError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
 
 
 @dataclass
@@ -130,6 +139,8 @@ def split_rows(y: np.ndarray, test_fraction: float, seed: int) -> tuple[np.ndarr
 
     Both index arrays are increasing, so training keeps the original stream order.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51]))
     is_test = np.zeros(len(y), dtype=bool)
     for label in (-1, 1):

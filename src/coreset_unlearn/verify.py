@@ -1,13 +1,18 @@
-"""The exactness invariants of the linear sampler, one implementation each.
+"""The exactness invariants of both samplers, one implementation each.
 
 A core-set deletion must leave exactly the state of a fresh fit on the
-survivors.  Five invariants back that claim, and this module is their only
-implementation: ``coreset-unlearn verify`` runs the suites from a seed, and
-the acceptance criteria 1-5 call the same functions.  Deletion equals a fresh
-fit, replay is monotone and the leverage bounds hold are checked on one set of
-random fitted instances (:func:`check_linear_instances`); the maintained
-inverse and the drift identity have suites of their own.  Leverages are formed
-here from the maintained inverse, not by the sampler's own ``leverage``.
+survivors.  Seven suites back that claim, and this module is their only
+implementation: ``coreset-unlearn verify`` runs them all from a seed, and the
+acceptance criteria 1-5 and 9 call the same functions.
+
+For the linear sampler, deletion equals a fresh fit, replay is monotone and
+the leverage bounds hold are checked on one set of random fitted instances
+(:func:`check_linear_instances`); the maintained inverse and the drift
+identity have suites of their own.  Leverages are formed here from the
+maintained inverse, not by the sampler's own ``leverage``.  For the
+finite-class sampler, deletion equals a fresh fit on the survivors, value
+columns included, and the ERM equals a per-sample loss argmin, both on one set
+of random fitted instances (:func:`check_general_instances`).
 
 A suite returns a ``(name, passed, detail)`` triple.  The detail counts what
 was checked, and a suite that checked nothing fails.
@@ -19,10 +24,15 @@ import math
 
 import numpy as np
 
-from .bbq_linear import bbq_fit, deletion_update, replay_on_coreset, state_of_system, system_states_equal
+from .bbq_linear import (
+    LabeledSample, bbq_fit, deletion_update, replay_on_coreset, state_of_system, system_states_equal,
+)
 from .capacity import predicted_deletion_drift
 from .core_linalg import gram_init, rank_one_downdate, rank_one_update
 from .datastreams import DatasetSpec, gen_dataset
+from .general_bbq import (
+    FiniteFunctionClass, _Table, _Threshold, erm_fit, general_bbq_fit, general_deletion_update, general_state_of_system,
+)
 
 WEIGHT_TOL = 1e-8  # fresh-fit weights, dense inverses, drift predictions
 ROUND_TRIP_TOL = 1e-10
@@ -54,6 +64,47 @@ def random_deletion_request(rng: np.random.Generator, ds, model) -> set[int]:
     if outside:
         u |= set(rng.choice(outside, size=min(10, len(outside)), replace=False).tolist())
     return u
+
+
+def unit_vectors(rng, n, d, max_norm=1.0):
+    x = rng.standard_normal((n, d))
+    x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True) / max_norm, 1.0)
+    return x
+
+
+def random_function_class(rng, n_funcs, d):
+    """Mixture of axis-threshold rules and constants with values in [0, 1].
+
+    Both are declarative rules (a constant is a table with no entries), so
+    ``value_matrix`` takes its column path.
+    """
+    funcs = []
+    for _ in range(n_funcs):
+        if rng.random() < 0.8:
+            j = int(rng.integers(d))
+            cut = float(rng.uniform(-0.5, 0.5))
+            below, above = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+            funcs.append(_Threshold(j, cut, below, above))
+        else:
+            funcs.append(_Table({}, float(rng.uniform(0, 1))))
+    return FiniteFunctionClass(funcs)
+
+
+def random_general_instance(rng, pool_max=200, class_max=32, pool_min=20):
+    """Pool plus finite class; labels planted from a class member half the time."""
+    n = int(rng.integers(min(pool_min, pool_max), pool_max + 1))
+    d = int(rng.integers(2, 6))
+    nf = int(rng.integers(2, class_max + 1))
+    fclass = random_function_class(rng, nf, d)
+    planted = int(rng.integers(nf)) if rng.random() < 0.5 else None
+    xs = unit_vectors(rng, n, d)
+    samples = []
+    for i in range(n):
+        s = LabeledSample(i, xs[i], 1)
+        p = fclass.evaluate(planted, s) if planted is not None else 0.5
+        s.y = 1 if rng.random() < p else -1
+        samples.append(s)
+    return samples, fclass, planted
 
 
 def _rng(seed: int, suite: int) -> np.random.Generator:
@@ -209,6 +260,82 @@ def check_drift_identity(seed: int, trials: int) -> tuple[str, bool, str]:
     )
 
 
+def _values_match(model, fclass) -> bool:
+    """Whether the model's value columns are bit for bit ``fclass.value_matrix`` of its stored samples."""
+    want = fclass.value_matrix([s for _, s in model.queried])
+    return model.values.shape == want.shape and model.values.tobytes() == want.tobytes()
+
+
+def _loss_argmin(fclass, labeled) -> int:
+    """The squared-loss minimizer over ``labeled``, one ``fclass.evaluate`` call per function and sample."""
+    losses = [sum(((1 + s.y) / 2 - fclass.evaluate(j, s)) ** 2 for s in labeled) for j in range(len(fclass))]
+    return int(np.argmin(losses))
+
+
+def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str]]:
+    """The finite-class deletion and ERM suites over one set of ``trials`` instances that query.
+
+    Each :func:`random_general_instance` is fitted by ``general_bbq_fit``.  One
+    that queries nothing is redrawn, and at most ``10 * trials`` are drawn, so a
+    sampler that queries nothing fails both suites rather than stalling them.
+    Each instance gets one request: 1 to 8 queried ids plus 5 pool ids.  After
+    it, the stored ids and ``f_hat`` must equal those of an exhaustive fresh fit
+    on the survivors or, when none survive, nothing may be stored.  The value
+    columns, after the fit and after the deletion, must be bit-equal to
+    ``fclass.value_matrix`` of the stored samples.  ``erm_fit`` on the pool and
+    ``f_hat`` after the deletion must equal :func:`_loss_argmin`.
+    """
+    rng = _rng(seed, 6)
+    instances = hits = value_checks = erm_checks = diverged = erm_wrong = 0
+    for _ in range(10 * trials):
+        if instances == trials:
+            break
+        pool, fclass, _ = random_general_instance(rng)
+        model = general_bbq_fit(pool, fclass)
+        qids = sorted(model.queried_ids)
+        if not qids:
+            continue
+        instances += 1
+        columns_ok = _values_match(model, fclass)
+        k = int(rng.integers(1, min(len(qids), 8) + 1))
+        u = set(rng.choice(qids, size=k, replace=False).tolist())
+        u |= set(rng.choice([s.sample_id for s in pool], size=min(5, len(pool)), replace=False).tolist())
+        hits += len(model.queried_ids & u)
+        general_deletion_update(model, u, fclass)
+        survivors = [s for _, s in model.queried]
+        columns_ok = _values_match(model, fclass) and columns_ok
+        value_checks += 2
+
+        got = general_state_of_system(model)
+        if survivors:
+            fresh = general_bbq_fit(survivors, fclass, rate_bound=model.config.rate_bound, exhaust_pool=True)
+            exact = got == general_state_of_system(fresh)
+        else:
+            exact = got.stored_ids == frozenset()
+        diverged += not (exact and columns_ok)
+
+        for labeled, pick in ((pool, erm_fit(fclass, pool)), (survivors, model.f_hat)):
+            erm_checks += 1
+            erm_wrong += pick != _loss_argmin(fclass, labeled)
+    return [
+        (
+            "finite-class deletion equals fresh fit on survivors",
+            trials > 0 and instances == trials and not diverged,
+            f"{instances} instances, {instances} requests with {hits} core-set hits, "
+            f"{value_checks} value-column comparisons, {diverged} diverged",
+        ),
+        (
+            "finite-class ERM equals per-sample loss argmin",
+            trials > 0 and instances == trials and not erm_wrong,
+            f"{erm_checks} ERM comparisons on {instances} instances, {erm_wrong} mismatched",
+        ),
+    ]
+
+
 def run_all(seed: int, trials: int) -> list[tuple[str, bool, str]]:
     exact, replay, bounds = check_linear_instances(seed, trials)
-    return [check_sherman_morrison(seed, trials), exact, replay, bounds, check_drift_identity(seed, trials)]
+    general_exact, erm = check_general_instances(seed, trials)
+    return [
+        check_sherman_morrison(seed, trials), exact, replay, bounds, check_drift_identity(seed, trials),
+        general_exact, erm,
+    ]

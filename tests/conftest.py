@@ -1,4 +1,9 @@
-"""Fixtures shared by the test suite; the instance generators live in ``instances.py``."""
+"""Fixtures shared by the test suite.
+
+The random instance generators the invariant suites run on live in
+``coreset_unlearn.verify``; ``instances.py`` holds the seeded sample lists
+only the tests use.
+"""
 
 from pathlib import Path
 

@@ -1,53 +1,15 @@
-"""Seeded instance generators shared by the test modules; fitted linear instances come from ``verify``."""
+"""Seeded sample lists for the test modules.
 
-import numpy as np
+The instance generators the invariant suites draw from (fitted linear
+instances, finite function classes and general-class pools) live in
+``coreset_unlearn.verify``, and the tests import them from there.
+"""
 
-from coreset_unlearn import FiniteFunctionClass, LabeledSample
-from coreset_unlearn.general_bbq import _Table, _Threshold
-
-
-def unit_vectors(rng, n, d, max_norm=1.0):
-    x = rng.standard_normal((n, d))
-    x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True) / max_norm, 1.0)
-    return x
+from coreset_unlearn import LabeledSample
+from coreset_unlearn.verify import unit_vectors
 
 
 def random_samples(rng, n, d):
     xs = unit_vectors(rng, n, d)
     ys = rng.choice([-1, 1], size=n)
     return [LabeledSample(i, xs[i], int(ys[i])) for i in range(n)]
-
-
-def random_function_class(rng, n_funcs, d):
-    """Mixture of axis-threshold rules and constants with values in [0, 1].
-
-    Both are declarative rules (a constant is a table with no entries), so
-    ``value_matrix`` takes its column path.
-    """
-    funcs = []
-    for _ in range(n_funcs):
-        if rng.random() < 0.8:
-            j = int(rng.integers(d))
-            cut = float(rng.uniform(-0.5, 0.5))
-            below, above = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-            funcs.append(_Threshold(j, cut, below, above))
-        else:
-            funcs.append(_Table({}, float(rng.uniform(0, 1))))
-    return FiniteFunctionClass(funcs)
-
-
-def random_general_instance(rng, pool_max=200, class_max=32, pool_min=20):
-    """Pool plus finite class; labels planted from a class member half the time."""
-    n = int(rng.integers(min(pool_min, pool_max), pool_max + 1))
-    d = int(rng.integers(2, 6))
-    nf = int(rng.integers(2, class_max + 1))
-    fclass = random_function_class(rng, nf, d)
-    planted = int(rng.integers(nf)) if rng.random() < 0.5 else None
-    xs = unit_vectors(rng, n, d)
-    samples = []
-    for i in range(n):
-        s = LabeledSample(i, xs[i], 1)
-        p = fclass.evaluate(planted, s) if planted is not None else 0.5
-        s.y = 1 if rng.random() < p else -1
-        samples.append(s)
-    return samples, fclass, planted

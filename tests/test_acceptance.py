@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from instances import random_general_instance
 from coreset_unlearn import (
     CapacityParams,
     DatasetSpec,
@@ -21,13 +20,9 @@ from coreset_unlearn import (
     LabeledSample,
     bbq_fit,
     d2_score,
-    erm_fit,
     expected_capacity_mc,
     expected_capacity_uniform,
     gen_dataset,
-    general_bbq_fit,
-    general_deletion_update,
-    general_state_of_system,
     projected_dimension,
     run_experiment,
     verify,
@@ -168,45 +163,12 @@ def test_criterion_08_desk_scale_benchmark(bench_report):
 
 
 def test_criterion_09_general_class_deletion():
-    rng = np.random.default_rng(SEED + 9)
-    failures = 0
-    erm_mismatches = 0
-    instances = 0
-    while instances < 100:
-        pool, fclass, _ = random_general_instance(rng, pool_max=200, class_max=32)
-        model = general_bbq_fit(pool, fclass)
-        qids = sorted({s.sample_id for _, s in model.queried})
-        if not qids:
-            continue
-        instances += 1
-
-        losses = []
-        for j in range(len(fclass)):
-            losses.append(sum(((1 + s.y) / 2 - fclass.evaluate(j, s)) ** 2 for s in pool))
-        if erm_fit(fclass, pool) != int(np.argmin(losses)):
-            erm_mismatches += 1
-
-        k = int(rng.integers(1, min(len(qids), 8) + 1))
-        u = set(rng.choice(qids, size=k, replace=False).tolist())
-        u |= set(rng.choice([s.sample_id for s in pool], size=min(5, len(pool)), replace=False).tolist())
-        survivors = [s for _, s in model.queried if s.sample_id not in u]
-        general_deletion_update(model, u, fclass)
-        got = general_state_of_system(model)
-        if not survivors:
-            if got.stored_ids != frozenset():
-                failures += 1
-            continue
-        fresh = general_bbq_fit(
-            survivors, fclass, rate_bound=model.config.rate_bound, exhaust_pool=True
-        )
-        want = general_state_of_system(fresh)
-        if got.stored_ids != want.stored_ids or got.f_hat != want.f_hat:
-            failures += 1
-    ok = failures == 0 and erm_mismatches == 0
+    (_, exact_ok, exact), (_, erm_ok, erm) = verify.check_general_instances(SEED + 9, 100)
+    counted = exact.startswith("100 instances")
     verdict(
-        ok,
+        exact_ok and erm_ok and counted,
         "criterion 9: finite-class deletion equals fresh fit on survivors (100 instances)",
-        f"failures={failures}, erm mismatches={erm_mismatches}",
+        f"{exact}; {erm}",
     )
 
 

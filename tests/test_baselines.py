@@ -156,3 +156,7 @@ class TestSisa:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             sisa_fit(small_dataset(T=10).samples, n_shards=0)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            sisa_fit(small_dataset(T=10), n_shards=2, seed=-1)

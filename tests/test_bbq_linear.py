@@ -43,7 +43,7 @@ from coreset_unlearn.bbq_linear import (
 )
 from coreset_unlearn import core_linalg
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
-from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage, log_det_ratio
+from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage
 from coreset_unlearn.verify import random_deletion_request, random_linear_instance
 
 
@@ -77,12 +77,6 @@ class TestFit:
         m = bbq_fit(stream, cap_k=1.0, kappa=0.5)
         assert m.coreset == []
         np.testing.assert_array_equal(m.weight, np.zeros(2))
-
-    def test_query_count_bounded_by_log_det(self):
-        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=11))
-        m = bbq_fit(ds.samples, cap_k=1.0, kappa=0.5)
-        bound = 2000**0.5 * log_det_ratio(m.gram_state)
-        assert len(m.coreset) <= bound
 
     def test_query_log_records_decision_leverages(self):
         rng = np.random.default_rng(27)

@@ -327,6 +327,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             expected_capacity_mc(ds.samples, DeletionDistribution(), K=1, trials=2, seed=-1)
 
+    def test_rejects_weights_missing_an_id_by_name(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
+        dist = DeletionDistribution(kind="weighted", weights={0: 1.0})
+        with pytest.raises(ValueError, match="weights missing for 49 sample ids"):
+            expected_capacity_mc(ds.samples, dist, K=1, trials=2, seed=0)
+
     @pytest.mark.parametrize("K", [0, -2])
     def test_rejects_a_budget_below_one(self, K):
         # K = 0 would divide by zero in the bound; K = -2 would give negative bounds and every probability 1

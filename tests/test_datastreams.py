@@ -186,6 +186,12 @@ class TestDeletionStreams:
             deletion_stream(
                 ds.samples, DeletionDistribution(kind="weighted", weights={0: 1.0}), 1, seed=0
             )
+        with pytest.raises(ValueError, match="nonnegative"):
+            deletion_stream(
+                ds.samples,
+                DeletionDistribution(kind="weighted", weights={0: float("nan"), 1: 0.5, 2: 0.25, 3: 0.25}),
+                2, seed=0,
+            )
 
 
 class TestDatasetIO:

@@ -9,11 +9,12 @@ from coreset_unlearn import (
     ExperimentConfig,
     bbq_fit,
     emit_report,
+    erm_fit,
     gen_dataset,
     ridge_fit,
     run_experiment,
 )
-from coreset_unlearn import bbq_linear, capacity, core_linalg, harness, verify
+from coreset_unlearn import bbq_linear, capacity, core_linalg, general_bbq, harness, verify
 from coreset_unlearn.baselines import exact_unlearn, weight_accuracy
 from coreset_unlearn.bbq_linear import _HEADER, deletion_update, replay_on_coreset, state_of_system, system_states_equal
 from coreset_unlearn.capacity import CapacityParams, coreset_capacity, predicted_deletion_drift
@@ -53,6 +54,16 @@ class TestSplit:
         train, _ = stratified_split(ds.samples, 0.2, seed=4)
         ids = [s.sample_id for s in train]
         assert ids == sorted(ids)
+
+    def test_split_rows_rejects_a_negative_seed(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=3))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            harness.split_rows(ds.y, 0.2, -1)
+
+    def test_stratified_split_rejects_a_negative_seed(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=3))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            stratified_split(ds.samples, 0.2, seed=-1)
 
 
 class TestRunExperiment:
@@ -302,6 +313,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", 1.5), ("kappa", -0.1), ("cap_k", 0.5), ("cap_k", float("nan")), ("cap_k", float("inf")),
+        ("delta", 0.0), ("delta", 1.0), ("delta", float("nan")), ("shards", 0),
+        ("ridge_lambda", 0.0), ("ridge_lambda", -1.0), ("ridge_lambda", float("nan")),
+    ])
+    def test_setting_outside_its_range_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize("overrides", [
         {"deletion_fraction": -0.1}, {"deletion_fraction": 1.1}, {"deletion_count": -1},
     ])
@@ -368,6 +388,17 @@ def _replay_at_the_survivors_horizon(model, ids):
     survivors = [s for s in model.coreset if s.sample_id not in set(ids)]
     p = model.params
     return bbq_fit(survivors, cap_k=p.cap_k, kappa=p.kappa, horizon=max(len(survivors), 1), dim=model.dim)
+
+
+def _deletion_keeping_value_columns(model, ids, fclass):
+    model.queried = [(stage, s) for stage, s in model.queried if s.sample_id not in set(ids)]
+    model.f_hat = erm_fit(fclass, [s for _, s in model.queried])
+    return model
+
+
+def _erm_argmax(values, labeled):
+    targets = np.array([(1.0 + s.y) / 2.0 for s in labeled])
+    return int(np.argmax(np.sum((targets[None, :] - values) ** 2, axis=1)))
 
 
 class TestCli:
@@ -487,11 +518,18 @@ class TestCli:
             ["capacity", "--data", "{missing}", "--delta", "2"],
             ["capacity", "--data", "{missing}", "--eps-bar", "nan"],
             ["capacity", "--t", "0"],
+            ["bench", "--data", "{missing}", "--kappa", "1.5"],
+            ["bench", "--data", "{missing}", "--cap-k", "0.5"],
+            ["bench", "--data", "{missing}", "--cap-k", "inf"],
+            ["bench", "--data", "{missing}", "--delta", "0"],
+            ["bench", "--data", "{missing}", "--delta", "1"],
+            ["bench", "--data", "{missing}", "--shards", "0"],
         ],
         ids=[
             "gen t", "gen gamma", "fit kappa", "fit cap-k", "fit NaN cap-k", "unlearn n",
             "unlearn target label", "capacity trials", "capacity k", "capacity delta",
-            "capacity NaN eps-bar", "capacity t",
+            "capacity NaN eps-bar", "capacity t", "bench kappa", "bench cap-k", "bench infinite cap-k",
+            "bench delta 0", "bench delta 1", "bench shards",
         ],
     )
     def test_out_of_range_argument_is_usage_error_before_any_file(self, tmp_path, capsys, argv):
@@ -500,7 +538,7 @@ class TestCli:
         argv = [a.format(missing=tmp_path / "missing") for a in argv] + ["--out", str(out)]
         assert cli_main(argv) == 1
         assert "usage error" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # bench writes beside the --out prefix, not at it
 
     @pytest.mark.parametrize(
         "argv",
@@ -567,7 +605,7 @@ class TestCli:
     def test_verify_subcommand_passes(self, capsys):
         assert cli_main(["verify", "--seed", "1", "--trials", "4"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5 and "FAIL" not in out
+        assert out.count("PASS") == 7 and "FAIL" not in out
 
     @pytest.mark.parametrize(
         "name, mutant, suite",
@@ -577,12 +615,31 @@ class TestCli:
             ("predicted_deletion_drift", lambda *args: -predicted_deletion_drift(*args), "rank-one deletion drift identity"),
             ("replay_on_coreset", _replay_at_the_survivors_horizon, "replay re-queries exactly the survivors"),
             ("leverage", lambda state, x: leverage(state, x) / 4, "leverage bounds"),
+            (
+                "general_deletion_update", _deletion_keeping_value_columns,
+                "finite-class deletion equals fresh fit on survivors",
+            ),
+            ("_erm_index", _erm_argmax, "finite-class ERM equals per-sample loss argmin"),
         ],
-        ids=["pop-without-downdate", "downdate-keeps-inverse", "drift-sign", "replay-horizon", "leverage-quartered"],
+        ids=[
+            "pop-without-downdate", "downdate-keeps-inverse", "drift-sign", "replay-horizon", "leverage-quartered",
+            "stale-value-columns", "erm-argmax",
+        ],
     )
     def test_verify_catches_a_planted_defect(self, monkeypatch, capsys, name, mutant, suite):
-        for module in (core_linalg, bbq_linear, capacity, verify):
+        for module in (core_linalg, bbq_linear, capacity, general_bbq, verify):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, mutant)
         assert cli_main(["verify", "--seed", "1", "--trials", "2"]) == 3
         assert f"FAIL  {suite}:" in capsys.readouterr().out
+
+    def test_general_suites_fail_a_sampler_that_queries_nothing(self, monkeypatch):
+        def fit_querying_nothing(pool, fclass, **kwargs):
+            model = general_bbq.general_bbq_fit(pool, fclass, **kwargs)
+            model.queried, model.values = [], model.values[:, :0]
+            return model
+
+        monkeypatch.setattr(verify, "general_bbq_fit", fit_querying_nothing)
+        (_, exact_ok, exact), (_, erm_ok, erm) = verify.check_general_instances(1, 2)
+        assert not exact_ok and not erm_ok
+        assert exact.startswith("0 instances") and erm.startswith("0 ERM comparisons on 0 instances")
