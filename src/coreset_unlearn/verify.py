@@ -278,9 +278,11 @@ def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str
     Each :func:`random_general_instance` is fitted by ``general_bbq_fit``.  One
     that queries nothing is redrawn, and at most ``10 * trials`` are drawn, so a
     sampler that queries nothing fails both suites rather than stalling them.
-    Each instance gets one request: 1 to 8 queried ids plus 5 pool ids.  After
-    it, the stored ids and ``f_hat`` must equal those of an exhaustive fresh fit
-    on the survivors or, when none survive, nothing may be stored.  The value
+    Each instance gets one request: 1 to 8 queried ids plus 5 pool ids.  The
+    survivors are the queried samples outside the request, taken before the
+    deletion.  After it, the stored ids and ``f_hat`` must equal those of an
+    exhaustive fresh fit on the survivors or, when none survive, nothing may be
+    stored.  The value
     columns, after the fit and after the deletion, must be bit-equal to
     ``fclass.value_matrix`` of the stored samples.  ``erm_fit`` on the pool and
     ``f_hat`` after the deletion must equal :func:`_loss_argmin`.
@@ -301,8 +303,8 @@ def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str
         u = set(rng.choice(qids, size=k, replace=False).tolist())
         u |= set(rng.choice([s.sample_id for s in pool], size=min(5, len(pool)), replace=False).tolist())
         hits += len(model.queried_ids & u)
+        survivors = [s for _, s in model.queried if s.sample_id not in u]
         general_deletion_update(model, u, fclass)
-        survivors = [s for _, s in model.queried]
         columns_ok = _values_match(model, fclass) and columns_ok
         value_checks += 2
 

@@ -619,11 +619,15 @@ class TestCli:
                 "general_deletion_update", _deletion_keeping_value_columns,
                 "finite-class deletion equals fresh fit on survivors",
             ),
+            (
+                "general_deletion_update", lambda model, ids, fclass: model,
+                "finite-class deletion equals fresh fit on survivors",
+            ),
             ("_erm_index", _erm_argmax, "finite-class ERM equals per-sample loss argmin"),
         ],
         ids=[
             "pop-without-downdate", "downdate-keeps-inverse", "drift-sign", "replay-horizon", "leverage-quartered",
-            "stale-value-columns", "erm-argmax",
+            "stale-value-columns", "deletion-ignored", "erm-argmax",
         ],
     )
     def test_verify_catches_a_planted_defect(self, monkeypatch, capsys, name, mutant, suite):
