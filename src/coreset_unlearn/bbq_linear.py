@@ -15,9 +15,9 @@ core-set hit is looked up and taken out in O(1), so its whole cost is the one
 ``O(d^2)`` downdate; a batch of hits is downdated in fit order, exactly as a
 scan of the core set would meet them.
 
-The fit's per-point work is one leverage evaluation.  Its query log
-(:class:`QueryLog`) keeps the stream's ids and those leverages as two lists
-and builds a :class:`QueryRecord` only when one is read.
+The fit's per-point work is one leverage evaluation, and it keeps nothing per
+point: ``ModelState.query_log`` is ``range(n)`` over the ``n`` streamed
+points, so it holds no sample id and no leverage.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -40,14 +40,14 @@ state of a fresh fit on them, and the saved model takes that state, so the
 model in memory and the one loaded from its file agree bit for bit.  A load
 checks the records (unique ids, finite values, labels and norms) before
 trusting them.  A save replaces the file atomically.  The deletion counters
-and the per-point query log are run-time artifacts and are not serialized.
+and the count of streamed points are run-time artifacts and are not
+serialized.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -256,54 +256,16 @@ class BBQParams:
         return float(self.horizon) ** (-self.kappa)
 
 
-@dataclass(frozen=True, slots=True)
-class QueryRecord:
-    sample_id: int
-    leverage: float
-    queried: bool
-
-
-class QueryLog(Sequence):
-    """The fit's per-point log, read-only: one :class:`QueryRecord` per streamed point.
-
-    The fit keeps only the stream's ids and each point's leverage, in stream
-    order; a record is built when it is read, its ``queried`` flag being
-    ``leverage > threshold``, the sampler's own test.  Supports ``len``, int
-    indexing (negative too), slices (a list of records) and iteration.
-    """
-
-    __slots__ = ("_ids", "_leverages", "_threshold")
-
-    def __init__(self, ids: list[int], leverages: list[float], threshold: float):
-        self._ids = ids
-        self._leverages = leverages
-        self._threshold = threshold
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._ids)))]
-        lev = self._leverages[index]
-        return QueryRecord(self._ids[index], lev, lev > self._threshold)
-
-    def __iter__(self):
-        thr = self._threshold
-        for sid, lev in zip(self._ids, self._leverages):
-            yield QueryRecord(sid, lev, lev > thr)
-
-
 @dataclass
 class ModelState:
     """Fitted sampler state: Gram state, ordered core set, and fit metadata.
 
     ``coreset_ids`` is the id set of ``coreset``, kept beside it for callers
-    that test membership.  ``query_log`` holds the fit's ids and leverages,
-    one per streamed point, and builds its records on read; it is empty for a
-    loaded model.  ``free_deletions`` and ``coreset_deletions`` count the
-    requests applied since this object was fitted or loaded; they are not
-    serialized.  The weights at the fit are not kept: they depend on every
+    that test membership.  ``query_log`` is ``range(n)`` for the ``n`` points
+    the fit streamed and ``range(0)`` for a loaded model: a count, with no
+    sample id and no leverage in it.  ``free_deletions`` and
+    ``coreset_deletions`` count the requests applied since this object was
+    fitted or loaded; they are not serialized.  The weights at the fit are not kept: they depend on every
     core-set point deleted since.  The capacity gate holds its own drift
     reference (:class:`~.capacity.MetricSet`).
     """
@@ -311,7 +273,7 @@ class ModelState:
     gram_state: GramState
     coreset: CoreSet
     params: BBQParams
-    query_log: QueryLog
+    query_log: range
     coreset_ids: set[int] = field(default_factory=set)
     free_deletions: int = 0
     coreset_deletions: int = 0
@@ -356,8 +318,7 @@ def bbq_fit(
     must be unique within the stream.
     """
     stream = list(stream)
-    ids = [s.sample_id for s in stream]
-    if len(set(ids)) != len(ids):
+    if len({s.sample_id for s in stream}) != len(stream):
         raise ValueError("sample ids repeat within the stream")
     if horizon is None:
         if not stream:
@@ -371,19 +332,16 @@ def bbq_fit(
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
     coreset = CoreSet()
-    leverages: list[float] = []
-    record = leverages.append
     for s in stream:
-        lev = leverage(state, s.x)  # the module global, so a wrapper installed on it sees every call
-        record(lev)
-        if lev > threshold:
+        # the module global, so a wrapper installed on it sees every call
+        if leverage(state, s.x) > threshold:
             rank_one_update(state, s.x, s.y)  # label read only on query
             coreset.append(s)
     return ModelState(
         gram_state=state,
         coreset=coreset,
         params=params,
-        query_log=QueryLog(ids, leverages, threshold),
+        query_log=range(len(stream)),
         coreset_ids=coreset.ids(),
     )
 
@@ -487,12 +445,12 @@ def save_model(model: ModelState, path) -> None:
 def load_model(path) -> ModelState:
     """Read a "SAUL1" container and derive its Gram state from the records.
 
-    The query log is not stored: the loaded model's :class:`QueryLog` is
-    empty.  The deletion counters start at zero.  Raises
-    :class:`ModelFormatError` on a malformed file: bad magic or version, a
-    dimension outside ``[1, MAX_MODEL_DIM]``, a length other than the header
-    implies, non-finite or invalid parameters, and records with repeated ids,
-    non-finite values, a label other than -1 or +1 or a norm above 1.
+    The loaded model's ``query_log`` is ``range(0)`` and its deletion counters
+    start at zero.  Raises :class:`ModelFormatError` on a malformed file: bad
+    magic or version, a dimension outside ``[1, MAX_MODEL_DIM]``, a length
+    other than the header implies, non-finite or invalid parameters, and
+    records with repeated ids, non-finite values, a label other than -1 or +1
+    or a norm above 1.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -524,6 +482,6 @@ def load_model(path) -> ModelState:
         gram_state=state,
         coreset=coreset,
         params=params,
-        query_log=QueryLog([], [], params.query_threshold),
+        query_log=range(0),
         coreset_ids=coreset.ids(),
     )

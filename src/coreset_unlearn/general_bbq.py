@@ -81,8 +81,19 @@ class FiniteFunctionClass:
     def __len__(self) -> int:
         return len(self.functions)
 
+    def _check_features(self, where: str, indices, d: int) -> None:
+        """``ValueError`` naming the first threshold rule among ``indices`` that reads past ``d`` features."""
+        for j in indices:
+            f = self.functions[j]
+            if isinstance(f, _Threshold) and f.feature >= d:
+                raise ValueError(f"{where}: function {self.names[j]} reads feature {f.feature} of {d}-feature samples")
+
     def evaluate(self, index: int, sample) -> float:
-        value = float(self.functions[index](sample))
+        try:
+            value = float(self.functions[index](sample))
+        except IndexError:  # a threshold rule on a feature the sample lacks is a ValueError
+            self._check_features("evaluate", (index,), len(sample.x))
+            raise
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise ValueError(
                 f"function {self.names[index]} returned {value}, outside [0, 1]"
@@ -95,8 +106,11 @@ class FiniteFunctionClass:
         When every function has a ``column`` form (the declarative rules of
         ``load_function_class``) the table is built one whole row at a time;
         otherwise each function is called once per sample.  Both paths reject
-        the first out-of-range value in row-major order and clamp alike.
+        a threshold rule on a feature the samples lack and the first
+        out-of-range value in row-major order, and clamp alike.
         """
+        if len(samples):
+            self._check_features("value_matrix", range(len(self.functions)), len(samples[0].x))
         if not (len(samples) and all(hasattr(f, "column") for f in self.functions)):
             out = np.empty((len(self.functions), len(samples)))
             for j in range(len(self.functions)):
@@ -187,7 +201,8 @@ def load_function_class(path) -> FiniteFunctionClass:
     A malformed document raises ``ValueError`` naming the entry at fault:
     a missing key, a value of the wrong type, a negative or non-integer
     feature, or a number that is not finite.  Rule values outside ``[0, 1]``
-    load and are rejected when evaluated.
+    and features past the samples' dimension load and are rejected when
+    evaluated.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

@@ -276,6 +276,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ds = load_dataset(cfg.dataset) if isinstance(cfg.dataset, str) else gen_dataset(cfg.dataset)
     train_rows, test_rows = split_rows(ds.y, cfg.test_fraction, cfg.seed)
     train, test = ds.take(train_rows), ds.take(test_rows)
+    if not (len(train) and len(test)):  # an empty side fits on nothing or reports NaN accuracies
+        raise ValueError(f"the split leaves {len(train)} train and {len(test)} test samples; each needs at least 1")
 
     if cfg.deletion_count is not None:
         n_deletions = cfg.deletion_count

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import random_samples
+from instances import ints_reachable, random_samples
 from coreset_unlearn import (
     DatasetSpec,
     LabeledSample,
@@ -68,25 +68,17 @@ class TestFit:
         assert m.params.query_threshold == pytest.approx(0.25)
 
     def test_boundary_leverage_does_not_query(self):
+        # the state after the first three queries gives the fourth point a
+        # leverage of exactly the threshold, so it is not stored
         m = bbq_fit(ones_stream(16), cap_k=1.0, kappa=0.5)
-        assert m.query_log[3].leverage == pytest.approx(0.25)
-        assert not m.query_log[3].queried
+        assert leverage(m.gram_state, [1.0]) == 0.25
+        assert 3 not in m.coreset_ids
 
     def test_zero_vectors_never_queried(self):
         stream = [LabeledSample(i, [0.0, 0.0], 1) for i in range(10)]
         m = bbq_fit(stream, cap_k=1.0, kappa=0.5)
         assert m.coreset == []
         np.testing.assert_array_equal(m.weight, np.zeros(2))
-
-    def test_query_log_records_decision_leverages(self):
-        rng = np.random.default_rng(27)
-        ds, m = random_linear_instance(rng, t_max=500)
-        threshold = m.params.query_threshold
-        assert len(m.query_log) == len(ds.samples)
-        queried = {s.sample_id for s in m.coreset}
-        for rec in m.query_log:
-            assert rec.queried == (rec.sample_id in queried)
-            assert rec.queried == (rec.leverage > threshold)
 
     def test_gram_matches_direct_recomputation(self):
         rng = np.random.default_rng(28)
@@ -152,56 +144,47 @@ class TestFit:
         ]
 
 
-def query_log_digest(log) -> str:
+def fit_digest(m) -> str:
+    """SHA-256 of the core-set ids in fit order and the bytes of the Gram state and weights."""
     h = hashlib.sha256()
-    for rec in log:
-        h.update(f"{rec.sample_id},{rec.leverage.hex()},{rec.queried}\n".encode())
+    h.update(np.array([s.sample_id for s in m.coreset], dtype="<u8").tobytes())
+    g = m.gram_state
+    for a in (g.gram, g.gram_inv, g.b_vec, g.weight):
+        h.update(a.tobytes())
     return h.hexdigest()
 
 
-class TestQueryLog:
-    """The sampler's decisions and the exact leverages behind them, pinned."""
+class TestSamplerDecisions:
+    """The sampler's decisions and the exact state they leave, pinned."""
 
-    # name: (stream, cap_k, kappa, SHA-256 of the (id, leverage.hex(), queried) records)
+    # name: (stream, cap_k, kappa, fit_digest of the fitted model)
     INSTANCES = {
         "realizable-linear": (
             lambda: gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=10, seed=61)).samples,
-            2.0, 0.5, "f1d7284d351445cbabc003dce0feeb796e7ce9747eb371ebe4865bda1516259f",
+            2.0, 0.5, "cba63ccaef8d7b9ea386c4da882b043f3de7b9f3f26b205640151b082e4b715f",
         ),
         "margin": (
             lambda: gen_dataset(DatasetSpec(kind="margin", T=3000, d=20, gamma=0.1, seed=62)).samples,
-            32.0, 0.5, "c43d7a51070f63e253e78fc1db3a88120e58035b27dc2108fadd35218fab999f",
+            32.0, 0.5, "530a12b8d7ec027d0f7a4ff293f0f524d9b2b79da4c00a23e99e5be00e681964",
         ),
         "ones at the threshold": (
             lambda: ones_stream(16),
-            1.0, 0.5, "5adbe57cad362ea73b4c61bfc8b2b3e5bdf9a1c4719e40e5ef3e5d36b6de0227",
+            1.0, 0.5, "72bf6c7b518fb80ec343c13d2e6c8418002f206f7f036c8be37fac1f71e1b5c9",
         ),
     }
 
     @pytest.mark.parametrize("name", list(INSTANCES))
-    def test_records_are_pinned(self, name):
+    def test_state_is_pinned(self, name):
         make, cap_k, kappa, sha = self.INSTANCES[name]
         stream = make()
         m = bbq_fit(stream, cap_k=cap_k, kappa=kappa)
-        log = m.query_log
-        assert query_log_digest(log) == sha
-        assert len(log) == len(stream)
-        assert [r.sample_id for r in log if r.queried] == [s.sample_id for s in m.coreset]
-        records = list(log)
-        assert [log[i] for i in range(len(log))] == records
-        assert log[-1] == records[-1] and log[-len(log)] == records[0]
-        assert log[2:7] == records[2:7] and log[::-5] == records[::-5] and log[:] == records
-        for bad in (len(log), -len(log) - 1):
-            with pytest.raises(IndexError):
-                log[bad]
+        assert fit_digest(m) == sha
+        assert len(m.query_log) == len(stream)
 
     def test_loaded_model_has_an_empty_log(self, tmp_path):
         m = bbq_fit(ones_stream(16), cap_k=1.0, kappa=0.5)
         save_model(m, tmp_path / "m.saul")
-        log = load_model(tmp_path / "m.saul").query_log
-        assert len(log) == 0 and list(log) == [] and log[:] == []
-        with pytest.raises(IndexError):
-            log[0]
+        assert len(load_model(tmp_path / "m.saul").query_log) == 0
 
 
 class TestPredict:
@@ -282,6 +265,29 @@ class TestDeletion:
                 assert leverage(m.gram_state, s.x) <= limit + 1e-9
 
 
+ID_OFFSET = 10**6  # above the horizon, the dimension and every counter, so an int that is an id is one
+
+
+class TestStoredState:
+    def test_model_holds_no_id_outside_its_core_set(self):
+        rng = np.random.default_rng(44)
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=6, seed=44))
+        stream = [LabeledSample(s.sample_id + ID_OFFSET, s.x, s.y) for s in ds.samples]
+        stream_ids = {s.sample_id for s in stream}
+        m = bbq_fit(stream, cap_k=2.0, kappa=0.5)
+        assert ints_reachable(m) & stream_ids == m.coreset_ids
+        core, never = sorted(m.coreset_ids), sorted(stream_ids - m.coreset_ids)
+        requests = rng.choice(core, size=len(core) // 2, replace=False).tolist()
+        requests += rng.choice(never, size=50, replace=False).tolist()
+        requests = rng.permutation(requests).tolist()
+        while requests:  # batches of 1-3 ids, core-set and never-queried mixed
+            k = int(rng.integers(1, 4))
+            deletion_update(m, requests[:k])
+            requests = requests[k:]
+        assert m.coreset_deletions == len(core) // 2 and m.free_deletions == 50
+        assert ints_reachable(m) & stream_ids == m.coreset_ids == {s.sample_id for s in m.coreset}
+
+
 class TestCoreSet:
     def test_sequence_surface(self):
         items = random_samples(np.random.default_rng(40), 6, 3)
@@ -309,7 +315,6 @@ class TestCoreSet:
         rng = np.random.default_rng(41)
         ds, m = random_linear_instance(rng, t_max=800)
         fitted = [s.sample_id for s in m.coreset]
-        assert fitted == [r.sample_id for r in m.query_log if r.queried]
         gone = set()
         for _ in range(3):
             u = random_deletion_request(rng, ds, m)

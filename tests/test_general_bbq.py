@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import ints_reachable
 from coreset_unlearn import (
     DatasetSpec,
     FiniteFunctionClass,
@@ -184,9 +185,8 @@ class TestGeneralFit:
             pool, fclass, _ = random_general_instance(rng, pool_max=8, class_max=6, pool_min=4)
             rate = default_rate_bound(len(fclass), len(pool), 0.05)
             m = general_bbq_fit(pool, fclass, rate_bound=rate)
-            dim = projected_dimension(fclass, pool)
-            assert dim.exact
-            bound = 4.0 ** (m.config.n_stages + 1) * rate * dim.value
+            assert m.config.pool_dim_exact  # the fit's own projected dimension, enumerated exactly
+            bound = 4.0 ** (m.config.n_stages + 1) * rate * m.config.pool_dim
             assert len(m.queried) <= bound + 1e-9
 
     def test_labels_read_only_for_queried(self):
@@ -270,23 +270,6 @@ class TestGeneralDeletion:
 
 
 ID_OFFSET = 1000  # above every stage number, class size and stage cap, so an int that is an id is one
-
-
-def ints_reachable(obj):
-    """Every integer a model holds: sample ids, ints in any field or container, integer arrays."""
-    if hasattr(obj, "sample_id"):
-        return {obj.sample_id}
-    if dataclasses.is_dataclass(obj):
-        return set().union(*(ints_reachable(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
-    if isinstance(obj, dict):
-        return ints_reachable(list(obj.items()))
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return set().union(*map(ints_reachable, obj))
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
-        return set(obj.ravel().tolist())
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return {int(obj)}
-    return set()
 
 
 class TestStoredState:
@@ -614,6 +597,23 @@ class TestColumnRules:
         mixed = FiniteFunctionClass([*fclass.functions, lambda s: 0.5], names=[*fclass.names, "c"])
         with pytest.raises(ValueError, match=re.escape(message)):
             mixed.value_matrix(points(3))
+
+    def test_feature_past_the_sample_dimension_rejected_by_name(self):
+        fclass = rules_class([
+            {"name": "fine", "type": "table", "default": 0.5},
+            {"name": "wide", "type": "threshold", "feature": 7, "cut": 0.0, "below": 0.0, "above": 1.0},
+        ])
+        mixed = FiniteFunctionClass([*fclass.functions, lambda s: 0.5], names=[*fclass.names, "c"])
+        pool = points(3, d=3)
+        for where, call in [
+            ("value_matrix", lambda: fclass.value_matrix(pool)),  # the column path
+            ("value_matrix", lambda: mixed.value_matrix(pool)),  # the per-sample path
+            ("evaluate", lambda: fclass.evaluate(1, pool[0])),
+            ("value_matrix", lambda: general_bbq_fit(pool, fclass)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{where}: function wide reads feature 7 of 3-feature samples$"):
+                call()
+        assert fclass.evaluate(1, LabeledSample(0, np.zeros(8), 1)) == 0.0  # in range at d = 8
 
     @settings(max_examples=50, deadline=None)
     @given(case=rules_and_samples())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestSplit:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("fraction, sizes", [(0.2, "2 train and 0 test"), (0.9, "0 train and 2 test")])
+    def test_empty_split_rejected_with_its_sizes(self, fraction, sizes):
+        cfg = small_config(dataset=DatasetSpec(kind="realizable-linear", T=2, d=3, seed=2), test_fraction=fraction)
+        with pytest.raises(ValueError, match=f"^the split leaves {sizes} samples"):
+            run_experiment(cfg)
+
     def test_zero_deletions_single_point_curve(self):
         rep = run_experiment(small_config(deletion_count=0))
         for method in rep.methods.values():
@@ -493,6 +500,16 @@ class TestCli:
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["config"]["dataset"] == str(ds)
         assert set(doc["methods"]) == {"retrain"}
+
+    def test_bench_on_an_empty_test_split_writes_no_report(self, tmp_path, capsys):
+        ds = tmp_path / "ds.bin"
+        assert cli_main(["gen", "--kind", "realizable-linear", "--t", "2", "--d", "3", "--out", str(ds)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN mean on the way to the error
+            code = cli_main(["bench", "--data", str(ds), "--cap-k", "1", "--shards", "1", "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "2 train and 0 test samples" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin"]
 
     def test_bench_without_methods_is_usage_error(self, tmp_path):
         assert cli_main(["bench", "--methods", "", "--out", str(tmp_path / "x")]) == 1
