@@ -50,7 +50,6 @@ from .general_bbq import (
     erm_fit,
     general_bbq_fit,
     general_bbq_trace,
-    general_capacity,
     general_deletion_update,
     general_state_of_system,
     load_function_class,

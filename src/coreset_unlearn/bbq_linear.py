@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -154,7 +154,7 @@ class CoreSet:
     """The stored core set: samples keyed by id, kept in fit order.
 
     A dict from id to sample keeps insertion order, which is fit order, so
-    membership, lookup (:meth:`by_id`) and removal (:meth:`remove`) are O(1)
+    ``sid in coreset``, :meth:`by_id` and :meth:`remove` are O(1)
     and removal leaves the order of the rest intact.  The sequence surface is
     kept for callers: ``len``, iteration in fit order, int and slice indexing
     (positional, O(position)), ``==`` against a list, ``append`` and ``pop()``
@@ -189,16 +189,20 @@ class CoreSet:
     def in_fit_order(self, ids) -> list[int]:
         """The stored ids among ``ids``, in fit order.
 
-        One id is returned as it is; several are ordered by one pass over the
-        stored ids, so a batch costs O(core set) once rather than per hit.
+        One set intersection finds them; several are ordered by one pass over
+        the stored ids, so a batch costs O(core set) once rather than per hit.
         """
-        if len(ids) == 1:
-            return [sid for sid in ids if sid in self._samples]
-        return [sid for sid in self._samples if sid in ids]
+        hits = self._samples.keys() & ids
+        if len(hits) > 1:
+            return [sid for sid in self._samples if sid in hits]
+        return list(hits)
 
     def ids(self) -> set[int]:
         """A new set of the stored ids."""
         return set(self._samples)
+
+    def __contains__(self, sample_id) -> bool:
+        return sample_id in self._samples
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -232,7 +236,8 @@ class BBQParams:
 
     ``horizon`` is the original stream length; the query threshold
     ``horizon**-kappa`` is part of the fitted model and is reused unchanged by
-    replays and deletion reasoning.
+    replays and deletion reasoning.  It is a fit parameter that holds no
+    sample value, and a fresh fit on the survivors reuses it.
     """
 
     horizon: int
@@ -260,23 +265,26 @@ class BBQParams:
 class ModelState:
     """Fitted sampler state: Gram state, ordered core set, and fit metadata.
 
-    ``coreset_ids`` is the id set of ``coreset``, kept beside it for callers
-    that test membership.  ``query_log`` is ``range(n)`` for the ``n`` points
-    the fit streamed and ``range(0)`` for a loaded model: a count, with no
-    sample id and no leverage in it.  ``free_deletions`` and
-    ``coreset_deletions`` count the requests applied since this object was
-    fitted or loaded; they are not serialized.  The weights at the fit are not kept: they depend on every
-    core-set point deleted since.  The capacity gate holds its own drift
-    reference (:class:`~.capacity.MetricSet`).
+    The Gram state, core set and ``params`` are what a fresh fit on the
+    survivors holds, each stored once; ``coreset_ids`` is read from the core
+    set.  Not serialized: ``query_log``, ``range(n)`` for the ``n`` points the
+    fit streamed (``range(0)`` when loaded), and ``free_deletions`` and
+    ``coreset_deletions``, the requests applied since the fit or load.  The
+    weights at the fit are not kept: they depend on every core-set point
+    deleted since.  The capacity gate holds its own drift reference.
     """
 
     gram_state: GramState
     coreset: CoreSet
     params: BBQParams
     query_log: range
-    coreset_ids: set[int] = field(default_factory=set)
     free_deletions: int = 0
     coreset_deletions: int = 0
+
+    @property
+    def coreset_ids(self) -> set[int]:
+        """A new set of the stored ids."""
+        return self.coreset.ids()
 
     @property
     def weight(self) -> np.ndarray:
@@ -337,13 +345,7 @@ def bbq_fit(
         if leverage(state, s.x) > threshold:
             rank_one_update(state, s.x, s.y)  # label read only on query
             coreset.append(s)
-    return ModelState(
-        gram_state=state,
-        coreset=coreset,
-        params=params,
-        query_log=range(len(stream)),
-        coreset_ids=coreset.ids(),
-    )
+    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(len(stream)))
 
 
 def predict(model: ModelState, x) -> int:
@@ -363,16 +365,13 @@ def deletion_update(model: ModelState, ids) -> ModelState:
     are downdated in fit order.
     """
     ids = set(ids)
-    hits = model.coreset_ids & ids
-    model.free_deletions += len(ids) - len(hits)
-    if not hits:
-        return model
     coreset, state = model.coreset, model.gram_state
-    for sid in coreset.in_fit_order(hits):
+    hits = coreset.in_fit_order(ids)
+    model.free_deletions += len(ids) - len(hits)
+    for sid in hits:
         s = coreset.remove(sid)
         rank_one_downdate(state, s.x, s.y)
         model.coreset_deletions += 1
-    model.coreset_ids -= hits
     return model
 
 
@@ -423,6 +422,17 @@ def _records_state(records: np.ndarray, lam: float) -> GramState:
     return gram_from_rows(np.ascontiguousarray(records["x"]), records["y"], lam)
 
 
+def encode_model(model: ModelState) -> bytes:
+    """The "SAUL1" container of ``model``, as :func:`save_model` writes it."""
+    d, n = model.dim, len(model.coreset)
+    records = np.empty(n, dtype=_record_dtype(d))
+    records["id"] = np.fromiter((s.sample_id for s in model.coreset), dtype=np.uint64, count=n)
+    records["y"] = np.fromiter((s.y for s in model.coreset), dtype=np.int8, count=n)
+    records["x"] = np.fromiter((s.x for s in model.coreset), dtype=(np.float64, (d,)), count=n)
+    p = model.params
+    return _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n) + records.tobytes()
+
+
 def save_model(model: ModelState, path) -> None:
     """Write the "SAUL1" container documented in the module docstring.
 
@@ -430,16 +440,11 @@ def save_model(model: ModelState, path) -> None:
     records, the state :func:`load_model` gives back; its deletion counters
     are kept.
     """
-    d, n = model.dim, len(model.coreset)
-    records = np.empty(n, dtype=_record_dtype(d))
-    records["id"] = np.fromiter((s.sample_id for s in model.coreset), dtype=np.uint64, count=n)
-    records["y"] = np.fromiter((s.y for s in model.coreset), dtype=np.int8, count=n)
-    records["x"] = np.fromiter((s.x for s in model.coreset), dtype=(np.float64, (d,)), count=n)
-    p = model.params
+    blob = encode_model(model)
     with atomic_open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n))
-        fh.write(records)
-    model.gram_state = _records_state(records, p.lam)
+        fh.write(blob)
+    records = np.frombuffer(blob, dtype=_record_dtype(model.dim), offset=_HEADER.size)
+    model.gram_state = _records_state(records, model.params.lam)
 
 
 def load_model(path) -> ModelState:
@@ -478,10 +483,4 @@ def load_model(path) -> ModelState:
         raise ModelFormatError(f"core set: {exc}") from exc
     state = _records_state(records, params.lam)
     coreset = CoreSet(trusted_samples(records["id"], records["x"], records["y"]))
-    return ModelState(
-        gram_state=state,
-        coreset=coreset,
-        params=params,
-        query_log=range(0),
-        coreset_ids=coreset.ids(),
-    )
+    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(0))

@@ -292,7 +292,8 @@ def expected_capacity_mc(
         permuted = [dataset[i] for i in perm]
         model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa)
 
-        core_ids = np.fromiter(model.coreset_ids, dtype=rows.ids.dtype, count=len(model.coreset_ids))
+        stored = model.coreset_ids
+        core_ids = np.fromiter(stored, dtype=rows.ids.dtype, count=len(stored))
         mean_inv = _mean_inverse_over_stream(model, np.flatnonzero(np.isin(rows.ids[perm], core_ids)))
         if dist.kind == "uniform":
             qf = float(np.mean(np.einsum("ij,jk,ik->i", xs_all, mean_inv, xs_all)))
@@ -306,7 +307,7 @@ def expected_capacity_mc(
         draws = deletion_stream(
             rows, dist, int(k_total_grid[-1]), seed=int(draw_seq.generate_state(1)[0] % (2**31))
         )
-        hit_positions = [pos for pos, sid in enumerate(draws) if sid in model.coreset_ids]
+        hit_positions = [pos for pos, sid in enumerate(draws) if sid in stored]
         hits_so_far = np.searchsorted(hit_positions, k_total_grid, side="left")
         # searchsorted over positions counts hits strictly before each budget;
         # positions are 0-based so a budget of k covers positions 0..k-1.

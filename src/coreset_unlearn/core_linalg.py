@@ -70,7 +70,8 @@ class GramState:
         b_vec: accumulated ``sum(y * x)``.
         weight: ``gram_inv @ b_vec``, kept in sync by every mutation.
         downdates_since_refresh: downdates since the last refresh; one every
-            ``DEFAULT_REFRESH_PERIOD`` downdates is forced.
+            ``DEFAULT_REFRESH_PERIOD`` downdates is forced.  The one numerical-health
+            count that depends on deletion history; not serialized.
     """
 
     dim: int

@@ -44,7 +44,6 @@ residual exit reads it, never under ``exhaust_pool=True``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -60,8 +59,6 @@ DEFAULT_STAGE_CAP = 30
 EXHAUST_STAGE_CAP = 64
 DEFAULT_DIM_EXACT_CAP = 8
 GREEDY_RESTARTS = 8
-
-UNBOUNDED = math.inf
 
 
 class FiniteFunctionClass:
@@ -298,13 +295,31 @@ class _PairScores:
         return self._scores[: self.m], self.pos[: self.m]
 
 
-def _sequence_value(kernel: _PairScores, order) -> float:
-    kernel.reset()
-    total = 0.0
-    for idx in order:
-        total += kernel.score(idx)
-        kernel.take(idx)
-    return total
+def _best_ordering_value(rows: np.ndarray) -> float:
+    """Largest sum of scores over every ordering of ``rows``' points, walked depth first.
+
+    A child's ``denom`` is its parent's plus the taken row and its sum adds the
+    scores in order, so each leaf has the bits of its ordering replayed alone.
+    """
+    best = 0.0
+
+    def walk(denom: np.ndarray, total: float, left: list[int]) -> None:
+        nonlocal best
+        taken = rows[left]
+        scores = np.max(taken / denom, axis=1, initial=0.0).tolist()
+        if len(left) == 1:
+            best = max(best, total + scores[0])
+            return
+        children = denom + taken
+        if len(left) == 2:
+            last = np.max(taken[::-1] / children, axis=1, initial=0.0).tolist()
+            best = max(best, total + scores[0] + last[0], total + scores[1] + last[1])
+            return
+        for k, score in enumerate(scores):
+            walk(children[k], total + score, left[:k] + left[k + 1:])
+
+    walk(np.ones(rows.shape[1]), 0.0, list(range(len(rows))))
+    return best
 
 
 def _greedy_value(kernel: _PairScores, start: int) -> float:
@@ -322,7 +337,7 @@ def _greedy_value(kernel: _PairScores, start: int) -> float:
 def projected_dimension(fclass: FiniteFunctionClass, samples) -> ProjectedDimension:
     """Worst-case-over-orderings sum of uncertainty scores for a pool.
 
-    Exact (full permutation enumeration) for pools up to
+    Exact (every ordering, enumerated depth first) for pools up to
     ``DEFAULT_DIM_EXACT_CAP`` points, read at call time; larger pools get a
     greedy lower bound from ``GREEDY_RESTARTS`` starts, flagged by
     ``exact=False``.
@@ -332,8 +347,7 @@ def projected_dimension(fclass: FiniteFunctionClass, samples) -> ProjectedDimens
     if n == 0:
         return ProjectedDimension(0.0, True)
     if n <= DEFAULT_DIM_EXACT_CAP:
-        best = max(_sequence_value(kernel, order) for order in itertools.permutations(range(n)))
-        return ProjectedDimension(best, True)
+        return ProjectedDimension(_best_ordering_value(kernel.rows), True)
     first_scores = np.max(kernel.rows, axis=1, initial=0.0)  # rows are still in pool order
     starts = np.argsort(-first_scores, kind="stable")[:GREEDY_RESTARTS]
     best = max(_greedy_value(kernel, int(s)) for s in starts)
@@ -372,21 +386,14 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class GeneralConfig:
-    """Settings and summary of one ``general_bbq_fit`` run.
+    """The fit parameters of one ``general_bbq_fit`` run, which a fresh fit on the survivors reuses.
 
-    ``pool_dim`` and ``pool_dim_exact`` are the projected dimension of the
-    class on the pool and whether it was enumerated exactly.  Only the
-    residual exit reads them, so under ``exhaust_pool=True`` they are not
-    computed and are ``None``; keeping the unqueried pool to compute them
-    later would store data a fresh fit on the survivors does not hold.
+    The stage cap, projected dimension and stage count stay in the trace:
+    they depend on deleted and never-queried points.
     """
 
     delta: float
     rate_bound: float
-    stage_cap: int
-    pool_dim: float | None
-    pool_dim_exact: bool | None
-    n_stages: int
 
 
 @dataclass
@@ -437,15 +444,21 @@ def general_bbq_trace(
     queried.  Deletion-equivalence checks use this mode: a pool consisting
     entirely of previously queried points is exactly the degenerate case the
     residual exit was not designed for, and the equivalence guarantee wants
-    every survivor re-queried.
+    every survivor re-queried.  ``ValueError`` names a repeated sample id, a
+    ``delta`` outside ``(0, 1)`` or a ``rate_bound`` that is not finite and
+    positive.
     """
     pool = list(pool)
     if not pool:
         raise ValueError("pool must be nonempty")
+    if len({s.sample_id for s in pool}) != len(pool):
+        raise ValueError("sample ids repeat within the pool")
+    if not 0.0 < delta < 1.0:  # NaN fails too
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if rate_bound is None:
         rate_bound = default_rate_bound(len(fclass), len(pool), delta)
-    if rate_bound <= 0:
-        raise ValueError("rate_bound must be positive")
+    if not 0.0 < rate_bound < math.inf:
+        raise ValueError(f"rate_bound must be finite and > 0, got {rate_bound}")
     stage_cap = EXHAUST_STAGE_CAP if exhaust_pool else DEFAULT_STAGE_CAP
 
     values = fclass.value_matrix(pool)
@@ -458,10 +471,8 @@ def general_bbq_trace(
     queried: list[tuple[int, LabeledSample]] = []
     queried_idx: list[int] = []
     stage_log: list[StageRecord] = []
-    n_stages = 0
 
     for ell in range(1, stage_cap + 1):
-        n_stages = ell
         eps2 = 4.0 ** (-ell) / rate_bound
         kernel.reset(revive=False)  # the live points are this stage's pool
         stage_queries: list[int] = []
@@ -522,14 +533,7 @@ def general_bbq_trace(
 
     kept = np.take(values, queried_idx, axis=1)  # C-contiguous, unlike values[:, queried_idx]
     f_hat = _erm_index(kept, [s for _, s in queried])
-    config = GeneralConfig(
-        delta=delta,
-        rate_bound=rate_bound,
-        stage_cap=stage_cap,
-        pool_dim=None if pdim is None else pdim.value,
-        pool_dim_exact=None if pdim is None else pdim.exact,
-        n_stages=n_stages,
-    )
+    config = GeneralConfig(delta=delta, rate_bound=rate_bound)
     return GeneralModelState(queried=queried, values=kept, f_hat=f_hat, config=config), stage_log
 
 
@@ -561,17 +565,3 @@ def general_deletion_update(model: GeneralModelState, ids, fclass: FiniteFunctio
         model.f_hat = _erm_index(model.values, [s for _, s in model.queried])
     return model
 
-
-def general_capacity(n_queried: int, rate_bound: float, beta) -> float:
-    """Core-set deletion budget from the oracle's stability rate.
-
-    ``beta`` maps a sample size to the stability rate of the regression
-    oracle.  With no queried points there is nothing to delete, so the budget
-    is unbounded.
-    """
-    if n_queried == 0:
-        return UNBOUNDED
-    rate = beta(n_queried)
-    if rate <= 0:
-        raise ValueError("beta must be positive")
-    return math.floor(math.sqrt(rate_bound) / (math.sqrt(n_queried) * rate))

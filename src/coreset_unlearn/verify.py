@@ -12,7 +12,8 @@ identity have suites of their own.  Leverages are formed here from the
 maintained inverse, not by the sampler's own ``leverage``.  For the
 finite-class sampler, deletion equals a fresh fit on the survivors, value
 columns included, and the ERM equals a per-sample loss argmin, both on one set
-of random fitted instances (:func:`check_general_instances`).
+of random fitted instances (:func:`check_general_instances`).  Both deletion
+suites compare every stored field that a fresh fit also holds.
 
 A suite returns a ``(name, passed, detail)`` triple.  The detail counts what
 was checked, and a suite that checked nothing fails.
@@ -24,9 +25,7 @@ import math
 
 import numpy as np
 
-from .bbq_linear import (
-    LabeledSample, bbq_fit, deletion_update, replay_on_coreset, state_of_system, system_states_equal,
-)
+from .bbq_linear import LabeledSample, bbq_fit, deletion_update, encode_model, replay_on_coreset
 from .capacity import predicted_deletion_drift
 from .core_linalg import gram_init, rank_one_downdate, rank_one_update
 from .datastreams import DatasetSpec, gen_dataset
@@ -37,6 +36,8 @@ from .general_bbq import (
 WEIGHT_TOL = 1e-8  # fresh-fit weights, dense inverses, drift predictions
 ROUND_TRIP_TOL = 1e-10
 LEVERAGE_SLACK = 1e-12
+
+_GRAM_FIELDS = ("gram", "gram_inv", "b_vec", "weight")
 
 
 def random_linear_instance(rng: np.random.Generator, t_max: int = 2000):
@@ -60,7 +61,7 @@ def random_deletion_request(rng: np.random.Generator, ds, model) -> set[int]:
     core_ids = sorted(model.coreset_ids)
     hits = int(rng.integers(0, min(len(core_ids), int(model.params.cap_k)) + 1)) if core_ids else 0
     u = set(rng.choice(core_ids, size=hits, replace=False).tolist()) if hits else set()
-    outside = [s.sample_id for s in ds.samples if s.sample_id not in model.coreset_ids]
+    outside = [s.sample_id for s in ds.samples if s.sample_id not in model.coreset]
     if outside:
         u |= set(rng.choice(outside, size=min(10, len(outside)), replace=False).tolist())
     return u
@@ -121,9 +122,13 @@ def _max_leverage(model, X: np.ndarray) -> float:
 
 
 def _deletion_matches(model, u: set[int], fresh) -> bool:
-    """Apply ``u`` to ``model`` and compare it with ``fresh``, a fresh fit on the surviving core set."""
+    """Apply ``u`` to ``model``: its saved bytes must equal those of ``fresh``, a fresh fit
+    on the surviving core set, and its Gram state must be within ``WEIGHT_TOL`` of it."""
     deletion_update(model, u)
-    return system_states_equal(state_of_system(model), state_of_system(fresh), tol=WEIGHT_TOL)
+    if encode_model(model) != encode_model(fresh):
+        return False
+    a, b = model.gram_state, fresh.gram_state
+    return all(_max_abs(getattr(a, name) - getattr(b, name)) <= WEIGHT_TOL for name in _GRAM_FIELDS)
 
 
 def check_sherman_morrison(seed: int, trials: int) -> tuple[str, bool, str]:
@@ -158,7 +163,7 @@ def check_sherman_morrison(seed: int, trials: int) -> tuple[str, bool, str]:
             x, y = live[0]
             rank_one_update(state, x, y)
             rank_one_downdate(state, x, y)
-            for name in ("gram", "gram_inv", "b_vec", "weight"):
+            for name in _GRAM_FIELDS:
                 worst_trip = max(worst_trip, _max_abs(getattr(state, name) - getattr(before, name)))
             trips += 1
     return (
@@ -174,8 +179,8 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
     Each instance gets a :func:`random_deletion_request`.  Before it is applied,
     every stored point must have leverage at most ``1/(lam+1)`` and a replay on
     the survivors must re-query exactly them.  After it, the model must equal
-    that replay, a fresh fit on the survivors, and every point never queried
-    must have leverage at most ``e * T^-kappa``.  Then up to 20 random training
+    that replay, a fresh fit on the survivors (:func:`_deletion_matches`), and
+    every point never queried must have leverage at most ``e * T^-kappa``.  Then up to 20 random training
     ids, any number of them core-set hits, are deleted and the model must
     again equal a fresh fit.
     """
@@ -185,7 +190,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
     for t in range(trials):
         ds, model = random_linear_instance(rng)
         u = random_deletion_request(rng, ds, model)
-        queried = set(model.coreset_ids)
+        queried = model.coreset_ids
         p = model.params
 
         core_X = np.array([s.x for s in model.coreset]).reshape(-1, model.dim)
@@ -280,9 +285,10 @@ def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str
     sampler that queries nothing fails both suites rather than stalling them.
     Each instance gets one request: 1 to 8 queried ids plus 5 pool ids.  The
     survivors are the queried samples outside the request, taken before the
-    deletion.  After it, the stored ids and ``f_hat`` must equal those of an
-    exhaustive fresh fit on the survivors or, when none survive, nothing may be
-    stored.  The value
+    deletion, as is ``config``.  After it, the stored ids, ``f_hat`` and
+    ``config`` must equal those of an exhaustive fresh fit on the survivors
+    with that ``config`` or, when none survive, nothing may be stored and
+    ``config`` must be unchanged.  The value
     columns, after the fit and after the deletion, must be bit-equal to
     ``fclass.value_matrix`` of the stored samples.  ``erm_fit`` on the pool and
     ``f_hat`` after the deletion must equal :func:`_loss_argmin`.
@@ -304,16 +310,17 @@ def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str
         u |= set(rng.choice([s.sample_id for s in pool], size=min(5, len(pool)), replace=False).tolist())
         hits += len(model.queried_ids & u)
         survivors = [s for _, s in model.queried if s.sample_id not in u]
+        config = model.config  # as the survivors are, read before the deletion
         general_deletion_update(model, u, fclass)
         columns_ok = _values_match(model, fclass) and columns_ok
         value_checks += 2
 
         got = general_state_of_system(model)
         if survivors:
-            fresh = general_bbq_fit(survivors, fclass, rate_bound=model.config.rate_bound, exhaust_pool=True)
-            exact = got == general_state_of_system(fresh)
+            fresh = general_bbq_fit(survivors, fclass, config.delta, config.rate_bound, exhaust_pool=True)
+            exact = got == general_state_of_system(fresh) and model.config == fresh.config
         else:
-            exact = got.stored_ids == frozenset()
+            exact = got.stored_ids == frozenset() and model.config == config
         diverged += not (exact and columns_ok)
 
         for labeled, pick in ((pool, erm_fit(fclass, pool)), (survivors, model.f_hat)):

@@ -138,10 +138,19 @@ class TestFit:
 
     def test_model_fields(self):
         # the model, its core set, the query log and the counters: no weights
-        # from before a deletion, which depend on the deleted points
+        # from before a deletion, which depend on the deleted points, and no
+        # second copy of the core set's ids
         assert [f.name for f in dataclasses.fields(ModelState)] == [
-            "gram_state", "coreset", "params", "query_log", "coreset_ids", "free_deletions", "coreset_deletions",
+            "gram_state", "coreset", "params", "query_log", "free_deletions", "coreset_deletions",
         ]
+
+    def test_coreset_ids_are_read_from_the_core_set(self):
+        m = bbq_fit(random_samples(np.random.default_rng(14), 50, 3), cap_k=1.0)
+        ids = m.coreset_ids
+        ids.add(10**9)
+        assert 10**9 not in m.coreset_ids and m.coreset_ids == {s.sample_id for s in m.coreset}
+        m.coreset.pop()
+        assert m.coreset_ids == {s.sample_id for s in m.coreset}
 
 
 def fit_digest(m) -> str:
@@ -309,6 +318,7 @@ class TestCoreSet:
         assert cs.by_id(items[3].sample_id) is items[3]
         assert cs.remove(items[1].sample_id) is items[1]
         assert cs == [items[0]] + items[2:5]
+        assert items[0].sample_id in cs and items[1].sample_id not in cs and 10**9 not in cs
         assert cs.in_fit_order({items[4].sample_id, items[0].sample_id}) == [items[0].sample_id, items[4].sample_id]
 
     def test_fit_order_kept_after_deletions(self):

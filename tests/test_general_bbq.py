@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -21,14 +22,15 @@ from coreset_unlearn import (
     gen_dataset,
     general_bbq_fit,
     general_bbq_trace,
-    general_capacity,
     general_deletion_update,
     general_state_of_system,
     load_function_class,
     projected_dimension,
 )
 from coreset_unlearn import general_bbq
-from coreset_unlearn.general_bbq import DEFAULT_MAX_CLASS_SIZE, UNBOUNDED, default_rate_bound
+from coreset_unlearn.general_bbq import (
+    DEFAULT_MAX_CLASS_SIZE, DEFAULT_STAGE_CAP, EXHAUST_STAGE_CAP, ProjectedDimension, default_rate_bound,
+)
 from coreset_unlearn.verify import random_function_class, random_general_instance, unit_vectors
 
 TWO_CONSTANT = FiniteFunctionClass([lambda s: 0.0, lambda s: 1.0], names=["zero", "one"])
@@ -66,6 +68,16 @@ def dimension_with_exact_cap(cap, fclass, samples):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(general_bbq, "DEFAULT_DIM_EXACT_CAP", cap)
         return projected_dimension(fclass, samples)
+
+
+def replay_value(kernel, order):
+    """Sum of the scores of ``order``'s points, each taken against the ones before it."""
+    kernel.reset()
+    total = 0.0
+    for i in order:
+        total += kernel.score(i)
+        kernel.take(i)
+    return total
 
 
 def d2_oracle(x, prefix, fclass):
@@ -115,6 +127,21 @@ class TestProjectedDimension:
     def test_empty_pool(self):
         assert projected_dimension(TWO_CONSTANT, []).value == 0.0
 
+    def test_exact_value_equals_the_replay_of_every_ordering(self):
+        # the reference replays each ordering from an empty prefix; duplicated
+        # rows make orderings tie, so the bits of each sum count
+        rng = np.random.default_rng(63)
+        for _ in range(24):
+            n = int(rng.integers(1, 8))
+            fclass = random_function_class(rng, int(rng.integers(2, 9)), 2)
+            distinct = unit_vectors(rng, int(rng.integers(1, n + 1)), 2)
+            xs = distinct[rng.integers(0, len(distinct), n)]
+            samples = [LabeledSample(i, xs[i], 1) for i in range(n)]
+            kernel = general_bbq._PairScores(fclass.value_matrix(samples))
+            want = max(replay_value(kernel, order) for order in itertools.permutations(range(n)))
+            got = projected_dimension(fclass, samples)
+            assert got.exact and got.value.hex() == want.hex()
+
 
 class TestErm:
     def test_singleton(self):
@@ -151,16 +178,16 @@ class TestErm:
 class TestGeneralFit:
     def test_single_function_class_never_queries(self):
         fclass = FiniteFunctionClass([lambda s: 0.9])
-        m = general_bbq_fit(points(10), fclass, rate_bound=4.0)
+        m, stage_log = general_bbq_trace(points(10), fclass, rate_bound=4.0)
         assert m.queried == []
         assert m.f_hat == 0
-        assert m.config.n_stages == 1
+        assert len(stage_log) == 1
 
     def test_two_constant_realizable_trace(self):
         # frozen stage trace: eps_1^2 = 0.25/4, scores 1, 1/2, ..., 1/15, the
         # 16th candidate sits exactly on the boundary and is not queried
         m, stage_log = general_bbq_trace(points(20), TWO_CONSTANT, rate_bound=4.0)
-        assert m.config.n_stages == 1
+        assert len(stage_log) == 1
         rec = stage_log[0]
         assert rec.queried_ids == tuple(range(15))
         assert rec.queried_scores[:3] == pytest.approx((1.0, 0.5, 1.0 / 3.0))
@@ -184,9 +211,10 @@ class TestGeneralFit:
         for _ in range(10):
             pool, fclass, _ = random_general_instance(rng, pool_max=8, class_max=6, pool_min=4)
             rate = default_rate_bound(len(fclass), len(pool), 0.05)
-            m = general_bbq_fit(pool, fclass, rate_bound=rate)
-            assert m.config.pool_dim_exact  # the fit's own projected dimension, enumerated exactly
-            bound = 4.0 ** (m.config.n_stages + 1) * rate * m.config.pool_dim
+            m, stage_log = general_bbq_trace(pool, fclass, rate_bound=rate)
+            pdim = projected_dimension(fclass, pool)
+            assert pdim.exact
+            bound = 4.0 ** (len(stage_log) + 1) * rate * pdim.value
             assert len(m.queried) <= bound + 1e-9
 
     def test_labels_read_only_for_queried(self):
@@ -243,16 +271,33 @@ class TestGeneralFit:
         monkeypatch.setattr(general_bbq, "projected_dimension", lambda *a, **k: calls.append(1) or real(*a, **k))
         pool, fclass, _ = random_general_instance(np.random.default_rng(71), pool_max=60, class_max=8)
         residual = general_bbq_fit(pool, fclass)
-        assert len(calls) == 1 and residual.config.pool_dim is not None
+        assert len(calls) == 1
         exhaustive = general_bbq_fit(pool, fclass, exhaust_pool=True)
         assert len(calls) == 1
-        assert exhaustive.config.pool_dim is None and exhaustive.config.pool_dim_exact is None
+        assert exhaustive.config == residual.config
 
-    def test_rejects_empty_pool_and_bad_rate(self):
-        with pytest.raises(ValueError):
-            general_bbq_fit([], TWO_CONSTANT)
-        with pytest.raises(ValueError):
-            general_bbq_fit(points(3), TWO_CONSTANT, rate_bound=-1.0)
+    @pytest.mark.parametrize(
+        "pool, kwargs, message",
+        [
+            ([], {}, "pool must be nonempty"),
+            (points(3), {"rate_bound": -1.0}, "rate_bound"),
+            (points(3), {"rate_bound": 0.0}, "rate_bound"),
+            (points(3), {"rate_bound": math.nan}, "rate_bound"),
+            (points(3), {"rate_bound": math.inf}, "rate_bound"),
+            (points(3), {"delta": 0.0}, "delta"),
+            (points(3), {"delta": -0.5}, "delta"),
+            (points(3), {"delta": 1.0}, "delta"),
+            (points(3), {"delta": math.nan, "rate_bound": 4.0}, "delta"),
+            (points(3) + points(1), {}, "sample ids repeat"),
+        ],
+        ids=[
+            "empty-pool", "negative-rate", "zero-rate", "nan-rate", "inf-rate", "zero-delta", "negative-delta",
+            "unit-delta", "nan-delta", "repeated-id",
+        ],
+    )
+    def test_rejects_bad_arguments_by_name(self, pool, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            general_bbq_fit(pool, TWO_CONSTANT, **kwargs)
 
 
 class TestGeneralDeletion:
@@ -313,6 +358,7 @@ class TestStoredState:
         assert ints_reachable(stage_log) & pool_ids - m.queried_ids  # the log names never-queried points
         assert ints_reachable(m) & pool_ids == m.queried_ids
         assert [f.name for f in dataclasses.fields(m)] == ["queried", "values", "f_hat", "config"]
+        assert [f.name for f in dataclasses.fields(m.config)] == ["delta", "rate_bound"]
 
     def test_models_compare_by_what_they_store(self):
         pool, fclass, _ = random_general_instance(np.random.default_rng(77), pool_max=60, class_max=8)
@@ -342,25 +388,6 @@ class TestStoredState:
             with pytest.raises(ValueError, match=f"function class has {len(other)} functions"):
                 general_deletion_update(m, m.queried_ids, FiniteFunctionClass(other))
         assert m.queried == before[0] and m.values.tobytes() == before[1].tobytes() and m.f_hat == before[2]
-
-
-class TestGeneralCapacity:
-    def test_inverse_stability_rate(self):
-        assert general_capacity(16, 4.0, lambda n: 1.0 / n) == 8
-
-    def test_algebraic_identity(self):
-        # beta(n) = 1/n makes the budget floor(sqrt(rate * n))
-        for n, rate in [(4, 9.0), (25, 1.0), (100, 2.0)]:
-            assert general_capacity(n, rate, lambda m: 1.0 / m) == math.floor(
-                math.sqrt(rate * n)
-            )
-
-    def test_no_queries_is_unbounded(self):
-        assert general_capacity(0, 4.0, lambda n: 1.0 / n) is UNBOUNDED
-
-    def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ValueError):
-            general_capacity(4, 1.0, lambda n: 0.0)
 
 
 def valid_document():
@@ -628,14 +655,18 @@ class TestColumnRules:
         assert got[:-1].tobytes() == rules.value_matrix(samples).tobytes()
 
 
-def fit_repr(trace, exhaustive):
-    """``repr`` of a fit's stage log, ERM and config, the projected dimension
-    blanked for exhaustive fits (which no longer compute it)."""
+def fit_repr(trace, pool_dim=ProjectedDimension(None, None)):
+    """``repr`` of a fit's stage log, ERM and config, as recorded when the config
+    also held the stage cap, the projected dimension the residual exit read and
+    the stage count.  ``pool_dim`` is that projected dimension; an exhaustive
+    fit computes none and passes nothing."""
     model, stage_log = trace
-    config = model.config
-    if exhaustive:
-        config = dataclasses.replace(config, pool_dim=None, pool_dim_exact=None)
-    return repr((stage_log, model.f_hat, config))
+    cap = EXHAUST_STAGE_CAP if pool_dim.value is None else DEFAULT_STAGE_CAP
+    config = (
+        f"GeneralConfig(delta={model.config.delta!r}, rate_bound={model.config.rate_bound!r}, stage_cap={cap!r}, "
+        f"pool_dim={pool_dim.value!r}, pool_dim_exact={pool_dim.exact!r}, n_stages={len(stage_log)!r})"
+    )
+    return f"({stage_log!r}, {model.f_hat!r}, {config})"
 
 
 def digest(parts):
@@ -668,7 +699,7 @@ class TestRecordedOutputs:
         for _ in range(20):
             pool, fclass, _ = random_general_instance(rng, pool_max=200, class_max=32)
             trace = general_bbq_trace(pool, fclass)
-            parts.append(fit_repr(trace, False))
+            parts.append(fit_repr(trace, projected_dimension(fclass, pool)))
             m = trace[0]
             qids = sorted({s.sample_id for _, s in m.queried})
             if not qids:
@@ -681,7 +712,7 @@ class TestRecordedOutputs:
             parts.append(repr((m.f_hat, sorted(general_state_of_system(m).stored_ids))))
             if survivors:
                 fresh = general_bbq_trace(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
-                parts.append(fit_repr(fresh, True))
+                parts.append(fit_repr(fresh))
         assert digest(parts) == "2102343c5e59196c6eaadbba663e8de53b0b9dc11c36455f3055d225aa582fd3"
 
     def test_threshold_class_pools(self):
@@ -691,11 +722,11 @@ class TestRecordedOutputs:
             fclass = rules_class(threshold_class_json(seed, 5, 32))
             pool = gen_dataset(DatasetSpec(kind="realizable-linear", T=200, d=5, seed=seed)).samples
             trace = general_bbq_trace(pool, fclass)
-            parts.append(fit_repr(trace, False))
+            parts.append(fit_repr(trace, projected_dimension(fclass, pool)))
             m = trace[0]
             survivors = [s for _, s in m.queried][::2]
             fresh = general_bbq_trace(survivors, fclass, rate_bound=m.config.rate_bound, exhaust_pool=True)
-            parts.append(fit_repr(fresh, True))
+            parts.append(fit_repr(fresh))
         assert digest(parts) == "cf5f02a66791bbc73e919924d7c1af9002a1f97d115e4837cfa99f82f4a39828"
 
     def test_projected_dimensions(self):
@@ -746,7 +777,7 @@ def test_tie_breaks_are_recorded():
     sample id in the stage loop, never to a point's position in the kernel."""
     parts = []
     for pool, fclass in tie_heavy_instances():
-        parts.append(fit_repr(general_bbq_trace(pool, fclass), False))
-        parts.append(fit_repr(general_bbq_trace(pool, fclass, exhaust_pool=True), True))
+        parts.append(fit_repr(general_bbq_trace(pool, fclass), projected_dimension(fclass, pool)))
+        parts.append(fit_repr(general_bbq_trace(pool, fclass, exhaust_pool=True)))
         parts.append(repr(dimension_with_exact_cap(0, fclass, pool)))
     assert digest(parts) == "afea280a2f87d10a5ca8bce56e93e882195860decb2ced87135dc9d082d8e2d0"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -12,6 +13,7 @@ from coreset_unlearn import (
     emit_report,
     erm_fit,
     gen_dataset,
+    general_deletion_update,
     ridge_fit,
     run_experiment,
 )
@@ -380,9 +382,17 @@ class TestReports:
 
 
 def _deletion_without_downdate(model, ids):
-    for sid in model.coreset_ids & set(ids):
-        model.coreset.remove(sid)
-        model.coreset_ids.discard(sid)
+    for sid in set(ids):
+        if sid in model.coreset:
+            model.coreset.remove(sid)
+
+
+def _deletion_rewriting_the_horizon(model, ids):
+    """Sets ``horizon`` to the length of the stream that survives the request."""
+    ids = set(ids)
+    deletion_update(model, ids)
+    model.params = dataclasses.replace(model.params, horizon=model.params.horizon - len(ids))
+    return model
 
 
 def _downdate_without_inverse_step(state, x, y):
@@ -400,6 +410,16 @@ def _replay_at_the_survivors_horizon(model, ids):
 def _deletion_keeping_value_columns(model, ids, fclass):
     model.queried = [(stage, s) for stage, s in model.queried if s.sample_id not in set(ids)]
     model.f_hat = erm_fit(fclass, [s for _, s in model.queried])
+    return model
+
+
+def _deletion_rederiving_the_rate_bound(model, ids, fclass):
+    """Sets ``rate_bound`` to the default rate for the surviving queried set."""
+    general_deletion_update(model, ids, fclass)
+    delta = model.config.delta
+    model.config = dataclasses.replace(
+        model.config, rate_bound=general_bbq.default_rate_bound(len(fclass), max(len(model.queried), 1), delta)
+    )
     return model
 
 
@@ -628,6 +648,7 @@ class TestCli:
         "name, mutant, suite",
         [
             ("deletion_update", _deletion_without_downdate, "deletion equals fresh fit on survivors"),
+            ("deletion_update", _deletion_rewriting_the_horizon, "deletion equals fresh fit on survivors"),
             ("rank_one_downdate", _downdate_without_inverse_step, "sherman-morrison vs dense inversion"),
             ("predicted_deletion_drift", lambda *args: -predicted_deletion_drift(*args), "rank-one deletion drift identity"),
             ("replay_on_coreset", _replay_at_the_survivors_horizon, "replay re-queries exactly the survivors"),
@@ -640,11 +661,15 @@ class TestCli:
                 "general_deletion_update", lambda model, ids, fclass: model,
                 "finite-class deletion equals fresh fit on survivors",
             ),
+            (
+                "general_deletion_update", _deletion_rederiving_the_rate_bound,
+                "finite-class deletion equals fresh fit on survivors",
+            ),
             ("_erm_index", _erm_argmax, "finite-class ERM equals per-sample loss argmin"),
         ],
         ids=[
-            "pop-without-downdate", "downdate-keeps-inverse", "drift-sign", "replay-horizon", "leverage-quartered",
-            "stale-value-columns", "deletion-ignored", "erm-argmax",
+            "pop-without-downdate", "horizon-rewritten", "downdate-keeps-inverse", "drift-sign", "replay-horizon",
+            "leverage-quartered", "stale-value-columns", "deletion-ignored", "rate-bound-rederived", "erm-argmax",
         ],
     )
     def test_verify_catches_a_planted_defect(self, monkeypatch, capsys, name, mutant, suite):

@@ -1,0 +1,36 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import coreset_unlearn
+
+MODULES = sorted(p for p in Path(coreset_unlearn.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, in import order.
+
+    ``from __future__`` imports are compiler directives, not names.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_the_guard_sees_an_unused_import():
+    source = "from __future__ import annotations\nimport os, numpy.linalg\nfrom math import inf as INF, pi\n"
+    assert unused_imports(source + "x: INF = numpy.linalg.norm(pi)\n") == ["os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
