@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -154,15 +153,14 @@ class CoreSet:
     """The stored core set: samples keyed by id, kept in fit order.
 
     A dict from id to sample keeps insertion order, which is fit order, so
-    ``sid in coreset``, :meth:`by_id` and :meth:`remove` are O(1)
-    and removal leaves the order of the rest intact.  The sequence surface is
-    kept for callers: ``len``, iteration in fit order, int and slice indexing
-    (positional, O(position)), ``==`` against a list, ``append`` and ``pop()``
-    of the last sample.
+    ``sid in coreset``, :meth:`by_id` and :meth:`remove` are O(1) and removal
+    leaves the order of the rest intact.  Beyond those it offers ``len``,
+    iteration in fit order, slicing to a list, ``append`` and ``pop()`` of
+    the last sample, and :meth:`ids`.  It has no positional indexing: a
+    sample is found by its id.
     """
 
     __slots__ = ("_samples",)
-    __hash__ = None
 
     def __init__(self, samples=()):
         self._samples: dict[int, LabeledSample] = {}
@@ -186,20 +184,9 @@ class CoreSet:
     def by_id(self, sample_id: int):
         return self._samples[sample_id]
 
-    def in_fit_order(self, ids) -> list[int]:
-        """The stored ids among ``ids``, in fit order.
-
-        One set intersection finds them; several are ordered by one pass over
-        the stored ids, so a batch costs O(core set) once rather than per hit.
-        """
-        hits = self._samples.keys() & ids
-        if len(hits) > 1:
-            return [sid for sid in self._samples if sid in hits]
-        return list(hits)
-
-    def ids(self) -> set[int]:
-        """A new set of the stored ids."""
-        return set(self._samples)
+    def ids(self):
+        """A live view of the stored ids in fit order: no copy, set operations in C."""
+        return self._samples.keys()
 
     def __contains__(self, sample_id) -> bool:
         return sample_id in self._samples
@@ -210,21 +197,10 @@ class CoreSet:
     def __iter__(self):
         return iter(self._samples.values())
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._samples.values())[index]
-        n = len(self._samples)
-        i = index + n if index < 0 else index
-        if not 0 <= i < n:
-            raise IndexError("core set index out of range")
-        return next(islice(self._samples.values(), i, None))
-
-    def __eq__(self, other):
-        if isinstance(other, CoreSet):
-            other = list(other)
-        elif not isinstance(other, (list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
+    def __getitem__(self, index: slice) -> list:
+        if type(index) is not slice:
+            raise TypeError("a core set is sliced, not indexed: look a sample up with by_id")
+        return list(self._samples.values())[index]
 
     def __repr__(self) -> str:
         return f"CoreSet({list(self)!r})"
@@ -283,8 +259,8 @@ class ModelState:
 
     @property
     def coreset_ids(self) -> set[int]:
-        """A new set of the stored ids."""
-        return self.coreset.ids()
+        """A new set of the stored ids, which the caller may change freely."""
+        return set(self.coreset.ids())
 
     @property
     def weight(self) -> np.ndarray:
@@ -359,15 +335,19 @@ def predict(model: ModelState, x) -> int:
 def deletion_update(model: ModelState, ids) -> ModelState:
     """Process deletion requests, in place.
 
-    Requests outside the core set are free: no linear-algebra work happens and
-    the free-deletion counter is bumped.  Each core-set hit is taken out of
-    storage in O(1) and downdated out of the Gram state; the hits of one call
-    are downdated in fit order.
+    Requests outside the core set are free: one set intersection with the
+    stored ids finds no hit, and the free-deletion counter is bumped.  Each
+    core-set hit is taken out of storage in O(1) and downdated out of the Gram
+    state.  The hits of one call are downdated in fit order; only a call with
+    several hits pays one pass over the stored ids to order them.
     """
     ids = set(ids)
     coreset, state = model.coreset, model.gram_state
-    hits = coreset.in_fit_order(ids)
+    stored = coreset.ids()
+    hits = stored & ids
     model.free_deletions += len(ids) - len(hits)
+    if len(hits) > 1:
+        hits = [sid for sid in stored if sid in hits]
     for sid in hits:
         s = coreset.remove(sid)
         rank_one_downdate(state, s.x, s.y)

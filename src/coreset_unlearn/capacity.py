@@ -292,7 +292,7 @@ def expected_capacity_mc(
         permuted = [dataset[i] for i in perm]
         model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa)
 
-        stored = model.coreset_ids
+        stored = model.coreset.ids()
         core_ids = np.fromiter(stored, dtype=rows.ids.dtype, count=len(stored))
         mean_inv = _mean_inverse_over_stream(model, np.flatnonzero(np.isin(rows.ids[perm], core_ids)))
         if dist.kind == "uniform":

@@ -27,8 +27,8 @@ Function classes can be declared in JSON::
 
 Threshold rules read one feature of ``x``; tables map sample ids to values.
 These declarative rules also evaluate a whole pool at once (a threshold is one
-``np.where`` over a feature column), so ``value_matrix`` builds its table
-column-wise; arbitrary callables are evaluated one sample at a time.
+``np.where`` over a feature column), so ``value_matrix`` fills a rule's row in
+one call; an arbitrary callable's row is evaluated one sample at a time.
 Evaluators must depend on the input only, never on labels.
 
 All scores are computed on one point-major pair layout: row ``r`` of an
@@ -100,26 +100,27 @@ class FiniteFunctionClass:
     def value_matrix(self, samples) -> np.ndarray:
         """Dense evaluation table of shape (n_functions, n_samples).
 
-        When every function has a ``column`` form (the declarative rules of
-        ``load_function_class``) the table is built one whole row at a time;
-        otherwise each function is called once per sample.  Both paths reject
-        a threshold rule on a feature the samples lack and the first
-        out-of-range value in row-major order, and clamp alike.
+        Each function fills one row: a declarative rule of
+        ``load_function_class`` in one ``column`` call over the stacked
+        samples, any other callable once per sample through :meth:`evaluate`.
+        A threshold rule on a feature the samples lack is rejected up front,
+        and the first out-of-range value in row-major order raises the error
+        :meth:`evaluate` gives for it.  One clamp then covers the whole table.
         """
-        if len(samples):
-            self._check_features("value_matrix", range(len(self.functions)), len(samples[0].x))
-        if not (len(samples) and all(hasattr(f, "column") for f in self.functions)):
-            out = np.empty((len(self.functions), len(samples)))
-            for j in range(len(self.functions)):
-                for i, s in enumerate(samples):
-                    out[j, i] = self.evaluate(j, s)
+        out = np.empty((len(self.functions), len(samples)))
+        if not len(samples):
             return out
+        self._check_features("value_matrix", range(len(self.functions)), len(samples[0].x))
         xs = np.array([s.x for s in samples], dtype=np.float64)
         ids = [s.sample_id for s in samples]
-        out = np.array([f.column(xs, ids) for f in self.functions], dtype=np.float64)
-        bad = np.argwhere(~((out >= -1e-9) & (out <= 1.0 + 1e-9)))
-        if len(bad):  # the per-sample path raises the same error for the same value
-            self.evaluate(int(bad[0][0]), samples[int(bad[0][1])])
+        for j, f in enumerate(self.functions):
+            if hasattr(f, "column"):
+                out[j] = f.column(xs, ids)
+                bad = np.flatnonzero(~((out[j] >= -1e-9) & (out[j] <= 1.0 + 1e-9)))
+                if bad.size:
+                    self.evaluate(j, samples[int(bad[0])])  # raises for that value
+            else:
+                out[j] = [self.evaluate(j, s) for s in samples]
         out[out < 0.0] = 0.0
         out[out > 1.0] = 1.0
         return out

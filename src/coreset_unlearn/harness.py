@@ -172,7 +172,7 @@ def _timed_fit(fit, warmup, rows, **kwargs):
 def _bbq(cfg: ExperimentConfig, train: Rows, test: Rows):
     samples = train.samples
     model, train_time = _timed_fit(bbq_fit, samples[:512], samples, cap_k=cfg.cap_k, kappa=cfg.kappa)
-    queried = np.fromiter(model.coreset_ids, dtype=np.uint64, count=len(model.coreset))
+    queried = np.fromiter(model.coreset.ids(), dtype=np.uint64, count=len(model.coreset))
     probe_x = train.X[~np.isin(train.ids, queried)][: capacity.DEFAULT_PROBE_SIZE]
     gate = capacity.MetricSet(model.weight.copy())
     gate_events = [] if len(probe_x) else ["gate-skipped: no unqueried probe points"]

@@ -77,7 +77,7 @@ def random_function_class(rng, n_funcs, d):
     """Mixture of axis-threshold rules and constants with values in [0, 1].
 
     Both are declarative rules (a constant is a table with no entries), so
-    ``value_matrix`` takes its column path.
+    ``value_matrix`` fills each of their rows with one ``column`` call.
     """
     funcs = []
     for _ in range(n_funcs):

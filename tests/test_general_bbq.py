@@ -49,7 +49,7 @@ def rules_class(functions):
 
 
 def per_sample_values(fclass, samples):
-    """The one-call-per-sample evaluation table the column path must reproduce."""
+    """The one-call-per-sample evaluation table ``value_matrix`` must reproduce."""
     return np.array(
         [[fclass.evaluate(j, s) for s in samples] for j in range(len(fclass))], dtype=np.float64
     ).reshape(len(fclass), len(samples))
@@ -609,6 +609,14 @@ class TestColumnRules:
         bad["below" if bad["type"] == "threshold" else "default"] = data.draw(st.sampled_from([1.5, -0.25]))
         fclass = rules_class(functions)
         assert outcome(lambda: fclass.value_matrix(samples)) == outcome(lambda: per_sample_values(fclass, samples))
+        mixed = list(zip(fclass.functions, fclass.names))  # and with callables among the rules
+        for k in range(data.draw(st.integers(1, 3))):
+            bad_id = data.draw(st.sampled_from([s.sample_id for s in samples]))
+            value = data.draw(st.sampled_from([1.5, -0.25, 1.0 + 1e-10]))
+            call = (lambda b, v: lambda s: v if s.sample_id == b else 0.5)(bad_id, value)
+            mixed.insert(data.draw(st.integers(0, len(mixed))), (call, f"c{k}"))
+        fclass = FiniteFunctionClass([f for f, _ in mixed], names=[name for _, name in mixed])
+        assert outcome(lambda: fclass.value_matrix(samples)) == outcome(lambda: per_sample_values(fclass, samples))
 
     def test_out_of_range_rule_reports_the_same_error(self):
         fclass = rules_class([
@@ -633,8 +641,8 @@ class TestColumnRules:
         mixed = FiniteFunctionClass([*fclass.functions, lambda s: 0.5], names=[*fclass.names, "c"])
         pool = points(3, d=3)
         for where, call in [
-            ("value_matrix", lambda: fclass.value_matrix(pool)),  # the column path
-            ("value_matrix", lambda: mixed.value_matrix(pool)),  # the per-sample path
+            ("value_matrix", lambda: fclass.value_matrix(pool)),  # rules only
+            ("value_matrix", lambda: mixed.value_matrix(pool)),  # rules and a callable
             ("evaluate", lambda: fclass.evaluate(1, pool[0])),
             ("value_matrix", lambda: general_bbq_fit(pool, fclass)),
         ]:
@@ -644,7 +652,7 @@ class TestColumnRules:
 
     @settings(max_examples=50, deadline=None)
     @given(case=rules_and_samples())
-    def test_class_with_a_callable_falls_back_and_matches(self, case):
+    def test_a_callable_row_is_evaluated_per_sample_and_matches(self, case):
         functions, samples = case
         rules = rules_class(functions)
         calls = []
@@ -653,6 +661,26 @@ class TestColumnRules:
         assert len(calls) == len(samples)  # the callable saw every sample once
         assert got.tobytes() == per_sample_values(mixed, samples).tobytes()
         assert got[:-1].tobytes() == rules.value_matrix(samples).tobytes()
+
+    @pytest.mark.parametrize("callable_first", [True, False])
+    def test_first_bad_value_in_row_major_order_wins_in_a_mixed_class(self, callable_first):
+        # the first row goes bad at sample 2, the second already at sample 0,
+        # so a column-major scan would report the second row
+        def rule(bad_id):
+            return rules_class([{"name": "r", "type": "table", "default": 0.5, "values": {str(bad_id): -0.25}}])
+
+        def spike(bad_id):
+            return lambda s: 1.5 if s.sample_id == bad_id else 0.5
+
+        if callable_first:
+            mixed = FiniteFunctionClass([spike(2), *rule(0).functions], names=["c", "r"])
+            message = "function c returned 1.5, outside [0, 1]"
+        else:
+            mixed = FiniteFunctionClass([*rule(2).functions, spike(0)], names=["r", "c"])
+            message = "function r returned -0.25, outside [0, 1]"
+        samples = points(4)
+        assert outcome(lambda: mixed.value_matrix(samples)) == outcome(lambda: per_sample_values(mixed, samples))
+        assert outcome(lambda: mixed.value_matrix(samples)) == message
 
 
 def fit_repr(trace, pool_dim=ProjectedDimension(None, None)):

@@ -1,4 +1,4 @@
-"""Checks on the package source itself."""
+"""Checks on the package source and the test modules themselves."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 import coreset_unlearn
 
 MODULES = sorted(p for p in Path(coreset_unlearn.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +32,8 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(source + "x: INF = numpy.linalg.norm(pi)\n") == ["os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES]
+)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
