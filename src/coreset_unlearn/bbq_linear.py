@@ -15,9 +15,15 @@ core-set hit is looked up and taken out in O(1), so its whole cost is the one
 ``O(d^2)`` downdate; a batch of hits is downdated in fit order, exactly as a
 scan of the core set would meet them.
 
-The fit's per-point work is one leverage evaluation, and it keeps nothing per
-point: ``ModelState.query_log`` is ``range(n)`` over the ``n`` streamed
-points, so it holds no sample id and no leverage.
+The fit keeps nothing per point: ``ModelState.query_log`` is ``range(n)``
+over the ``n`` streamed points, so it holds no sample id and no leverage.  On
+a sample list its per-point work is one leverage evaluation.  On rows
+(:class:`~.datastreams.Rows`) it screens blocks of :data:`SCREEN_BLOCK` rows
+in one product against the inverse at the block's start.  During a fit ``A``
+only grows in PSD order, so that screen bounds each row's leverage from
+above for the whole block, and a row it certifies below the threshold costs
+no leverage evaluation of its own: the fit spends its per-point work on the
+points it may store.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -74,6 +80,14 @@ MODEL_VERSION = 2
 MAX_MODEL_DIM = 4096
 
 DEFAULT_CAP_K = 32.0
+
+# A fit on rows screens this many rows in one product.
+SCREEN_BLOCK = 512
+
+# A screened bound at most ``threshold * (1 - SCREEN_SLACK)`` certifies a row
+# unqueried; the slack covers the rounding of the screen and of the
+# Sherman-Morrison steps the block's later queries take.
+SCREEN_SLACK = 1e-9
 
 
 class ModelFormatError(ValueError):
@@ -296,32 +310,78 @@ def bbq_fit(
     """Single pass of the selective sampler over ``stream``.
 
     A point is queried iff its leverage strictly exceeds ``horizon**-kappa``;
-    only then is its label read.  ``horizon`` defaults to ``len(stream)`` and
-    ``dim`` to the dimension of the first sample; both must be given
-    explicitly to fit an empty stream (used by core-set replays).  Sample ids
-    must be unique within the stream.
+    only then does its label enter the state.  ``horizon`` defaults to the
+    stream's length and ``dim`` to the dimension of its first point; both
+    must be given explicitly to fit an empty stream (used by core-set
+    replays).  Sample ids must be unique within the stream.
+
+    ``stream`` is a :class:`~.datastreams.Rows` (a ``Dataset`` is one) or an
+    iterable of :class:`LabeledSample`; its type picks the path, and both
+    give the same core set in the same order and the same state bits.  Rows
+    are checked once as :attr:`~.datastreams.Rows.samples` checks them and
+    screened in blocks (:func:`_fit_rows`); each queried row is stored as a
+    sample that owns a copy of it.  A sample list keeps the per-point loop,
+    which reads a sample's ``y`` only when it queries the sample: stacking
+    the list into rows would read every label.
     """
-    stream = list(stream)
-    if len({s.sample_id for s in stream}) != len(stream):
+    from .datastreams import Rows  # datastreams imports this module, so the type test imports late
+
+    is_rows = isinstance(stream, Rows)
+    if is_rows:
+        n = len(stream)
+        repeated = np.unique(stream.ids).size != n
+    else:
+        stream = list(stream)
+        n = len(stream)
+        repeated = len({s.sample_id for s in stream}) != n
+    if repeated:
         raise ValueError("sample ids repeat within the stream")
     if horizon is None:
-        if not stream:
+        if not n:
             raise ValueError("cannot infer horizon from an empty stream")
-        horizon = len(stream)
+        horizon = n
     if dim is None:
-        if not stream:
+        if not n:
             raise ValueError("cannot infer dim from an empty stream")
-        dim = len(stream[0].x)
+        dim = stream.X.shape[1] if is_rows else len(stream[0].x)
     params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
-    coreset = CoreSet()
-    for s in stream:
-        # the module global, so a wrapper installed on it sees every call
-        if leverage(state, s.x) > threshold:
-            rank_one_update(state, s.x, s.y)  # label read only on query
-            coreset.append(s)
-    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(len(stream)))
+    if is_rows:
+        coreset = _fit_rows(stream, state, threshold)
+    else:
+        coreset = CoreSet()
+        for s in stream:
+            # the module global, so a wrapper installed on it sees every call
+            if leverage(state, s.x) > threshold:
+                rank_one_update(state, s.x, s.y)  # label read only on query
+                coreset.append(s)
+    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n))
+
+
+def _fit_rows(rows, state: GramState, threshold: float) -> CoreSet:
+    """The sampler's pass over ``rows`` into ``state``, screened; returns the core set.
+
+    Each block's bounds ``x^T A^-1 x`` are one product against the inverse
+    at the block's start.  A later query in the block only shrinks the
+    inverse, so a row whose bound is at most ``threshold * (1 -
+    SCREEN_SLACK)`` would fail the query test and is skipped; every other row
+    takes the list path's exact test and update, through the module globals.
+    """
+    X = np.ascontiguousarray(rows.X, dtype=np.float64)
+    check_rows(X, rows.y)
+    labels = rows.y.tolist()
+    cut = threshold * (1.0 - SCREEN_SLACK)
+    queried = []
+    for start in range(0, len(X), SCREEN_BLOCK):
+        block = X[start : start + SCREEN_BLOCK]
+        bounds = ((block @ state.gram_inv) * block).sum(1)
+        for i in np.flatnonzero(bounds > cut).tolist():
+            x = block[i]
+            if leverage(state, x) > threshold:
+                rank_one_update(state, x, labels[start + i])
+                queried.append(start + i)
+    return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried]))
 
 
 def predict(model: ModelState, x) -> int:

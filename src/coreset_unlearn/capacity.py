@@ -256,12 +256,15 @@ def expected_capacity_mc(
 ) -> CapacityCurve:
     """Estimate ``Pr(core-set deletions > K)`` as a function of the request budget.
 
-    Each trial refits on an independent random permutation of ``dataset``,
-    draws deletion requests from ``dist`` without replacement, and counts how
-    many of the first ``k_total`` requests hit that trial's core set.  The
-    closed-form bound side is estimated through the average pre-step inverse
-    Gram matrix.  Each trial draws its permutation and its deletion requests
-    from its own seed, spawned from ``seed``.
+    ``dataset`` is anything :func:`~.datastreams.as_rows` accepts: a
+    :class:`~.datastreams.Rows` or ``Dataset``, or a sample list, which is
+    stacked once.  Each trial refits on an independent random permutation of
+    its rows (``bbq_fit`` on rows, screened), draws deletion requests from
+    ``dist`` without replacement, and counts how many of the first
+    ``k_total`` requests hit that trial's core set.  The closed-form bound
+    side is estimated through the average pre-step inverse Gram matrix.
+    Each trial draws its permutation and its deletion requests from its own
+    seed, spawned from ``seed``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -269,8 +272,8 @@ def expected_capacity_mc(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    dataset = list(dataset)
-    T = len(dataset)
+    rows = as_rows(dataset)
+    T = len(rows)
     if k_total_grid is None:
         k_total_grid = np.unique(np.linspace(1, max(T // 2, 1), 12).astype(int))
     k_total_grid = np.asarray(sorted(int(k) for k in k_total_grid), dtype=int)
@@ -280,7 +283,6 @@ def expected_capacity_mc(
     children = np.random.SeedSequence(seed).spawn(trials)
     exceed = np.zeros((trials, len(k_total_grid)))
     qf_values = np.zeros(trials)
-    rows = as_rows(dataset)
     xs_all = rows.X
     if dist.kind == "weighted":
         weights = deletion_weights(rows.ids, dist)
@@ -289,12 +291,12 @@ def expected_capacity_mc(
         perm_seq, draw_seq = child.spawn(2)
         rng = np.random.default_rng(perm_seq)
         perm = rng.permutation(T)
-        permuted = [dataset[i] for i in perm]
+        permuted = rows.take(perm)
         model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa)
 
         stored = model.coreset.ids()
         core_ids = np.fromiter(stored, dtype=rows.ids.dtype, count=len(stored))
-        mean_inv = _mean_inverse_over_stream(model, np.flatnonzero(np.isin(rows.ids[perm], core_ids)))
+        mean_inv = _mean_inverse_over_stream(model, np.flatnonzero(np.isin(permuted.ids, core_ids)))
         if dist.kind == "uniform":
             qf = float(np.mean(np.einsum("ij,jk,ik->i", xs_all, mean_inv, xs_all)))
         elif dist.kind == "by-label":
@@ -314,7 +316,7 @@ def expected_capacity_mc(
         exceed[trial] = hits_so_far > K
 
         if check_drift_identity and hit_positions:
-            probe_x = dataset[int(perm[0])].x
+            probe_x = xs_all[perm[0]]
             for pos in hit_positions[: K + 1]:
                 s = model.coreset.by_id(draws[pos])
                 predicted = predicted_deletion_drift(model.gram_state, s.x, s.y, probe_x)

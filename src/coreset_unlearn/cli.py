@@ -140,7 +140,7 @@ def _cmd_gen(args) -> int:
 def _cmd_fit(args) -> int:
     _check_sampler_args(args)
     ds = load_dataset(args.data)
-    model = bbq_fit(ds.samples, cap_k=args.cap_k, kappa=args.kappa)
+    model = bbq_fit(ds, cap_k=args.cap_k, kappa=args.kappa)
     save_model(model, args.out)
     print(f"wrote {args.out} (core set {len(model.coreset)} of {len(ds)})")
     return EXIT_OK
@@ -202,7 +202,7 @@ def _cmd_capacity(args) -> int:
         spec = _usage_checked(DatasetSpec, kind="realizable-linear", T=args.t, d=args.d, seed=args.seed)
         ds = gen_dataset(spec)
     curve = expected_capacity_mc(
-        ds.samples,
+        ds,
         DeletionDistribution(kind="uniform"),
         K=args.k,
         trials=args.trials,

@@ -15,8 +15,9 @@ for a planted unit vector ``u``.  Three presets:
 :func:`as_rows` is the one conversion between the two representations the
 package accepts: a :class:`Rows` (or :class:`Dataset`) passes through, a
 sequence of :class:`LabeledSample` is stacked once; :func:`ids_and_labels` is
-its half for callers that never read ``X``.  Per-sample objects exist
-only where an algorithm consumes a stream of them (the selective sampler);
+its half for callers that never read ``X``.  The selective sampler fits
+rows directly and builds a sample only for a row it stores; per-sample
+objects exist where a caller asks for a stream of them, and
 :attr:`Rows.samples` builds them on first use.
 
 Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON

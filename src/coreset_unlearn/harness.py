@@ -9,8 +9,9 @@ a halt and builds the method's report.  Each method supplies only its fit
 its model-dependent report fields.  Reports are deterministic given the
 config and seeds, except for wall-clock fields.
 
-The runner works on the array form of the dataset; per-sample objects are
-built only for the selective sampler, which consumes a stream of them.
+The runner works on the array form of the dataset, and every method fits
+it as rows; the selective sampler builds a sample only for each row it
+stores.
 
 The capacity gate applies only to the selective sampler and only to core-set
 hits, and its cost counts toward the sampler's deletion time.  Exhaustion is
@@ -170,8 +171,7 @@ def _timed_fit(fit, warmup, rows, **kwargs):
 
 
 def _bbq(cfg: ExperimentConfig, train: Rows, test: Rows):
-    samples = train.samples
-    model, train_time = _timed_fit(bbq_fit, samples[:512], samples, cap_k=cfg.cap_k, kappa=cfg.kappa)
+    model, train_time = _timed_fit(bbq_fit, train.take(slice(512)), train, cap_k=cfg.cap_k, kappa=cfg.kappa)
     queried = np.fromiter(model.coreset.ids(), dtype=np.uint64, count=len(model.coreset))
     probe_x = train.X[~np.isin(train.ids, queried)][: capacity.DEFAULT_PROBE_SIZE]
     gate = capacity.MetricSet(model.weight.copy())

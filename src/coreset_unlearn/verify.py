@@ -41,7 +41,12 @@ _GRAM_FIELDS = ("gram", "gram_inv", "b_vec", "weight")
 
 
 def random_linear_instance(rng: np.random.Generator, t_max: int = 2000):
-    """A fitted sampler on synthetic realizable data with a satisfiable query condition."""
+    """A fitted sampler on synthetic realizable data with a satisfiable query condition.
+
+    The sampler fits the dataset as rows, so the suites that compare it with
+    :func:`~.bbq_linear.replay_on_coreset`, a fit on a sample list, check the
+    two input paths of ``bbq_fit`` against each other.
+    """
     T = int(rng.integers(200, t_max + 1))
     d = int(rng.integers(2, 21))
     kappa = float(rng.choice((0.3, 0.5, 0.7)))
@@ -52,7 +57,7 @@ def random_linear_instance(rng: np.random.Generator, t_max: int = 2000):
     ds = gen_dataset(
         DatasetSpec(kind="realizable-linear", T=T, d=d, seed=int(rng.integers(0, 2**31)))
     )
-    model = bbq_fit(ds.samples, cap_k=cap_k, kappa=kappa)
+    model = bbq_fit(ds, cap_k=cap_k, kappa=kappa)
     return ds, model
 
 
@@ -61,7 +66,7 @@ def random_deletion_request(rng: np.random.Generator, ds, model) -> set[int]:
     core_ids = sorted(model.coreset_ids)
     hits = int(rng.integers(0, min(len(core_ids), int(model.params.cap_k)) + 1)) if core_ids else 0
     u = set(rng.choice(core_ids, size=hits, replace=False).tolist()) if hits else set()
-    outside = [s.sample_id for s in ds.samples if s.sample_id not in model.coreset]
+    outside = [sid for sid in ds.ids.tolist() if sid not in model.coreset]
     if outside:
         u |= set(rng.choice(outside, size=min(10, len(outside)), replace=False).tolist())
     return u
@@ -182,7 +187,8 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
     that replay, a fresh fit on the survivors (:func:`_deletion_matches`), and
     every point never queried must have leverage at most ``e * T^-kappa``.  Then up to 20 random training
     ids, any number of them core-set hits, are deleted and the model must
-    again equal a fresh fit.
+    again equal a fresh fit.  The instance is fitted on rows and each replay
+    on a sample list, so every comparison also crosses the two fit paths.
     """
     rng = _rng(seed, 2)
     diverged, replay_failed, bound_failed = [], [], []

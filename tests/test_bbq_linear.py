@@ -34,20 +34,33 @@ from coreset_unlearn.bbq_linear import (
     MAX_MODEL_DIM,
     MODEL_MAGIC,
     MODEL_VERSION,
+    SCREEN_BLOCK,
+    SCREEN_SLACK,
     BBQParams,
     CoreSet,
     ModelFormatError,
     ModelState,
+    encode_model,
     row_dtype,
 )
-from coreset_unlearn import core_linalg
-from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
+from coreset_unlearn import bbq_linear, core_linalg
+from coreset_unlearn.datastreams import DeletionDistribution, Rows, as_rows, deletion_stream
 from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage
-from coreset_unlearn.verify import random_deletion_request, random_linear_instance
+from coreset_unlearn.verify import random_deletion_request, random_linear_instance, unit_vectors
 
 
 def ones_stream(n):
     return [LabeledSample(i, [1.0], 1) for i in range(n)]
+
+
+FORMS = ("samples", "rows")
+
+
+def in_form(stream, form):
+    """``stream`` (rows or a sample list) as the fit input ``form`` names."""
+    if form == "rows":
+        return as_rows(stream)
+    return stream.samples if isinstance(stream, Rows) else list(stream)
 
 
 def seeded_model():
@@ -66,10 +79,11 @@ class TestFit:
         assert [s.sample_id for s in m.coreset] == [0, 1, 2]
         assert m.params.query_threshold == pytest.approx(0.25)
 
-    def test_boundary_leverage_does_not_query(self):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_boundary_leverage_does_not_query(self, form):
         # the state after the first three queries gives the fourth point a
         # leverage of exactly the threshold, so it is not stored
-        m = bbq_fit(ones_stream(16), cap_k=1.0, kappa=0.5)
+        m = bbq_fit(in_form(ones_stream(16), form), cap_k=1.0, kappa=0.5)
         assert leverage(m.gram_state, [1.0]) == 0.25
         assert 3 not in m.coreset_ids
 
@@ -87,11 +101,18 @@ class TestFit:
             direct += np.outer(s.x, s.x)
         assert np.max(np.abs(m.gram_state.gram - direct)) < 1e-8
 
-    def test_empty_stream_needs_explicit_shape(self):
-        with pytest.raises(ValueError):
-            bbq_fit([])
-        m = bbq_fit([], cap_k=2.0, kappa=0.5, horizon=100, dim=3)
-        assert list(m.coreset) == [] and m.dim == 3
+    @pytest.mark.parametrize(
+        "empty",
+        [[], as_rows([]), Rows(np.empty(0, np.uint64), np.empty((0, 3)), np.empty(0, np.int8))],
+        ids=["samples", "rows", "rows of width 3"],
+    )
+    def test_empty_stream_needs_explicit_shape(self, empty):
+        with pytest.raises(ValueError, match="^cannot infer horizon from an empty stream$"):
+            bbq_fit(empty)
+        with pytest.raises(ValueError, match="^cannot infer dim from an empty stream$"):
+            bbq_fit(empty, horizon=100)
+        m = bbq_fit(empty, cap_k=2.0, kappa=0.5, horizon=100, dim=3)
+        assert list(m.coreset) == [] and m.dim == 3 and len(m.query_log) == 0
 
     def test_invalid_hyperparameters(self):
         for cap_k in (0.5, math.nan, math.inf):  # a NaN cap_k would save a model that no load accepts
@@ -107,12 +128,13 @@ class TestFit:
         m2 = bbq_fit(flipped, cap_k=m.params.cap_k, kappa=m.params.kappa)
         assert [s.sample_id for s in m.coreset] == [s.sample_id for s in m2.coreset]
 
-    def test_repeated_sample_id_rejected(self):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_repeated_sample_id_rejected(self, form):
         queried_twice = [LabeledSample(0, [0.5], 1), LabeledSample(0, [0.1], -1)]
         never_queried_twice = ones_stream(16) + [LabeledSample(10, [1.0], 1)]
         for stream in (queried_twice, never_queried_twice):
-            with pytest.raises(ValueError, match="repeat"):
-                bbq_fit(stream, cap_k=1.0, kappa=0.5)
+            with pytest.raises(ValueError, match="^sample ids repeat within the stream$"):
+                bbq_fit(in_form(stream, form), cap_k=1.0, kappa=0.5)
 
     def test_unqueried_labels_never_read(self):
         class SpySample:
@@ -168,11 +190,11 @@ class TestSamplerDecisions:
     # name: (stream, cap_k, kappa, fit_digest of the fitted model)
     INSTANCES = {
         "realizable-linear": (
-            lambda: gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=10, seed=61)).samples,
+            lambda: gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=10, seed=61)),
             2.0, 0.5, "cba63ccaef8d7b9ea386c4da882b043f3de7b9f3f26b205640151b082e4b715f",
         ),
         "margin": (
-            lambda: gen_dataset(DatasetSpec(kind="margin", T=3000, d=20, gamma=0.1, seed=62)).samples,
+            lambda: gen_dataset(DatasetSpec(kind="margin", T=3000, d=20, gamma=0.1, seed=62)),
             32.0, 0.5, "530a12b8d7ec027d0f7a4ff293f0f524d9b2b79da4c00a23e99e5be00e681964",
         ),
         "ones at the threshold": (
@@ -181,10 +203,11 @@ class TestSamplerDecisions:
         ),
     }
 
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("name", list(INSTANCES))
-    def test_state_is_pinned(self, name):
+    def test_state_is_pinned(self, name, form):
         make, cap_k, kappa, sha = self.INSTANCES[name]
-        stream = make()
+        stream = in_form(make(), form)
         m = bbq_fit(stream, cap_k=cap_k, kappa=kappa)
         assert fit_digest(m) == sha
         assert len(m.query_log) == len(stream)
@@ -193,6 +216,83 @@ class TestSamplerDecisions:
         m = bbq_fit(ones_stream(16), cap_k=1.0, kappa=0.5)
         save_model(m, tmp_path / "m.saul")
         assert len(load_model(tmp_path / "m.saul").query_log) == 0
+
+
+@st.composite
+def screened_streams(draw):
+    """Rows with fit settings: short and ragged last blocks, duplicated rows, a
+    first block that the screen flags whole, and empty rows of a given shape."""
+    n = draw(st.one_of(st.integers(0, 3 * SCREEN_BLOCK + 20), st.sampled_from([1, 511, 512, 513, 1024])))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    all_flagged = draw(st.booleans())
+    if all_flagged:
+        # unit rows against threshold 1/T: every bound at the start is 1/cap_k = 1
+        cap_k, kappa = 1.0, 1.0
+        X = rng.standard_normal((n, d))
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
+    else:
+        cap_k = draw(st.sampled_from([1.0, 2.0, 8.0, 32.0]))
+        kappa = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        X = unit_vectors(rng, n, d)
+    n_dirs = draw(st.one_of(st.none(), st.integers(1, 4)))
+    if n_dirs is not None and n:
+        X = X[rng.integers(0, min(n_dirs, n), size=n)]  # exact duplicates under distinct ids
+    ids = rng.permutation(10 * n + 1)[:n].astype(np.uint64)
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    shape = {}
+    if not n or draw(st.booleans()):
+        shape = {"horizon": n + draw(st.integers(1 if not n else 0, 2000)), "dim": d}
+    return Rows(ids, np.ascontiguousarray(X), y), cap_k, kappa, shape, all_flagged
+
+
+class TestRowsFit:
+    """A fit on rows screens them in blocks and gives the sample-list fit's model, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(screened_streams())
+    def test_equals_the_sample_list_fit(self, case):
+        rows, cap_k, kappa, shape, all_flagged = case
+        via_rows = bbq_fit(rows, cap_k=cap_k, kappa=kappa, **shape)
+        via_samples = bbq_fit(rows.samples, cap_k=cap_k, kappa=kappa, **shape)
+        if all_flagged and len(rows):
+            first = rows.X[:SCREEN_BLOCK]
+            cut = via_rows.params.query_threshold * (1.0 - SCREEN_SLACK)
+            assert np.all(((first @ (np.eye(via_rows.dim) / cap_k)) * first).sum(1) > cut)
+        assert [s.sample_id for s in via_rows.coreset] == [s.sample_id for s in via_samples.coreset]
+        assert encode_model(via_rows) == encode_model(via_samples)
+        for name in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(via_rows.gram_state, name).tobytes() == getattr(via_samples.gram_state, name).tobytes()
+        assert via_rows.query_log == via_samples.query_log == range(len(rows))
+
+    def test_certified_rows_cost_no_leverage_call(self, monkeypatch):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
+        calls = {"leverage": 0, "rank_one_update": 0}
+
+        def counted(name):
+            fn = getattr(bbq_linear, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bbq_linear, name, counted(name))
+        m = bbq_fit(ds, cap_k=10.0, kappa=0.5)
+        assert calls["rank_one_update"] == len(m.coreset) > 0
+        assert len(m.coreset) <= calls["leverage"] < len(ds) // 2
+        assert "samples" not in vars(ds)  # no sample is built for a row the fit does not store
+        assert all(s.x.base is None for s in m.coreset)  # each stored sample owns its row
+
+    def test_rows_are_checked_as_samples_are(self):
+        rows = as_rows(ones_stream(4))
+        rows.y[2] = 0
+        with pytest.raises(ValueError, match="^row 2: label must be -1 or \\+1, got 0$"):
+            bbq_fit(rows, cap_k=1.0)
+        rows.y[2], rows.X[3] = 1, 2.0
+        with pytest.raises(ValueError, match="^row 3: "):
+            bbq_fit(rows, cap_k=1.0)
 
 
 class TestPredict:

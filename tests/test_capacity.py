@@ -294,6 +294,17 @@ class TestMonteCarlo:
         got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         assert got == "feb376fc0b0e78bd98321e1e8d6bf37888770a1925ec3cb8c316a7f176114964"
 
+    @pytest.mark.parametrize("dist", [DeletionDistribution(), DeletionDistribution(kind="by-label", target_label=1)])
+    def test_rows_and_sample_list_give_the_same_curve(self, dist):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=700, d=6, seed=22))
+        curves = [
+            expected_capacity_mc(data, dist, K=3, trials=5, seed=23, cap_k=2.0, kappa=0.5, k_total_grid=[1, 50, 200])
+            for data in (ds, ds.samples)
+        ]
+        for name in ("k_total", "empirical", "bound"):
+            assert getattr(curves[0], name).tobytes() == getattr(curves[1], name).tobytes()
+        assert curves[0].quadratic_form_mean.hex() == curves[1].quadratic_form_mean.hex()
+
     @pytest.mark.parametrize("T,d", [(200, 1), (300, 3), (500, 10)])
     def test_mean_inverse_equals_full_state_replay(self, T, d):
         # the inverse-only replay must step the inverse exactly as

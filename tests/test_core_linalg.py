@@ -285,6 +285,22 @@ class TestLeverage:
             lev = leverage(s, x)
             assert 0.0 <= lev <= float(x @ x) / 2.0 + 1e-12
 
+    @pytest.mark.parametrize("d", [1, 3, 7, 10, 20])
+    def test_row_view_gives_the_bits_of_its_copy(self, d):
+        # a fit on rows tests and adds views into X, a fit on samples their
+        # copies; odd d puts the views at every 8-byte offset
+        rng = np.random.default_rng(d)
+        X = np.ascontiguousarray([random_unit(rng, d) for _ in range(64)])
+        on_views, on_copies = gram_init(d, 2.0), gram_init(d, 2.0)
+        for i in range(len(X)):
+            assert X[i].flags.c_contiguous and X[i].base is X
+            assert leverage(on_views, X[i]).hex() == leverage(on_copies, X[i].copy()).hex()
+            if i % 2:
+                rank_one_update(on_views, X[i], 1)
+                rank_one_update(on_copies, X[i].copy(), 1)
+        for name in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(on_views, name).tobytes() == getattr(on_copies, name).tobytes()
+
 
 class TestRefresh:
     def test_fresh_state_unchanged(self):
