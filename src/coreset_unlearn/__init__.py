@@ -3,7 +3,6 @@
 from .baselines import exact_unlearn, ridge_fit, ridge_retrain, sisa_fit, sisa_predict, sisa_unlearn
 from .bbq_linear import (
     BBQParams,
-    LabeledSample,
     ModelState,
     SystemState,
     bbq_fit,
@@ -38,6 +37,7 @@ from .datastreams import (
     Dataset,
     DatasetSpec,
     DeletionDistribution,
+    LabeledSample,
     deletion_stream,
     gen_dataset,
     load_dataset,

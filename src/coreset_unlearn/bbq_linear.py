@@ -37,10 +37,11 @@ Serialized model container ("SAUL1"), all integers and doubles little-endian:
     coreset records     n_coreset x (sample_id u64, y i8, x dim*f64)
 
 The file keeps what a fresh fit on the surviving core set keeps, and nothing
-that tells how many deletions came before.  The records are exactly
-:func:`row_dtype`, the row of a SADS1 dataset file, in fit order, and are read
-and written as one array.  The Gram state is not stored: :func:`save_model`
-and :func:`load_model` both derive it from the records with
+that tells how many deletions came before.  The records are the rows of a
+SADS1 dataset file (:func:`~.datastreams.row_dtype`), in fit order, written
+by :func:`~.datastreams.pack_rows` and read by
+:func:`~.datastreams.unpack_rows`.  The Gram state is not stored:
+:func:`save_model` and :func:`load_model` both derive it from the records with
 :func:`~.core_linalg.gram_from_rows`, which by the exactness theorem is the
 state of a fresh fit on them, and the saved model takes that state, so the
 model in memory and the one loaded from its file agree bit for bit.  A load
@@ -61,7 +62,6 @@ import numpy as np
 from .atomic_io import atomic_open
 from .core_linalg import (
     FLOAT64,
-    NORM_SLACK,
     GramState,
     as_vector,
     gram_from_rows,
@@ -70,6 +70,7 @@ from .core_linalg import (
     rank_one_downdate,
     rank_one_update,
 )
+from .datastreams import LabeledSample, Rows, as_rows, check_rows, pack_rows, row_dtype, trusted_samples, unpack_rows
 
 MODEL_MAGIC = b"SAUL1"
 MODEL_VERSION = 2
@@ -92,75 +93,6 @@ SCREEN_SLACK = 1e-9
 
 class ModelFormatError(ValueError):
     """Raised on malformed, truncated, inconsistent or version-incompatible model files."""
-
-
-@dataclass(slots=True)
-class LabeledSample:
-    """A classification example: unique id, feature vector with ||x|| <= 1, label in {-1, +1}."""
-
-    sample_id: int
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        nrm = float(np.linalg.norm(self.x))
-        if not nrm <= 1.0 + NORM_SLACK:  # NaN fails too, as in check_rows
-            raise ValueError(f"sample {self.sample_id}: ||x|| = {nrm} exceeds 1")
-        if self.y not in (-1, 1):
-            raise ValueError(f"sample {self.sample_id}: label must be -1 or +1, got {self.y}")
-
-    def __eq__(self, other):
-        # the generated __eq__ compares the x arrays with ==, whose elementwise result is no bool
-        if not isinstance(other, LabeledSample):
-            return NotImplemented
-        return self.sample_id == other.sample_id and self.y == other.y and np.array_equal(self.x, other.x)
-
-
-def row_dtype(d: int) -> np.dtype:
-    """One stored labeled sample, packed: (id u64, y i8, x d*f64), little-endian.
-
-    The row of a SADS1 dataset file and the core-set record of a SAUL1 model.
-    """
-    return np.dtype([("id", "<u8"), ("y", "i1"), ("x", "<f8", (d,))])
-
-
-def check_rows(X: np.ndarray, y: np.ndarray, ids: np.ndarray | None = None) -> None:
-    """Vectorized form of the :class:`LabeledSample` checks over aligned rows.
-
-    Raises ``ValueError`` naming the first row whose label is not -1 or +1 or
-    whose norm exceeds 1 (a non-finite row counts as exceeding it), and, when
-    ``ids`` is given, on a repeated id.
-    """
-    bad = np.flatnonzero((y != 1) & (y != -1))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
-    with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
-        norms = np.linalg.norm(X, axis=1)
-    bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")
-    if ids is not None and np.unique(ids).size != ids.size:
-        raise ValueError("duplicate sample ids")
-
-
-def trusted_samples(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> list[LabeledSample]:
-    """One :class:`LabeledSample` per row, built without re-running its checks.
-
-    Only for rows that passed :func:`check_rows`.  Each sample owns a copy of
-    its row, never a view into ``X``: a model that keeps a few samples (a core
-    set) must not keep all of ``X`` alive.
-    """
-    new = object.__new__
-    out = []
-    append = out.append
-    for sid, row, label in zip(ids.tolist(), X, y.tolist()):
-        s = new(LabeledSample)
-        s.sample_id = sid
-        s.x = row.copy()
-        s.y = label
-        append(s)
-    return out
 
 
 class CoreSet:
@@ -324,8 +256,6 @@ def bbq_fit(
     which reads a sample's ``y`` only when it queries the sample: stacking
     the list into rows would read every label.
     """
-    from .datastreams import Rows  # datastreams imports this module, so the type test imports late
-
     is_rows = isinstance(stream, Rows)
     if is_rows:
         n = len(stream)
@@ -344,6 +274,8 @@ def bbq_fit(
         if not n:
             raise ValueError("cannot infer dim from an empty stream")
         dim = stream.X.shape[1] if is_rows else len(stream[0].x)
+    if is_rows and n and stream.X.shape[1] != dim:
+        raise ValueError(f"dim {dim} does not match the rows' width {stream.X.shape[1]}")
     params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
@@ -450,27 +382,19 @@ def replay_on_coreset(model: ModelState, ids) -> ModelState:
 _HEADER = struct.Struct("<5sBIQddQ")
 
 
-def _record_dtype(dim: int) -> np.dtype:
-    """:func:`row_dtype` for a model file, once ``dim`` is known to lie in ``[1, MAX_MODEL_DIM]``."""
+def _check_dim(dim: int) -> None:
+    """``ModelFormatError`` unless a model file may declare ``dim``, which must lie in ``[1, MAX_MODEL_DIM]``."""
     if not 1 <= dim <= MAX_MODEL_DIM:
         raise ModelFormatError(f"model dimension {dim} outside [1, {MAX_MODEL_DIM}]")
-    return row_dtype(dim)
-
-
-def _records_state(records: np.ndarray, lam: float) -> GramState:
-    """The Gram state of a fresh fit on ``records``: the same bits for save and load."""
-    return gram_from_rows(np.ascontiguousarray(records["x"]), records["y"], lam)
 
 
 def encode_model(model: ModelState) -> bytes:
     """The "SAUL1" container of ``model``, as :func:`save_model` writes it."""
     d, n = model.dim, len(model.coreset)
-    records = np.empty(n, dtype=_record_dtype(d))
-    records["id"] = np.fromiter((s.sample_id for s in model.coreset), dtype=np.uint64, count=n)
-    records["y"] = np.fromiter((s.y for s in model.coreset), dtype=np.int8, count=n)
-    records["x"] = np.fromiter((s.x for s in model.coreset), dtype=(np.float64, (d,)), count=n)
+    _check_dim(d)
     p = model.params
-    return _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n) + records.tobytes()
+    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n)
+    return header + pack_rows(as_rows(model.coreset)).tobytes()
 
 
 def save_model(model: ModelState, path) -> None:
@@ -483,8 +407,8 @@ def save_model(model: ModelState, path) -> None:
     blob = encode_model(model)
     with atomic_open(path, "wb") as fh:
         fh.write(blob)
-    records = np.frombuffer(blob, dtype=_record_dtype(model.dim), offset=_HEADER.size)
-    model.gram_state = _records_state(records, model.params.lam)
+    records = unpack_rows(blob, len(model.coreset), model.dim, _HEADER.size)
+    model.gram_state = gram_from_rows(records.X, records.y, model.params.lam)
 
 
 def load_model(path) -> ModelState:
@@ -506,8 +430,8 @@ def load_model(path) -> ModelState:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    records_dtype = _record_dtype(dim)
-    expected = _HEADER.size + n_coreset * records_dtype.itemsize
+    _check_dim(dim)
+    expected = _HEADER.size + n_coreset * row_dtype(dim).itemsize
     if len(blob) != expected:
         raise ModelFormatError(f"model file has {len(blob)} bytes, expected {expected}")
     if not (math.isfinite(kappa) and math.isfinite(cap_k)):
@@ -516,11 +440,11 @@ def load_model(path) -> ModelState:
         params = BBQParams(horizon=horizon, kappa=kappa, cap_k=cap_k)
     except ValueError as exc:
         raise ModelFormatError(f"invalid model parameters: {exc}") from exc
-    records = np.frombuffer(blob, dtype=records_dtype, count=n_coreset, offset=_HEADER.size)
+    records = unpack_rows(blob, n_coreset, dim, _HEADER.size)
     try:
-        check_rows(records["x"], records["y"], records["id"])  # a non-finite record fails its norm check
+        check_rows(records.X, records.y, records.ids)  # a non-finite record fails its norm check
     except ValueError as exc:
         raise ModelFormatError(f"core set: {exc}") from exc
-    state = _records_state(records, params.lam)
-    coreset = CoreSet(trusted_samples(records["id"], records["x"], records["y"]))
+    state = gram_from_rows(records.X, records.y, params.lam)
+    coreset = CoreSet(trusted_samples(records.ids, records.X, records.y))
     return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(0))

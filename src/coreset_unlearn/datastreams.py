@@ -1,4 +1,4 @@
-"""Synthetic datasets as struct-of-arrays, dataset file I/O, and deletion streams.
+"""The stored-row format, synthetic datasets as struct-of-arrays, dataset file I/O, and deletion streams.
 
 A dataset is held as three aligned arrays (:class:`Rows`): ``ids u64[T]``,
 ``X f64[T, d]`` (C-contiguous, rows in the unit ball) and ``y i8[T]`` with
@@ -20,26 +20,30 @@ rows directly and builds a sample only for a row it stores; per-sample
 objects exist where a caller asks for a stream of them, and
 :attr:`Rows.samples` builds them on first use.
 
+This module owns the stored row.  A :class:`LabeledSample` and a row of
+:class:`Rows` hold the same values under the same checks (:func:`check_rows`
+is the vectorized form of the sample's), and both file formats store rows
+packed as :func:`row_dtype`.  :func:`pack_rows` and :func:`unpack_rows` are
+the one codec for that payload; the SADS1 dataset file and the SAUL1 model
+file (:mod:`.bbq_linear`) each keep their own header and errors around it.
+
 Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON
-``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then T
-packed little-endian rows of (sample_id u64, y i8, x d*f64), i.e. exactly
-the numpy structured dtype :func:`~.bbq_linear.row_dtype`, which is also the
-core-set record of a SAUL1 model file (a model file stores only its params
-and these records; its Gram state is derived from them on load).  Loading is
-one ``np.frombuffer`` over the file followed by one vectorized validation
-pass; round-trips are bit-exact and writes replace the file atomically.
+``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then the
+T packed rows.  Loading is one :func:`unpack_rows` over the file followed by
+one vectorized validation pass; round-trips are bit-exact and writes
+replace the file atomically.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .atomic_io import atomic_open
-from .bbq_linear import LabeledSample, check_rows, row_dtype, trusted_samples
 from .core_linalg import NORM_SLACK
 
 DATASET_MAGIC = b"SADS1"
@@ -57,6 +61,86 @@ class GenerationInfeasibleError(RuntimeError):
 
 class DatasetFormatError(ValueError):
     """Raised on malformed, truncated, or trailing-garbage dataset files."""
+
+
+@dataclass(slots=True)
+class LabeledSample:
+    """A classification example: id in ``[0, 2**64)``, feature vector with ||x|| <= 1, label in {-1, +1}.
+
+    The id is stored as a Python ``int``; anything ``operator.index`` accepts
+    may be given.  An id the row format cannot hold raises ``ValueError``.
+    """
+
+    sample_id: int
+    x: np.ndarray
+    y: int
+
+    def __post_init__(self):
+        try:
+            sid = operator.index(self.sample_id)
+        except TypeError:
+            sid = None
+        if sid is None or not 0 <= sid < 2**64:
+            raise ValueError(f"sample {self.sample_id!r}: id must be an integer in [0, 2**64)")
+        self.sample_id = sid
+        self.x = np.asarray(self.x, dtype=np.float64)
+        nrm = float(np.linalg.norm(self.x))
+        if not nrm <= 1.0 + NORM_SLACK:  # NaN fails too, as in check_rows
+            raise ValueError(f"sample {self.sample_id}: ||x|| = {nrm} exceeds 1")
+        if self.y not in (-1, 1):
+            raise ValueError(f"sample {self.sample_id}: label must be -1 or +1, got {self.y}")
+
+    def __eq__(self, other):
+        # the generated __eq__ compares the x arrays with ==, whose elementwise result is no bool
+        if not isinstance(other, LabeledSample):
+            return NotImplemented
+        return self.sample_id == other.sample_id and self.y == other.y and np.array_equal(self.x, other.x)
+
+
+def row_dtype(d: int) -> np.dtype:
+    """One stored labeled sample, packed: (id u64, y i8, x d*f64), little-endian.
+
+    The row of a SADS1 dataset file and the core-set record of a SAUL1 model.
+    """
+    return np.dtype([("id", "<u8"), ("y", "i1"), ("x", "<f8", (d,))])
+
+
+def check_rows(X: np.ndarray, y: np.ndarray, ids: np.ndarray | None = None) -> None:
+    """Vectorized form of the :class:`LabeledSample` checks over aligned rows.
+
+    Raises ``ValueError`` naming the first row whose label is not -1 or +1 or
+    whose norm exceeds 1 (a non-finite row counts as exceeding it), and, when
+    ``ids`` is given, on a repeated id.
+    """
+    bad = np.flatnonzero((y != 1) & (y != -1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
+    with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
+        norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")
+    if ids is not None and np.unique(ids).size != ids.size:
+        raise ValueError("duplicate sample ids")
+
+
+def trusted_samples(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> list[LabeledSample]:
+    """One :class:`LabeledSample` per row, built without re-running its checks.
+
+    Only for rows that passed :func:`check_rows`.  Each sample owns a copy of
+    its row, never a view into ``X``: a model that keeps a few samples (a core
+    set) must not keep all of ``X`` alive.
+    """
+    new = object.__new__
+    out = []
+    append = out.append
+    for sid, row, label in zip(ids.tolist(), X, y.tolist()):
+        s = new(LabeledSample)
+        s.sample_id = sid
+        s.x = row.copy()
+        s.y = label
+        append(s)
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,12 +171,21 @@ class DatasetSpec:
 class Rows:
     """Labeled samples as aligned arrays: ``ids u64[n]``, ``X f64[n, d]``, ``y i8[n]``.
 
-    ``X`` is C-contiguous; row ``i`` is the sample with id ``ids[i]``.
+    ``X`` is C-contiguous; row ``i`` is the sample with id ``ids[i]``.  A
+    construction whose ``X`` is not 2-D, or whose arrays disagree on the
+    row count, raises ``ValueError``; the values are checked by
+    :func:`check_rows`, where a caller needs them checked.
     """
 
     ids: np.ndarray
     X: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        if self.X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
+        if not len(self.ids) == len(self.X) == len(self.y):
+            raise ValueError(f"ids, X and y hold {len(self.ids)}, {len(self.X)} and {len(self.y)} rows")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -105,11 +198,8 @@ class Rows:
     def samples(self) -> list[LabeledSample]:
         """Per-row :class:`LabeledSample` objects, built on first access.
 
-        The rows are checked once, in one vectorized pass (labels and norms,
-        raising ``ValueError``), and the samples are then built without
-        per-row checks.  Each sample owns a copy of its row, never a view into
-        ``X``: a model that keeps a few samples (a core set) must not keep all
-        of ``X`` alive.
+        The rows are checked once by :func:`check_rows`, and the samples are
+        then built by :func:`trusted_samples`, each owning a copy of its row.
         """
         check_rows(self.X, self.y)
         return trusted_samples(self.ids, self.X, self.y)
@@ -146,6 +236,30 @@ def ids_and_labels(data) -> tuple[np.ndarray, np.ndarray]:
     return (
         np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=n),
         np.fromiter((s.y for s in samples), dtype=np.int8, count=n),
+    )
+
+
+def pack_rows(rows: Rows) -> np.ndarray:
+    """``rows`` packed as one :func:`row_dtype` array, in order; its buffer is the stored payload."""
+    packed = np.empty(len(rows), dtype=row_dtype(rows.X.shape[1]))
+    packed["id"] = rows.ids
+    packed["y"] = rows.y
+    packed["x"] = rows.X
+    return packed
+
+
+def unpack_rows(buffer, n: int, d: int, offset: int = 0) -> Rows:
+    """The ``n`` packed rows of width ``d`` at ``offset`` in ``buffer``, unchecked.
+
+    The rows are copied out into native arrays, so ``buffer`` may be freed
+    once this returns; the caller checks them (:func:`check_rows`) and sizes
+    ``buffer`` against ``n * row_dtype(d).itemsize`` first.
+    """
+    packed = np.frombuffer(buffer, dtype=row_dtype(d), count=n, offset=offset)
+    return Rows(
+        ids=packed["id"].astype(np.uint64),
+        X=np.ascontiguousarray(packed["x"], dtype=np.float64),
+        y=packed["y"].astype(np.int8),
     )
 
 
@@ -304,21 +418,20 @@ def _header_line(spec: DatasetSpec, u: np.ndarray) -> bytes:
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` as SADS1: the two header lines, then all rows as one packed buffer."""
-    rows = np.empty(ds.spec.T, dtype=row_dtype(ds.spec.d))
-    rows["id"] = ds.ids
-    rows["y"] = ds.y
-    rows["x"] = ds.X
+    if ds.X.shape != (ds.spec.T, ds.spec.d):
+        raise ValueError(f"X has shape {ds.X.shape}, the spec promises ({ds.spec.T}, {ds.spec.d})")
+    packed = pack_rows(ds)
     with atomic_open(path, "wb") as fh:
         fh.write(DATASET_MAGIC + b"\n")
         fh.write(_header_line(ds.spec, ds.u) + b"\n")
-        fh.write(rows)  # the packed array's own buffer, written without a copy
+        fh.write(packed)  # the packed array's own buffer, written without a copy
 
 
 def load_dataset(path) -> Dataset:
     """Read a SADS1 file; raises :class:`DatasetFormatError` on any inconsistency.
 
-    The payload is decoded by one ``np.frombuffer`` call over the file's bytes
-    and copied once into the native ``ids``/``X``/``y`` arrays.  Labels outside
+    The payload is decoded by one :func:`unpack_rows` over the file's bytes,
+    which copies it once into the native ``ids``/``X``/``y`` arrays.  Labels outside
     {-1, +1}, rows with ``||x|| > 1`` (or non-finite), duplicate ids, a payload
     whose length is not exactly ``T`` rows, a header line other than the one
     :func:`save_dataset` writes for the fields it holds, and a planted ``u``
@@ -351,21 +464,16 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(str(exc)) from exc
     if line != _header_line(spec, u):
         raise DatasetFormatError("dataset header is not in the form save_dataset writes")
-    dtype = row_dtype(spec.d)
     offset = header_end + 1
-    if len(blob) - offset != spec.T * dtype.itemsize:
-        raise DatasetFormatError(
-            f"dataset payload has {len(blob) - offset} bytes, header promises {spec.T * dtype.itemsize}"
-        )
-    packed = np.frombuffer(blob, dtype=dtype, count=spec.T, offset=offset)
-    ids = packed["id"].astype(np.uint64)
-    X = np.ascontiguousarray(packed["x"], dtype=np.float64)
-    y = packed["y"].astype(np.int8)
-    del packed, blob  # the file bytes are no longer needed; free them before validating
+    payload = spec.T * row_dtype(spec.d).itemsize
+    if len(blob) - offset != payload:
+        raise DatasetFormatError(f"dataset payload has {len(blob) - offset} bytes, header promises {payload}")
+    rows = unpack_rows(blob, spec.T, spec.d, offset)
+    del blob  # the file bytes are no longer needed; free them before validating
     try:
-        check_rows(X, y, ids)
+        check_rows(rows.X, rows.y, rows.ids)
     except ValueError as exc:
         raise DatasetFormatError(str(exc)) from exc
-    return Dataset(ids=ids, X=X, y=y, spec=spec, u=u)
+    return Dataset(ids=rows.ids, X=rows.X, y=rows.y, spec=spec, u=u)
 
 

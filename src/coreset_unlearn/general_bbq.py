@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bbq_linear import LabeledSample
+from .datastreams import LabeledSample
 
 DEFAULT_MAX_CLASS_SIZE = 256
 DEFAULT_STAGE_CAP = 30

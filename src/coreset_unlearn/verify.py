@@ -25,10 +25,10 @@ import math
 
 import numpy as np
 
-from .bbq_linear import LabeledSample, bbq_fit, deletion_update, encode_model, replay_on_coreset
+from .bbq_linear import bbq_fit, deletion_update, encode_model, replay_on_coreset
 from .capacity import predicted_deletion_drift
 from .core_linalg import gram_init, rank_one_downdate, rank_one_update
-from .datastreams import DatasetSpec, gen_dataset
+from .datastreams import DatasetSpec, LabeledSample, gen_dataset
 from .general_bbq import (
     FiniteFunctionClass, _Table, _Threshold, erm_fit, general_bbq_fit, general_deletion_update, general_state_of_system,
 )

@@ -41,10 +41,9 @@ from coreset_unlearn.bbq_linear import (
     ModelFormatError,
     ModelState,
     encode_model,
-    row_dtype,
 )
 from coreset_unlearn import bbq_linear, core_linalg
-from coreset_unlearn.datastreams import DeletionDistribution, Rows, as_rows, deletion_stream
+from coreset_unlearn.datastreams import DeletionDistribution, Rows, as_rows, deletion_stream, row_dtype
 from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage
 from coreset_unlearn.verify import random_deletion_request, random_linear_instance, unit_vectors
 
@@ -113,6 +112,14 @@ class TestFit:
             bbq_fit(empty, horizon=100)
         m = bbq_fit(empty, cap_k=2.0, kappa=0.5, horizon=100, dim=3)
         assert list(m.coreset) == [] and m.dim == 3 and len(m.query_log) == 0
+
+    def test_rows_of_another_width_than_dim_rejected(self):
+        ds = gen_dataset(DatasetSpec(kind="margin", T=600, d=5, seed=3, gamma=0.1))
+        for dim in (3, 6):
+            with pytest.raises(ValueError, match=f"^dim {dim} does not match the rows' width 5$"):
+                bbq_fit(ds, cap_k=2.0, dim=dim)
+        with pytest.raises(ValueError, match=r"^expected vector of shape \(3,\), got \(5,\)$"):
+            bbq_fit(ds.samples, cap_k=2.0, dim=3)  # the list path names both values too
 
     def test_invalid_hyperparameters(self):
         for cap_k in (0.5, math.nan, math.inf):  # a NaN cap_k would save a model that no load accepts
@@ -498,6 +505,20 @@ class TestSamples:
             LabeledSample(2, [0.5, 0.0], 0)
         s = LabeledSample(3, [0.5, 0.0], -1)
         assert s.x.dtype == np.float64 and not hasattr(s, "__dict__")
+
+    @pytest.mark.parametrize("sid", [1.5, "7", None, -1, 2**64], ids=["float", "str", "none", "negative", "2**64"])
+    def test_ids_the_row_format_cannot_hold_rejected(self, sid):
+        with pytest.raises(ValueError, match=rf"^sample {sid!r}: id must be an integer in \[0, 2\*\*64\)$"):
+            LabeledSample(sid, [0.5, 0.0], 1)
+
+    def test_integer_ids_are_stored_as_int_and_round_trip(self, tmp_path):
+        ids, xs = (np.uint64(2**64 - 1), np.int8(0), True), ([0.9, 0.0], [0.0, 0.9], [0.6, 0.6])
+        samples = [LabeledSample(sid, x, 1) for sid, x in zip(ids, xs)]
+        assert [(type(s.sample_id), s.sample_id) for s in samples] == [(int, 2**64 - 1), (int, 0), (int, 1)]
+        model = bbq_fit(samples, cap_k=1.0, kappa=1.0)
+        assert model.coreset_ids == {2**64 - 1, 0, 1}
+        save_model(model, tmp_path / "m.saul")
+        assert load_model(tmp_path / "m.saul").coreset_ids == model.coreset_ids
 
     def test_equality_compares_id_label_and_features(self):
         s = LabeledSample(3, [0.5, 0.0], -1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -207,6 +208,17 @@ class TestDatasetIO:
             np.testing.assert_array_equal(s.x, t.x)
         np.testing.assert_array_equal(ds.u, loaded.u)
 
+    # SHA-256 of save_dataset(gen_dataset(SEEDED_SPEC)), recorded before the row
+    # codec was shared with the model file (numpy 2.4, x86-64).
+    SEEDED_SPEC = DatasetSpec(kind="margin", T=300, d=5, seed=11, gamma=0.1)
+    SEEDED_DATASET_SHA256 = "764d7b33154b77c1ca818fc39b13643565910e40d029f8cf96154cb9b8a1b613"
+
+    def test_seeded_dataset_bytes(self, tmp_path):
+        path = tmp_path / "ds.sads"
+        save_dataset(gen_dataset(self.SEEDED_SPEC), path)
+        blob = path.read_bytes()
+        assert len(blob) == 14881 and hashlib.sha256(blob).hexdigest() == self.SEEDED_DATASET_SHA256
+
     def test_integer_gamma_saves_as_float(self, tmp_path):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=4, seed=34, gamma=0))
         path = tmp_path / "ds.bin"
@@ -360,6 +372,15 @@ class TestRows:
             assert type(a) is LabeledSample and type(a.sample_id) is int and type(a.y) is int
             assert (a.sample_id, a.y) == (b.sample_id, b.y)
             assert a.x.dtype == b.x.dtype and a.x.tobytes() == b.x.tobytes() and a.x.flags.owndata
+
+    def test_arrays_that_disagree_on_rows_rejected(self):
+        ds = gen_dataset(DatasetSpec(kind="margin", T=600, d=5, seed=3, gamma=0.1))
+        for ids, X, y in ((ds.ids, ds.X[:10], ds.y), (ds.ids[:-1], ds.X, ds.y), (ds.ids, ds.X, ds.y[:-1])):
+            with pytest.raises(ValueError, match=rf"^ids, X and y hold {len(ids)}, {len(X)} and {len(y)} rows$"):
+                Rows(ids, X, y)
+        with pytest.raises(ValueError, match=r"^X must be 2-D, got shape \(600,\)$"):
+            Rows(ds.ids, ds.X[:, 0].copy(), ds.y)
+        assert len(Rows(ds.ids[:0], ds.X[:0], ds.y[:0])) == 0
 
     def test_samples_built_once(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=3, seed=39))
