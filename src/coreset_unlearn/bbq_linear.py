@@ -23,7 +23,8 @@ in one product against the inverse at the block's start.  During a fit ``A``
 only grows in PSD order, so that screen bounds each row's leverage from
 above for the whole block, and a row it certifies below the threshold costs
 no leverage evaluation of its own: the fit spends its per-point work on the
-points it may store.
+points it may store, whose exact test and update share one product ``A^-1 x``.
+The weight is formed once, at the end of the fit.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -69,6 +70,7 @@ from .core_linalg import (
     leverage,
     rank_one_downdate,
     rank_one_update,
+    update_with_product,
 )
 from .datastreams import LabeledSample, Rows, as_rows, check_rows, pack_rows, row_dtype, trusted_samples, unpack_rows
 
@@ -256,6 +258,23 @@ def bbq_fit(
     which reads a sample's ``y`` only when it queries the sample: stacking
     the list into rows would read every label.
     """
+    return _fit(stream, cap_k, kappa, horizon, dim, trace=False)[0]
+
+
+def bbq_fit_trace(rows: Rows, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5) -> tuple[ModelState, np.ndarray]:
+    """:func:`bbq_fit`'s model of ``rows``, and the mean over the rows of the inverse each is tested against.
+
+    The fit forms the mean in its one pass: the inverse changes only at a
+    query, so each one is added once, times the number of rows that see it.
+    ``TypeError`` unless ``rows`` is a :class:`~.datastreams.Rows`.
+    """
+    if not isinstance(rows, Rows):
+        raise TypeError(f"bbq_fit_trace takes Rows, got {type(rows).__name__}")
+    return _fit(rows, cap_k, kappa, None, None, trace=True)
+
+
+def _fit(stream, cap_k, kappa, horizon, dim, trace: bool) -> tuple[ModelState, np.ndarray | None]:
+    """:func:`bbq_fit`'s model and, under ``trace`` on rows, :func:`bbq_fit_trace`'s mean inverse."""
     is_rows = isinstance(stream, Rows)
     if is_rows:
         n = len(stream)
@@ -280,40 +299,57 @@ def bbq_fit(
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
     if is_rows:
-        coreset = _fit_rows(stream, state, threshold)
+        coreset, mean_inverse = _fit_rows(stream, state, threshold, trace)
     else:
-        coreset = CoreSet()
+        coreset, mean_inverse = CoreSet(), None
         for s in stream:
             # the module global, so a wrapper installed on it sees every call
             if leverage(state, s.x) > threshold:
                 rank_one_update(state, s.x, s.y)  # label read only on query
                 coreset.append(s)
-    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n))
+    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n)), mean_inverse
 
 
-def _fit_rows(rows, state: GramState, threshold: float) -> CoreSet:
-    """The sampler's pass over ``rows`` into ``state``, screened; returns the core set.
+def _exact_leverage(inv: np.ndarray, x: np.ndarray):
+    """``(A^-1 x, x^T A^-1 x)``: the exact test's leverage and the product its update reuses."""
+    v = inv.dot(x)
+    return v, v.dot(x)
+
+
+def _fit_rows(rows, state: GramState, threshold: float, trace: bool) -> tuple[CoreSet, np.ndarray | None]:
+    """The sampler's pass over ``rows`` into ``state``, screened: the core set, and the mean inverse under ``trace``.
 
     Each block's bounds ``x^T A^-1 x`` are one product against the inverse
     at the block's start.  A later query in the block only shrinks the
     inverse, so a row whose bound is at most ``threshold * (1 -
-    SCREEN_SLACK)`` would fail the query test and is skipped; every other row
-    takes the list path's exact test and update, through the module globals.
+    SCREEN_SLACK)`` would fail the query test and is skipped.  Every other
+    row takes the exact test, and a query reuses the test's product.
     """
     X = np.ascontiguousarray(rows.X, dtype=np.float64)
     check_rows(X, rows.y)
     labels = rows.y.tolist()
     cut = threshold * (1.0 - SCREEN_SLACK)
+    inv = state.gram_inv  # each update changes it in place
+    total, prev = np.zeros_like(inv) if trace else None, -1
     queried = []
     for start in range(0, len(X), SCREEN_BLOCK):
         block = X[start : start + SCREEN_BLOCK]
-        bounds = ((block @ state.gram_inv) * block).sum(1)
+        bounds = ((block @ inv) * block).sum(1)
         for i in np.flatnonzero(bounds > cut).tolist():
             x = block[i]
-            if leverage(state, x) > threshold:
-                rank_one_update(state, x, labels[start + i])
-                queried.append(start + i)
-    return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried]))
+            v, lev = _exact_leverage(inv, x)
+            if lev > threshold:
+                p = start + i
+                if trace:
+                    total += (p - prev) * inv
+                    prev = p
+                update_with_product(state, x, labels[p], v, lev)
+                queried.append(p)
+    state.weight = inv.dot(state.b_vec)
+    if trace:  # the tail run; adding a zero run leaves the bits as they are
+        total += (len(X) - 1 - prev) * inv
+        total /= len(X)
+    return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried])), total
 
 
 def predict(model: ModelState, x) -> int:

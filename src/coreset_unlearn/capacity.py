@@ -12,9 +12,9 @@ Three layers:
     while both the count budget and the measured drift budget hold; its
     state since the last fit or rebase, drift reference included, is a
     :class:`MetricSet`, and the model keeps none of it;
-  * Monte Carlo estimators (:func:`expected_capacity_mc`) that replay random
-    stream permutations and deletion draws to compare the empirical
-    exhaustion probability against its closed-form bound.
+  * Monte Carlo estimators (:func:`expected_capacity_mc`) that refit on
+    random stream permutations, one pass each, and draw deletions to compare
+    the empirical exhaustion probability against its closed-form bound.
 
 Bound checks on probabilistic statements are reported, never hard-asserted;
 hard assertions are reserved for algebraic identities such as
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_io import atomic_open
-from .bbq_linear import ModelState, bbq_fit
-from .core_linalg import GramState, inverse_rank_one_update, rank_one_downdate
+from .bbq_linear import ModelState, bbq_fit_trace
+from .core_linalg import GramState, rank_one_downdate
 from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights
 
 ACCEPT = "accept"
@@ -221,27 +221,6 @@ def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams) -> 
         fh.write("\n")
 
 
-def _mean_inverse_over_stream(model: ModelState, positions: np.ndarray) -> np.ndarray:
-    """Average of the pre-step inverse Gram matrix across the fitted stream.
-
-    ``positions`` are the stream positions of the core-set points, in fit
-    order.  Only the queried updates are replayed; between queries the
-    inverse is constant, so each snapshot is weighted by its run length, the
-    gap to the previous query (the last run reaches the end of the stream).
-    The replay keeps only the inverse, stepped exactly as the fit stepped it.
-    """
-    T = model.params.horizon
-    inv = np.eye(model.dim) / model.params.lam
-    total = np.zeros((model.dim, model.dim))
-    runs = np.diff(positions, prepend=-1, append=T - 1).tolist()
-    for run, s in zip(runs, model.coreset):
-        total += run * inv
-        inverse_rank_one_update(inv, s.x)
-    if runs[-1]:
-        total += runs[-1] * inv
-    return total / T
-
-
 def expected_capacity_mc(
     dataset,
     dist: DeletionDistribution,
@@ -259,10 +238,10 @@ def expected_capacity_mc(
     ``dataset`` is anything :func:`~.datastreams.as_rows` accepts: a
     :class:`~.datastreams.Rows` or ``Dataset``, or a sample list, which is
     stacked once.  Each trial refits on an independent random permutation of
-    its rows (``bbq_fit`` on rows, screened), draws deletion requests from
-    ``dist`` without replacement, and counts how many of the first
-    ``k_total`` requests hit that trial's core set.  The closed-form bound
-    side is estimated through the average pre-step inverse Gram matrix.
+    its rows, draws deletion requests from ``dist`` without replacement, and
+    counts how many of the first ``k_total`` requests hit that trial's core
+    set.  The closed-form bound side is estimated through the average
+    pre-step inverse Gram matrix, formed by the fit (``bbq_fit_trace``).
     Each trial draws its permutation and its deletion requests from its own
     seed, spawned from ``seed``.
     """
@@ -292,11 +271,9 @@ def expected_capacity_mc(
         rng = np.random.default_rng(perm_seq)
         perm = rng.permutation(T)
         permuted = rows.take(perm)
-        model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa)
+        model, mean_inv = bbq_fit_trace(permuted, cap_k=cap_k, kappa=kappa)
 
         stored = model.coreset.ids()
-        core_ids = np.fromiter(stored, dtype=rows.ids.dtype, count=len(stored))
-        mean_inv = _mean_inverse_over_stream(model, np.flatnonzero(np.isin(permuted.ids, core_ids)))
         if dist.kind == "uniform":
             qf = float(np.mean(np.einsum("ij,jk,ik->i", xs_all, mean_inv, xs_all)))
         elif dist.kind == "by-label":

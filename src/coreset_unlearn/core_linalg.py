@@ -15,9 +15,8 @@ arithmetic the identity needs.  Outer products are formed by broadcasting
 hands back an array that already is a float64 vector of the right shape, and
 :func:`leverage`, called once per streamed point, tests for such an array
 inline before it calls ``as_vector`` at all.
-:func:`inverse_rank_one_update` is the Sherman-Morrison step on the inverse
-alone: :func:`rank_one_update` runs it, and so does the capacity estimate's
-replay, which averages the inverse and keeps no other part of the state.
+:func:`update_with_product` is the one Sherman-Morrison update step; it takes
+``A^-1 x`` from its caller, so the fit on rows reuses its exact test's product.
 
 All vectors are assumed to satisfy ``||x|| <= 1`` and states are single-writer:
 callers serialize mutations, concurrent read-only leverage queries are safe
@@ -141,14 +140,15 @@ def gram_from_rows(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
     return state
 
 
-def inverse_rank_one_update(inv: np.ndarray, x: np.ndarray) -> None:
-    """Sherman-Morrison step ``inv <- (inv^-1 + x x^T)^-1``, in place.
+def update_with_product(state: GramState, x: np.ndarray, y: float, v: np.ndarray, lev) -> None:
+    """:func:`rank_one_update`'s step given ``v = A^-1 x`` and ``lev = v.x``; the weight is the caller's.
 
-    ``x`` must already be a float64 vector of matching dimension; nothing is
-    checked, so callers validate it first (:func:`rank_one_update` does).
+    Nothing is checked: ``x`` must be a valid float64 vector and ``v`` and
+    ``lev`` must come from the current inverse.  Not part of the package API.
     """
-    v = inv.dot(x)
-    inv -= (v[:, None] * v) / (1.0 + v.dot(x))
+    state.gram += x[:, None] * x
+    state.gram_inv -= (v[:, None] * v) / (1.0 + lev)
+    state.b_vec += y * x
 
 
 def rank_one_update(state: GramState, x, y: float) -> GramState:
@@ -161,9 +161,8 @@ def rank_one_update(state: GramState, x, y: float) -> GramState:
     nrm = math.sqrt(x.dot(x))  # bit-identical to np.linalg.norm of a real vector
     if nrm > 1.0 + NORM_SLACK:
         raise ValueError(f"||x|| = {nrm} exceeds the unit-norm contract")
-    state.gram += x[:, None] * x
-    inverse_rank_one_update(state.gram_inv, x)
-    state.b_vec += y * x
+    v = state.gram_inv.dot(x)
+    update_with_product(state, x, y, v, v.dot(x))
     state.weight = state.gram_inv.dot(state.b_vec)
     return state
 

@@ -167,14 +167,15 @@ class DatasetSpec:
             raise ValueError("planted u has wrong dimension")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Rows:
     """Labeled samples as aligned arrays: ``ids u64[n]``, ``X f64[n, d]``, ``y i8[n]``.
 
     ``X`` is C-contiguous; row ``i`` is the sample with id ``ids[i]``.  A
     construction whose ``X`` is not 2-D, or whose arrays disagree on the
     row count, raises ``ValueError``; the values are checked by
-    :func:`check_rows`, where a caller needs them checked.
+    :func:`check_rows`, where a caller needs them checked.  Frozen, so the
+    shapes hold for the object's life; ``dataclasses.replace`` makes a copy.
     """
 
     ids: np.ndarray
@@ -205,7 +206,7 @@ class Rows:
         return trusted_samples(self.ids, self.X, self.y)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset(Rows):
     """A generated or loaded dataset: its rows, the spec and the planted direction ``u``."""
 

@@ -82,7 +82,7 @@ class FiniteFunctionClass:
         """``ValueError`` naming the first threshold rule among ``indices`` that reads past ``d`` features."""
         for j in indices:
             f = self.functions[j]
-            if isinstance(f, _Threshold) and f.feature >= d:
+            if isinstance(f, ThresholdRule) and f.feature >= d:
                 raise ValueError(f"{where}: function {self.names[j]} reads feature {f.feature} of {d}-feature samples")
 
     def evaluate(self, index: int, sample) -> float:
@@ -127,7 +127,7 @@ class FiniteFunctionClass:
 
 
 @dataclass(frozen=True)
-class _Threshold:
+class ThresholdRule:
     feature: int
     cut: float
     below: float
@@ -141,7 +141,7 @@ class _Threshold:
 
 
 @dataclass(frozen=True)
-class _Table:
+class TableRule:
     values: dict
     default: float
 
@@ -175,7 +175,7 @@ def _rule(entry, where: str):
         feature = _field(entry, "feature", where)
         if isinstance(feature, bool) or not isinstance(feature, int) or feature < 0:
             raise ValueError(f"{where}: 'feature' must be a nonnegative integer, got {feature!r}")
-        return _Threshold(
+        return ThresholdRule(
             feature, _number(entry, "cut", where), _number(entry, "below", where), _number(entry, "above", where)
         )
     if kind == "table":
@@ -189,7 +189,7 @@ def _rule(entry, where: str):
             except ValueError:
                 raise ValueError(f"{where}: 'values' key {key!r} is not a sample id") from None
             table[sample_id] = _number(values, key, where)
-        return _Table(table, _number(entry, "default", where) if "default" in entry else 0.5)
+        return TableRule(table, _number(entry, "default", where) if "default" in entry else 0.5)
     raise ValueError(f"{where}: unknown function type {kind!r}")
 
 

@@ -30,7 +30,7 @@ from .capacity import predicted_deletion_drift
 from .core_linalg import gram_init, rank_one_downdate, rank_one_update
 from .datastreams import DatasetSpec, LabeledSample, gen_dataset
 from .general_bbq import (
-    FiniteFunctionClass, _Table, _Threshold, erm_fit, general_bbq_fit, general_deletion_update, general_state_of_system,
+    FiniteFunctionClass, TableRule, ThresholdRule, erm_fit, general_bbq_fit, general_deletion_update, general_state_of_system,
 )
 
 WEIGHT_TOL = 1e-8  # fresh-fit weights, dense inverses, drift predictions
@@ -90,9 +90,9 @@ def random_function_class(rng, n_funcs, d):
             j = int(rng.integers(d))
             cut = float(rng.uniform(-0.5, 0.5))
             below, above = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-            funcs.append(_Threshold(j, cut, below, above))
+            funcs.append(ThresholdRule(j, cut, below, above))
         else:
-            funcs.append(_Table({}, float(rng.uniform(0, 1))))
+            funcs.append(TableRule({}, float(rng.uniform(0, 1))))
     return FiniteFunctionClass(funcs)
 
 

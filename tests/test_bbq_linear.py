@@ -18,6 +18,7 @@ from coreset_unlearn import (
     DatasetSpec,
     LabeledSample,
     bbq_fit,
+    bbq_fit_trace,
     deletion_update,
     gen_dataset,
     load_model,
@@ -272,9 +273,39 @@ class TestRowsFit:
             assert getattr(via_rows.gram_state, name).tobytes() == getattr(via_samples.gram_state, name).tobytes()
         assert via_rows.query_log == via_samples.query_log == range(len(rows))
 
+    @settings(max_examples=80, deadline=None)
+    @given(screened_streams())
+    def test_trace_mean_inverse_equals_full_state_replay(self, case):
+        rows, cap_k, kappa, _, _ = case  # the trace fits over the rows' own length
+        if not len(rows):
+            with pytest.raises(ValueError, match="empty stream"):
+                bbq_fit_trace(rows, cap_k, kappa)
+            return
+        model, mean_inverse = bbq_fit_trace(rows, cap_k, kappa)
+        assert encode_model(model) == encode_model(bbq_fit(rows, cap_k=cap_k, kappa=kappa))
+        # the mean pre-step inverse by stepping the full state through rank_one_update
+        n, d = rows.X.shape
+        positions = np.flatnonzero(np.isin(rows.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
+        state = core_linalg.gram_init(d, cap_k)
+        total = np.zeros((d, d))
+        runs = np.diff(positions, prepend=-1, append=n - 1).tolist()
+        for run, s in zip(runs, model.coreset):
+            total += run * state.gram_inv
+            core_linalg.rank_one_update(state, s.x, s.y)
+        if runs[-1]:
+            total += runs[-1] * state.gram_inv
+        assert state.gram_inv.tobytes() == model.gram_state.gram_inv.tobytes()
+        assert mean_inverse.tobytes() == (total / n).tobytes()
+        if not model.coreset:  # every row saw the initial inverse
+            assert mean_inverse.tobytes() == (n * (np.eye(d) / cap_k) / n).tobytes()
+
+    def test_trace_takes_rows(self):
+        with pytest.raises(TypeError, match="takes Rows"):
+            bbq_fit_trace(ones_stream(4), 1.0, 0.5)
+
     def test_certified_rows_cost_no_leverage_call(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
-        calls = {"leverage": 0, "rank_one_update": 0}
+        calls = {"_exact_leverage": 0, "update_with_product": 0}  # per flagged row, per query
 
         def counted(name):
             fn = getattr(bbq_linear, name)
@@ -287,8 +318,8 @@ class TestRowsFit:
         for name in calls:
             monkeypatch.setattr(bbq_linear, name, counted(name))
         m = bbq_fit(ds, cap_k=10.0, kappa=0.5)
-        assert calls["rank_one_update"] == len(m.coreset) > 0
-        assert len(m.coreset) <= calls["leverage"] < len(ds) // 2
+        assert calls["update_with_product"] == len(m.coreset) > 0
+        assert len(m.coreset) <= calls["_exact_leverage"] < len(ds) // 2
         assert "samples" not in vars(ds)  # no sample is built for a row the fit does not store
         assert all(s.x.base is None for s in m.coreset)  # each stored sample owns its row
 

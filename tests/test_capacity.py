@@ -14,6 +14,7 @@ from coreset_unlearn import (
     LabeledSample,
     MetricSet,
     bbq_fit,
+    bbq_fit_trace,
     capacity_gate,
     coreset_capacity,
     deletion_update,
@@ -294,6 +295,24 @@ class TestMonteCarlo:
         got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         assert got == "feb376fc0b0e78bd98321e1e8d6bf37888770a1925ec3cb8c316a7f176114964"
 
+    def test_recorded_multi_block_curves(self):
+        # T=2000 spans four screen blocks, so later blocks screen against an
+        # inverse that earlier queries have already shrunk
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=24))
+        raw = {int(i): float(i % 7 + 1) for i in ds.ids}
+        mass = sum(raw.values())
+        dists = (
+            DeletionDistribution(kind="uniform"),
+            DeletionDistribution(kind="by-label", target_label=-1),
+            DeletionDistribution(kind="weighted", weights={i: w / mass for i, w in raw.items()}),
+        )
+        parts = []
+        for dist in dists:
+            c = expected_capacity_mc(ds, dist, K=10, trials=4, seed=25, cap_k=10.0, kappa=0.5)
+            parts.append(repr((c.k_total.tolist(), c.empirical.tolist(), c.bound.tolist(), c.quadratic_form_mean.hex())))
+        got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert got == "90b432d46a81bb446f8f14da4209cd4771e57c14a345894c6a055287deceb273"
+
     @pytest.mark.parametrize("dist", [DeletionDistribution(), DeletionDistribution(kind="by-label", target_label=1)])
     def test_rows_and_sample_list_give_the_same_curve(self, dist):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=700, d=6, seed=22))
@@ -322,7 +341,7 @@ class TestMonteCarlo:
         if runs[-1]:
             total += runs[-1] * state.gram_inv
         assert np.array_equal(state.gram_inv, model.gram_state.gram_inv)
-        assert np.array_equal(capacity._mean_inverse_over_stream(model, positions), total / T)
+        assert np.array_equal(bbq_fit_trace(ds.take(perm), cap_k=2.0, kappa=0.5)[1], total / T)
 
     def test_rejects_bad_arguments(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -322,7 +323,7 @@ class TestDatasetIO:
     @pytest.mark.parametrize("u", TestGeneration.BAD_U)
     def test_planted_u_outside_the_ball_rejected(self, tmp_path, u):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=10, d=3, seed=33))
-        ds.u = np.array(u)
+        ds = dataclasses.replace(ds, u=np.array(u))
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
         with warnings.catch_warnings():
@@ -336,7 +337,7 @@ class TestDatasetIO:
         save_dataset(ds, path)
         before = path.read_bytes()
         broken = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=37))
-        broken.X = broken.X[:, :3]  # rows no longer match the header's d
+        broken = dataclasses.replace(broken, X=broken.X[:, :3])  # rows no longer match the header's d
         with pytest.raises(ValueError):
             save_dataset(broken, path)
         assert path.read_bytes() == before
@@ -344,6 +345,17 @@ class TestDatasetIO:
 
 
 class TestRows:
+    def test_fields_cannot_be_reassigned(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=39))
+        for obj in (ds, ds.take(slice(0, 10))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.X = obj.X[:, :3]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.ids = obj.ids[:5]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.u = np.zeros(4)
+        assert ds.X.shape == (30, 4) and len(ds.samples) == 30  # the cached samples still build
+
     def test_samples_own_their_rows(self, tmp_path):
         ds = gen_dataset(DatasetSpec(kind="margin", T=800, d=6, seed=38, gamma=0.1))
         path = tmp_path / "ds.bin"

@@ -550,7 +550,7 @@ def test_loader_fuzz_loads_or_raises_value_error(text):
     except ValueError:
         return
     for f in fclass.functions:  # anything that loads is well formed
-        if isinstance(f, general_bbq._Threshold):
+        if isinstance(f, general_bbq.ThresholdRule):
             assert type(f.feature) is int and f.feature >= 0
             assert all(math.isfinite(v) for v in (f.cut, f.below, f.above))
         else:

@@ -22,7 +22,6 @@ from coreset_unlearn.baselines import exact_unlearn, weight_accuracy
 from coreset_unlearn.bbq_linear import _HEADER, deletion_update, replay_on_coreset, state_of_system, system_states_equal
 from coreset_unlearn.capacity import CapacityParams, coreset_capacity, predicted_deletion_drift
 from coreset_unlearn.cli import _build_parser, cli_main
-from coreset_unlearn.core_linalg import leverage
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
 from coreset_unlearn.harness import load_report_json, stratified_split
 
@@ -652,7 +651,7 @@ class TestCli:
             ("rank_one_downdate", _downdate_without_inverse_step, "sherman-morrison vs dense inversion"),
             ("predicted_deletion_drift", lambda *args: -predicted_deletion_drift(*args), "rank-one deletion drift identity"),
             ("replay_on_coreset", _replay_at_the_survivors_horizon, "replay re-queries exactly the survivors"),
-            ("leverage", lambda state, x: leverage(state, x) / 4, "leverage bounds"),
+            ("_exact_leverage", lambda inv, x: (inv.dot(x), inv.dot(x).dot(x) / 4), "leverage bounds"),
             (
                 "general_deletion_update", _deletion_keeping_value_columns,
                 "finite-class deletion equals fresh fit on survivors",

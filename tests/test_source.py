@@ -113,3 +113,45 @@ def test_module_imports_are_acyclic():
     graph = {p.stem: package_imports(p.read_text(encoding="utf-8"), names) for p in paths}
     assert "bbq_linear" not in graph["datastreams"] | graph["general_bbq"]  # the stored-row format lives in datastreams
     assert import_cycle(graph) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """Every underscore-prefixed name that ``source`` imports from, or reads off, a package module.
+
+    ``from .mod import _name`` gives ``_name``; ``mod._name``, where ``mod``
+    was bound by ``from . import mod`` or ``import coreset_unlearn.mod as
+    mod``, gives ``mod._name``.  Dunder names are not private.
+    """
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("coreset_unlearn")):
+            found += [alias.name for alias in node.names if private(alias.name)]
+            if not node.module or node.module == "coreset_unlearn":
+                modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names if alias.asname and alias.name.startswith("coreset_unlearn.")}
+    found += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and private(node.attr)
+    ]
+    return found
+
+
+def test_the_guard_sees_a_private_read():
+    source = (
+        "from .general_bbq import _Rule, erm_fit\nfrom . import capacity, __version__\n"
+        "import coreset_unlearn.bbq_linear as bl\nfrom numpy import _private\n"
+        "def f(self):\n    return capacity._mean, capacity.__doc__, bl._fit, self._own, erm_fit._x\n"
+    )
+    assert private_reads(source) == ["_Rule", "capacity._mean", "bl._fit"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
