@@ -240,6 +240,7 @@ def bbq_fit(
     *,
     horizon: int | None = None,
     dim: int | None = None,
+    mean_inverse: np.ndarray | None = None,
 ) -> ModelState:
     """Single pass of the selective sampler over ``stream``.
 
@@ -257,24 +258,11 @@ def bbq_fit(
     sample that owns a copy of it.  A sample list keeps the per-point loop,
     which reads a sample's ``y`` only when it queries the sample: stacking
     the list into rows would read every label.
+
+    ``mean_inverse``, a ``(dim, dim)`` float array given only with nonempty
+    rows, is overwritten with the mean over the rows of the inverse each is
+    tested against, formed in the same pass (see :func:`bbq_fit_trace`).
     """
-    return _fit(stream, cap_k, kappa, horizon, dim, trace=False)[0]
-
-
-def bbq_fit_trace(rows: Rows, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5) -> tuple[ModelState, np.ndarray]:
-    """:func:`bbq_fit`'s model of ``rows``, and the mean over the rows of the inverse each is tested against.
-
-    The fit forms the mean in its one pass: the inverse changes only at a
-    query, so each one is added once, times the number of rows that see it.
-    ``TypeError`` unless ``rows`` is a :class:`~.datastreams.Rows`.
-    """
-    if not isinstance(rows, Rows):
-        raise TypeError(f"bbq_fit_trace takes Rows, got {type(rows).__name__}")
-    return _fit(rows, cap_k, kappa, None, None, trace=True)
-
-
-def _fit(stream, cap_k, kappa, horizon, dim, trace: bool) -> tuple[ModelState, np.ndarray | None]:
-    """:func:`bbq_fit`'s model and, under ``trace`` on rows, :func:`bbq_fit_trace`'s mean inverse."""
     is_rows = isinstance(stream, Rows)
     if is_rows:
         n = len(stream)
@@ -295,19 +283,40 @@ def _fit(stream, cap_k, kappa, horizon, dim, trace: bool) -> tuple[ModelState, n
         dim = stream.X.shape[1] if is_rows else len(stream[0].x)
     if is_rows and n and stream.X.shape[1] != dim:
         raise ValueError(f"dim {dim} does not match the rows' width {stream.X.shape[1]}")
+    if mean_inverse is not None:
+        if not is_rows:
+            raise TypeError(f"mean_inverse needs Rows, got {type(stream).__name__}")
+        if not n or mean_inverse.shape != (dim, dim):
+            raise ValueError(f"mean_inverse needs nonempty rows and shape {(dim, dim)}, got {mean_inverse.shape}")
     params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
     if is_rows:
-        coreset, mean_inverse = _fit_rows(stream, state, threshold, trace)
+        coreset = _fit_rows(stream, state, threshold, mean_inverse)
     else:
-        coreset, mean_inverse = CoreSet(), None
+        coreset = CoreSet()
         for s in stream:
             # the module global, so a wrapper installed on it sees every call
             if leverage(state, s.x) > threshold:
                 rank_one_update(state, s.x, s.y)  # label read only on query
                 coreset.append(s)
-    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n)), mean_inverse
+    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n))
+
+
+def bbq_fit_trace(rows: Rows, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5) -> tuple[ModelState, np.ndarray]:
+    """:func:`bbq_fit`'s model of ``rows``, and the mean over the rows of the inverse each is tested against.
+
+    The fit forms the mean in its one pass: the inverse changes only at a
+    query, so each one is added once, times the number of rows that see it.
+    ``TypeError`` unless ``rows`` is a :class:`~.datastreams.Rows`.
+    """
+    if not isinstance(rows, Rows):
+        raise TypeError(f"bbq_fit_trace takes Rows, got {type(rows).__name__}")
+    d = rows.X.shape[1]
+    mean_inverse = np.empty((d, d))
+    # the module global, so a wrapper installed on it sees every call
+    model = bbq_fit(rows, cap_k, kappa, mean_inverse=mean_inverse)
+    return model, mean_inverse
 
 
 def _exact_leverage(inv: np.ndarray, x: np.ndarray):
@@ -316,8 +325,8 @@ def _exact_leverage(inv: np.ndarray, x: np.ndarray):
     return v, v.dot(x)
 
 
-def _fit_rows(rows, state: GramState, threshold: float, trace: bool) -> tuple[CoreSet, np.ndarray | None]:
-    """The sampler's pass over ``rows`` into ``state``, screened: the core set, and the mean inverse under ``trace``.
+def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None) -> CoreSet:
+    """The sampler's pass over ``rows`` into ``state``, screened; the mean inverse goes into ``total`` if given.
 
     Each block's bounds ``x^T A^-1 x`` are one product against the inverse
     at the block's start.  A later query in the block only shrinks the
@@ -330,7 +339,9 @@ def _fit_rows(rows, state: GramState, threshold: float, trace: bool) -> tuple[Co
     labels = rows.y.tolist()
     cut = threshold * (1.0 - SCREEN_SLACK)
     inv = state.gram_inv  # each update changes it in place
-    total, prev = np.zeros_like(inv) if trace else None, -1
+    trace, prev = total is not None, -1
+    if trace:
+        total.fill(0.0)
     queried = []
     for start in range(0, len(X), SCREEN_BLOCK):
         block = X[start : start + SCREEN_BLOCK]
@@ -349,7 +360,7 @@ def _fit_rows(rows, state: GramState, threshold: float, trace: bool) -> tuple[Co
     if trace:  # the tail run; adding a zero run leaves the bits as they are
         total += (len(X) - 1 - prev) * inv
         total /= len(X)
-    return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried])), total
+    return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried]))
 
 
 def predict(model: ModelState, x) -> int:

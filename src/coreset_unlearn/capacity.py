@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_io import atomic_open
-from .bbq_linear import ModelState, bbq_fit_trace
+from .bbq_linear import ModelState, bbq_fit
 from .core_linalg import GramState, rank_one_downdate
 from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights
 
@@ -241,7 +241,8 @@ def expected_capacity_mc(
     its rows, draws deletion requests from ``dist`` without replacement, and
     counts how many of the first ``k_total`` requests hit that trial's core
     set.  The closed-form bound side is estimated through the average
-    pre-step inverse Gram matrix, formed by the fit (``bbq_fit_trace``).
+    pre-step inverse Gram matrix, formed by the fit in its one pass
+    (``bbq_fit``'s ``mean_inverse``).
     Each trial draws its permutation and its deletion requests from its own
     seed, spawned from ``seed``.
     """
@@ -263,6 +264,7 @@ def expected_capacity_mc(
     exceed = np.zeros((trials, len(k_total_grid)))
     qf_values = np.zeros(trials)
     xs_all = rows.X
+    mean_inv = np.empty((xs_all.shape[1],) * 2)  # each trial's fit overwrites it
     if dist.kind == "weighted":
         weights = deletion_weights(rows.ids, dist)
 
@@ -271,7 +273,7 @@ def expected_capacity_mc(
         rng = np.random.default_rng(perm_seq)
         perm = rng.permutation(T)
         permuted = rows.take(perm)
-        model, mean_inv = bbq_fit_trace(permuted, cap_k=cap_k, kappa=kappa)
+        model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa, mean_inverse=mean_inv)
 
         stored = model.coreset.ids()
         if dist.kind == "uniform":

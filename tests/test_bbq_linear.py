@@ -303,6 +303,20 @@ class TestRowsFit:
         with pytest.raises(TypeError, match="takes Rows"):
             bbq_fit_trace(ones_stream(4), 1.0, 0.5)
 
+    def test_fit_fills_a_given_mean_inverse(self):
+        rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
+        model, mean_inverse = bbq_fit_trace(rows, 4.0, 0.5)
+        out = np.full((4, 4), np.nan)
+        again = bbq_fit(rows, 4.0, 0.5, mean_inverse=out)
+        assert out.tobytes() == mean_inverse.tobytes()
+        assert encode_model(again) == encode_model(model)
+        with pytest.raises(TypeError, match="needs Rows"):
+            bbq_fit(rows.samples, 4.0, 0.5, mean_inverse=out)
+        with pytest.raises(ValueError, match="shape"):
+            bbq_fit(rows, 4.0, 0.5, mean_inverse=np.empty((3, 3)))
+        with pytest.raises(ValueError, match="nonempty rows"):
+            bbq_fit(rows.take(np.arange(0)), 4.0, 0.5, horizon=10, dim=4, mean_inverse=out)
+
     def test_certified_rows_cost_no_leverage_call(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
         calls = {"_exact_leverage": 0, "update_with_product": 0}  # per flagged row, per query
