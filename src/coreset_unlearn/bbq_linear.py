@@ -259,9 +259,11 @@ def bbq_fit(
     which reads a sample's ``y`` only when it queries the sample: stacking
     the list into rows would read every label.
 
-    ``mean_inverse``, a ``(dim, dim)`` float array given only with nonempty
-    rows, is overwritten with the mean over the rows of the inverse each is
-    tested against, formed in the same pass (see :func:`bbq_fit_trace`).
+    ``mean_inverse``, a writable float64 ``(dim, dim)`` array given only
+    with nonempty rows, is overwritten with the mean over the rows of the
+    inverse each is tested against.  The fit forms it in its one pass: the
+    inverse changes only at a query, so each one is added once, times the
+    number of rows that see it.  A fit without it does not pay for the sum.
     """
     is_rows = isinstance(stream, Rows)
     if is_rows:
@@ -284,10 +286,11 @@ def bbq_fit(
     if is_rows and n and stream.X.shape[1] != dim:
         raise ValueError(f"dim {dim} does not match the rows' width {stream.X.shape[1]}")
     if mean_inverse is not None:
-        if not is_rows:
-            raise TypeError(f"mean_inverse needs Rows, got {type(stream).__name__}")
-        if not n or mean_inverse.shape != (dim, dim):
-            raise ValueError(f"mean_inverse needs nonempty rows and shape {(dim, dim)}, got {mean_inverse.shape}")
+        if not (is_rows and isinstance(mean_inverse, np.ndarray)):
+            raise TypeError(f"mean_inverse needs Rows and an ndarray, got {type(stream).__name__}")
+        shape, dtype = mean_inverse.shape, mean_inverse.dtype
+        if not (n and shape == (dim, dim) and dtype == FLOAT64 and mean_inverse.flags.writeable):
+            raise ValueError(f"mean_inverse needs nonempty rows and a writable float64 {(dim, dim)}, got {dtype} {shape}")
     params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)
@@ -301,22 +304,6 @@ def bbq_fit(
                 rank_one_update(state, s.x, s.y)  # label read only on query
                 coreset.append(s)
     return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n))
-
-
-def bbq_fit_trace(rows: Rows, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5) -> tuple[ModelState, np.ndarray]:
-    """:func:`bbq_fit`'s model of ``rows``, and the mean over the rows of the inverse each is tested against.
-
-    The fit forms the mean in its one pass: the inverse changes only at a
-    query, so each one is added once, times the number of rows that see it.
-    ``TypeError`` unless ``rows`` is a :class:`~.datastreams.Rows`.
-    """
-    if not isinstance(rows, Rows):
-        raise TypeError(f"bbq_fit_trace takes Rows, got {type(rows).__name__}")
-    d = rows.X.shape[1]
-    mean_inverse = np.empty((d, d))
-    # the module global, so a wrapper installed on it sees every call
-    model = bbq_fit(rows, cap_k, kappa, mean_inverse=mean_inverse)
-    return model, mean_inverse
 
 
 def _exact_leverage(inv: np.ndarray, x: np.ndarray):

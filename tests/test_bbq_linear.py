@@ -18,7 +18,6 @@ from coreset_unlearn import (
     DatasetSpec,
     LabeledSample,
     bbq_fit,
-    bbq_fit_trace,
     deletion_update,
     gen_dataset,
     load_model,
@@ -275,16 +274,17 @@ class TestRowsFit:
 
     @settings(max_examples=80, deadline=None)
     @given(screened_streams())
-    def test_trace_mean_inverse_equals_full_state_replay(self, case):
-        rows, cap_k, kappa, _, _ = case  # the trace fits over the rows' own length
-        if not len(rows):
-            with pytest.raises(ValueError, match="empty stream"):
-                bbq_fit_trace(rows, cap_k, kappa)
+    def test_mean_inverse_equals_full_state_replay(self, case):
+        rows, cap_k, kappa, _, _ = case  # the mean runs over the rows' own length
+        n, d = rows.X.shape
+        mean_inverse = np.full((d, d), np.nan)
+        if not n:
+            with pytest.raises(ValueError, match="nonempty rows"):
+                bbq_fit(rows, cap_k, kappa, horizon=1, dim=d, mean_inverse=mean_inverse)
             return
-        model, mean_inverse = bbq_fit_trace(rows, cap_k, kappa)
+        model = bbq_fit(rows, cap_k, kappa, mean_inverse=mean_inverse)
         assert encode_model(model) == encode_model(bbq_fit(rows, cap_k=cap_k, kappa=kappa))
         # the mean pre-step inverse by stepping the full state through rank_one_update
-        n, d = rows.X.shape
         positions = np.flatnonzero(np.isin(rows.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
         state = core_linalg.gram_init(d, cap_k)
         total = np.zeros((d, d))
@@ -299,21 +299,23 @@ class TestRowsFit:
         if not model.coreset:  # every row saw the initial inverse
             assert mean_inverse.tobytes() == (n * (np.eye(d) / cap_k) / n).tobytes()
 
-    def test_trace_takes_rows(self):
-        with pytest.raises(TypeError, match="takes Rows"):
-            bbq_fit_trace(ones_stream(4), 1.0, 0.5)
-
-    def test_fit_fills_a_given_mean_inverse(self):
+    def test_mean_inverse_is_a_checked_out_array(self):
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
-        model, mean_inverse = bbq_fit_trace(rows, 4.0, 0.5)
         out = np.full((4, 4), np.nan)
-        again = bbq_fit(rows, 4.0, 0.5, mean_inverse=out)
-        assert out.tobytes() == mean_inverse.tobytes()
-        assert encode_model(again) == encode_model(model)
-        with pytest.raises(TypeError, match="needs Rows"):
-            bbq_fit(rows.samples, 4.0, 0.5, mean_inverse=out)
-        with pytest.raises(ValueError, match="shape"):
-            bbq_fit(rows, 4.0, 0.5, mean_inverse=np.empty((3, 3)))
+        model = bbq_fit(rows, 4.0, 0.5, mean_inverse=out)
+        plain = bbq_fit(rows, 4.0, 0.5)
+        assert encode_model(model) == encode_model(plain)
+        for name in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(model.gram_state, name).tobytes() == getattr(plain.gram_state, name).tobytes()
+        assert np.isfinite(out).all()
+        read_only = np.empty((4, 4))
+        read_only.flags.writeable = False
+        for stream, bad in ((rows.samples, out), (rows, out.tolist())):
+            with pytest.raises(TypeError, match="needs Rows and an ndarray"):
+                bbq_fit(stream, 4.0, 0.5, mean_inverse=bad)
+        for bad in (np.empty((3, 3)), np.empty((4, 4), np.float32), np.empty((4, 4), np.int64), read_only):
+            with pytest.raises(ValueError, match="writable float64"):
+                bbq_fit(rows, 4.0, 0.5, mean_inverse=bad)
         with pytest.raises(ValueError, match="nonempty rows"):
             bbq_fit(rows.take(np.arange(0)), 4.0, 0.5, horizon=10, dim=4, mean_inverse=out)
 
