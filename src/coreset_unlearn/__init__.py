@@ -1,6 +1,6 @@
 """Core-set selective sampling with exact deletion, capacity accounting, and a benchmark harness."""
 
-from .baselines import exact_unlearn, ridge_fit, ridge_retrain, sisa_fit, sisa_predict, sisa_unlearn
+from .baselines import exact_unlearn, ridge_fit, ridge_retrain, sisa_fit, sisa_unlearn
 from .bbq_linear import (
     BBQParams,
     ModelState,

@@ -137,15 +137,6 @@ def sisa_unlearn(model: SisaModel, ids) -> SisaModel:
     return model
 
 
-def sisa_predict(model: SisaModel, x) -> int:
-    """Uniform majority vote of per-shard sign predictions; all ties go to +1."""
-    x = np.asarray(x, dtype=np.float64)
-    votes = 0
-    for state in model.shards:
-        votes += -1 if float(state.weight @ x) < 0.0 else 1
-    return -1 if votes < 0 else 1
-
-
 def sisa_memory_scalars(model: SisaModel) -> int:
     """Stored model scalars: two d*d matrices plus two d-vectors per shard."""
     return model.n_shards * (2 * model.dim * model.dim + 2 * model.dim)

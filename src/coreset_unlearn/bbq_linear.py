@@ -24,7 +24,10 @@ only grows in PSD order, so that screen bounds each row's leverage from
 above for the whole block, and a row it certifies below the threshold costs
 no leverage evaluation of its own: the fit spends its per-point work on the
 points it may store, whose exact test and update share one product ``A^-1 x``.
-The weight is formed once, at the end of the fit.
+Later tests read only the inverse, so a query steps only the inverse; the
+Gram matrix and ``b`` take their terms in fit order, in batches bounded by
+:data:`PENDING_BYTES`, with the per-point loop's bits.  The weight is formed
+once, at the end of the fit.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -70,7 +73,6 @@ from .core_linalg import (
     leverage,
     rank_one_downdate,
     rank_one_update,
-    update_with_product,
 )
 from .datastreams import LabeledSample, Rows, as_rows, check_rows, pack_rows, row_dtype, trusted_samples, unpack_rows
 
@@ -91,6 +93,10 @@ SCREEN_BLOCK = 512
 # unqueried; the slack covers the rounding of the screen and of the
 # Sherman-Morrison steps the block's later queries take.
 SCREEN_SLACK = 1e-9
+
+# A fit on rows adds up its pending terms once they fill this many bytes per
+# stack, or at every query when one term alone is larger.
+PENDING_BYTES = 256 * 1024
 
 
 class ModelFormatError(ValueError):
@@ -312,6 +318,13 @@ def _exact_leverage(inv: np.ndarray, x: np.ndarray):
     return v, v.dot(x)
 
 
+def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, outer: np.ndarray) -> None:
+    """``inv -= v v^T / (1 + lev)`` in place, formed in ``outer``: :func:`~.core_linalg.rank_one_update`'s step."""
+    np.multiply(v[:, None], v, out=outer)
+    outer /= 1.0 + lev
+    inv -= outer
+
+
 def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None) -> CoreSet:
     """The sampler's pass over ``rows`` into ``state``, screened; the mean inverse goes into ``total`` if given.
 
@@ -320,31 +333,59 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     inverse, so a row whose bound is at most ``threshold * (1 -
     SCREEN_SLACK)`` would fail the query test and is skipped.  Every other
     row takes the exact test, and a query reuses the test's product.
+
+    Later tests read only the inverse, so a query steps only the inverse
+    and keeps its row position (and, with ``total``, its weighted pre-step
+    inverse).  Its ``gram``, ``b`` and ``total`` terms wait until they fill
+    :data:`PENDING_BYTES`, or the pass ends, and are then added in fit
+    order, with the bits of a loop of ``+=``.
     """
     X = np.ascontiguousarray(rows.X, dtype=np.float64)
     check_rows(X, rows.y)
-    labels = rows.y.tolist()
+    d = state.dim  # not X's width: an empty Rows is (0, 0)
+    cap = max(1, min(len(X), PENDING_BYTES // (8 * (d + 1) * d)))  # queries pending at most
     cut = threshold * (1.0 - SCREEN_SLACK)
-    inv = state.gram_inv  # each update changes it in place
-    trace, prev = total is not None, -1
-    if trace:
+    inv = state.gram_inv  # each query steps it in place
+    outer = np.empty((d, d))
+    terms = np.empty((cap + 1, d + 1, d))  # per query a gram term over a b term, after the running values
+    runs = None if total is None else np.empty((cap + 1, d, d))
+    if runs is not None:
         total.fill(0.0)
-    queried = []
+    queried, added, prev = [], 0, -1
+
+    def add_pending():
+        pos = queried[added:]
+        k, Xq = len(pos), X[pos]
+        gb = terms[: k + 1]
+        gb[0, :d], gb[0, d] = state.gram, state.b_vec
+        np.multiply(Xq[:, :, None], Xq[:, None, :], out=gb[1:, :d])
+        np.multiply(rows.y[pos, None], Xq, out=gb[1:, d])
+        # accumulate adds left to right; np.add.reduce and np.sum may add pairwise
+        sums = np.add.accumulate(gb, axis=0, out=gb)[-1]
+        state.gram[...], state.b_vec[...] = sums[:d], sums[d]
+        if runs is not None:
+            runs[0] = total
+            total[...] = np.add.accumulate(runs[: k + 1], axis=0, out=runs[: k + 1])[-1]
+
     for start in range(0, len(X), SCREEN_BLOCK):
         block = X[start : start + SCREEN_BLOCK]
         bounds = ((block @ inv) * block).sum(1)
         for i in np.flatnonzero(bounds > cut).tolist():
-            x = block[i]
-            v, lev = _exact_leverage(inv, x)
+            v, lev = _exact_leverage(inv, block[i])
             if lev > threshold:
                 p = start + i
-                if trace:
-                    total += (p - prev) * inv
+                if runs is not None:
+                    np.multiply(inv, p - prev, out=runs[len(queried) - added + 1])
                     prev = p
-                update_with_product(state, x, labels[p], v, lev)
+                _step_inverse(inv, v, lev, outer)  # the module global, so a wrapper sees every call
                 queried.append(p)
+                if len(queried) - added == cap:
+                    add_pending()
+                    added = len(queried)
+    if len(queried) > added:
+        add_pending()
     state.weight = inv.dot(state.b_vec)
-    if trace:  # the tail run; adding a zero run leaves the bits as they are
+    if runs is not None:  # the tail run; adding a zero run leaves the bits as they are
         total += (len(X) - 1 - prev) * inv
         total /= len(X)
     return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried]))
@@ -422,13 +463,16 @@ def _check_dim(dim: int) -> None:
         raise ModelFormatError(f"model dimension {dim} outside [1, {MAX_MODEL_DIM}]")
 
 
+def _header(model: ModelState) -> bytes:
+    """The "SAUL1" header of ``model``, once its dim is checked."""
+    d, p = model.dim, model.params
+    _check_dim(d)
+    return _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, len(model.coreset))
+
+
 def encode_model(model: ModelState) -> bytes:
     """The "SAUL1" container of ``model``, as :func:`save_model` writes it."""
-    d, n = model.dim, len(model.coreset)
-    _check_dim(d)
-    p = model.params
-    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d, p.horizon, p.kappa, p.cap_k, n)
-    return header + pack_rows(as_rows(model.coreset)).tobytes()
+    return _header(model) + pack_rows(as_rows(model.coreset)).tobytes()
 
 
 def save_model(model: ModelState, path) -> None:
@@ -436,13 +480,15 @@ def save_model(model: ModelState, path) -> None:
 
     After the write the model holds the Gram state derived from the written
     records, the state :func:`load_model` gives back; its deletion counters
-    are kept.
+    are kept.  The core set is stacked once, and the records and the state
+    both come from those arrays.
     """
-    blob = encode_model(model)
+    header, rows = _header(model), as_rows(model.coreset)
     with atomic_open(path, "wb") as fh:
-        fh.write(blob)
-    records = unpack_rows(blob, len(model.coreset), model.dim, _HEADER.size)
-    model.gram_state = gram_from_rows(records.X, records.y, model.params.lam)
+        fh.write(header)
+        fh.write(pack_rows(rows))
+    X = rows.X.reshape(len(rows), model.dim)  # an empty core set stacks to (0, 0)
+    model.gram_state = gram_from_rows(X, rows.y, model.params.lam)
 
 
 def load_model(path) -> ModelState:

@@ -15,8 +15,8 @@ arithmetic the identity needs.  Outer products are formed by broadcasting
 hands back an array that already is a float64 vector of the right shape, and
 :func:`leverage`, called once per streamed point, tests for such an array
 inline before it calls ``as_vector`` at all.
-:func:`update_with_product` is the one Sherman-Morrison update step; it takes
-``A^-1 x`` from its caller, so the fit on rows reuses its exact test's product.
+The fit on rows takes :func:`rank_one_update`'s steps in :mod:`.bbq_linear`,
+with the same bits: the inverse's at each query, the sums batched in order.
 
 All vectors are assumed to satisfy ``||x|| <= 1`` and states are single-writer:
 callers serialize mutations, concurrent read-only leverage queries are safe
@@ -140,17 +140,6 @@ def gram_from_rows(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
     return state
 
 
-def update_with_product(state: GramState, x: np.ndarray, y: float, v: np.ndarray, lev) -> None:
-    """:func:`rank_one_update`'s step given ``v = A^-1 x`` and ``lev = v.x``; the weight is the caller's.
-
-    Nothing is checked: ``x`` must be a valid float64 vector and ``v`` and
-    ``lev`` must come from the current inverse.  Not part of the package API.
-    """
-    state.gram += x[:, None] * x
-    state.gram_inv -= (v[:, None] * v) / (1.0 + lev)
-    state.b_vec += y * x
-
-
 def rank_one_update(state: GramState, x, y: float) -> GramState:
     """Add the contribution of a labeled point, in place.
 
@@ -162,7 +151,9 @@ def rank_one_update(state: GramState, x, y: float) -> GramState:
     if nrm > 1.0 + NORM_SLACK:
         raise ValueError(f"||x|| = {nrm} exceeds the unit-norm contract")
     v = state.gram_inv.dot(x)
-    update_with_product(state, x, y, v, v.dot(x))
+    state.gram += x[:, None] * x
+    state.gram_inv -= (v[:, None] * v) / (1.0 + v.dot(x))
+    state.b_vec += y * x
     state.weight = state.gram_inv.dot(state.b_vec)
     return state
 

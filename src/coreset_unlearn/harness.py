@@ -315,8 +315,3 @@ def emit_report(report: ExperimentReport, out_prefix: str) -> list[str]:
                 writer.writerow([deletions, repr(float(acc)), name])
         written.append(path)
     return written
-
-
-def load_report_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

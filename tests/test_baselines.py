@@ -9,10 +9,9 @@ from coreset_unlearn import (
     ridge_fit,
     ridge_retrain,
     sisa_fit,
-    sisa_predict,
     sisa_unlearn,
 )
-from coreset_unlearn.baselines import sisa_accuracy_batch, weight_accuracy
+from coreset_unlearn.baselines import sisa_accuracy_batch, sisa_predict_batch, weight_accuracy
 
 
 def small_dataset(seed=81, T=300, d=6):
@@ -78,8 +77,8 @@ class TestSisa:
         ds = small_dataset()
         model = sisa_fit(ds.samples, n_shards=1, seed=3)
         w = ridge_retrain(ds.samples)
-        for s in ds.samples[:50]:
-            assert sisa_predict(model, s.x) == (-1 if float(w @ s.x) < 0 else 1)
+        X = ds.X[:50]
+        np.testing.assert_array_equal(sisa_predict_batch(model, X), np.where(X @ w < 0.0, -1, 1))
 
     def test_deletion_touches_exactly_one_shard(self):
         ds = small_dataset()
@@ -108,7 +107,7 @@ class TestSisa:
         samples = [LabeledSample(0, [0.5, 0.0], -1)]
         model = sisa_fit(samples, n_shards=3, seed=6)
         # two shards are empty with zero weights; their tie votes are +1
-        assert sisa_predict(model, [0.0, 1.0]) == 1
+        assert sisa_predict_batch(model, np.array([[0.0, 1.0]])).tolist() == [1]
 
     def test_deleted_shard_matches_fresh_shard_solve(self):
         ds = small_dataset()

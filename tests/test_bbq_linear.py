@@ -321,7 +321,7 @@ class TestRowsFit:
 
     def test_certified_rows_cost_no_leverage_call(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
-        calls = {"_exact_leverage": 0, "update_with_product": 0}  # per flagged row, per query
+        calls = {"_exact_leverage": 0, "_step_inverse": 0}  # per flagged row, per query
 
         def counted(name):
             fn = getattr(bbq_linear, name)
@@ -334,10 +334,44 @@ class TestRowsFit:
         for name in calls:
             monkeypatch.setattr(bbq_linear, name, counted(name))
         m = bbq_fit(ds, cap_k=10.0, kappa=0.5)
-        assert calls["update_with_product"] == len(m.coreset) > 0
+        assert calls["_step_inverse"] == len(m.coreset) > 0
         assert len(m.coreset) <= calls["_exact_leverage"] < len(ds) // 2
         assert "samples" not in vars(ds)  # no sample is built for a row the fit does not store
         assert all(s.x.base is None for s in m.coreset)  # each stored sample owns its row
+
+    # (d, rows, pending terms the budget holds: None keeps PENDING_BYTES)
+    ORDER_CASES = {
+        "d=1, hundreds of queries in one block": (1, 600, None),
+        "d=2, hundreds of queries in one block": (2, 600, None),
+        "d=1, budget of 2 terms": (1, 600, 2),
+        "d=2, budget of 3 terms": (2, 600, 3),
+        "d=200, one term over the budget": (200, 300, None),
+    }
+
+    @pytest.mark.parametrize("name", list(ORDER_CASES))
+    def test_sums_are_added_in_fit_order(self, name, monkeypatch):
+        d, n, budget = self.ORDER_CASES[name]
+        if budget is not None:
+            monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (d + 1) * d)
+        rng = np.random.default_rng(d)
+        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
+        rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        mean_inverse = np.empty((d, d))
+        via_rows = bbq_fit(rows, 1.7, 1.0, mean_inverse=mean_inverse)
+        via_samples = bbq_fit(rows.samples, 1.7, 1.0)
+        queried = np.flatnonzero(np.isin(rows.ids, np.fromiter(via_rows.coreset.ids(), dtype=np.uint64)))
+        assert (queried < SCREEN_BLOCK).sum() > 100  # many pending terms within one block
+        if d == 200:
+            assert 8 * d * d > bbq_linear.PENDING_BYTES  # so every query adds its terms alone
+        assert encode_model(via_rows) == encode_model(via_samples)
+        for field in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(via_rows.gram_state, field).tobytes() == getattr(via_samples.gram_state, field).tobytes()
+        state, total = core_linalg.gram_init(d, 1.7), np.zeros((d, d))
+        for run, s in zip(np.diff(queried, prepend=-1).tolist(), via_rows.coreset):
+            total += run * state.gram_inv
+            core_linalg.rank_one_update(state, s.x, s.y)
+        total += (n - 1 - queried[-1]) * state.gram_inv
+        assert mean_inverse.tobytes() == (total / n).tobytes()
 
     def test_rows_are_checked_as_samples_are(self):
         rows = as_rows(ones_stream(4))

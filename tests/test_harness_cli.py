@@ -23,7 +23,7 @@ from coreset_unlearn.bbq_linear import _HEADER, deletion_update, replay_on_cores
 from coreset_unlearn.capacity import CapacityParams, coreset_capacity, predicted_deletion_drift
 from coreset_unlearn.cli import _build_parser, cli_main
 from coreset_unlearn.datastreams import DeletionDistribution, deletion_stream
-from coreset_unlearn.harness import load_report_json, stratified_split
+from coreset_unlearn.harness import stratified_split
 
 
 def small_config(**overrides):
@@ -357,7 +357,7 @@ class TestReports:
 
     def test_emit_json_roundtrip(self, report, tmp_path):
         emit_report(report, str(tmp_path / "rep"))
-        doc = load_report_json(tmp_path / "rep.json")
+        doc = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))
         assert doc == report.to_json_dict()
         assert doc["report_version"] == 1
 
