@@ -94,8 +94,8 @@ SCREEN_BLOCK = 512
 # Sherman-Morrison steps the block's later queries take.
 SCREEN_SLACK = 1e-9
 
-# A fit on rows adds up its pending terms once they fill this many bytes per
-# stack, or at every query when one term alone is larger.
+# A fit on rows adds up its pending terms when no further one fits in this
+# many bytes per stack, so at every query once two terms do not fit.
 PENDING_BYTES = 256 * 1024
 
 
