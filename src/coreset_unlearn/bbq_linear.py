@@ -49,10 +49,9 @@ by :func:`~.datastreams.pack_rows` and read by
 :func:`~.core_linalg.gram_from_rows`, which by the exactness theorem is the
 state of a fresh fit on them, and the saved model takes that state, so the
 model in memory and the one loaded from its file agree bit for bit.  A load
-checks the records (unique ids, finite values, labels and norms) before
-trusting them.  A save replaces the file atomically.  The deletion counters
-and the count of streamed points are run-time artifacts and are not
-serialized.
+checks the records by building them as :class:`~.datastreams.Rows`.  A save
+replaces the file atomically.  The deletion counters and the count of
+streamed points are run-time artifacts and are not serialized.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from .core_linalg import (
     rank_one_downdate,
     rank_one_update,
 )
-from .datastreams import LabeledSample, Rows, as_rows, check_rows, pack_rows, row_dtype, trusted_samples, unpack_rows
+from .datastreams import LabeledSample, Rows, as_rows, pack_rows, row_dtype, trusted_samples, unpack_rows
 
 MODEL_MAGIC = b"SAUL1"
 MODEL_VERSION = 2
@@ -259,11 +258,11 @@ def bbq_fit(
     ``stream`` is a :class:`~.datastreams.Rows` (a ``Dataset`` is one) or an
     iterable of :class:`LabeledSample`; its type picks the path, and both
     give the same core set in the same order and the same state bits.  Rows
-    are checked once as :attr:`~.datastreams.Rows.samples` checks them and
-    screened in blocks (:func:`_fit_rows`); each queried row is stored as a
-    sample that owns a copy of it.  A sample list keeps the per-point loop,
-    which reads a sample's ``y`` only when it queries the sample: stacking
-    the list into rows would read every label.
+    were checked when built, so the fit reads them as they are, screened in
+    blocks (:func:`_fit_rows`); each queried row is stored as a sample that
+    owns a copy of it.  A sample list keeps the per-point loop, which reads a
+    sample's ``y`` only when it queries the sample: stacking the list into
+    rows would read every label.
 
     ``mean_inverse``, a writable float64 ``(dim, dim)`` array given only
     with nonempty rows, is overwritten with the mean over the rows of the
@@ -271,16 +270,12 @@ def bbq_fit(
     inverse changes only at a query, so each one is added once, times the
     number of rows that see it.  A fit without it does not pay for the sum.
     """
-    is_rows = isinstance(stream, Rows)
-    if is_rows:
-        n = len(stream)
-        repeated = np.unique(stream.ids).size != n
-    else:
+    is_rows = isinstance(stream, Rows)  # whose ids are unique by construction
+    if not is_rows:
         stream = list(stream)
-        n = len(stream)
-        repeated = len({s.sample_id for s in stream}) != n
-    if repeated:
-        raise ValueError("sample ids repeat within the stream")
+        if len({s.sample_id for s in stream}) != len(stream):
+            raise ValueError("sample ids repeat within the stream")
+    n = len(stream)
     if horizon is None:
         if not n:
             raise ValueError("cannot infer horizon from an empty stream")
@@ -340,8 +335,7 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     :data:`PENDING_BYTES`, or the pass ends, and are then added in fit
     order, with the bits of a loop of ``+=``.
     """
-    X = np.ascontiguousarray(rows.X, dtype=np.float64)
-    check_rows(X, rows.y)
+    X = rows.X
     d = state.dim  # not X's width: an empty Rows is (0, 0)
     cap = max(1, min(len(X), PENDING_BYTES // (8 * (d + 1) * d)))  # queries pending at most
     cut = threshold * (1.0 - SCREEN_SLACK)
@@ -498,8 +492,8 @@ def load_model(path) -> ModelState:
     start at zero.  Raises :class:`ModelFormatError` on a malformed file: bad
     magic or version, a dimension outside ``[1, MAX_MODEL_DIM]``, a length
     other than the header implies, non-finite or invalid parameters, and
-    records with repeated ids, non-finite values, a label other than -1 or +1
-    or a norm above 1.
+    records that :class:`~.datastreams.Rows` refuses (repeated ids, labels,
+    norms, non-finite values).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -520,9 +514,8 @@ def load_model(path) -> ModelState:
         params = BBQParams(horizon=horizon, kappa=kappa, cap_k=cap_k)
     except ValueError as exc:
         raise ModelFormatError(f"invalid model parameters: {exc}") from exc
-    records = unpack_rows(blob, n_coreset, dim, _HEADER.size)
     try:
-        check_rows(records.X, records.y, records.ids)  # a non-finite record fails its norm check
+        records = Rows(*unpack_rows(blob, n_coreset, dim, _HEADER.size))  # a non-finite record fails too
     except ValueError as exc:
         raise ModelFormatError(f"core set: {exc}") from exc
     state = gram_from_rows(records.X, records.y, params.lam)

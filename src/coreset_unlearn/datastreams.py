@@ -20,18 +20,18 @@ rows directly and builds a sample only for a row it stores; per-sample
 objects exist where a caller asks for a stream of them, and
 :attr:`Rows.samples` builds them on first use.
 
-This module owns the stored row.  A :class:`LabeledSample` and a row of
-:class:`Rows` hold the same values under the same checks (:func:`check_rows`
-is the vectorized form of the sample's), and both file formats store rows
-packed as :func:`row_dtype`.  :func:`pack_rows` and :func:`unpack_rows` are
-the one codec for that payload; the SADS1 dataset file and the SAUL1 model
-file (:mod:`.bbq_linear`) each keep their own header and errors around it.
+This module owns the stored row.  A :class:`Rows` is checked once, when it
+is built, under the rule :class:`LabeledSample` applies to each sample, and
+holds read-only arrays, so no consumer checks rows again.  Both file formats
+store rows packed as :func:`row_dtype`; :func:`pack_rows` and
+:func:`unpack_rows` are the one codec for that payload, and the SADS1 dataset
+file and the SAUL1 model file (:mod:`.bbq_linear`) keep their own headers.
 
 Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON
 ``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then the
-T packed rows.  Loading is one :func:`unpack_rows` over the file followed by
-one vectorized validation pass; round-trips are bit-exact and writes
-replace the file atomically.
+T packed rows.  Loading is one :func:`unpack_rows` over the file, whose
+fields the :class:`Dataset` constructor checks and copies; round-trips are
+bit-exact and writes replace the file atomically.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ class LabeledSample:
             raise ValueError(f"sample {self.sample_id!r}: id must be an integer in [0, 2**64)")
         self.sample_id = sid
         self.x = np.asarray(self.x, dtype=np.float64)
-        nrm = float(np.linalg.norm(self.x))
-        if not nrm <= 1.0 + NORM_SLACK:  # NaN fails too, as in check_rows
+        with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
+            nrm = float(np.linalg.norm(self.x))
+        if not nrm <= 1.0 + NORM_SLACK:  # NaN fails too, as in Rows
             raise ValueError(f"sample {self.sample_id}: ||x|| = {nrm} exceeds 1")
         if self.y not in (-1, 1):
             raise ValueError(f"sample {self.sample_id}: label must be -1 or +1, got {self.y}")
@@ -105,31 +106,34 @@ def row_dtype(d: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("y", "i1"), ("x", "<f8", (d,))])
 
 
-def check_rows(X: np.ndarray, y: np.ndarray, ids: np.ndarray | None = None) -> None:
-    """Vectorized form of the :class:`LabeledSample` checks over aligned rows.
+def _check_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> None:
+    """``ValueError`` naming the first row :class:`LabeledSample` refuses; a vectorized screen picks the rows it tries."""
+    id_bad = ids < 0 if ids.dtype.kind in "iu" else np.ones(len(ids), dtype=bool)  # any other dtype: try every row
+    # einsum and np.linalg.norm add the squares in other orders: both pass a row below this bound
+    safe = (1.0 + NORM_SLACK) ** 2 - X.shape[1] * 2.0**-48
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or NaN row is flagged
+        flagged = id_bad | ~(np.einsum("ij,ij->i", X, X) <= safe) | ((y != 1) & (y != -1))
+    for i in np.flatnonzero(flagged).tolist():
+        try:
+            LabeledSample(ids[i], X[i], y[i])
+        except ValueError as exc:
+            raise ValueError(f"row {i}: {str(exc).split(': ', 1)[1]}") from exc
 
-    Raises ``ValueError`` naming the first row whose label is not -1 or +1 or
-    whose norm exceeds 1 (a non-finite row counts as exceeding it), and, when
-    ``ids`` is given, on a repeated id.
-    """
-    bad = np.flatnonzero((y != 1) & (y != -1))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: label must be -1 or +1, got {y[bad[0]]}")
-    with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
-        norms = np.linalg.norm(X, axis=1)
-    bad = np.flatnonzero(~(norms <= 1.0 + NORM_SLACK))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: ||x|| = {norms[bad[0]]} exceeds 1")
-    if ids is not None and np.unique(ids).size != ids.size:
-        raise ValueError("duplicate sample ids")
+
+def _read_only(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` as a read-only C-contiguous ``dtype`` array: ``a`` itself if it is one already, else a copy."""
+    if a.dtype != dtype or a.flags.writeable or not (a.flags.c_contiguous and a.flags.aligned):
+        a = np.array(a, dtype=dtype, order="C")
+        a.flags.writeable = False
+    return a
 
 
 def trusted_samples(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> list[LabeledSample]:
     """One :class:`LabeledSample` per row, built without re-running its checks.
 
-    Only for rows that passed :func:`check_rows`.  Each sample owns a copy of
-    its row, never a view into ``X``: a model that keeps a few samples (a core
-    set) must not keep all of ``X`` alive.
+    Only for the rows of a :class:`Rows`, checked when it was built.  Each
+    sample owns a copy of its row, never a view into ``X``: a model that keeps
+    a few samples (a core set) must not keep all of ``X`` alive.
     """
     new = object.__new__
     out = []
@@ -169,13 +173,15 @@ class DatasetSpec:
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """Labeled samples as aligned arrays: ``ids u64[n]``, ``X f64[n, d]``, ``y i8[n]``.
+    """Labeled samples as aligned read-only arrays: ``ids u64[n]``, ``X f64[n, d]``, ``y i8[n]``.
 
-    ``X`` is C-contiguous; row ``i`` is the sample with id ``ids[i]``.  A
-    construction whose ``X`` is not 2-D, or whose arrays disagree on the
-    row count, raises ``ValueError``; the values are checked by
-    :func:`check_rows`, where a caller needs them checked.  Frozen, so the
-    shapes hold for the object's life; ``dataclasses.replace`` makes a copy.
+    Row ``i`` is the sample with id ``ids[i]``.  The constructor is the one row
+    check: the arrays agree on the row count, each row passes what
+    :class:`LabeledSample` checks, and no id repeats; otherwise ``ValueError``
+    names the first row a sample would refuse.  An argument already read-only
+    in its stored form (``X`` C-contiguous) is kept, trusted not to change
+    through another view; any other is copied.  Frozen: ``take`` and
+    ``dataclasses.replace`` build and check a new one.
     """
 
     ids: np.ndarray
@@ -183,26 +189,31 @@ class Rows:
     y: np.ndarray
 
     def __post_init__(self):
-        if self.X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
-        if not len(self.ids) == len(self.X) == len(self.y):
-            raise ValueError(f"ids, X and y hold {len(self.ids)}, {len(self.X)} and {len(self.y)} rows")
+        ids, X, y = np.asarray(self.ids), _read_only(np.asarray(self.X), np.float64), np.asarray(self.y)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if ids.ndim != 1 or y.ndim != 1:
+            raise ValueError(f"ids and y must be 1-D, got shapes {ids.shape} and {y.shape}")
+        if not len(ids) == len(X) == len(y):
+            raise ValueError(f"ids, X and y hold {len(ids)}, {len(X)} and {len(y)} rows")
+        _check_rows(ids, X, y)
+        ids, y = _read_only(ids, np.uint64), _read_only(y, np.int8)
+        ordered = np.sort(ids)  # a sort and an adjacent compare: far cheaper than np.unique
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("duplicate sample ids")
+        for name, value in (("ids", ids), ("X", X), ("y", y)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def take(self, index) -> Rows:
-        """The rows selected by ``index`` (an index array, mask or slice), in that order."""
+        """The rows selected by ``index`` (an index array, mask or slice), in that order; a repeated row raises."""
         return Rows(self.ids[index], self.X[index], self.y[index])
 
     @cached_property
     def samples(self) -> list[LabeledSample]:
-        """Per-row :class:`LabeledSample` objects, built on first access.
-
-        The rows are checked once by :func:`check_rows`, and the samples are
-        then built by :func:`trusted_samples`, each owning a copy of its row.
-        """
-        check_rows(self.X, self.y)
+        """Per-row :class:`LabeledSample` objects, built on first access by :func:`trusted_samples`."""
         return trusted_samples(self.ids, self.X, self.y)
 
 
@@ -249,19 +260,15 @@ def pack_rows(rows: Rows) -> np.ndarray:
     return packed
 
 
-def unpack_rows(buffer, n: int, d: int, offset: int = 0) -> Rows:
-    """The ``n`` packed rows of width ``d`` at ``offset`` in ``buffer``, unchecked.
+def unpack_rows(buffer, n: int, d: int, offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(ids, X, y)`` fields of the ``n`` packed rows of width ``d`` at ``offset`` in ``buffer``.
 
-    The rows are copied out into native arrays, so ``buffer`` may be freed
-    once this returns; the caller checks them (:func:`check_rows`) and sizes
-    ``buffer`` against ``n * row_dtype(d).itemsize`` first.
+    The fields are unchecked views into ``buffer``: the caller sizes ``buffer``
+    against ``n * row_dtype(d).itemsize`` first and builds a :class:`Rows` from
+    them, which checks the rows and copies them out.
     """
     packed = np.frombuffer(buffer, dtype=row_dtype(d), count=n, offset=offset)
-    return Rows(
-        ids=packed["id"].astype(np.uint64),
-        X=np.ascontiguousarray(packed["x"], dtype=np.float64),
-        y=packed["y"].astype(np.int8),
-    )
+    return packed["id"], packed["x"], packed["y"]
 
 
 @dataclass(frozen=True)
@@ -347,7 +354,9 @@ def gen_dataset(spec: DatasetSpec) -> Dataset:
 
     probs = (1.0 + xs @ u) / 2.0
     ys = np.where(rng.random(spec.T) < probs, 1, -1).astype(np.int8)
-    return Dataset(ids=np.arange(spec.T, dtype=np.uint64), X=xs, y=ys, spec=spec, u=u)
+    ids = np.arange(spec.T, dtype=np.uint64)
+    ids.flags.writeable = xs.flags.writeable = ys.flags.writeable = False  # no one else holds them: kept uncopied
+    return Dataset(ids, xs, ys, spec=spec, u=u)
 
 
 def deletion_weights(ids: np.ndarray, dist: DeletionDistribution) -> np.ndarray:
@@ -432,12 +441,12 @@ def load_dataset(path) -> Dataset:
     """Read a SADS1 file; raises :class:`DatasetFormatError` on any inconsistency.
 
     The payload is decoded by one :func:`unpack_rows` over the file's bytes,
-    which copies it once into the native ``ids``/``X``/``y`` arrays.  Labels outside
-    {-1, +1}, rows with ``||x|| > 1`` (or non-finite), duplicate ids, a payload
-    whose length is not exactly ``T`` rows, a header line other than the one
-    :func:`save_dataset` writes for the fields it holds, and a planted ``u``
-    that :func:`gen_dataset` would refuse are all rejected, so every file
-    that loads saves back to the same bytes.
+    whose fields the :class:`Dataset` constructor checks and copies once.
+    Labels outside {-1, +1}, rows with ``||x|| > 1`` (or non-finite),
+    duplicate ids, a payload whose length is not exactly ``T`` rows, a header
+    line other than the one :func:`save_dataset` writes for the fields it
+    holds, and a planted ``u`` that :func:`gen_dataset` would refuse are all
+    rejected, so every file that loads saves back to the same bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -469,12 +478,9 @@ def load_dataset(path) -> Dataset:
     payload = spec.T * row_dtype(spec.d).itemsize
     if len(blob) - offset != payload:
         raise DatasetFormatError(f"dataset payload has {len(blob) - offset} bytes, header promises {payload}")
-    rows = unpack_rows(blob, spec.T, spec.d, offset)
-    del blob  # the file bytes are no longer needed; free them before validating
     try:
-        check_rows(rows.X, rows.y, rows.ids)
+        return Dataset(*unpack_rows(blob, spec.T, spec.d, offset), spec=spec, u=u)
     except ValueError as exc:
         raise DatasetFormatError(str(exc)) from exc
-    return Dataset(ids=rows.ids, X=rows.X, y=rows.y, spec=spec, u=u)
 
 

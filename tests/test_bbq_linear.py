@@ -137,10 +137,12 @@ class TestFit:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_repeated_sample_id_rejected(self, form):
+        # a sample list is refused by the fit; rows are refused when built, so no fit sees them
+        match = "^duplicate sample ids$" if form == "rows" else "^sample ids repeat within the stream$"
         queried_twice = [LabeledSample(0, [0.5], 1), LabeledSample(0, [0.1], -1)]
         never_queried_twice = ones_stream(16) + [LabeledSample(10, [1.0], 1)]
         for stream in (queried_twice, never_queried_twice):
-            with pytest.raises(ValueError, match="^sample ids repeat within the stream$"):
+            with pytest.raises(ValueError, match=match):
                 bbq_fit(in_form(stream, form), cap_k=1.0, kappa=0.5)
 
     def test_unqueried_labels_never_read(self):
@@ -374,13 +376,13 @@ class TestRowsFit:
         assert mean_inverse.tobytes() == (total / n).tobytes()
 
     def test_rows_are_checked_as_samples_are(self):
-        rows = as_rows(ones_stream(4))
-        rows.y[2] = 0
+        ids, X, y = np.arange(4), np.ones((4, 1)), np.ones(4, dtype=np.int8)
+        y[2] = 0
         with pytest.raises(ValueError, match="^row 2: label must be -1 or \\+1, got 0$"):
-            bbq_fit(rows, cap_k=1.0)
-        rows.y[2], rows.X[3] = 1, 2.0
+            bbq_fit(Rows(ids, X, y), cap_k=1.0)
+        y[2], X[3] = 1, 2.0
         with pytest.raises(ValueError, match="^row 3: "):
-            bbq_fit(rows, cap_k=1.0)
+            bbq_fit(Rows(ids, X, y), cap_k=1.0)
 
 
 class TestPredict:

@@ -18,8 +18,12 @@ from coreset_unlearn import (
     deletion_stream,
     gen_dataset,
     load_dataset,
+    load_model,
     save_dataset,
+    save_model,
 )
+from coreset_unlearn import bbq_linear
+from coreset_unlearn.core_linalg import NORM_SLACK
 from coreset_unlearn.datastreams import (
     DatasetFormatError,
     GenerationInfeasibleError,
@@ -416,6 +420,139 @@ class TestRows:
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=41))
         for dist in (DeletionDistribution(kind="uniform"), DeletionDistribution(kind="by-label", target_label=1)):
             assert deletion_stream(ds, dist, 60, seed=7) == deletion_stream(ds.samples, dist, 60, seed=7)
+
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.arange(50) - 3, np.arange(50) + 0.5, np.arange(50, dtype=np.float64), np.arange(50) % 2 == 0],
+        ids=["negative", "fractional", "float", "bool"],
+    )
+    def test_ids_a_sample_refuses_are_refused(self, ids):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=44))
+        first = int(np.flatnonzero(ids < 0)[0]) if ids.dtype.kind == "i" else 0
+        with pytest.raises(ValueError, match=rf"^row {first}: id must be an integer in \[0, 2\*\*64\)$"):
+            Rows(ids, ds.X, ds.y)  # so no fit stores an id that a save cannot write or would change
+        with pytest.raises(ValueError, match="^sample .*: id must be an integer"):
+            LabeledSample(ids[first], ds.X[first], ds.y[first])
+
+    def test_non_negative_int64_ids_are_stored_as_uint64(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=44))
+        ids = np.arange(50, dtype=np.int64) * (2**57)  # up to 49 * 2**57, above 2**62
+        rows = Rows(ids, ds.X, ds.y)
+        assert rows.ids.dtype == np.uint64 and rows.ids.tolist() == ids.tolist()
+        assert [s.sample_id for s in bbq_fit(rows, cap_k=2.0).coreset] == [
+            s.sample_id for s in bbq_fit(rows.samples, cap_k=2.0).coreset
+        ]
+
+    def test_take_with_a_repeated_index_rejected(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=45))
+        with pytest.raises(ValueError, match="^duplicate sample ids$"):
+            ds.take(np.array([0, 0, 1]))  # its deletion stream would repeat id 0
+        assert ds.take(slice(3, 9)).ids.tolist() == list(range(3, 9))
+        picked = ds.take(np.array([7, 2, 11]))
+        assert picked.ids.tolist() == [7, 2, 11]
+        assert sorted(deletion_stream(picked, DeletionDistribution(kind="uniform"), 3, seed=1)) == [2, 7, 11]
+
+    def test_rows_hold_read_only_arrays(self, tmp_path):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=46))
+        save_dataset(ds, tmp_path / "ds.bin")
+        save_model(bbq_fit(ds, cap_k=2.0), tmp_path / "m.bin")
+        built = []
+
+        class Recorded(Rows):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bbq_linear, "Rows", Recorded)
+            model = load_model(tmp_path / "m.bin")
+        (core,) = built
+        assert len(core) == len(model.coreset) > 0
+        sources = {
+            "gen_dataset": ds,
+            "load_dataset": load_dataset(tmp_path / "ds.bin"),
+            "take of a slice": ds.take(slice(10, 40)),
+            "take of an index array": ds.take(np.array([5, 1, 9])),
+            "as_rows of samples": as_rows(ds.samples[:20]),
+            "load_model's core set": core,
+        }
+        for source, rows in sources.items():
+            for name in ("ids", "X", "y"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(rows, name)[0] = 1
+                assert not getattr(rows, name).flags.writeable, (source, name)
+
+    def test_a_callers_arrays_keep_their_flags(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=40, d=3, seed=47))
+        ids, X, y = ds.ids.copy(), ds.X.copy(), ds.y.copy()
+        rows = Rows(ids, X, y)
+        for mine, kept in ((ids, rows.ids), (X, rows.X), (y, rows.y)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)  # a later write into the caller's array stays out
+        X[0] = 5.0
+        assert np.linalg.norm(rows.X[0]) <= 1.0
+        again = Rows(rows.ids, rows.X, rows.y)  # read-only arrays in the stored form are kept as they are
+        assert again.ids is rows.ids and again.X is rows.X and again.y is rows.y
+
+    def test_rows_at_the_norm_limit_are_judged_as_samples_are(self):
+        limit, d = 1.0 + NORM_SLACK, 100
+        rng = np.random.default_rng(48)
+        scales = limit * (1.0 + np.arange(-64, 64) * 2.0**-53)  # within 64 ulps of the limit
+        let_through = []  # rows whose einsum square passes the limit but whose norm fails it
+        for _ in range(300):
+            x = rng.standard_normal(d)
+            X = (x / np.linalg.norm(x))[None, :] * scales[:, None]
+            taken = np.array([np.linalg.norm(row) <= limit for row in X])  # the sample's test
+            Rows(np.arange(taken.sum()), X[taken], np.ones(taken.sum(), dtype=np.int8))
+            let_through += list(X[(np.einsum("ij,ij->i", X, X) <= limit**2) & ~taken])
+        assert let_through, "no row where a squared-norm test alone disagrees with the sample's"
+        for row in let_through:
+            with pytest.raises(ValueError, match="exceeds 1$"):
+                LabeledSample(0, row, 1)
+            with pytest.raises(ValueError, match="^row 0: .* exceeds 1$"):
+                Rows([0], row[None], [1])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_rows_accept_exactly_what_samples_accept(self, data):
+        n, d = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        for i in range(n):
+            kind = data.draw(st.sampled_from(["inside", "inside", "at the limit", "nan", "inf", "huge"]))
+            if kind == "inside":
+                X[i] *= data.draw(st.floats(0.0, 1.0))
+            elif kind == "at the limit":
+                X[i] *= 1.0 + NORM_SLACK + data.draw(st.floats(-2e-9, 2e-9))
+            else:
+                X[i, data.draw(st.integers(0, d - 1))] = {"nan": np.nan, "inf": np.inf, "huge": 1e200}[kind]
+        y = np.array(data.draw(st.lists(st.sampled_from([-1, 1, -1, 1, 0, 2]), min_size=n, max_size=n)))
+        id_kind = data.draw(st.sampled_from(["uint64", "uint64", "int64", "float64"]))
+        values = {
+            "uint64": st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+            "int64": st.one_of(st.integers(-3, -1), st.integers(0, 2**63 - 1)),
+            "float64": st.integers(0, 40).map(lambda k: k / 2),  # fractional and integral
+        }[id_kind]
+        ids = np.array(data.draw(st.lists(values, min_size=n, max_size=n, unique=True)), dtype=id_kind)
+        refused = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a huge row raises no overflow warning in either form
+            for i in range(n):
+                try:
+                    LabeledSample(ids[i], X[i], y[i])
+                except ValueError as exc:
+                    refused = i, str(exc).split(": ", 1)[1]
+                    break
+            if refused is None:
+                rows = Rows(ids, X, y)
+                assert rows.ids.tolist() == [int(i) for i in ids.tolist()]
+                assert rows.X.tobytes() == X.tobytes() and rows.y.tolist() == y.tolist()
+            else:
+                with pytest.raises(ValueError) as caught:
+                    Rows(ids, X, y)
+                assert str(caught.value) == f"row {refused[0]}: {refused[1]}"
 
 
 @pytest.fixture(scope="module")
