@@ -421,7 +421,6 @@ class TestRows:
         for dist in (DeletionDistribution(kind="uniform"), DeletionDistribution(kind="by-label", target_label=1)):
             assert deletion_stream(ds, dist, 60, seed=7) == deletion_stream(ds.samples, dist, 60, seed=7)
 
-
     @pytest.mark.parametrize(
         "ids",
         [np.arange(50) - 3, np.arange(50) + 0.5, np.arange(50, dtype=np.float64), np.arange(50) % 2 == 0],
