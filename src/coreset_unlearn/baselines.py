@@ -91,9 +91,7 @@ class SisaModel:
     ids: np.ndarray
     X: np.ndarray
     y: np.ndarray
-    n_shards: int
     lam: float
-    dim: int
 
 
 def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RIDGE_LAMBDA) -> SisaModel:
@@ -115,9 +113,7 @@ def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RI
         ids=data.ids,
         X=data.X,
         y=data.y,
-        n_shards=n_shards,
         lam=lam,
-        dim=data.X.shape[1],
     )
 
 
@@ -139,7 +135,8 @@ def sisa_unlearn(model: SisaModel, ids) -> SisaModel:
 
 def sisa_memory_scalars(model: SisaModel) -> int:
     """Stored model scalars: two d*d matrices plus two d-vectors per shard."""
-    return model.n_shards * (2 * model.dim * model.dim + 2 * model.dim)
+    d = model.X.shape[1]
+    return len(model.shards) * (2 * d * d + 2 * d)
 
 
 def weight_accuracy(weight: np.ndarray, samples) -> float:

@@ -73,7 +73,7 @@ from .core_linalg import (
     rank_one_downdate,
     rank_one_update,
 )
-from .datastreams import LabeledSample, Rows, as_rows, pack_rows, row_dtype, trusted_samples, unpack_rows
+from .datastreams import LabeledSample, Rows, as_rows, pack_rows, row_dtype, sample_ids, trusted_samples, unpack_rows
 
 MODEL_MAGIC = b"SAUL1"
 MODEL_VERSION = 2
@@ -253,16 +253,16 @@ def bbq_fit(
     only then does its label enter the state.  ``horizon`` defaults to the
     stream's length and ``dim`` to the dimension of its first point; both
     must be given explicitly to fit an empty stream (used by core-set
-    replays).  Sample ids must be unique within the stream.
+    replays).  A repeated sample id raises, whichever form the stream takes.
 
     ``stream`` is a :class:`~.datastreams.Rows` (a ``Dataset`` is one) or an
     iterable of :class:`LabeledSample`; its type picks the path, and both
     give the same core set in the same order and the same state bits.  Rows
     were checked when built, so the fit reads them as they are, screened in
     blocks (:func:`_fit_rows`); each queried row is stored as a sample that
-    owns a copy of it.  A sample list keeps the per-point loop, which reads a
-    sample's ``y`` only when it queries the sample: stacking the list into
-    rows would read every label.
+    owns a copy of it.  A sample list (ids by :func:`~.datastreams.sample_ids`)
+    keeps the per-point loop, which reads a sample's ``y`` only when it
+    queries the sample: stacking the list into rows would read every label.
 
     ``mean_inverse``, a writable float64 ``(dim, dim)`` array given only
     with nonempty rows, is overwritten with the mean over the rows of the
@@ -273,8 +273,7 @@ def bbq_fit(
     is_rows = isinstance(stream, Rows)  # whose ids are unique by construction
     if not is_rows:
         stream = list(stream)
-        if len({s.sample_id for s in stream}) != len(stream):
-            raise ValueError("sample ids repeat within the stream")
+        sample_ids(stream)  # refuses a repeated id; reads no label
     n = len(stream)
     if horizon is None:
         if not n:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class CapacityParams:
         if not 0 < self.K < math.inf:
             raise ValueError(f"K must be finite and positive, got {self.K}")
 
+    @property
+    def log_t(self) -> float:
+        """``log T`` in the formulas; 1 at the degenerate horizon ``T == 1``, which keeps them finite."""
+        return math.log(self.T) if self.T > 1 else 1.0
+
 
 @dataclass(eq=False)
 class MetricSet:
@@ -85,11 +90,7 @@ class MetricSet:
 
 def coreset_capacity(p: CapacityParams) -> int:
     """Core-set deletion budget implied by the margin estimate, floored at zero."""
-    if p.T == 1:
-        log_t = 1.0  # degenerate horizon; keeps the formula finite
-    else:
-        log_t = math.log(p.T)
-    raw = (p.eps_bar**2) * (p.T**p.kappa) / (16.0 * math.e * p.d * log_t * math.log(1.0 / p.delta))
+    raw = (p.eps_bar**2) * (p.T**p.kappa) / (16.0 * math.e * p.d * p.log_t * math.log(1.0 / p.delta))
     return max(math.floor(raw - 1.0), 0)
 
 
@@ -97,12 +98,11 @@ def drift_bound(K: int, p: CapacityParams) -> float:
     """Envelope on ``|w^T x - w_del^T x|`` after ``K`` core-set deletions."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    log_t = math.log(p.T) if p.T > 1 else 1.0
     return (
         2.0
         * math.sqrt(math.e * (K + 1))
         * (p.T ** (-p.kappa / 2.0))
-        * math.sqrt(p.d * log_t * math.log(1.0 / p.delta))
+        * math.sqrt(p.d * p.log_t * math.log(1.0 / p.delta))
     )
 
 
@@ -110,8 +110,7 @@ def expected_capacity_uniform(p: CapacityParams, c: float) -> int:
     """Total deletions tolerated under uniform requests at exhaustion probability ``c``."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"failure probability c must lie in (0, 1), got {c}")
-    log_t = math.log(p.T) if p.T > 1 else 1.0
-    return math.floor(c * p.K * p.T / (p.d * (p.T**p.kappa) * log_t))
+    return math.floor(c * p.K * p.T / (p.d * (p.T**p.kappa) * p.log_t))
 
 
 def expected_deletion_time(K: int, k_total: int, core_cost: float) -> float:
@@ -203,14 +202,7 @@ class CapacityCurve:
                 {"k_total": int(k), "empirical": float(e), "bound": float(b)}
                 for k, e, b in zip(self.k_total, self.empirical, self.bound)
             ],
-            "params": {
-                "T": params.T,
-                "d": params.d,
-                "kappa": params.kappa,
-                "delta": params.delta,
-                "eps_bar": params.eps_bar,
-                "K": params.K,
-            },
+            "params": asdict(params),
             "K_max": coreset_capacity(params),
         }
 

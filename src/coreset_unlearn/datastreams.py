@@ -15,14 +15,17 @@ for a planted unit vector ``u``.  Three presets:
 :func:`as_rows` is the one conversion between the two representations the
 package accepts: a :class:`Rows` (or :class:`Dataset`) passes through, a
 sequence of :class:`LabeledSample` is stacked once; :func:`ids_and_labels` is
-its half for callers that never read ``X``.  The selective sampler fits
+its half for callers that never read ``X``, and :func:`sample_ids` the half
+of that for callers that read no label.  The selective sampler fits
 rows directly and builds a sample only for a row it stores; per-sample
 objects exist where a caller asks for a stream of them, and
 :attr:`Rows.samples` builds them on first use.
 
-This module owns the stored row.  A :class:`Rows` is checked once, when it
-is built, under the rule :class:`LabeledSample` applies to each sample, and
-holds read-only arrays, so no consumer checks rows again.  Both file formats
+This module owns the stored row and the sample-id rule.  A :class:`Rows` is
+checked once, when it is built, under the rule :class:`LabeledSample` applies
+to each sample, and holds read-only arrays, so no consumer checks rows again;
+every reader of a sample list takes its ids through :func:`sample_ids`, which
+refuses a repeat as :class:`Rows` does.  Both file formats
 store rows packed as :func:`row_dtype`; :func:`pack_rows` and
 :func:`unpack_rows` are the one codec for that payload, and the SADS1 dataset
 file and the SAUL1 model file (:mod:`.bbq_linear`) keep their own headers.
@@ -120,6 +123,13 @@ def _check_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> None:
             raise ValueError(f"row {i}: {str(exc).split(': ', 1)[1]}") from exc
 
 
+def _refuse_repeats(ids: np.ndarray) -> None:
+    """``ValueError("duplicate sample ids")`` if an id repeats: a sort and an adjacent compare, cheaper than np.unique."""
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("duplicate sample ids")
+
+
 def _read_only(a: np.ndarray, dtype) -> np.ndarray:
     """``a`` as a read-only C-contiguous ``dtype`` array: ``a`` itself if it is one already, else a copy."""
     if a.dtype != dtype or a.flags.writeable or not (a.flags.c_contiguous and a.flags.aligned):
@@ -198,9 +208,7 @@ class Rows:
             raise ValueError(f"ids, X and y hold {len(ids)}, {len(X)} and {len(y)} rows")
         _check_rows(ids, X, y)
         ids, y = _read_only(ids, np.uint64), _read_only(y, np.int8)
-        ordered = np.sort(ids)  # a sort and an adjacent compare: far cheaper than np.unique
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("duplicate sample ids")
+        _refuse_repeats(ids)
         for name, value in (("ids", ids), ("X", X), ("y", y)):
             object.__setattr__(self, name, value)
 
@@ -209,7 +217,9 @@ class Rows:
 
     def take(self, index) -> Rows:
         """The rows selected by ``index`` (an index array, mask or slice), in that order; a repeated row raises."""
-        return Rows(self.ids[index], self.X[index], self.y[index])
+        ids, X, y = self.ids[index], self.X[index], self.y[index]
+        ids.flags.writeable = X.flags.writeable = y.flags.writeable = False  # fresh, or views of read-only arrays
+        return Rows(ids, X, y)
 
     @cached_property
     def samples(self) -> list[LabeledSample]:
@@ -229,26 +239,30 @@ def as_rows(data) -> Rows:
     """``(ids, X, y)`` arrays of ``data``.
 
     A :class:`Rows` or :class:`Dataset` passes through unchanged; any other
-    iterable of :class:`LabeledSample` is stacked once.
+    iterable of :class:`LabeledSample` is stacked once, into arrays the constructor keeps uncopied.
     """
     if isinstance(data, Rows):
         return data
     samples = list(data)
     ids, y = ids_and_labels(samples)
     X = np.asarray([s.x for s in samples], dtype=np.float64) if samples else np.empty((0, 0))
+    ids.flags.writeable = X.flags.writeable = y.flags.writeable = False  # no one else holds them: kept uncopied
     return Rows(ids=ids, X=X, y=y)
 
 
+def sample_ids(samples) -> np.ndarray:
+    """The ids of the sequence ``samples`` as uint64, in order; reads no label, and a repeat raises as in Rows."""
+    ids = np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=len(samples))
+    _refuse_repeats(ids)
+    return ids
+
+
 def ids_and_labels(data) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ids`` and ``y`` arrays of anything :func:`as_rows` accepts, without stacking ``X``."""
+    """The ``ids`` (by :func:`sample_ids`) and ``y`` arrays of anything :func:`as_rows` accepts, not stacking ``X``."""
     if isinstance(data, Rows):
         return data.ids, data.y
     samples = data if isinstance(data, (list, tuple)) else list(data)
-    n = len(samples)
-    return (
-        np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=n),
-        np.fromiter((s.y for s in samples), dtype=np.int8, count=n),
-    )
+    return sample_ids(samples), np.fromiter((s.y for s in samples), dtype=np.int8, count=len(samples))
 
 
 def pack_rows(rows: Rows) -> np.ndarray:
@@ -382,7 +396,7 @@ def deletion_weights(ids: np.ndarray, dist: DeletionDistribution) -> np.ndarray:
 def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> list[int]:
     """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``.
 
-    ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read.
+    ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read, and a repeated id raises.
     """
     if n < 0:
         raise ValueError(f"requested {n} deletions; the count must be >= 0")

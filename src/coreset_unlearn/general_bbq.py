@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datastreams import LabeledSample
+from .datastreams import LabeledSample, sample_ids
 
 DEFAULT_MAX_CLASS_SIZE = 256
 DEFAULT_STAGE_CAP = 30
@@ -445,15 +445,15 @@ def general_bbq_trace(
     queried.  Deletion-equivalence checks use this mode: a pool consisting
     entirely of previously queried points is exactly the degenerate case the
     residual exit was not designed for, and the equivalence guarantee wants
-    every survivor re-queried.  ``ValueError`` names a repeated sample id, a
-    ``delta`` outside ``(0, 1)`` or a ``rate_bound`` that is not finite and
-    positive.
+    every survivor re-queried.  ``ValueError`` names a repeated sample id
+    (through :func:`~.datastreams.sample_ids`, whose array also breaks score
+    ties), a ``delta`` outside ``(0, 1)`` or a ``rate_bound`` that is not
+    finite and positive.
     """
     pool = list(pool)
     if not pool:
         raise ValueError("pool must be nonempty")
-    if len({s.sample_id for s in pool}) != len(pool):
-        raise ValueError("sample ids repeat within the pool")
+    ids = sample_ids(pool)
     if not 0.0 < delta < 1.0:  # NaN fails too
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if rate_bound is None:
@@ -464,7 +464,6 @@ def general_bbq_trace(
 
     values = fclass.value_matrix(pool)
     kernel = _PairScores(values)
-    ids = np.array([s.sample_id for s in pool])
     # only the residual exit reads the projected dimension
     pdim = None if exhaust_pool else projected_dimension(fclass, pool)
 
@@ -520,17 +519,11 @@ def general_bbq_trace(
             )
         )
 
-        if exhaust_pool:
-            undecided = float(np.max(kernel.rows[: kernel.m], initial=0.0))
-            if undecided == 0.0:
-                break  # every separable point is queried
-            continue
-        if pdim.value * rate_bound / (2.0 ** (-ell + 1)) > 2.0 ** (-ell + 1) * len(survivors):
+        if not exhaust_pool and pdim.value * rate_bound / (2.0 ** (-ell + 1)) > 2.0 ** (-ell + 1) * len(survivors):
             break
-        if not stage_queries and not confident:
-            remaining_gap = float(np.max(kernel.rows[: kernel.m], initial=0.0))
-            if remaining_gap == 0.0:
-                break  # no pair of functions disagrees anywhere; nothing can change
+        if exhaust_pool or not (stage_queries or confident):
+            if float(np.max(kernel.rows[: kernel.m], initial=0.0)) == 0.0:
+                break  # no live pair of functions disagrees: every separable point is queried
 
     kept = np.take(values, queried_idx, axis=1)  # C-contiguous, unlike values[:, queried_idx]
     f_hat = _erm_index(kept, [s for _, s in queried])

@@ -210,7 +210,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
 
         exact = _deletion_matches(model, u, fresh)
         never_queried = ds.X[~np.isin(ds.ids, np.fromiter(queried, dtype=np.uint64, count=len(queried)))]
-        limit = math.e * p.horizon ** (-p.kappa) + LEVERAGE_SLACK
+        limit = math.e * p.query_threshold + LEVERAGE_SLACK
         if not (stored_ok and _max_leverage(model, never_queried) <= limit):
             bound_failed.append(t)
         post_hit_checks += bool(queried & u)

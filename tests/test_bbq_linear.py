@@ -137,8 +137,8 @@ class TestFit:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_repeated_sample_id_rejected(self, form):
-        # a sample list is refused by the fit; rows are refused when built, so no fit sees them
-        match = "^duplicate sample ids$" if form == "rows" else "^sample ids repeat within the stream$"
+        # a sample list is refused by the fit; rows are refused when built, so no fit sees them; one message
+        match = "^duplicate sample ids$"
         queried_twice = [LabeledSample(0, [0.5], 1), LabeledSample(0, [0.1], -1)]
         never_queried_twice = ones_stream(16) + [LabeledSample(10, [1.0], 1)]
         for stream in (queried_twice, never_queried_twice):

@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 from coreset_unlearn import (
     DatasetSpec,
     DeletionDistribution,
+    FiniteFunctionClass,
     LabeledSample,
     bbq_fit,
     deletion_stream,
+    expected_capacity_mc,
     gen_dataset,
+    general_bbq_fit,
     load_dataset,
     load_model,
+    ridge_fit,
     save_dataset,
     save_model,
 )
-from coreset_unlearn import bbq_linear
+from coreset_unlearn import bbq_linear, datastreams
+from coreset_unlearn.harness import stratified_split
 from coreset_unlearn.core_linalg import NORM_SLACK
 from coreset_unlearn.datastreams import (
     DatasetFormatError,
@@ -452,6 +457,24 @@ class TestRows:
         assert picked.ids.tolist() == [7, 2, 11]
         assert sorted(deletion_stream(picked, DeletionDistribution(kind="uniform"), 3, seed=1)) == [2, 7, 11]
 
+    def test_take_and_as_rows_hand_rows_arrays_it_keeps(self, monkeypatch):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=40, d=3, seed=49))
+        real, copied = datastreams._read_only, []
+
+        def counted(a, dtype):
+            kept = real(a, dtype)
+            copied.extend([] if kept is a else [a])
+            return kept
+
+        monkeypatch.setattr(datastreams, "_read_only", counted)
+        picked = ds.take(np.array([5, 1, 9]))
+        stacked = as_rows(ds.samples[:20])
+        assert copied == []  # each array built once, then kept
+        assert picked.ids.tolist() == [5, 1, 9] and picked.X.tobytes() == ds.X[[5, 1, 9]].tobytes()
+        assert stacked.ids.tolist() == list(range(20)) and stacked.X.tobytes() == ds.X[:20].tobytes()
+        Rows(ds.ids.copy(), ds.X.copy(), ds.y.copy())
+        assert len(copied) == 3  # a caller's writable arrays are still copied
+
     def test_rows_hold_read_only_arrays(self, tmp_path):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=46))
         save_dataset(ds, tmp_path / "ds.bin")
@@ -631,3 +654,29 @@ class TestParserFuzz:
         magic, header, rows = blob.split(b"\n", 2)
         fields = json.loads(header) | {"T": T, "d": d}
         _loads_or_rejects(path, b"\n".join([magic, json.dumps(fields, sort_keys=True).encode(), rows]))
+
+
+ONES = [LabeledSample(i, [1.0], 1) for i in range(16)]  # bbq_fit at cap_k 1 queries ids 0-3 of these only
+REPEATED_ID = {
+    "queried": [LabeledSample(0, [0.5], 1), LabeledSample(0, [0.1], -1), LabeledSample(1, [0.3], -1)],
+    "never queried": ONES + [LabeledSample(10, [1.0], -1)],
+}
+SAMPLE_LIST_READERS = {
+    "bbq_fit": lambda samples: bbq_fit(samples, cap_k=1.0, kappa=0.5),
+    "general_bbq_fit": lambda samples: general_bbq_fit(samples, FiniteFunctionClass([lambda s: 0.0, lambda s: 1.0])),
+    "deletion_stream": lambda samples: deletion_stream(samples, DeletionDistribution(), 2, seed=1),
+    "stratified_split": lambda samples: stratified_split(samples, 0.5, seed=1),
+    "as_rows": as_rows,
+    "ridge_fit": ridge_fit,
+    "expected_capacity_mc": lambda samples: expected_capacity_mc(samples, DeletionDistribution(), 1, 1, seed=1),
+}
+
+
+@pytest.mark.parametrize("repeat", sorted(REPEATED_ID))
+@pytest.mark.parametrize("reader", sorted(SAMPLE_LIST_READERS))
+def test_every_sample_list_reader_refuses_a_repeated_id(reader, repeat):
+    samples = REPEATED_ID[repeat]
+    if repeat == "never queried":
+        assert 10 not in bbq_fit(samples[:-1], cap_k=1.0, kappa=0.5, horizon=len(samples)).coreset_ids
+    with pytest.raises(ValueError, match="^duplicate sample ids$"):
+        SAMPLE_LIST_READERS[reader](samples)

@@ -288,7 +288,7 @@ class TestGeneralFit:
             (points(3), {"delta": -0.5}, "delta"),
             (points(3), {"delta": 1.0}, "delta"),
             (points(3), {"delta": math.nan, "rate_bound": 4.0}, "delta"),
-            (points(3) + points(1), {}, "sample ids repeat"),
+            (points(3) + points(1), {}, "duplicate sample ids"),
         ],
         ids=[
             "empty-pool", "negative-rate", "zero-rate", "nan-rate", "inf-rate", "zero-delta", "negative-delta",

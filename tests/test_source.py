@@ -1,6 +1,7 @@
 """Checks on the package source and the test modules themselves."""
 
 import ast
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -155,3 +156,56 @@ def test_the_guard_sees_a_private_read():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def twin_id_checks(source: str) -> list[int]:
+    """Lines of ``source`` that check sample ids for a repeat on their own.
+
+    Two forms are seen: a comparison with ``len`` of a set built from
+    ``.sample_id`` as an operand, and a ``raise ValueError(...)`` whose
+    message speaks of a repeated or duplicate id.
+    """
+    def id_set(node) -> bool:
+        built = isinstance(node, ast.SetComp) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset")
+        )
+        return built and any(isinstance(n, ast.Attribute) and n.attr == "sample_id" for n in ast.walk(node))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            found += [
+                node.lineno
+                for side in (node.left, *node.comparators)
+                if isinstance(side, ast.Call) and isinstance(side.func, ast.Name) and side.func.id == "len"
+                and side.args and id_set(side.args[0])
+            ]
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+            text = " ".join(n.value for n in ast.walk(node.exc) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if node.exc.func.id == "ValueError" and re.search(r"\bids?\b", text) and re.search(r"repeat|duplicate", text):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_guard_sees_a_twin_id_check():
+    # lines 2-3 and 5-6 are the list checks bbq_fit and general_bbq_trace once made themselves
+    source = (
+        "def fit(stream):\n"
+        "    if len({s.sample_id for s in stream}) != len(stream):\n"
+        "        raise ValueError(\"sample ids repeat within the stream\")\n"
+        "def trace(pool):\n"
+        "    if len({s.sample_id for s in pool}) != len(pool):\n"
+        "        raise ValueError(\"sample ids repeat within the pool\")\n"
+        "def variants(xs, ids):\n"
+        "    if len(xs) > len(frozenset(x.sample_id for x in xs)):\n"
+        "        raise ValueError(f\"{len(xs)} ids, some duplicate\")\n"
+        "    if len({x.y for x in xs}) != 2 or len(set(ids)) > 3:\n"
+        "        raise ValueError(\"ids must be integers\")\n"
+    )
+    assert twin_id_checks(source) == [2, 3, 5, 6, 8, 9]
+
+
+def test_sample_ids_are_checked_only_in_datastreams():
+    found = {p.name: twin_id_checks(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert len(found.pop("datastreams.py")) == 1  # the one "duplicate sample ids"
+    assert {name: lines for name, lines in found.items() if lines} == {}
