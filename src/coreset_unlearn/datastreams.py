@@ -25,10 +25,10 @@ This module owns the stored row and the sample-id rule.  A :class:`Rows` is
 checked once, when it is built, under the rule :class:`LabeledSample` applies
 to each sample, and holds read-only arrays, so no consumer checks rows again;
 every reader of a sample list takes its ids through :func:`sample_ids`, which
-refuses a repeat as :class:`Rows` does.  Both file formats
-store rows packed as :func:`row_dtype`; :func:`pack_rows` and
-:func:`unpack_rows` are the one codec for that payload, and the SADS1 dataset
-file and the SAUL1 model file (:mod:`.bbq_linear`) keep their own headers.
+refuses a repeat as :class:`Rows` does.  Both file formats store rows packed
+as :func:`row_dtype`; :func:`pack_rows` and :func:`unpack_rows` are the one
+codec for that payload, and the SADS1 dataset file and the SAUL1 model file
+(:mod:`.bbq_linear`) keep their own headers.
 
 Dataset file format ("SADS1"): the magic line ``SADS1\\n``, one line of JSON
 ``{"T", "d", "kind", "gamma", "seed", "u"}`` terminated by ``\\n``, then the
