@@ -24,10 +24,10 @@ only grows in PSD order, so that screen bounds each row's leverage from
 above for the whole block, and a row it certifies below the threshold costs
 no leverage evaluation of its own: the fit spends its per-point work on the
 points it may store, whose exact test and update share one product ``A^-1 x``.
-Later tests read only the inverse, so a query steps only the inverse; the
-Gram matrix and ``b`` take their terms in fit order, in batches bounded by
-:data:`PENDING_BYTES`, with the per-point loop's bits.  The weight is formed
-once, at the end of the fit.
+Later tests read only the inverse, so a query steps only the inverse, into
+the next slot of a stack of the batch's inverses; the Gram matrix, ``b`` and
+a mean inverse take their terms in fit order, in batches bounded by
+:data:`PENDING_BYTES`, with the per-point loop's bits; the weight comes last.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -93,8 +93,8 @@ SCREEN_BLOCK = 512
 # Sherman-Morrison steps the block's later queries take.
 SCREEN_SLACK = 1e-9
 
-# A fit on rows adds up its pending terms when no further one fits in this
-# many bytes per stack, so at every query once two terms do not fit.
+# A fit on rows adds up its pending terms when the terms and inverses of one
+# more query do not fit in this many bytes, so at every query once two do not.
 PENDING_BYTES = 256 * 1024
 
 
@@ -312,11 +312,11 @@ def _exact_leverage(inv: np.ndarray, x: np.ndarray):
     return v, v.dot(x)
 
 
-def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, outer: np.ndarray) -> None:
-    """``inv -= v v^T / (1 + lev)`` in place, formed in ``outer``: :func:`~.core_linalg.rank_one_update`'s step."""
-    np.multiply(v[:, None], v, out=outer)
-    outer /= 1.0 + lev
-    inv -= outer
+def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, out: np.ndarray) -> None:
+    """``out = inv - v v^T / (1 + lev)``: :func:`~.core_linalg.rank_one_update`'s step, into the stack's next slot."""
+    np.multiply(v[:, None], v, out=out)
+    out /= 1.0 + lev
+    np.subtract(inv, out, out=out)
 
 
 def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None) -> CoreSet:
@@ -328,27 +328,28 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     SCREEN_SLACK)`` would fail the query test and is skipped.  Every other
     row takes the exact test, and a query reuses the test's product.
 
-    Later tests read only the inverse, so a query steps only the inverse
-    and keeps its row position (and, with ``total``, its weighted pre-step
-    inverse).  Its ``gram``, ``b`` and ``total`` terms wait until they fill
-    :data:`PENDING_BYTES`, or the pass ends, and are then added in fit
-    order, with the bits of a loop of ``+=``.
+    Later tests read only the inverse, so a query steps only the inverse,
+    into the next slot of a stack after the one before the pending queries,
+    and keeps its row position.  Its ``gram`` and ``b`` terms and (with
+    ``total``) its pre-step inverse times its rows wait until terms and stack
+    fill :data:`PENDING_BYTES`, or the pass ends, and are added in fit order,
+    with the bits of a loop of ``+=``; the last slot then moves to slot 0.
     """
     X = rows.X
     d = state.dim  # not X's width: an empty Rows is (0, 0)
-    cap = max(1, min(len(X), PENDING_BYTES // (8 * (d + 1) * d)))  # queries pending at most
+    cap = max(1, min(len(X), PENDING_BYTES // (8 * (2 * d + 1) * d)))  # queries pending at most
     cut = threshold * (1.0 - SCREEN_SLACK)
-    inv = state.gram_inv  # each query steps it in place
-    outer = np.empty((d, d))
     terms = np.empty((cap + 1, d + 1, d))  # per query a gram term over a b term, after the running values
-    runs = None if total is None else np.empty((cap + 1, d, d))
-    if runs is not None:
+    stack = np.empty((cap + 1, d, d))  # the inverse before the pending queries, then after each
+    stack[0] = state.gram_inv
+    slots = list(stack)
+    if total is not None:
         total.fill(0.0)
-    queried, added, prev = [], 0, -1
+    queried, k = [-1], 0  # the queried rows' positions after a -1, the row before the first; queries pending
 
-    def add_pending():
-        pos = queried[added:]
-        k, Xq = len(pos), X[pos]
+    def add_pending(k):
+        pos = queried[-k:]
+        Xq = X[pos]
         gb = terms[: k + 1]
         gb[0, :d], gb[0, d] = state.gram, state.b_vec
         np.multiply(Xq[:, :, None], Xq[:, None, :], out=gb[1:, :d])
@@ -356,31 +357,34 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
         # accumulate adds left to right; np.add.reduce and np.sum may add pairwise
         sums = np.add.accumulate(gb, axis=0, out=gb)[-1]
         state.gram[...], state.b_vec[...] = sums[:d], sums[d]
-        if runs is not None:
-            runs[0] = total
-            total[...] = np.add.accumulate(runs[: k + 1], axis=0, out=runs[: k + 1])[-1]
+        if total is not None:  # each pre-step inverse times the rows that saw it
+            runs = np.multiply(stack[:k], np.diff(queried[-k - 1 :])[:, None, None], out=stack[:k])
+            runs[0] += total  # the bits of total + runs[0]: a sum of two doubles does not depend on their order
+            total[...] = np.add.accumulate(runs, axis=0, out=runs)[-1]
+        stack[0] = stack[k]
 
+    inv = slots[0]  # the inverse the next row is tested against
     for start in range(0, len(X), SCREEN_BLOCK):
         block = X[start : start + SCREEN_BLOCK]
         bounds = ((block @ inv) * block).sum(1)
         for i in np.flatnonzero(bounds > cut).tolist():
             v, lev = _exact_leverage(inv, block[i])
             if lev > threshold:
-                p = start + i
-                if runs is not None:
-                    np.multiply(inv, p - prev, out=runs[len(queried) - added + 1])
-                    prev = p
-                _step_inverse(inv, v, lev, outer)  # the module global, so a wrapper sees every call
-                queried.append(p)
-                if len(queried) - added == cap:
-                    add_pending()
-                    added = len(queried)
-    if len(queried) > added:
-        add_pending()
-    state.weight = inv.dot(state.b_vec)
-    if runs is not None:  # the tail run; adding a zero run leaves the bits as they are
-        total += (len(X) - 1 - prev) * inv
+                queried.append(start + i)
+                k += 1
+                _step_inverse(inv, v, lev, slots[k])  # the module global, so a wrapper sees every call
+                if k == cap:
+                    add_pending(k)
+                    k = 0
+                inv = slots[k]
+    if k:
+        add_pending(k)
+    state.gram_inv[...] = stack[0]  # the model keeps no view of the stack
+    state.weight = state.gram_inv.dot(state.b_vec)
+    if total is not None:  # the tail run; adding a zero run leaves the bits as they are
+        total += (len(X) - 1 - queried[-1]) * state.gram_inv
         total /= len(X)
+    del queried[0]
     return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried]))
 
 

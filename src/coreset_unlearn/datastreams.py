@@ -217,6 +217,8 @@ class Rows:
 
     def take(self, index) -> Rows:
         """The rows selected by ``index`` (an index array, mask or slice), in that order; a repeated row raises."""
+        if not isinstance(index, slice) and np.ndim(index) == 0:
+            raise ValueError(f"take needs an index array, mask or slice, got the scalar index {index!r}")
         ids, X, y = self.ids[index], self.X[index], self.y[index]
         ids.flags.writeable = X.flags.writeable = y.flags.writeable = False  # fresh, or views of read-only arrays
         return Rows(ids, X, y)
@@ -239,12 +241,12 @@ def as_rows(data) -> Rows:
     """``(ids, X, y)`` arrays of ``data``.
 
     A :class:`Rows` or :class:`Dataset` passes through unchanged; any other
-    iterable of :class:`LabeledSample` is stacked once, into arrays the constructor keeps uncopied.
+    iterable of :class:`LabeledSample` is stacked once, into arrays the constructor keeps uncopied and checks.
     """
     if isinstance(data, Rows):
         return data
     samples = list(data)
-    ids, y = ids_and_labels(samples)
+    ids, y = _field(samples, "sample_id", np.uint64), _field(samples, "y", np.int8)
     X = np.asarray([s.x for s in samples], dtype=np.float64) if samples else np.empty((0, 0))
     ids.flags.writeable = X.flags.writeable = y.flags.writeable = False  # no one else holds them: kept uncopied
     return Rows(ids=ids, X=X, y=y)
@@ -252,7 +254,7 @@ def as_rows(data) -> Rows:
 
 def sample_ids(samples) -> np.ndarray:
     """The ids of the sequence ``samples`` as uint64, in order; reads no label, and a repeat raises as in Rows."""
-    ids = np.fromiter((s.sample_id for s in samples), dtype=np.uint64, count=len(samples))
+    ids = _field(samples, "sample_id", np.uint64)
     _refuse_repeats(ids)
     return ids
 
@@ -262,7 +264,11 @@ def ids_and_labels(data) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(data, Rows):
         return data.ids, data.y
     samples = data if isinstance(data, (list, tuple)) else list(data)
-    return sample_ids(samples), np.fromiter((s.y for s in samples), dtype=np.int8, count=len(samples))
+    return sample_ids(samples), _field(samples, "y", np.int8)
+
+
+def _field(samples, name: str, dtype) -> np.ndarray:
+    return np.fromiter(map(operator.attrgetter(name), samples), dtype=dtype, count=len(samples))
 
 
 def pack_rows(rows: Rows) -> np.ndarray:

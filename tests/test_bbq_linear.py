@@ -348,13 +348,17 @@ class TestRowsFit:
         "d=1, budget of 2 terms": (1, 600, 2),
         "d=2, budget of 3 terms": (2, 600, 3),
         "d=200, one term over the budget": (200, 300, None),
+        "d=1, budget of 1 term": (1, 600, 1),
+        "d=2, the last row's query fills the stack": (2, 565, 3),
+        "d=1, rows after the last full batch query nothing": (1, 567, 2),
     }
 
     @pytest.mark.parametrize("name", list(ORDER_CASES))
     def test_sums_are_added_in_fit_order(self, name, monkeypatch):
         d, n, budget = self.ORDER_CASES[name]
         if budget is not None:
-            monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (d + 1) * d)
+            # a pending query takes a gram and a b term and a slot of the inverse stack
+            monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (2 * d + 1) * d)
         rng = np.random.default_rng(d)
         X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
         rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
@@ -374,6 +378,49 @@ class TestRowsFit:
             core_linalg.rank_one_update(state, s.x, s.y)
         total += (n - 1 - queried[-1]) * state.gram_inv
         assert mean_inverse.tobytes() == (total / n).tobytes()
+
+    # ORDER_CASES whose queries fill whole batches: rows after the last query
+    STACK_EDGES = {"d=2, the last row's query fills the stack": 0, "d=1, rows after the last full batch query nothing": 3}
+
+    @staticmethod
+    def record_slots(monkeypatch):
+        """Wrap ``_step_inverse``; per query, the stack's length and the slot it steps into."""
+        slots, step = [], bbq_linear._step_inverse
+
+        def recorded(inv, v, lev, out):
+            slots.append((len(out.base), (out.ctypes.data - out.base.ctypes.data) // out.nbytes))
+            step(inv, v, lev, out)
+        monkeypatch.setattr(bbq_linear, "_step_inverse", recorded)
+        return slots
+
+    @pytest.mark.parametrize("name", list(STACK_EDGES))
+    def test_order_cases_reach_the_stack_edges(self, name, monkeypatch):
+        d, n, budget = self.ORDER_CASES[name]
+        monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (2 * d + 1) * d)
+        slots = self.record_slots(monkeypatch)
+        rng = np.random.default_rng(d)  # the rows test_sums_are_added_in_fit_order fits
+        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
+        model = bbq_fit(Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8)), 1.7, 1.0)
+        queried = np.fromiter(model.coreset.ids(), dtype=np.int64)
+        assert slots == [(budget + 1, i % budget + 1) for i in range(len(queried))]
+        assert len(queried) % budget == 0 and n - 1 - queried[-1] == self.STACK_EDGES[name]
+
+    @pytest.mark.parametrize("d", [10, 20, 200])
+    def test_terms_and_stack_share_the_budget(self, d, monkeypatch):
+        slots = self.record_slots(monkeypatch)
+        model = bbq_fit(gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=d, seed=72)), 2.0, 0.5)
+        per_query = 8 * (2 * d + 1) * d  # a gram and a b term and a slot of the stack
+        assert len(slots) == len(model.coreset) > 0
+        assert slots[0][0] * per_query <= max(bbq_linear.PENDING_BYTES, per_query) + per_query
+
+    @pytest.mark.parametrize("with_mean", [False, True])
+    def test_fitted_state_owns_its_arrays(self, with_mean):
+        # no array of the fit's stacks outlives the fit through the model
+        rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
+        model = bbq_fit(rows, 10.0, 0.5, mean_inverse=np.empty((10, 10)) if with_mean else None)
+        g = model.gram_state
+        assert len(model.coreset) > 0
+        assert all(a.base is None for a in (g.gram, g.gram_inv, g.b_vec, g.weight))
 
     def test_rows_are_checked_as_samples_are(self):
         ids, X, y = np.arange(4), np.ones((4, 1)), np.ones(4, dtype=np.int8)

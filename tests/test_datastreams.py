@@ -457,6 +457,29 @@ class TestRows:
         assert picked.ids.tolist() == [7, 2, 11]
         assert sorted(deletion_stream(picked, DeletionDistribution(kind="uniform"), 3, seed=1)) == [2, 7, 11]
 
+    @pytest.mark.parametrize("index", [3, np.int64(3)], ids=["int", "np.int64"])
+    def test_take_with_a_scalar_index_rejected(self, index):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=45))
+        with pytest.raises(ValueError, match=r"^take needs an index array, mask or slice, got the scalar index (np\.int64\()?3\)?$"):
+            ds.take(index)
+        assert ds.take([3]).ids.tolist() == [3]
+
+    def test_as_rows_checks_the_ids_once(self, monkeypatch):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=40, d=3, seed=50))
+        real, checks = datastreams._refuse_repeats, []
+
+        def counted(ids):
+            checks.append(ids.tolist())
+            return real(ids)
+
+        monkeypatch.setattr(datastreams, "_refuse_repeats", counted)
+        assert as_rows(ds.samples).ids.tolist() == list(range(40))
+        assert checks == [list(range(40))]
+        repeated = ds.samples[:3] + ds.samples[1:2]
+        with pytest.raises(ValueError, match="^duplicate sample ids$"):
+            as_rows(repeated)
+        assert checks[1:] == [[0, 1, 2, 1]]
+
     def test_take_and_as_rows_hand_rows_arrays_it_keeps(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=40, d=3, seed=49))
         real, copied = datastreams._read_only, []
