@@ -93,8 +93,8 @@ SCREEN_BLOCK = 512
 # Sherman-Morrison steps the block's later queries take.
 SCREEN_SLACK = 1e-9
 
-# A fit on rows adds up its pending terms when the terms and inverses of one
-# more query do not fit in this many bytes, so at every query once two do not.
+# A fit on rows adds up its pending terms (and inverses, for a mean) when one
+# more query's do not fit in this many bytes, so at every query once two do not.
 PENDING_BYTES = 256 * 1024
 
 
@@ -316,7 +316,7 @@ def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, out: np.ndarray) -> None:
     """``out = inv - v v^T / (1 + lev)``: :func:`~.core_linalg.rank_one_update`'s step, into the stack's next slot."""
     np.multiply(v[:, None], v, out=out)
     out /= 1.0 + lev
-    np.subtract(inv, out, out=out)
+    np.subtract(inv, out, out)
 
 
 def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None) -> CoreSet:
@@ -329,20 +329,21 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     row takes the exact test, and a query reuses the test's product.
 
     Later tests read only the inverse, so a query steps only the inverse,
-    into the next slot of a stack after the one before the pending queries,
-    and keeps its row position.  Its ``gram`` and ``b`` terms and (with
-    ``total``) its pre-step inverse times its rows wait until terms and stack
-    fill :data:`PENDING_BYTES`, or the pass ends, and are added in fit order,
-    with the bits of a loop of ``+=``; the last slot then moves to slot 0.
+    from one slot of a stack into the next; slot 0 holds the inverse before
+    the pending queries, and without ``total`` two slots take turns.  The
+    ``gram`` and ``b`` terms and the pre-step inverses times their rows wait
+    until they fill :data:`PENDING_BYTES`, or the pass ends, and are added
+    in fit order with the bits of a loop of ``+=``; the last slot moves to 0.
     """
     X = rows.X
     d = state.dim  # not X's width: an empty Rows is (0, 0)
-    cap = max(1, min(len(X), PENDING_BYTES // (8 * (2 * d + 1) * d)))  # queries pending at most
+    per_query = 8 * (2 * d + 1 if total is not None else d + 1) * d  # its terms, and its inverse for a mean
+    cap = max(1, min(len(X), PENDING_BYTES // per_query))  # queries pending at most
     cut = threshold * (1.0 - SCREEN_SLACK)
     terms = np.empty((cap + 1, d + 1, d))  # per query a gram term over a b term, after the running values
-    stack = np.empty((cap + 1, d, d))  # the inverse before the pending queries, then after each
+    stack = np.empty((cap + 1 if total is not None else 2, d, d))
     stack[0] = state.gram_inv
-    slots = list(stack)
+    slots = list(stack) * ((cap + 2) // len(stack))  # the inverse before the pending queries, then after each
     if total is not None:
         total.fill(0.0)
     queried, k = [-1], 0  # the queried rows' positions after a -1, the row before the first; queries pending
@@ -361,7 +362,7 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
             runs = np.multiply(stack[:k], np.diff(queried[-k - 1 :])[:, None, None], out=stack[:k])
             runs[0] += total  # the bits of total + runs[0]: a sum of two doubles does not depend on their order
             total[...] = np.add.accumulate(runs, axis=0, out=runs)[-1]
-        stack[0] = stack[k]
+        slots[0][...] = slots[k]
 
     inv = slots[0]  # the inverse the next row is tested against
     for start in range(0, len(X), SCREEN_BLOCK):
@@ -384,8 +385,7 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     if total is not None:  # the tail run; adding a zero run leaves the bits as they are
         total += (len(X) - 1 - queried[-1]) * state.gram_inv
         total /= len(X)
-    del queried[0]
-    return CoreSet(trusted_samples(rows.ids[queried], X[queried], rows.y[queried]))
+    return CoreSet(trusted_samples(rows.ids[queried[1:]], X[queried[1:]], rows.y[queried[1:]]))
 
 
 def predict(model: ModelState, x) -> int:

@@ -384,10 +384,11 @@ class TestRowsFit:
 
     @staticmethod
     def record_slots(monkeypatch):
-        """Wrap ``_step_inverse``; per query, the stack's length and the slot it steps into."""
+        """Wrap ``_step_inverse``; per query, the stack's length and the slot it steps into, never its own."""
         slots, step = [], bbq_linear._step_inverse
 
         def recorded(inv, v, lev, out):
+            assert out.base is inv.base and not np.shares_memory(inv, out)
             slots.append((len(out.base), (out.ctypes.data - out.base.ctypes.data) // out.nbytes))
             step(inv, v, lev, out)
         monkeypatch.setattr(bbq_linear, "_step_inverse", recorded)
@@ -400,17 +401,22 @@ class TestRowsFit:
         slots = self.record_slots(monkeypatch)
         rng = np.random.default_rng(d)  # the rows test_sums_are_added_in_fit_order fits
         X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
-        model = bbq_fit(Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8)), 1.7, 1.0)
-        queried = np.fromiter(model.coreset.ids(), dtype=np.int64)
+        rows = Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8))
+        queried = np.fromiter(bbq_fit(rows, 1.7, 1.0, mean_inverse=np.empty((d, d))).coreset.ids(), dtype=np.int64)
         assert slots == [(budget + 1, i % budget + 1) for i in range(len(queried))]
         assert len(queried) % budget == 0 and n - 1 - queried[-1] == self.STACK_EDGES[name]
 
+    @pytest.mark.parametrize("with_mean", [False, True])
     @pytest.mark.parametrize("d", [10, 20, 200])
-    def test_terms_and_stack_share_the_budget(self, d, monkeypatch):
+    def test_terms_and_stack_share_the_budget(self, d, with_mean, monkeypatch):
         slots = self.record_slots(monkeypatch)
-        model = bbq_fit(gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=d, seed=72)), 2.0, 0.5)
-        per_query = 8 * (2 * d + 1) * d  # a gram and a b term and a slot of the stack
+        rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=d, seed=72))
+        model = bbq_fit(rows, 2.0, 0.5, mean_inverse=np.empty((d, d)) if with_mean else None)
         assert len(slots) == len(model.coreset) > 0
+        if not with_mean:  # no pre-step inverse is kept: two slots take turns
+            assert {length for length, _ in slots} == {2}
+            return
+        per_query = 8 * (2 * d + 1) * d  # a gram and a b term and a slot of the stack
         assert slots[0][0] * per_query <= max(bbq_linear.PENDING_BYTES, per_query) + per_query
 
     @pytest.mark.parametrize("with_mean", [False, True])
