@@ -10,10 +10,13 @@ core-set point reduces to a rank-one downdate: the post-deletion state is
 identical to the state of a fresh fit on the survivors.  Deletions of points
 outside the core set are free.
 
-The core set is a :class:`CoreSet`: samples keyed by id in fit order.  A
-core-set hit is looked up and taken out in O(1), so its whole cost is the one
-``O(d^2)`` downdate; a batch of hits is downdated in fit order, exactly as a
-scan of the core set would meet them.
+The core set is a :class:`CoreSet`: its rows packed in ``ids``, ``X`` and
+``y`` arrays in fit order, with one dict from id to row.  A fit hands it the
+rows it queried and a load the records it read, and neither builds a
+per-sample object.  A core-set hit is looked up and taken out in amortized
+O(1), its stored row overwritten, so the hit's whole cost is the one
+``O(d^2)`` downdate and no deleted value stays in storage; a batch of hits
+is downdated in fit order, the order of their stored rows.
 
 The fit keeps nothing per point: ``ModelState.query_log`` is ``range(n)``
 over the ``n`` streamed points, so it holds no sample id and no leverage.  On
@@ -48,9 +51,10 @@ by :func:`~.datastreams.pack_rows` and read by
 :func:`save_model` and :func:`load_model` both derive it from the records with
 :func:`~.core_linalg.gram_from_rows`, which by the exactness theorem is the
 state of a fresh fit on them, and the saved model takes that state, so the
-model in memory and the one loaded from its file agree bit for bit.  A load
-checks the records by building them as :class:`~.datastreams.Rows`.  A save
-replaces the file atomically.  The deletion counters and the count of
+model in memory and the one loaded from its file agree bit for bit.  A save
+packs the core set's stored rows in one step.  A load checks the records by
+building them as :class:`~.datastreams.Rows`, and the core set keeps those
+arrays.  A save replaces the file atomically.  The deletion counters and the count of
 streamed points are run-time artifacts and are not serialized.
 """
 
@@ -73,7 +77,7 @@ from .core_linalg import (
     rank_one_downdate,
     rank_one_update,
 )
-from .datastreams import LabeledSample, Rows, as_rows, pack_rows, row_dtype, sample_ids, trusted_samples, unpack_rows
+from .datastreams import Rows, pack_rows, row_dtype, sample_ids, trusted_rows, trusted_samples, unpack_rows
 
 MODEL_MAGIC = b"SAUL1"
 MODEL_VERSION = 2
@@ -103,57 +107,124 @@ class ModelFormatError(ValueError):
 
 
 class CoreSet:
-    """The stored core set: samples keyed by id, kept in fit order.
+    """The stored core set: its rows packed in arrays in fit order, keyed by id.
 
-    A dict from id to sample keeps insertion order, which is fit order, so
-    ``sid in coreset``, :meth:`by_id` and :meth:`remove` are O(1) and removal
-    leaves the order of the rest intact.  Beyond those it offers ``len``,
-    iteration in fit order, slicing to a list, ``append`` and ``pop()`` of
-    the last sample, and :meth:`ids`.  It has no positional indexing: a
-    sample is found by its id.
+    The storage is three arrays, ``ids u64``, ``X f64[:, d]`` and ``y i8``,
+    and one dict from each stored id to its row.  Rows are stored in fit
+    order and the dict keeps insertion order, so its keys are the stored ids
+    in fit order and no live mask is needed; ``sid in coreset`` is O(1).  A
+    removal pops the id and overwrites its row with zeros, so no value of a
+    removed sample stays in storage.  When such holes outnumber the stored
+    rows, the stored rows move to new arrays in fit order, so removal stays
+    amortized O(1).
+
+    A core set is built on the arrays of a :class:`~.datastreams.Rows` (the
+    rows a fit queried, the records a load read), uncopied.  They stay
+    read-only, and :meth:`rows` hands them out as they are, until the first
+    change, which moves the rows to writable arrays; ``append`` moves them
+    every time, so it costs O(len).
+
+    Iteration in fit order, slicing to a list, :meth:`by_id`, :meth:`remove`
+    and ``pop()`` of the last sample each build the
+    :class:`~.datastreams.LabeledSample` they return, which owns a copy of
+    its row; ``append`` stores a sample's row.  :meth:`ids` is a live view of
+    the stored ids, :meth:`row` reads one row in place and :meth:`take`
+    removes one.  It has no positional indexing: a sample is found by its id.
     """
 
-    __slots__ = ("_samples",)
+    __slots__ = ("_row", "_ids", "_X", "_y")
 
-    def __init__(self, samples=()):
-        self._samples: dict[int, LabeledSample] = {}
-        for s in samples:
-            self.append(s)
+    def __init__(self, rows: Rows):
+        self._ids, self._X, self._y = rows.ids, rows.X, rows.y
+        self._row = dict(zip(rows.ids.tolist(), range(len(rows))))
+
+    def _stored(self):
+        """The stored rows' ``(ids, X, y)`` in fit order: the storage itself while it is read-only, else new arrays."""
+        if not self._X.flags.writeable:  # read-only storage has no holes
+            return self._ids, self._X, self._y
+        keep = np.fromiter(self._row.values(), dtype=np.intp, count=len(self._row))
+        return self._ids[keep], self._X[keep], self._y[keep]
+
+    def _move(self, size: int) -> None:
+        """Move the stored rows, in fit order, to the first rows of new zeroed writable arrays of ``size`` rows."""
+        stored = self._stored()
+        n = len(stored[0])
+        self._ids, self._X, self._y = (np.zeros((size, *a.shape[1:]), a.dtype) for a in stored)
+        self._ids[:n], self._X[:n], self._y[:n] = stored
+        self._row.update(zip(self._row, range(n)))  # in place: a view from ids() stays live
 
     def append(self, sample) -> None:
         sid = sample.sample_id
-        if sid in self._samples:
+        if sid in self._row:
             raise ValueError(f"sample id {sid} is already in the core set")
-        self._samples[sid] = sample
+        x = np.asarray(sample.x, dtype=np.float64)
+        if x.shape != self._X.shape[1:]:
+            raise ValueError(f"sample {sid}: x has shape {x.shape}, the core set's rows {self._X.shape[1:]}")
+        r = len(self._row)
+        self._move(r + 1)
+        self._ids[r], self._X[r], self._y[r] = sid, x, sample.y
+        self._row[sid] = r
+
+    def take(self, sample_id: int) -> tuple[np.ndarray, int]:
+        """Take the row of ``sample_id`` out of storage and return its ``(x, y)``; ``KeyError`` if absent.
+
+        ``x`` is a copy: the stored row is overwritten with zeros.
+        """
+        if sample_id not in self._row:
+            raise KeyError(sample_id)
+        if not self._X.flags.writeable:
+            self._move(len(self._row))
+        r = self._row.pop(sample_id)
+        x, y = self._X[r].copy(), int(self._y[r])
+        self._ids[r], self._X[r], self._y[r] = 0, 0.0, 0
+        if 2 * len(self._row) < len(self._X):  # holes outnumber the stored rows
+            self._move(len(self._row))
+        return x, y
+
+    def row(self, sample_id: int) -> tuple[np.ndarray, int]:
+        """``(x, y)`` of ``sample_id``, ``x`` a read-only view of its stored row, valid until the core set changes."""
+        r = self._row[sample_id]
+        x = self._X[r]
+        x.flags.writeable = False
+        return x, int(self._y[r])
+
+    def rows(self) -> Rows:
+        """The stored rows in fit order as read-only :class:`~.datastreams.Rows`, which no later change reaches."""
+        return trusted_rows(*self._stored())
 
     def pop(self):
         """Remove and return the last sample in fit order."""
-        return self._samples.popitem()[1]
+        if not self._row:
+            raise KeyError("pop from an empty core set")
+        return self.remove(next(reversed(self._row)))
 
     def remove(self, sample_id: int):
         """Take out and return the sample with ``sample_id``; ``KeyError`` if absent."""
-        return self._samples.pop(sample_id)
+        sample = self.by_id(sample_id)
+        self.take(sample_id)
+        return sample
 
     def by_id(self, sample_id: int):
-        return self._samples[sample_id]
+        r = self._row[sample_id]
+        return trusted_samples(self._ids[r : r + 1], self._X[r : r + 1], self._y[r : r + 1])[0]
 
     def ids(self):
         """A live view of the stored ids in fit order: no copy, set operations in C."""
-        return self._samples.keys()
+        return self._row.keys()
 
     def __contains__(self, sample_id) -> bool:
-        return sample_id in self._samples
+        return sample_id in self._row
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._row)
 
     def __iter__(self):
-        return iter(self._samples.values())
+        return iter(trusted_samples(*self._stored()))
 
     def __getitem__(self, index: slice) -> list:
         if type(index) is not slice:
             raise TypeError("a core set is sliced, not indexed: look a sample up with by_id")
-        return list(self._samples.values())[index]
+        return trusted_samples(*(a[index] for a in self._stored()))
 
     def __repr__(self) -> str:
         return f"CoreSet({list(self)!r})"
@@ -226,16 +297,16 @@ class ModelState:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Everything an observer of the system can see: the model and the stored samples."""
+    """Everything an observer of the system can see: the model and the stored rows, in fit order."""
 
     weight: np.ndarray
-    coreset: tuple[LabeledSample, ...]
+    coreset: Rows
 
     @property
     def stored_ids(self) -> frozenset[int]:
         # copied from a set, a frozenset is sized for its final count: half the
         # table of one grown an element at a time
-        return frozenset({s.sample_id for s in self.coreset})
+        return frozenset(set(self.coreset.ids.tolist()))
 
 
 def bbq_fit(
@@ -256,13 +327,14 @@ def bbq_fit(
     replays).  A repeated sample id raises, whichever form the stream takes.
 
     ``stream`` is a :class:`~.datastreams.Rows` (a ``Dataset`` is one) or an
-    iterable of :class:`LabeledSample`; its type picks the path, and both
+    iterable of :class:`~.datastreams.LabeledSample`; its type picks the path, and both
     give the same core set in the same order and the same state bits.  Rows
     were checked when built, so the fit reads them as they are, screened in
-    blocks (:func:`_fit_rows`); each queried row is stored as a sample that
-    owns a copy of it.  A sample list (ids by :func:`~.datastreams.sample_ids`)
-    keeps the per-point loop, which reads a sample's ``y`` only when it
-    queries the sample: stacking the list into rows would read every label.
+    blocks (:func:`_fit_rows`), and the core set stores a copy of the rows it
+    queried.  A sample list (ids by :func:`~.datastreams.sample_ids`) keeps
+    the per-point loop, which reads a sample's ``y`` only when it queries the
+    sample: stacking the list into rows would read every label.  Its queried
+    samples, checked when they were built, are stacked once, at the end.
 
     ``mean_inverse``, a writable float64 ``(dim, dim)`` array given only
     with nonempty rows, is overwritten with the mean over the rows of the
@@ -297,12 +369,16 @@ def bbq_fit(
     if is_rows:
         coreset = _fit_rows(stream, state, threshold, mean_inverse)
     else:
-        coreset = CoreSet()
+        queried, labels = [], []
         for s in stream:
             # the module global, so a wrapper installed on it sees every call
             if leverage(state, s.x) > threshold:
-                rank_one_update(state, s.x, s.y)  # label read only on query
-                coreset.append(s)
+                y = s.y  # label read only on query, once
+                rank_one_update(state, s.x, y)
+                queried.append(s)
+                labels.append(y)
+        X = np.fromiter((s.x for s in queried), dtype=(np.float64, (dim,)), count=len(queried))
+        coreset = CoreSet(trusted_rows(sample_ids(queried), X, np.array(labels, dtype=np.int8)))
     return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n))
 
 
@@ -319,6 +395,22 @@ def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, out: np.ndarray) -> None:
     np.subtract(inv, out, out)
 
 
+def _add_terms(state: GramState, Xq: np.ndarray, yq: np.ndarray, terms: np.ndarray) -> None:
+    """Add the ``gram`` and ``b`` terms of the queried rows ``Xq`` to ``state``, in fit order, using ``terms``.
+
+    ``np.add.accumulate`` adds left to right from the running values in
+    ``terms[0]``, with the bits of a loop of ``+=``; ``np.add.reduce`` and
+    ``np.sum`` may add pairwise.
+    """
+    d = state.dim
+    gb = terms[: len(Xq) + 1]
+    gb[0, :d], gb[0, d] = state.gram, state.b_vec
+    np.multiply(Xq[:, :, None], Xq[:, None, :], out=gb[1:, :d])
+    np.multiply(yq[:, None], Xq, out=gb[1:, d])
+    sums = np.add.accumulate(gb, axis=0, out=gb)[-1]
+    state.gram[...], state.b_vec[...] = sums[:d], sums[d]
+
+
 def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None) -> CoreSet:
     """The sampler's pass over ``rows`` into ``state``, screened; the mean inverse goes into ``total`` if given.
 
@@ -333,10 +425,11 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     the pending queries, and without ``total`` two slots take turns.  The
     ``gram`` and ``b`` terms and the pre-step inverses times their rows wait
     until they fill :data:`PENDING_BYTES`, or the pass ends, and are added
-    in fit order with the bits of a loop of ``+=``; the last slot moves to 0.
+    in fit order with the bits of a loop of ``+=`` (:func:`_add_terms`); the
+    last slot moves to 0.  The core set stores copies of the queried rows.
     """
-    X = rows.X
-    d = state.dim  # not X's width: an empty Rows is (0, 0)
+    d = state.dim
+    X = rows.X if len(rows) else np.empty((0, d))  # an empty Rows may be (0, 0)
     per_query = 8 * (2 * d + 1 if total is not None else d + 1) * d  # its terms, and its inverse for a mean
     cap = max(1, min(len(X), PENDING_BYTES // per_query))  # queries pending at most
     cut = threshold * (1.0 - SCREEN_SLACK)
@@ -350,14 +443,7 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
 
     def add_pending(k):
         pos = queried[-k:]
-        Xq = X[pos]
-        gb = terms[: k + 1]
-        gb[0, :d], gb[0, d] = state.gram, state.b_vec
-        np.multiply(Xq[:, :, None], Xq[:, None, :], out=gb[1:, :d])
-        np.multiply(rows.y[pos, None], Xq, out=gb[1:, d])
-        # accumulate adds left to right; np.add.reduce and np.sum may add pairwise
-        sums = np.add.accumulate(gb, axis=0, out=gb)[-1]
-        state.gram[...], state.b_vec[...] = sums[:d], sums[d]
+        _add_terms(state, X[pos], rows.y[pos], terms)  # the module global, so a wrapper sees every call
         if total is not None:  # each pre-step inverse times the rows that saw it
             runs = np.multiply(stack[:k], np.diff(queried[-k - 1 :])[:, None, None], out=stack[:k])
             runs[0] += total  # the bits of total + runs[0]: a sum of two doubles does not depend on their order
@@ -385,7 +471,8 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     if total is not None:  # the tail run; adding a zero run leaves the bits as they are
         total += (len(X) - 1 - queried[-1]) * state.gram_inv
         total /= len(X)
-    return CoreSet(trusted_samples(rows.ids[queried[1:]], X[queried[1:]], rows.y[queried[1:]]))
+    stored = queried[1:]
+    return CoreSet(trusted_rows(rows.ids[stored], X[stored], rows.y[stored]))
 
 
 def predict(model: ModelState, x) -> int:
@@ -401,27 +488,26 @@ def deletion_update(model: ModelState, ids) -> ModelState:
 
     Requests outside the core set are free: one set intersection with the
     stored ids finds no hit, and the free-deletion counter is bumped.  Each
-    core-set hit is taken out of storage in O(1) and downdated out of the Gram
-    state.  The hits of one call are downdated in fit order; only a call with
-    several hits pays one pass over the stored ids to order them.
+    core-set hit is taken out of storage in amortized O(1), its stored row
+    overwritten, and downdated out of the Gram state.  The hits of one call
+    are downdated in fit order, which is the order of their stored rows: a
+    call with ``h`` hits sorts them in O(h log h).
     """
     ids = set(ids)
     coreset, state = model.coreset, model.gram_state
-    stored = coreset.ids()
-    hits = stored & ids
+    hits = coreset.ids() & ids
     model.free_deletions += len(ids) - len(hits)
     if len(hits) > 1:
-        hits = [sid for sid in stored if sid in hits]
+        hits = sorted(hits, key=coreset._row.__getitem__)
     for sid in hits:
-        s = coreset.remove(sid)
-        rank_one_downdate(state, s.x, s.y)
+        rank_one_downdate(state, *coreset.take(sid))
         model.coreset_deletions += 1
     return model
 
 
 def state_of_system(model: ModelState) -> SystemState:
-    """Project to what remains observable after unlearning: weights plus stored samples."""
-    return SystemState(weight=model.weight.copy(), coreset=tuple(model.coreset))
+    """Project to what remains observable after unlearning: weights plus stored rows."""
+    return SystemState(weight=model.weight.copy(), coreset=model.coreset.rows())
 
 
 def system_states_equal(a: SystemState, b: SystemState, tol: float = 1e-8) -> bool:
@@ -469,7 +555,7 @@ def _header(model: ModelState) -> bytes:
 
 def encode_model(model: ModelState) -> bytes:
     """The "SAUL1" container of ``model``, as :func:`save_model` writes it."""
-    return _header(model) + pack_rows(as_rows(model.coreset)).tobytes()
+    return _header(model) + pack_rows(model.coreset.rows()).tobytes()
 
 
 def save_model(model: ModelState, path) -> None:
@@ -477,15 +563,14 @@ def save_model(model: ModelState, path) -> None:
 
     After the write the model holds the Gram state derived from the written
     records, the state :func:`load_model` gives back; its deletion counters
-    are kept.  The core set is stacked once, and the records and the state
-    both come from those arrays.
+    are kept.  The records and the state both come from the core set's stored
+    rows, read in one step.
     """
-    header, rows = _header(model), as_rows(model.coreset)
+    header, rows = _header(model), model.coreset.rows()
     with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(pack_rows(rows))
-    X = rows.X.reshape(len(rows), model.dim)  # an empty core set stacks to (0, 0)
-    model.gram_state = gram_from_rows(X, rows.y, model.params.lam)
+    model.gram_state = gram_from_rows(rows.X, rows.y, model.params.lam)
 
 
 def load_model(path) -> ModelState:
@@ -522,5 +607,5 @@ def load_model(path) -> ModelState:
     except ValueError as exc:
         raise ModelFormatError(f"core set: {exc}") from exc
     state = gram_from_rows(records.X, records.y, params.lam)
-    coreset = CoreSet(trusted_samples(records.ids, records.X, records.y))
+    coreset = CoreSet(records)  # the records it read, as they are
     return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(0))

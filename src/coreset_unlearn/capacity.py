@@ -289,10 +289,10 @@ def expected_capacity_mc(
         if check_drift_identity and hit_positions:
             probe_x = xs_all[perm[0]]
             for pos in hit_positions[: K + 1]:
-                s = model.coreset.by_id(draws[pos])
-                predicted = predicted_deletion_drift(model.gram_state, s.x, s.y, probe_x)
+                x, y = model.coreset.row(draws[pos])
+                predicted = predicted_deletion_drift(model.gram_state, x, y, probe_x)
                 before = float(model.gram_state.weight @ probe_x)
-                rank_one_downdate(model.gram_state, s.x, s.y)
+                rank_one_downdate(model.gram_state, x, y)
                 after = float(model.gram_state.weight @ probe_x)
                 if abs((after - before) - predicted) > 1e-8:
                     raise AssertionError(

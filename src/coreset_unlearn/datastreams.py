@@ -17,13 +17,14 @@ package accepts: a :class:`Rows` (or :class:`Dataset`) passes through, a
 sequence of :class:`LabeledSample` is stacked once; :func:`ids_and_labels` is
 its half for callers that never read ``X``, and :func:`sample_ids` the half
 of that for callers that read no label.  The selective sampler fits
-rows directly and builds a sample only for a row it stores; per-sample
-objects exist where a caller asks for a stream of them, and
+rows directly, and a core set stores the rows it queried as arrays;
+per-sample objects exist where a caller asks for a stream of them, and
 :attr:`Rows.samples` builds them on first use.
 
 This module owns the stored row and the sample-id rule.  A :class:`Rows` is
 checked once, when it is built, under the rule :class:`LabeledSample` applies
-to each sample, and holds read-only arrays, so no consumer checks rows again;
+to each sample, and holds read-only arrays, so no consumer checks rows again
+(:func:`trusted_rows` wraps rows a core set stores, checked on their way in);
 every reader of a sample list takes its ids through :func:`sample_ids`, which
 refuses a repeat as :class:`Rows` does.  Both file formats store rows packed
 as :func:`row_dtype`; :func:`pack_rows` and :func:`unpack_rows` are the one
@@ -141,9 +142,10 @@ def _read_only(a: np.ndarray, dtype) -> np.ndarray:
 def trusted_samples(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> list[LabeledSample]:
     """One :class:`LabeledSample` per row, built without re-running its checks.
 
-    Only for the rows of a :class:`Rows`, checked when it was built.  Each
-    sample owns a copy of its row, never a view into ``X``: a model that keeps
-    a few samples (a core set) must not keep all of ``X`` alive.
+    Only for rows checked already: a :class:`Rows`'s, or a core set's.  Each
+    sample owns a copy of its row, never a view into ``X``: a sample taken
+    from a dataset must not keep all of ``X`` alive, and one taken from a
+    core set must not change when the core set overwrites a removed row.
     """
     new = object.__new__
     out = []
@@ -155,6 +157,20 @@ def trusted_samples(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> list[Label
         s.y = label
         append(s)
     return out
+
+
+def trusted_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> Rows:
+    """A :class:`Rows` of these arrays, uncopied and marked read-only, without re-running its checks.
+
+    Only for C-contiguous arrays in the stored dtypes whose rows were checked
+    already, whose ids are distinct and that no one else writes: the rows a
+    core set stores.
+    """
+    rows = object.__new__(Rows)
+    for name, value in (("ids", ids), ("X", X), ("y", y)):
+        value.flags.writeable = False
+        object.__setattr__(rows, name, value)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def _timed_fit(fit, warmup, rows, **kwargs):
 
 def _bbq(cfg: ExperimentConfig, train: Rows, test: Rows):
     model, train_time = _timed_fit(bbq_fit, train.take(slice(512)), train, cap_k=cfg.cap_k, kappa=cfg.kappa)
-    queried = np.fromiter(model.coreset.ids(), dtype=np.uint64, count=len(model.coreset))
+    queried = model.coreset.rows().ids
     probe_x = train.X[~np.isin(train.ids, queried)][: capacity.DEFAULT_PROBE_SIZE]
     gate = capacity.MetricSet(model.weight.copy())
     gate_events = [] if len(probe_x) else ["gate-skipped: no unqueried probe points"]

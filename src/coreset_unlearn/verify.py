@@ -199,7 +199,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
         queried = model.coreset_ids
         p = model.params
 
-        core_X = np.array([s.x for s in model.coreset]).reshape(-1, model.dim)
+        core_X = model.coreset.rows().X
         stored_ok = _max_leverage(model, core_X) <= 1.0 / (p.lam + 1.0) + LEVERAGE_SLACK
         stored += len(core_X)
 

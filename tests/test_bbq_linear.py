@@ -42,7 +42,7 @@ from coreset_unlearn.bbq_linear import (
     ModelState,
     encode_model,
 )
-from coreset_unlearn import bbq_linear, core_linalg
+from coreset_unlearn import bbq_linear, core_linalg, datastreams
 from coreset_unlearn.datastreams import DeletionDistribution, Rows, as_rows, deletion_stream, row_dtype
 from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage
 from coreset_unlearn.verify import random_deletion_request, random_linear_instance, unit_vectors
@@ -359,6 +359,12 @@ class TestRowsFit:
         if budget is not None:
             # a pending query takes a gram and a b term and a slot of the inverse stack
             monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (2 * d + 1) * d)
+        adds, add_terms = [], bbq_linear._add_terms  # the pending count of each add
+
+        def counted(state, Xq, yq, terms):
+            adds.append(len(Xq))
+            add_terms(state, Xq, yq, terms)
+        monkeypatch.setattr(bbq_linear, "_add_terms", counted)
         rng = np.random.default_rng(d)
         X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
         rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
@@ -369,6 +375,11 @@ class TestRowsFit:
         assert (queried < SCREEN_BLOCK).sum() > 100  # many pending terms within one block
         if d == 200:
             assert 8 * d * d > bbq_linear.PENDING_BYTES  # so every query adds its terms alone
+        # a budget fills before each add but the last; without one, all the queries add at once, or
+        # each alone at d=200
+        per_add = budget or (1 if d == 200 else n)
+        q = len(queried)
+        assert adds == [per_add] * (q // per_add) + [q % per_add] * bool(q % per_add)
         assert encode_model(via_rows) == encode_model(via_samples)
         for field in ("gram", "gram_inv", "b_vec", "weight"):
             assert getattr(via_rows.gram_state, field).tobytes() == getattr(via_samples.gram_state, field).tobytes()
@@ -538,12 +549,44 @@ class TestStoredState:
         assert m.coreset_deletions == len(core) // 2 and m.free_deletions == 50
         assert ints_reachable(m) & stream_ids == m.coreset_ids == {s.sample_id for s in m.coreset}
 
+    def test_fit_io_deletion_and_state_build_no_sample(self, tmp_path, monkeypatch):
+        # the package builds a LabeledSample in two ways: its checking
+        # constructor, and trusted_samples for rows checked already
+        built, init, trusted = [], LabeledSample.__init__, datastreams.trusted_samples
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counted_trusted(ids, X, y):
+            built.append(len(ids))
+            return trusted(ids, X, y)
+
+        monkeypatch.setattr(LabeledSample, "__init__", counted_init)
+        for module in (datastreams, bbq_linear):
+            monkeypatch.setattr(module, "trusted_samples", counted_trusted)
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=5, seed=47))
+        m = bbq_fit(ds, cap_k=2.0, kappa=0.5)
+        path = tmp_path / "m.saul"
+        save_model(m, path)
+        loaded = load_model(path)
+        assert encode_model(loaded) == encode_model(m) == path.read_bytes()
+        core = list(loaded.coreset.ids())
+        deletion_update(loaded, core[:3] + [10**9])
+        deletion_update(loaded, [core[5]])
+        assert state_of_system(loaded).stored_ids == set(core) - set(core[:3]) - {core[5]}
+        assert built == []
+        list(loaded.coreset)  # the counters see a build
+        assert built == [len(core) - 4]
+
 
 class TestCoreSet:
     def test_the_kept_surface(self):
         items = random_samples(np.random.default_rng(40), 6, 3)
-        cs = CoreSet(items[:5])
-        assert len(cs) == 5 and list(cs) == items[:5] and not CoreSet() and cs
+        cs = CoreSet(as_rows(items[:5]))
+        assert len(cs) == 5 and list(cs) == items[:5] and not CoreSet(as_rows(items).take(slice(0))) and cs
+        with pytest.raises(ValueError, match=r"has shape \(1,\), the core set's rows \(3,\)$"):
+            cs.append(LabeledSample(10**9, [0.5], 1))
         assert cs[1:4] == items[1:4] and cs[::-2] == items[4::-2] and cs[:0] == []
         for index in (0, -1, 5):
             with pytest.raises(TypeError, match="by_id"):
@@ -551,16 +594,38 @@ class TestCoreSet:
         assert not hasattr(cs, "in_fit_order") and CoreSet.__eq__ is object.__eq__
         cs.append(items[5])
         assert len(cs) == 6 and cs[-1:] == [items[5]]
-        assert cs.pop() is items[5] and list(cs) == items[:5]
+        assert cs.pop() == items[5] and list(cs) == items[:5]
         with pytest.raises(ValueError, match="already"):
             cs.append(items[0])
-        assert cs.by_id(items[3].sample_id) is items[3]
+        assert cs.by_id(items[3].sample_id) == items[3]
         ids = cs.ids()
         assert list(ids) == [s.sample_id for s in items[:5]]
-        assert cs.remove(items[1].sample_id) is items[1]
+        assert cs.remove(items[1].sample_id) == items[1]
         assert list(cs) == [items[0]] + items[2:5]
         assert list(ids) == [s.sample_id for s in cs]  # a live view, not a copy
         assert items[0].sample_id in cs and items[1].sample_id not in cs and 10**9 not in cs
+        for sid in list(ids)[:3]:  # holes outnumber the stored rows: they move, the view stays live
+            cs.remove(sid)
+        assert list(ids) == [items[4].sample_id] and list(cs) == [items[4]]
+        assert cs.pop() == items[4] and not cs and list(ids) == []
+        with pytest.raises(KeyError):
+            cs.pop()
+
+    def test_rows_row_and_take_read_the_storage(self):
+        items = random_samples(np.random.default_rng(45), 4, 3)
+        cs = CoreSet(as_rows(items))
+        rows = cs.rows()
+        assert rows.ids.tolist() == [s.sample_id for s in items] and rows.X.shape == (4, 3)
+        assert not (rows.ids.flags.writeable or rows.X.flags.writeable or rows.y.flags.writeable)
+        x, y = cs.row(items[2].sample_id)
+        assert x.tobytes() == items[2].x.tobytes() and y == items[2].y and not x.flags.writeable
+        x, y = cs.take(items[2].sample_id)
+        assert x.tobytes() == items[2].x.tobytes() and y == items[2].y and items[2].sample_id not in cs
+        assert rows.ids.tolist() == [s.sample_id for s in items]  # a snapshot: the take does not reach it
+        with pytest.raises(KeyError):
+            cs.take(items[2].sample_id)
+        with pytest.raises(KeyError):
+            cs.row(items[2].sample_id)
 
     def test_fit_order_kept_after_deletions(self):
         rng = np.random.default_rng(41)
@@ -602,9 +667,14 @@ class TestCoreSet:
 
     def test_single_deletions_never_iterate_the_core_set(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=5, seed=44))
-        m = bbq_fit(ds.samples, cap_k=2.0, kappa=0.5)
+        m = bbq_fit(ds.samples[::-1], cap_k=2.0, kappa=0.5)  # fit order is not id order
         core = [s.sample_id for s in m.coreset]
         outsider = next(s.sample_id for s in ds.samples if s.sample_id not in m.coreset_ids)
+        taken, take = [], CoreSet.take
+
+        def recorded_take(self, sid):
+            taken.append(sid)
+            return take(self, sid)
 
         def no_scan(self, *args):
             raise AssertionError("deletion_update scanned the core set")
@@ -624,12 +694,40 @@ class TestCoreSet:
         monkeypatch.setattr(CoreSet, "ids", lambda self: UnscannedIds(ids(self)))
         monkeypatch.setattr(CoreSet, "__iter__", no_scan)
         monkeypatch.setattr(CoreSet, "__getitem__", no_scan)
+        monkeypatch.setattr(CoreSet, "take", recorded_take)
         for sid in (core[len(core) // 2], outsider, core[0], core[-1]):
             deletion_update(m, [sid])
         deletion_update(m, {core[1], outsider + 10**6})  # one hit and one free request
-        assert (m.coreset_deletions, m.free_deletions) == (4, 2)
+        deletion_update(m, {core[-2], core[3], core[2], outsider + 2 * 10**6})  # three hits, taken in fit order
+        assert taken == [core[len(core) // 2], core[0], core[-1], core[1], core[2], core[3], core[-2]]
+        assert (m.coreset_deletions, m.free_deletions) == (7, 3)
         monkeypatch.undo()
-        assert [s.sample_id for s in m.coreset] == core[2 : len(core) // 2] + core[len(core) // 2 + 1 : -1]
+        assert [s.sample_id for s in m.coreset] == core[4 : len(core) // 2] + core[len(core) // 2 + 1 : -2]
+
+    def test_no_deleted_value_stays_in_storage(self):
+        # the system-aware storage rule: after a hit, and after the holes are
+        # packed away, no stored array holds the deleted row and no index its id
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=5, seed=46))
+        m = bbq_fit(ds, cap_k=2.0, kappa=0.5)
+        cs = m.coreset
+        core = list(cs.ids())
+        assert len(core) > 20 and core[0] == 0  # a cleared id is 0, so id 0 is never deleted
+
+        def assert_gone(gone):
+            stored = {row.tobytes() for row in cs._X}
+            for sid in gone:
+                assert ds.X[sid].tobytes() not in stored
+                assert sid not in cs and sid not in cs._row and sid not in cs._ids.tolist()
+            assert list(cs.ids()) == [sid for sid in core if sid not in gone]
+
+        deletion_update(m, [core[5]])
+        assert len(cs._X) == len(core) > len(cs)  # a hole, not yet packed away
+        assert_gone({core[5]})
+        gone = set(core[1 : len(core) // 2 + 2])  # the last hit leaves more holes than rows
+        deletion_update(m, gone)
+        assert len(cs._X) == len(cs) == len(core) - len(gone)  # packed in fit order
+        assert_gone(gone)
+        np.testing.assert_array_equal(cs.rows().X, ds.X[[sid for sid in core if sid not in gone]])
 
 
 class TestSamples:
@@ -824,7 +922,8 @@ class TestSerialization:
     def test_save_rejects_out_of_bound_dim(self, tmp_path):
         # the Gram state is never read before the bound, so it need not be allocated
         g = GramState(dim=MAX_MODEL_DIM + 1, lam=2.0, gram=None, gram_inv=None, b_vec=None, weight=None)
-        m = ModelState(g, CoreSet(), BBQParams(horizon=10, kappa=0.5, cap_k=2.0), [])
+        empty = Rows(np.empty(0, np.uint64), np.empty((0, MAX_MODEL_DIM + 1)), np.empty(0, np.int8))
+        m = ModelState(g, CoreSet(empty), BBQParams(horizon=10, kappa=0.5, cap_k=2.0), [])
         with pytest.raises(ModelFormatError, match=f"dimension {MAX_MODEL_DIM + 1} "):
             save_model(m, tmp_path / "m.bin")
         assert not (tmp_path / "m.bin").exists()
@@ -845,6 +944,23 @@ class TestSerialization:
             save_model(m, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.bin"]
+
+    def test_empty_core_set_keeps_its_width(self, tmp_path):
+        rng = np.random.default_rng(29)
+        ds, m = random_linear_instance(rng, t_max=400)
+        deletion_update(m, set(m.coreset_ids))
+        stored = m.coreset.rows()
+        assert not m.coreset and stored.X.shape == (0, m.dim)
+        lam = m.params.lam
+        empty = core_linalg.gram_from_rows(stored.X, stored.y, lam)
+        assert empty.gram.tobytes() == core_linalg.gram_init(m.dim, lam).gram.tobytes()
+        path = tmp_path / "m.saul"
+        save_model(m, path)
+        assert path.read_bytes() == encode_model(m) and len(path.read_bytes()) == _HEADER.size
+        loaded = load_model(path)
+        assert loaded.coreset.rows().X.shape == (0, m.dim) and encode_model(loaded) == path.read_bytes()
+        assert system_states_equal(state_of_system(loaded), state_of_system(m), tol=0.0)
+        assert loaded.weight.tobytes() == m.weight.tobytes() == np.zeros(m.dim).tobytes()
 
     def test_deletions_survive_roundtrip(self, tmp_path):
         rng = np.random.default_rng(26)
