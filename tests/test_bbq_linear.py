@@ -948,6 +948,7 @@ class TestSerialization:
     def test_empty_core_set_keeps_its_width(self, tmp_path):
         rng = np.random.default_rng(29)
         ds, m = random_linear_instance(rng, t_max=400)
+        assert m.coreset
         deletion_update(m, set(m.coreset_ids))
         stored = m.coreset.rows()
         assert not m.coreset and stored.X.shape == (0, m.dim)
