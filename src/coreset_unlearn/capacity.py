@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -213,6 +214,31 @@ def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams) -> 
         fh.write("\n")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` if ``operator.index`` takes it, else ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def second_moment(rows, dist: DeletionDistribution) -> np.ndarray:
+    """``E[x x^T]`` of a row ``x`` drawn from ``dist`` over ``rows``, as a ``(d, d)`` array.
+
+    ``X^T X / T`` for ``uniform``, ``X_l^T X_l / n_l`` over the rows labelled
+    ``dist.target_label`` for ``by-label``, and ``X^T (w * X)`` for
+    ``weighted`` with the checked per-row weights ``w``.  For any ``(d, d)``
+    matrix ``M``, ``np.vdot(M, S)`` is the expected ``x^T M x`` under ``dist``.
+    """
+    X = rows.X
+    if dist.kind == "uniform":
+        return X.T @ X / len(X)
+    if dist.kind == "by-label":
+        sub = X[rows.y == dist.target_label]
+        return sub.T @ sub / len(sub)
+    return X.T @ (deletion_weights(rows.ids, dist)[:, None] * X)
+
+
 def expected_capacity_mc(
     dataset,
     dist: DeletionDistribution,
@@ -232,23 +258,36 @@ def expected_capacity_mc(
     stacked once.  Each trial refits on an independent random permutation of
     its rows, draws deletion requests from ``dist`` without replacement, and
     counts how many of the first ``k_total`` requests hit that trial's core
-    set.  The closed-form bound side is estimated through the average
-    pre-step inverse Gram matrix, formed by the fit in its one pass
-    (``bbq_fit``'s ``mean_inverse``).
+    set.  The closed-form bound side is the expected quadratic form
+    ``x^T M x`` of a row ``x`` drawn from ``dist``, where ``M`` is the trial's
+    average pre-step inverse Gram matrix, formed by the fit in its one pass
+    (``bbq_fit``'s ``mean_inverse``).  That expectation is ``<M, S>``, with
+    ``S`` the second-moment matrix of ``dist`` over the rows (see
+    :func:`second_moment`), built once per call, so a trial's form costs
+    ``O(d^2)`` rather than a pass over the rows.
     Each trial draws its permutation and its deletion requests from its own
     seed, spawned from ``seed``.
+
+    ``K`` must be an integer of at least 1, and ``k_total_grid`` a nonempty
+    set of distinct integers in ``[1, len(dataset)]`` (sorted here); anything
+    else raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    K = _integer(K, "K")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     rows = as_rows(dataset)
     T = len(rows)
     if k_total_grid is None:
         k_total_grid = np.unique(np.linspace(1, max(T // 2, 1), 12).astype(int))
-    k_total_grid = np.asarray(sorted(int(k) for k in k_total_grid), dtype=int)
+    k_total_grid = np.asarray(sorted(_integer(k, "each k_total grid value") for k in k_total_grid), dtype=int)
+    if len(k_total_grid) == 0:
+        raise ValueError("k_total grid must not be empty")
+    if (k_total_grid[1:] == k_total_grid[:-1]).any():
+        raise ValueError("k_total grid must not repeat a value")
     if k_total_grid[0] < 1 or k_total_grid[-1] > T:
         raise ValueError("k_total grid must lie within [1, len(dataset)]")
 
@@ -257,8 +296,7 @@ def expected_capacity_mc(
     qf_values = np.zeros(trials)
     xs_all = rows.X
     mean_inv = np.empty((xs_all.shape[1],) * 2)  # each trial's fit overwrites it
-    if dist.kind == "weighted":
-        weights = deletion_weights(rows.ids, dist)
+    moment = second_moment(rows, dist)
 
     for trial, child in enumerate(children):
         perm_seq, draw_seq = child.spawn(2)
@@ -268,14 +306,7 @@ def expected_capacity_mc(
         model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa, mean_inverse=mean_inv)
 
         stored = model.coreset.ids()
-        if dist.kind == "uniform":
-            qf = float(np.mean(np.einsum("ij,jk,ik->i", xs_all, mean_inv, xs_all)))
-        elif dist.kind == "by-label":
-            sub = xs_all[rows.y == dist.target_label]
-            qf = float(np.mean(np.einsum("ij,jk,ik->i", sub, mean_inv, sub)))
-        else:
-            qf = float(np.einsum("i,ij,jk,ik->", weights, xs_all, mean_inv, xs_all))
-        qf_values[trial] = qf
+        qf_values[trial] = np.vdot(mean_inv, moment)
 
         draws = deletion_stream(
             rows, dist, int(k_total_grid[-1]), seed=int(draw_seq.generate_state(1)[0] % (2**31))

@@ -24,7 +24,8 @@ per-sample objects exist where a caller asks for a stream of them, and
 This module owns the stored row and the sample-id rule.  A :class:`Rows` is
 checked once, when it is built, under the rule :class:`LabeledSample` applies
 to each sample, and holds read-only arrays, so no consumer checks rows again
-(:func:`trusted_rows` wraps rows a core set stores, checked on their way in);
+(:func:`trusted_rows` wraps rows a core set stores, checked on their way in,
+and the rows :meth:`Rows.take` selects from rows checked already);
 every reader of a sample list takes its ids through :func:`sample_ids`, which
 refuses a repeat as :class:`Rows` does.  Both file formats store rows packed
 as :func:`row_dtype`; :func:`pack_rows` and :func:`unpack_rows` are the one
@@ -164,7 +165,7 @@ def trusted_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> Rows:
 
     Only for C-contiguous arrays in the stored dtypes whose rows were checked
     already, whose ids are distinct and that no one else writes: the rows a
-    core set stores.
+    core set stores, and the rows :meth:`Rows.take` selects.
     """
     rows = object.__new__(Rows)
     for name, value in (("ids", ids), ("X", X), ("y", y)):
@@ -206,8 +207,9 @@ class Rows:
     :class:`LabeledSample` checks, and no id repeats; otherwise ``ValueError``
     names the first row a sample would refuse.  An argument already read-only
     in its stored form (``X`` C-contiguous) is kept, trusted not to change
-    through another view; any other is copied.  Frozen: ``take`` and
-    ``dataclasses.replace`` build and check a new one.
+    through another view; any other is copied.  Frozen:
+    ``dataclasses.replace`` builds and checks a new one, and ``take`` builds
+    one of rows checked already.
     """
 
     ids: np.ndarray
@@ -232,12 +234,23 @@ class Rows:
         return len(self.ids)
 
     def take(self, index) -> Rows:
-        """The rows selected by ``index`` (an index array, mask or slice), in that order; a repeated row raises."""
-        if not isinstance(index, slice) and np.ndim(index) == 0:
-            raise ValueError(f"take needs an index array, mask or slice, got the scalar index {index!r}")
-        ids, X, y = self.ids[index], self.X[index], self.y[index]
-        ids.flags.writeable = X.flags.writeable = y.flags.writeable = False  # fresh, or views of read-only arrays
-        return Rows(ids, X, y)
+        """The rows selected by ``index`` (a 1-D index array, mask or slice), in that order; a repeated row raises.
+
+        These rows passed the row checks when this :class:`Rows` was built, so
+        only the repeat check runs, and only for an index array: a slice or a
+        mask selects each row at most once.  The result is built by
+        :func:`trusted_rows` on the selected arrays, C-contiguous (a stepped
+        slice is copied) and read-only.
+        """
+        if not isinstance(index, slice):
+            if np.ndim(index) == 0:
+                raise ValueError(f"take needs an index array, mask or slice, got the scalar index {index!r}")
+            if np.ndim(index) > 1:
+                raise ValueError(f"take needs a 1-D index array or mask, got {np.ndim(index)} dimensions")
+        ids = self.ids[index]
+        if not isinstance(index, slice) and np.asarray(index).dtype != bool:
+            _refuse_repeats(ids)
+        return trusted_rows(*map(np.ascontiguousarray, (ids, self.X[index], self.y[index])))
 
     @cached_property
     def samples(self) -> list[LabeledSample]:

@@ -648,9 +648,11 @@ class TestCoreSet:
         # a short refresh period puts inverse refreshes inside the batch, so
         # the order of the downdates shows in the bits
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=6, seed=42))
-        batch, single = (bbq_fit(ds.samples, cap_k=2.0, kappa=0.5) for _ in range(2))
+        stream = [ds.samples[i] for i in np.random.default_rng(41).permutation(len(ds.samples))]
+        batch, single = (bbq_fit(stream, cap_k=2.0, kappa=0.5) for _ in range(2))
         monkeypatch.setattr(core_linalg, "DEFAULT_REFRESH_PERIOD", 8)
         fit_order = [s.sample_id for s in batch.coreset]
+        assert fit_order != sorted(fit_order)  # so an id-ordered batch would downdate in another order
         rng = np.random.default_rng(43)
         hits = set(rng.choice(fit_order, size=30, replace=False).tolist())
         outsiders = {s.sample_id for s in ds.samples[:200]} - batch.coreset_ids

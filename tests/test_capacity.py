@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreset_unlearn import (
     CapacityParams,
@@ -30,9 +33,38 @@ from coreset_unlearn.capacity import (
     DEFAULT_PROBE_SIZE,
     capacity_report_json,
     margin_estimate,
+    second_moment,
 )
 from coreset_unlearn.core_linalg import gram_init, rank_one_update, refresh_inverse
+from coreset_unlearn.datastreams import Rows, deletion_weights
 from coreset_unlearn.verify import random_linear_instance
+
+
+def per_row_form(rows, dist, mean_inverse):
+    """The expected ``x^T M x`` under ``dist``, one row at a time, as the estimator formed it before ``second_moment``."""
+    X = rows.X
+    if dist.kind == "uniform":
+        return float(np.mean(np.einsum("ij,jk,ik->i", X, mean_inverse, X)))
+    if dist.kind == "by-label":
+        sub = X[rows.y == dist.target_label]
+        return float(np.mean(np.einsum("ij,jk,ik->i", sub, mean_inverse, sub)))
+    return float(np.einsum("i,ij,jk,ik->", deletion_weights(rows.ids, dist), X, mean_inverse, X))
+
+
+def exact_forms(rows, dist, mean_inverses) -> list[Fraction]:
+    """The expected ``x^T M x`` under ``dist`` for each ``M``, exactly: every double is an integer times ``2**-1074``."""
+
+    def ints(a):
+        scaled = [num * (2**1074 // den) for num, den in map(float.as_integer_ratio, np.ravel(a).tolist())]
+        return np.array(scaled, dtype=object).reshape(np.shape(a))
+
+    X = ints(rows.X[rows.y == dist.target_label] if dist.kind == "by-label" else rows.X)
+    if dist.kind == "weighted":
+        c, scale = ints(deletion_weights(rows.ids, dist)), 2**1074
+    else:
+        c, scale = np.ones(len(X), dtype=object), len(X)
+    moment = (X * c[:, None]).T @ X
+    return [Fraction(int((ints(m) * moment).sum()), scale * 2 ** (3 * 1074)) for m in mean_inverses]
 
 
 class TestParams:
@@ -294,9 +326,14 @@ class TestMonteCarlo:
         got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         assert got == "feb376fc0b0e78bd98321e1e8d6bf37888770a1925ec3cb8c316a7f176114964"
 
-    def test_recorded_multi_block_curves(self):
+    def test_recorded_multi_block_curves(self, monkeypatch):
         # T=2000 spans four screen blocks, so later blocks screen against an
-        # inverse that earlier queries have already shrunk
+        # inverse that earlier queries have already shrunk.  The decisions
+        # (k_total, empirical) keep the hash recorded while each trial's form
+        # was a per-row mean; the bound side, which the second-moment form
+        # moved by an ulp or two, has its own hash.  Each trial's form is
+        # within 4 ulp of the exact value; the per-row weighted einsum was up
+        # to 9 ulp from it on these trials, so it is no reference at that scale
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=24))
         raw = {int(i): float(i % 7 + 1) for i in ds.ids}
         mass = sum(raw.values())
@@ -305,12 +342,53 @@ class TestMonteCarlo:
             DeletionDistribution(kind="by-label", target_label=-1),
             DeletionDistribution(kind="weighted", weights={i: w / mass for i, w in raw.items()}),
         )
-        parts = []
+        mean_inverses = []
+
+        def recording_fit(*args, **kwargs):
+            model = bbq_fit(*args, **kwargs)
+            mean_inverses.append(kwargs["mean_inverse"].copy())
+            return model
+
+        monkeypatch.setattr(capacity, "bbq_fit", recording_fit)
+        decisions, sides = [], []
         for dist in dists:
+            mean_inverses.clear()
             c = expected_capacity_mc(ds, dist, K=10, trials=4, seed=25, cap_k=10.0, kappa=0.5)
-            parts.append(repr((c.k_total.tolist(), c.empirical.tolist(), c.bound.tolist(), c.quadratic_form_mean.hex())))
-        got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        assert got == "90b432d46a81bb446f8f14da4209cd4771e57c14a345894c6a055287deceb273"
+            decisions.append(repr((c.k_total.tolist(), c.empirical.tolist())))
+            sides.append(repr((c.bound.tolist(), c.quadratic_form_mean.hex())))
+            forms = [np.vdot(m, second_moment(ds, dist)) for m in mean_inverses]
+            assert len(forms) == 4 and np.mean(forms) == c.quadratic_form_mean
+            for form, exact in zip(forms, exact_forms(ds, dist, mean_inverses)):
+                assert abs(Fraction(form) - exact) <= 4 * Fraction(np.spacing(float(exact))), (dist.kind, form.hex())
+        got = [hashlib.sha256("\n".join(parts).encode()).hexdigest() for parts in (decisions, sides)]
+        assert got == [
+            "09f62ff949c0b4672808fa5c9f7908f1c98ed6db6ec9cd8f84a85eb23e7421c8",
+            "dc0fc78cd00fc85cb88e9ff540e7a26f56591e8de3db36a29ba376cebca02e47",
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.booleans(),
+        kind=st.sampled_from(["uniform", "by-label", "weighted"]),
+    )
+    def test_second_moment_form_equals_the_per_row_mean(self, n, d, seed, zero, kind):
+        rng = np.random.default_rng(seed)
+        X = np.zeros((n, d)) if zero else rng.standard_normal((n, d))
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+        rows = Rows(np.arange(n), X, rng.choice(np.array([-1, 1], dtype=np.int8), n))
+        A = rng.standard_normal((d, d))
+        M = A @ A.T / d + 0.1 * np.eye(d)
+        w = rng.random(n) + 0.01
+        dist = DeletionDistribution(
+            kind=kind,
+            target_label=int(rows.y[0]),
+            weights=dict(zip(range(n), (w / w.sum()).tolist())) if kind == "weighted" else None,
+        )
+        per_row = per_row_form(rows, dist, M)
+        assert abs(np.vdot(M, second_moment(rows, dist)) - per_row) <= 1e-12 * abs(per_row) + 1e-300
 
     @pytest.mark.parametrize("dist", [DeletionDistribution(), DeletionDistribution(kind="by-label", target_label=1)])
     def test_rows_and_sample_list_give_the_same_curve(self, dist):
@@ -352,6 +430,28 @@ class TestMonteCarlo:
             expected_capacity_mc(
                 ds.samples, DeletionDistribution(), K=1, trials=1, seed=0, k_total_grid=[0]
             )
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([], "^k_total grid must not be empty$"),
+            ([1, 1, 5], "^k_total grid must not repeat a value$"),
+            ([2.7], "^each k_total grid value must be an integer, got 2.7$"),
+        ],
+        ids=["empty", "repeated", "fractional"],
+    )
+    def test_rejects_a_bad_grid(self, grid, message):
+        # an empty grid raised IndexError, a repeat gave a duplicated curve point, and 2.7 ran as 2
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
+        with pytest.raises(ValueError, match=message):
+            expected_capacity_mc(ds, DeletionDistribution(), K=1, trials=1, seed=0, k_total_grid=grid)
+
+    def test_rejects_a_fractional_budget(self):
+        # K = 2.5 ran, though CapacityCurve.K is an int
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
+        with pytest.raises(ValueError, match="^K must be an integer, got 2.5$"):
+            expected_capacity_mc(ds, DeletionDistribution(), K=2.5, trials=1, seed=0)
+        assert expected_capacity_mc(ds, DeletionDistribution(), K=np.int64(2), trials=1, seed=0).K == 2
 
     def test_rejects_a_negative_seed(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))

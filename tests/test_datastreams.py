@@ -464,6 +464,49 @@ class TestRows:
             ds.take(index)
         assert ds.take([3]).ids.tolist() == [3]
 
+    def test_take_runs_no_row_check(self, monkeypatch):
+        # the source rows were checked when built: a take checks only for a
+        # repeated row, and only when an index array could repeat one
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=45))
+        calls = {"rows": 0, "repeats": 0}
+        real_rows, real_repeats = datastreams._check_rows, datastreams._refuse_repeats
+
+        def counted_rows(*args):
+            calls["rows"] += 1
+            return real_rows(*args)
+
+        def counted_repeats(ids):
+            calls["repeats"] += 1
+            return real_repeats(ids)
+
+        monkeypatch.setattr(datastreams, "_check_rows", counted_rows)
+        monkeypatch.setattr(datastreams, "_refuse_repeats", counted_repeats)
+        mask = ds.y == 1
+        picked = {
+            "index array": ds.take(np.array([7, 2, 11])),
+            "index list": ds.take([4, 0]),
+            "slice": ds.take(slice(3, 9)),
+            "mask": ds.take(mask),
+        }
+        assert calls == {"rows": 0, "repeats": 2}
+        assert picked["index list"].ids.tolist() == [4, 0] and picked["mask"].ids.tolist() == np.flatnonzero(mask).tolist()
+        for index in (np.array([0, 5, 0]), [3, 3], [2, -28]):  # -28 is row 2 of 30
+            with pytest.raises(ValueError, match="^duplicate sample ids$"):
+                ds.take(index)
+        with pytest.raises(ValueError, match="^take needs a 1-D index array or mask, got 2 dimensions$"):
+            ds.take(np.zeros((2, 2), dtype=int))
+        assert calls["rows"] == 0
+
+    def test_take_of_a_stepped_slice_is_c_contiguous(self):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=4, seed=45))
+        for index in (slice(1, 20, 3), slice(None, None, -2)):
+            picked = ds.take(index)
+            for name in ("ids", "X", "y"):
+                a = getattr(picked, name)
+                assert a.flags.c_contiguous and not a.flags.writeable, (index, name)
+                assert a.tobytes() == getattr(ds, name)[index].tobytes()
+        assert np.shares_memory(ds.take(slice(2, 9)).X, ds.X)  # a contiguous slice is kept as a view
+
     def test_as_rows_checks_the_ids_once(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=40, d=3, seed=50))
         real, checks = datastreams._refuse_repeats, []
@@ -519,6 +562,8 @@ class TestRows:
             "load_dataset": load_dataset(tmp_path / "ds.bin"),
             "take of a slice": ds.take(slice(10, 40)),
             "take of an index array": ds.take(np.array([5, 1, 9])),
+            "take of a mask": ds.take(ds.y == -1),
+            "take of a stepped slice": ds.take(slice(1, 40, 4)),
             "as_rows of samples": as_rows(ds.samples[:20]),
             "load_model's core set": core,
         }
