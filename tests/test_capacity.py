@@ -41,7 +41,7 @@ from coreset_unlearn.verify import random_linear_instance
 
 
 def per_row_form(rows, dist, mean_inverse):
-    """The expected ``x^T M x`` under ``dist``, one row at a time, as the estimator formed it before ``second_moment``."""
+    """The expected ``x^T M x`` under ``dist``, one row at a time: the reference for ``vdot(M, second_moment(...))``."""
     X = rows.X
     if dist.kind == "uniform":
         return float(np.mean(np.einsum("ij,jk,ik->i", X, mean_inverse, X)))
