@@ -33,7 +33,7 @@ import numpy as np
 from .atomic_io import atomic_open
 from .bbq_linear import ModelState, bbq_fit
 from .core_linalg import GramState, rank_one_downdate
-from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights
+from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights, eligible_ids
 
 ACCEPT = "accept"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -269,8 +269,9 @@ def expected_capacity_mc(
     seed, spawned from ``seed``.
 
     ``K`` must be an integer of at least 1, and ``k_total_grid`` a nonempty
-    set of distinct integers in ``[1, len(dataset)]`` (sorted here); anything
-    else raises ``ValueError``.
+    set of distinct integers in ``[1, len(dataset)]`` (sorted here) whose
+    largest value ``dist`` can draw (:func:`~.datastreams.eligible_ids`);
+    anything else raises ``ValueError`` before the first fit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -290,6 +291,7 @@ def expected_capacity_mc(
         raise ValueError("k_total grid must not repeat a value")
     if k_total_grid[0] < 1 or k_total_grid[-1] > T:
         raise ValueError("k_total grid must lie within [1, len(dataset)]")
+    eligible_ids(rows, dist, int(k_total_grid[-1]))  # every trial draws this many: refuse before any fit
 
     children = np.random.SeedSequence(seed).spawn(trials)
     exceed = np.zeros((trials, len(k_total_grid)))

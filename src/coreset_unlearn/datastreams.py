@@ -428,16 +428,14 @@ def deletion_weights(ids: np.ndarray, dist: DeletionDistribution) -> np.ndarray:
     return w
 
 
-def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> list[int]:
-    """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``.
+def eligible_ids(data, dist: DeletionDistribution, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ids ``dist`` can draw from ``data``, in order, and for ``weighted`` their positive weights, else ``None``.
 
-    ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read, and a repeated id raises.
+    ``data`` is anything :func:`as_rows` accepts; only its ids and labels are
+    read.  ``ValueError`` if fewer than ``n`` ids are eligible.
     """
-    if n < 0:
-        raise ValueError(f"requested {n} deletions; the count must be >= 0")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    ids, y = ids_and_labels(samples)
+    ids, y = ids_and_labels(data)
+    weights = None
     if dist.kind == "uniform":
         eligible = ids
     elif dist.kind == "by-label":
@@ -445,20 +443,32 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
     else:
         w = deletion_weights(ids, dist)
         positive = w > 0
-        eligible = ids[positive]
-        if n > len(eligible):
-            raise ValueError(f"requested {n} deletions, only {len(eligible)} have weight")
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        eligible, weights = ids[positive], w[positive]
+    if n > len(eligible):
+        have = "eligible" if weights is None else "have weight"
+        raise ValueError(f"requested {n} deletions, only {len(eligible)} {have}")
+    return eligible, weights
+
+
+def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> list[int]:
+    """Ordered deletion requests: ``n`` distinct sample ids drawn per ``dist``.
+
+    ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read, and a repeated id raises.
+    The ids drawn from are :func:`eligible_ids`.
+    """
+    if n < 0:
+        raise ValueError(f"requested {n} deletions; the count must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    eligible, weights = eligible_ids(samples, dist, n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if weights is None:
+        order = rng.permutation(len(eligible))
+    else:
         # Efraimidis-Spirakis keys: sorting u^(1/w) descending is equivalent to
         # sequential weighted sampling without replacement.
-        keys = rng.random(len(eligible)) ** (1.0 / w[positive])
+        keys = rng.random(len(eligible)) ** (1.0 / weights)
         order = np.argsort(-keys, kind="stable")
-        return eligible[order[:n]].tolist()
-
-    if n > len(eligible):
-        raise ValueError(f"requested {n} deletions, only {len(eligible)} eligible")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    order = rng.permutation(len(eligible))
     return eligible[order[:n]].tolist()
 
 

@@ -33,13 +33,18 @@ Evaluators must depend on the input only, never on labels.
 
 All scores are computed on one point-major pair layout: row ``r`` of an
 ``n x pairs`` array holds ``(f(x) - g(x))^2`` of one pool point for every
-pair ``f < g``.  The points not yet taken are packed into the leading rows,
-so a pick divides and reduces only those; ties are broken explicitly (the
-smallest pool index in the greedy restarts, the smallest sample id in the
-stage loop), never by a point's row.  The greedy picks, their tie-breaks and
-every recorded score are therefore bit-identical to evaluating the full
-``F x F`` table.  The projected dimension is computed only when the
-residual exit reads it, never under ``exhaust_pool=True``.
+pair ``f < g``.  The points not yet taken are packed into the leading rows.
+A pick divides each pair's column maximum over those rows by the pair's
+denominator, one division per pair, and rechecks row by row only the pairs
+whose quotient is the top.  Division by a positive number is monotone in
+IEEE arithmetic, so the quotient of a column's maximum is the column's
+largest quotient, bit for bit.  Ties are broken explicitly (the smallest pool
+index in the greedy restarts, the smallest sample id in the stage loop),
+never by a point's row.  The greedy picks, their tie-breaks and every
+recorded score are therefore bit-identical to evaluating the full ``F x F``
+table.  A fit builds one value table and one pair table; the projected
+dimension is computed on it only when the residual exit reads it, never
+under ``exhaust_pool=True``.
 """
 
 from __future__ import annotations
@@ -244,6 +249,12 @@ class _PairScores:
     pool index of row ``r`` and ``slot[i]`` the row of pool index ``i``.
     ``take`` moves a point into the prefix: its row is added to ``denom`` and
     swapped with the last live row.
+
+    ``best`` divides only each pair's column maximum over the live rows, then
+    rechecks the rows on the pairs whose quotient is the top.  Rounding is
+    monotone and ``denom`` is positive, so the largest quotient of a column
+    is the quotient of its largest entry: the top and the points reaching it
+    are those of dividing every live row.
     """
 
     def __init__(self, values: np.ndarray):
@@ -256,8 +267,6 @@ class _PairScores:
         self.pos = np.arange(values.shape[1])
         self.slot = np.arange(values.shape[1])
         self.m = values.shape[1]
-        self._ratios = np.empty_like(self.rows)
-        self._scores = np.empty(values.shape[1])
         self._spare = np.empty(len(f))
 
     def _swap(self, a: int, b: int) -> None:
@@ -285,15 +294,20 @@ class _PairScores:
     def score(self, i: int) -> float:
         return float((self.rows[self.slot[i]] / self.denom).max(initial=0.0))
 
-    def scores(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scores of the live points and their pool indices, both in row order.
+    def best(self) -> tuple[float, np.ndarray]:
+        """The largest live score and the pool indices of the live points scoring it, in row order.
 
-        Both are views into the kernel's buffers, valid until the next ``take``.
+        With no pairs (one function) every live point scores 0.0.  Needs a live point.
         """
-        live = self._ratios[: self.m]
-        np.divide(self.rows[: self.m], self.denom, out=live)
-        np.max(live, axis=1, initial=0.0, out=self._scores[: self.m])
-        return self._scores[: self.m], self.pos[: self.m]
+        live, pos = self.rows[: self.m], self.pos[: self.m]
+        if not live.shape[1]:
+            return 0.0, pos
+        ratio = live.max(axis=0)
+        ratio /= self.denom
+        top = ratio.max()
+        pairs = np.flatnonzero(ratio == top)
+        reach = np.take(live, pairs, axis=1) / self.denom[pairs] == top
+        return float(top), pos[reach.any(axis=1)]
 
 
 def _best_ordering_value(rows: np.ndarray) -> float:
@@ -328,10 +342,9 @@ def _greedy_value(kernel: _PairScores, start: int) -> float:
     total = kernel.score(start)
     kernel.take(start)
     while kernel.m:
-        scores, pos = kernel.scores()
-        top = scores.max()
-        total += float(top)
-        kernel.take(int(pos[scores == top].min()))  # ties go to the smallest pool index
+        top, winners = kernel.best()
+        total += top
+        kernel.take(int(winners.min()))  # ties go to the smallest pool index
     return total
 
 
@@ -343,8 +356,15 @@ def projected_dimension(fclass: FiniteFunctionClass, samples) -> ProjectedDimens
     greedy lower bound from ``GREEDY_RESTARTS`` starts, flagged by
     ``exact=False``.
     """
-    kernel = _PairScores(fclass.value_matrix(samples))
-    n = len(samples)
+    return _projected_dimension(_PairScores(fclass.value_matrix(samples)))
+
+
+def _projected_dimension(kernel: _PairScores) -> ProjectedDimension:
+    """:func:`projected_dimension` of the pool of a fresh ``kernel``, one whose rows are still in pool order.
+
+    The greedy restarts leave every point taken and the rows swapped.
+    """
+    n = len(kernel.pos)
     if n == 0:
         return ProjectedDimension(0.0, True)
     if n <= DEFAULT_DIM_EXACT_CAP:
@@ -464,8 +484,10 @@ def general_bbq_trace(
 
     values = fclass.value_matrix(pool)
     kernel = _PairScores(values)
-    # only the residual exit reads the projected dimension
-    pdim = None if exhaust_pool else projected_dimension(fclass, pool)
+    pdim = None  # only the residual exit reads the projected dimension
+    if not exhaust_pool:
+        pdim = _projected_dimension(kernel)  # before any take, while rows are in pool order
+        kernel.reset()  # the stage loop breaks ties by sample id, so the rows' order changes no pick
 
     survivors = list(range(len(pool)))
     queried: list[tuple[int, LabeledSample]] = []
@@ -479,13 +501,11 @@ def general_bbq_trace(
         stage_scores: list[float] = []
         exit_score = 0.0
         while kernel.m:
-            scores, pos = kernel.scores()
-            top = float(scores.max())
+            top, winners = kernel.best()
             if top <= eps2:
                 exit_score = top
                 break
-            tied = np.sort(pos[scores == top])
-            chosen = int(tied[np.argmin(ids[tied])])  # ties go to the smallest sample id
+            chosen = int(winners[np.argmin(ids[winners])])  # ties go to the smallest sample id
             stage_queries.append(chosen)
             stage_scores.append(top)
             kernel.take(chosen)

@@ -36,7 +36,7 @@ from coreset_unlearn.capacity import (
     second_moment,
 )
 from coreset_unlearn.core_linalg import gram_init, rank_one_update, refresh_inverse
-from coreset_unlearn.datastreams import Rows, deletion_weights
+from coreset_unlearn.datastreams import Rows, deletion_stream, deletion_weights
 from coreset_unlearn.verify import random_linear_instance
 
 
@@ -473,10 +473,31 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="K must be >= 1"):
                 expected_capacity_mc(ds.samples, DeletionDistribution(), K=K, trials=2, seed=0)
 
+    @pytest.mark.parametrize("case", ["minority label", "label with no rows", "few weighted rows"])
+    def test_refuses_more_draws_than_eligible_before_any_fit(self, monkeypatch, case):
+        # the default grid reaches T // 2 = 150; the minority label ran a whole trial's fit before
+        # deletion_stream refused, and a label with no rows divided 0 by 0 in second_moment first
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=5, seed=20))
+        dist, message = DeletionDistribution(kind="by-label", target_label=1), "only 134 eligible"
+        if case == "label with no rows":
+            ds, message = ds.take(np.flatnonzero(ds.y == -1)), "only 0 eligible"
+        elif case == "few weighted rows":
+            dist = DeletionDistribution(kind="weighted", weights={i: 0.5 if i < 2 else 0.0 for i in range(300)})
+            message = "only 2 have weight"
+        grid_max = len(ds) // 2
+        fits = []
+        monkeypatch.setattr(capacity, "bbq_fit", lambda *a, **k: fits.append(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^requested {grid_max} deletions, {message}$"):
+                expected_capacity_mc(ds, dist, K=1, trials=2, seed=0)
+            with pytest.raises(ValueError, match=f"^requested {grid_max} deletions, {message}$"):
+                deletion_stream(ds, dist, grid_max, seed=0)  # the same rule and the same words
+        assert fits == []
+
     def test_free_deletion_fraction_matches_query_fraction(self):
         # uniform deletion of the whole dataset makes the split exact: free
         # deletions are precisely the never-queried points
-        from coreset_unlearn.datastreams import deletion_stream
 
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=6, seed=13))
         m = bbq_fit(ds.samples, cap_k=2.0, kappa=0.5)
@@ -517,7 +538,6 @@ class TestMonteCarlo:
         # against the formula instantiated with the measured core-set cost
         import time
 
-        from coreset_unlearn.datastreams import deletion_stream
 
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=1500, d=10, seed=44))
         m = bbq_fit(ds.samples, cap_k=1.0, kappa=0.7)

@@ -143,6 +143,57 @@ class TestProjectedDimension:
             assert got.exact and got.value.hex() == want.hex()
 
 
+PAIR_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def pair_tables(draw):
+    """A value table with repeated and constant rules, points on which every rule agrees, and distinct ids."""
+    n = draw(st.integers(1, 9))
+    table = []
+    for _ in range(draw(st.integers(1, 6))):  # one function: no pairs
+        kind = draw(st.sampled_from(["drawn", "constant", "repeat"] if table else ["drawn", "constant"]))
+        if kind == "drawn":
+            table.append(draw(st.lists(PAIR_VALUES, min_size=n, max_size=n)))
+        elif kind == "constant":
+            table.append([draw(PAIR_VALUES)] * n)
+        else:
+            table.append(list(draw(st.sampled_from(table))))
+    values = np.array(table)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        values[:, i] = values[0, i]  # an all-zero pair row
+    ids = np.array(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)), dtype=np.uint64)
+    return values, ids
+
+
+def full_table_best(kernel, ids):
+    """Top live score and its points by dividing every live row: the set, then the pool-index and id picks."""
+    live, pos = kernel.rows[: kernel.m], kernel.pos[: kernel.m]
+    scores = np.max(live / kernel.denom, axis=1, initial=0.0)
+    top = scores.max()
+    tied = pos[scores == top]
+    return float(top).hex(), sorted(tied.tolist()), int(tied.min()), int(tied[np.argmin(ids[tied])])
+
+
+class TestPairScores:
+    @settings(max_examples=300, deadline=None)
+    @given(case=pair_tables(), data=st.data())
+    def test_best_equals_dividing_every_live_row(self, case, data):
+        values, ids = case
+        kernel = general_bbq._PairScores(values)
+        for _ in range(2):  # the second round revives every point, its rows now out of pool order
+            kernel.reset()
+            while kernel.m:
+                top, winners = kernel.best()
+                got = (top.hex(), sorted(winners.tolist()), int(winners.min()), int(winners[np.argmin(ids[winners])]))
+                assert got == full_table_best(kernel, ids)
+                live = kernel.pos[: kernel.m].tolist()
+                for i in data.draw(st.permutations(live))[: data.draw(st.integers(1, len(live)))]:
+                    kernel.take(i)
+                if data.draw(st.booleans()):
+                    kernel.reset(revive=False)  # a new stage: the prefix empties, the taken points stay out
+
+
 class TestErm:
     def test_singleton(self):
         fclass = FiniteFunctionClass([lambda s: 0.3])
@@ -267,14 +318,26 @@ class TestGeneralFit:
 
     def test_exhaustive_fit_computes_no_projected_dimension(self, monkeypatch):
         calls = []
-        real = general_bbq.projected_dimension
-        monkeypatch.setattr(general_bbq, "projected_dimension", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = general_bbq._projected_dimension
+        monkeypatch.setattr(general_bbq, "_projected_dimension", lambda *a, **k: calls.append(1) or real(*a, **k))
         pool, fclass, _ = random_general_instance(np.random.default_rng(71), pool_max=60, class_max=8)
         residual = general_bbq_fit(pool, fclass)
         assert len(calls) == 1
         exhaustive = general_bbq_fit(pool, fclass, exhaust_pool=True)
         assert len(calls) == 1
         assert exhaustive.config == residual.config
+
+    def test_a_fit_builds_one_value_table_and_one_pair_table(self, monkeypatch):
+        pool, fclass, _ = random_general_instance(np.random.default_rng(71), pool_max=60, class_max=8)
+        tables, kernels = [], []
+        real_values, real_kernel = fclass.value_matrix, general_bbq._PairScores
+        fclass.value_matrix = lambda samples: tables.append(len(samples)) or real_values(samples)
+        monkeypatch.setattr(general_bbq, "_PairScores", lambda values: kernels.append(1) or real_kernel(values))
+        for exhaust_pool in (False, True):
+            tables.clear()
+            kernels.clear()
+            general_bbq_fit(pool, fclass, exhaust_pool=exhaust_pool)
+            assert tables == [len(pool)] and kernels == [1]
 
     @pytest.mark.parametrize(
         "pool, kwargs, message",
