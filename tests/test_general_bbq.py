@@ -151,7 +151,7 @@ def pair_tables(draw):
     """A value table with repeated and constant rules, points on which every rule agrees, and distinct ids."""
     n = draw(st.integers(1, 9))
     table = []
-    for _ in range(draw(st.integers(1, 6))):  # one function: no pairs
+    for _ in range(draw(st.integers(1, 6))):  # a single function has no pairs
         kind = draw(st.sampled_from(["drawn", "constant", "repeat"] if table else ["drawn", "constant"]))
         if kind == "drawn":
             table.append(draw(st.lists(PAIR_VALUES, min_size=n, max_size=n)))
