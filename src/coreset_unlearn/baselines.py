@@ -3,7 +3,7 @@
 Both baselines work on the array form of the data (:class:`~.datastreams.Rows`):
 a model keeps references to the training ``X``/``y`` and addresses samples by
 row index, so no per-sample objects are built.  Every entry point also accepts
-a sequence of :class:`~.bbq_linear.LabeledSample`, stacked once by
+a sequence of :class:`~.datastreams.LabeledSample`, stacked once by
 :func:`~.datastreams.as_rows`.
 
 ``ridge_retrain`` is the ground-truth full-data model (one direct solve).
@@ -107,7 +107,7 @@ def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RI
     order = rng.permutation(len(data))
     rows = [order[k::n_shards] for k in range(n_shards)]
     return SisaModel(
-        shards=[gram_from_rows(data.X[r], data.y[r], lam) for r in rows],
+        shards=[gram_from_rows(data.X.take(r, 0), data.y.take(r), lam) for r in rows],
         rows=rows,
         assignment=dict(zip(data.ids[order].tolist(), (np.arange(len(order)) % n_shards).tolist())),
         ids=data.ids,
@@ -129,7 +129,7 @@ def sisa_unlearn(model: SisaModel, ids) -> SisaModel:
         touched.add(shard)
     for shard in touched:
         r = model.rows[shard]
-        model.shards[shard] = gram_from_rows(model.X[r], model.y[r], model.lam)
+        model.shards[shard] = gram_from_rows(model.X.take(r, 0), model.y.take(r), model.lam)
     return model
 
 

@@ -69,6 +69,7 @@ import numpy as np
 from .atomic_io import atomic_open
 from .core_linalg import (
     FLOAT64,
+    NORM_SLACK,
     GramState,
     as_vector,
     gram_from_rows,
@@ -259,6 +260,15 @@ class BBQParams:
     @property
     def query_threshold(self) -> float:
         return float(self.horizon) ** (-self.kappa)
+
+    @property
+    def largest_leverage(self) -> float:
+        """``(1 + NORM_SLACK)**2 / lam``: no admissible point's leverage exceeds it.
+
+        A leverage is at most ``||x||**2 / lam``, so a ``query_threshold`` at
+        or above this value queries nothing.
+        """
+        return (1.0 + NORM_SLACK) ** 2 / self.lam
 
 
 @dataclass

@@ -130,6 +130,18 @@ def _check_sampler_args(args) -> None:
     _usage_checked(BBQParams, horizon=1, kappa=args.kappa, cap_k=args.cap_k)
 
 
+def _warn_query_floor(T: int, args) -> None:
+    """One stderr line when ``--kappa`` puts the threshold at or above every leverage, so nothing is queried."""
+    params = BBQParams(horizon=T, kappa=args.kappa, cap_k=args.cap_k)
+    if params.query_threshold >= params.largest_leverage:
+        print(
+            f"warning: --kappa {args.kappa:g} queries nothing at T={T}: the threshold T**-kappa = "
+            f"{params.query_threshold:.6g} is at least {params.largest_leverage:.6g}, the largest leverage "
+            f"at --cap-k {args.cap_k:g}",
+            file=sys.stderr,
+        )
+
+
 def _cmd_gen(args) -> int:
     spec = _usage_checked(DatasetSpec, kind=args.kind, T=args.t, d=args.d, seed=args.seed, gamma=args.gamma)
     save_dataset(gen_dataset(spec), args.out)
@@ -140,6 +152,7 @@ def _cmd_gen(args) -> int:
 def _cmd_fit(args) -> int:
     _check_sampler_args(args)
     ds = load_dataset(args.data)
+    _warn_query_floor(len(ds), args)
     model = bbq_fit(ds, cap_k=args.cap_k, kappa=args.kappa)
     save_model(model, args.out)
     print(f"wrote {args.out} (core set {len(model.coreset)} of {len(ds)})")
@@ -201,6 +214,7 @@ def _cmd_capacity(args) -> int:
     else:
         spec = _usage_checked(DatasetSpec, kind="realizable-linear", T=args.t, d=args.d, seed=args.seed)
         ds = gen_dataset(spec)
+    _warn_query_floor(len(ds), args)
     curve = expected_capacity_mc(
         ds,
         DeletionDistribution(kind="uniform"),

@@ -131,13 +131,24 @@ def gram_from_rows(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
     weights are ``inv @ b``.  The same rows, in the same order and memory
     layout, give the same bits, which is what lets a model file carry only
     its records.
+
+    The bits are those of :func:`gram_init` followed by ``+=`` of the two
+    products: ``lam`` is added on the product's diagonal, and adding ``0.0``
+    to each product turns a sum that came out ``-0.0`` into ``+0.0``, as the
+    zeros of ``gram_init`` would.
     """
-    state = gram_init(X.shape[1], lam)
-    state.gram += X.T @ X
-    state.b_vec += X.T @ y.astype(np.float64)
-    state.gram_inv = np.linalg.inv(state.gram)
-    state.weight = state.gram_inv @ state.b_vec
-    return state
+    dim = X.shape[1]
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim}")
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    lam = float(lam)
+    gram = np.add(X.T @ X, 0.0, dtype=np.float64)
+    gram.ravel()[:: dim + 1] += lam
+    b_vec = X.T @ y.astype(np.float64)
+    b_vec += 0.0
+    gram_inv = np.linalg.inv(gram)
+    return GramState(dim=int(dim), lam=lam, gram=gram, gram_inv=gram_inv, b_vec=b_vec, weight=gram_inv @ b_vec)
 
 
 def rank_one_update(state: GramState, x, y: float) -> GramState:

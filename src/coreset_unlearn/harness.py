@@ -10,8 +10,8 @@ its model-dependent report fields.  Reports are deterministic given the
 config and seeds, except for wall-clock fields.
 
 The runner works on the array form of the dataset, and every method fits
-it as rows; the selective sampler builds a sample only for each row it
-stores.
+it as rows; the selective sampler's core set is rows as well, so the runner
+builds no per-sample objects.
 
 The capacity gate applies only to the selective sampler and only to core-set
 hits, and its cost counts toward the sampler's deletion time.  Exhaustion is

@@ -12,6 +12,8 @@ from coreset_unlearn import (
     sisa_unlearn,
 )
 from coreset_unlearn.baselines import sisa_accuracy_batch, sisa_predict_batch, weight_accuracy
+from coreset_unlearn.core_linalg import gram_from_rows
+from coreset_unlearn.datastreams import as_rows
 
 
 def small_dataset(seed=81, T=300, d=6):
@@ -129,10 +131,19 @@ class TestSisa:
         fit_order = [model.ids[r].tolist() for r in model.rows]
         rng = np.random.default_rng(84)
         gone = set()
+        shard_of = {sid: shard for shard, order in enumerate(fit_order) for sid in order}
+        sample_of = {s.sample_id: s for s in ds.samples}
         for _ in range(6):
             batch = rng.choice([s.sample_id for s in ds.samples], size=15, replace=False).tolist()
+            touched = {shard_of[sid] for sid in batch if sid not in gone}
             sisa_unlearn(model, batch)
             gone.update(batch)
+            for shard in touched:
+                # a retrained shard is a fresh fit on its survivors, bit for bit in every field
+                rows = as_rows([sample_of[sid] for sid in fit_order[shard] if sid not in gone])
+                fresh = gram_from_rows(rows.X, rows.y, 2.0)
+                for field in ("gram", "gram_inv", "b_vec", "weight"):
+                    assert getattr(model.shards[shard], field).tobytes() == getattr(fresh, field).tobytes(), field
         by_id = {s.sample_id: s for s in ds.samples}
         for shard, order in enumerate(fit_order):
             survivors = [by_id[sid] for sid in order if sid not in gone]

@@ -86,6 +86,18 @@ class TestFit:
         assert leverage(m.gram_state, [1.0]) == 0.25
         assert 3 not in m.coreset_ids
 
+    @pytest.mark.parametrize("kappa,stores", [(0.0, False), (0.25, False), (0.4178, False), (0.4179, True), (0.5, True)])
+    def test_a_threshold_at_the_largest_leverage_queries_nothing(self, kappa, stores):
+        # the first point of a unit-norm stream has the largest leverage, 1/cap_k; the floor at T=4000,
+        # cap_k 32 is kappa = ln 32 / ln 4000 = 0.41786
+        params = BBQParams(horizon=4000, kappa=kappa, cap_k=32.0)
+        assert params.largest_leverage == (1.0 + core_linalg.NORM_SLACK) ** 2 / 32.0
+        assert (params.query_threshold >= params.largest_leverage) is not stores
+        X = unit_vectors(np.random.default_rng(41), 4000, 5)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        rows = Rows(ids=np.arange(4000, dtype=np.uint64), X=X, y=np.ones(4000, dtype=np.int8))
+        assert (len(bbq_fit(rows, cap_k=32.0, kappa=kappa).coreset) > 0) is stores
+
     def test_zero_vectors_never_queried(self):
         stream = [LabeledSample(i, [0.0, 0.0], 1) for i in range(10)]
         m = bbq_fit(stream, cap_k=1.0, kappa=0.5)

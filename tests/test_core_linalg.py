@@ -427,3 +427,84 @@ def test_update_downdate_roundtrip_property(pts, idx):
     rank_one_downdate(s, target, 1)
     np.testing.assert_allclose(s.gram_inv, before.gram_inv, atol=1e-10)
     np.testing.assert_allclose(s.weight, before.weight, atol=1e-10)
+
+
+def two_step_gram(X, y, lam):
+    """Reference for :func:`gram_from_rows`: ``gram_init``, ``+=`` of both products, ``inv``, ``inv @ b``."""
+    state = gram_init(X.shape[1], lam)
+    state.gram += X.T @ X
+    state.b_vec += X.T @ y.astype(np.float64)
+    state.gram_inv = np.linalg.inv(state.gram)
+    state.weight = state.gram_inv @ state.b_vec
+    return state
+
+
+def assert_same_state_bits(got, want):
+    assert (got.dim, got.lam, got.downdates_since_refresh) == (want.dim, want.lam, want.downdates_since_refresh)
+    assert type(got.dim) is int and type(got.lam) is float
+    for field in ("gram", "gram_inv", "b_vec", "weight"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+@st.composite
+def ridge_rows(draw):
+    """Rows with signed zeros, some all-zero feature columns, labels in {-1, +1}, and a positive lam."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=24))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)))
+    for col in draw(st.sets(st.integers(min_value=0, max_value=d - 1), max_size=d)):
+        X[:, col] = draw(st.sampled_from([0.0, -0.0]))
+    y = draw(arrays(np.int8, (n,), elements=st.sampled_from([-1, 1])))
+    lam = draw(st.sampled_from([1.0, 2.0, 32.0]) | st.floats(min_value=1e-3, max_value=1e3))
+    return X, y, lam
+
+
+class TestGramFromRows:
+    """The one-step kernel gives the bits of the two-step reference in all four fields."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ridge_rows())
+    def test_equals_two_step_reference_bit_for_bit(self, case):
+        X, y, lam = case
+        assert_same_state_bits(gram_from_rows(X, y, lam), two_step_gram(X, y, lam))
+
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_zero_rows_give_the_initial_state(self, d):
+        X, y = np.empty((0, d)), np.empty(0, dtype=np.int8)
+        state = gram_from_rows(X, y, 2.5)
+        assert_same_state_bits(state, two_step_gram(X, y, 2.5))
+        assert_same_state_bits(state, gram_init(d, 2.5))
+
+    def test_zero_column_with_every_label_negative_leaves_positive_zeros(self):
+        # each product in column 0 and in b[0] is -0.0; the sums leave as +0.0, as gram_init's zeros make them
+        X = np.zeros((7, 4))
+        X[:, 1:] = np.linspace(-0.5, -0.2, 21).reshape(7, 3)
+        y = np.full(7, -1, dtype=np.int8)
+        state = gram_from_rows(X, y, 1.0)
+        assert_same_state_bits(state, two_step_gram(X, y, 1.0))
+        for field in (state.gram, state.b_vec):
+            zeros = field[field == 0.0]
+            assert zeros.size and not np.signbit(zeros).any()
+
+    def test_each_field_is_its_own_array(self):
+        state = gram_from_rows(np.full((3, 2), 0.5), np.array([1, -1, 1], dtype=np.int8), 1.0)
+        fields = (state.gram, state.gram_inv, state.b_vec, state.weight)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(fields) for b in fields[i + 1:])
+
+    @pytest.mark.parametrize(
+        "shape,lam,message",
+        [
+            ((3, 0), 1.0, "dim must be a positive integer, got 0"),
+            ((3, 2), 0.0, "lam must be positive, got 0.0"),
+            ((3, 2), -0.5, "lam must be positive, got -0.5"),
+            ((0, 0), -1.0, "dim must be a positive integer, got 0"),
+        ],
+    )
+    def test_rejects_what_gram_init_rejects(self, shape, lam, message):
+        X, y = np.zeros(shape), np.ones(shape[0], dtype=np.int8)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gram_from_rows(X, y, lam)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            two_step_gram(X, y, lam)

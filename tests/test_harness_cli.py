@@ -614,6 +614,29 @@ class TestCli:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert cli_main(["fit", "--data", str(tmp_path / "nope.bin"), "--out", "x"]) == 2
 
+    @pytest.mark.parametrize("command", ["fit", "capacity"])
+    def test_query_floor_warns_once_on_stderr(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds.bin"
+        assert cli_main(["gen", "--kind", "margin", "--t", "4000", "--d", "5", "--gamma", "0.1", "--out", str(ds)]) == 0
+        capsys.readouterr()
+        extra = ["--k", "2", "--trials", "1"] if command == "capacity" else []
+        printed = {}
+        for kappa in ("0.25", "0.5"):
+            out = tmp_path / f"{command}-{kappa}"
+            argv = [command, "--data", str(ds), "--kappa", kappa, "--cap-k", "32", *extra, "--out", str(out)]
+            assert cli_main(argv) == 0
+            printed[kappa] = capsys.readouterr()
+            # stdout keeps its one line either way
+            assert len(printed[kappa].out.splitlines()) == 1
+            assert printed[kappa].out.startswith(f"wrote {out} (")
+        assert printed["0.25"].err.splitlines() == [
+            "warning: --kappa 0.25 queries nothing at T=4000: the threshold T**-kappa = 0.125743 "
+            "is at least 0.03125, the largest leverage at --cap-k 32"
+        ]
+        assert printed["0.5"].err == ""
+        if command == "fit":
+            assert printed["0.25"].out.endswith("(core set 0 of 4000)\n")
+
     def test_capacity_subcommand(self, tmp_path):
         out = tmp_path / "cap.json"
         code = cli_main([
