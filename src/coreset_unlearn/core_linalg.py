@@ -107,12 +107,17 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def gram_init(dim: int, lam: float) -> GramState:
-    """Fresh state: ``gram = lam*I``, zero b and weight."""
+def _check_dim_and_lam(dim, lam) -> None:
+    """``ValueError`` unless ``dim >= 1`` and ``lam > 0``."""
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
+
+
+def gram_init(dim: int, lam: float) -> GramState:
+    """Fresh state: ``gram = lam*I``, zero b and weight."""
+    _check_dim_and_lam(dim, lam)
     return GramState(
         dim=int(dim),
         lam=float(lam),
@@ -138,17 +143,14 @@ def gram_from_rows(X: np.ndarray, y: np.ndarray, lam: float) -> GramState:
     zeros of ``gram_init`` would.
     """
     dim = X.shape[1]
-    if dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_dim_and_lam(dim, lam)
     lam = float(lam)
     gram = np.add(X.T @ X, 0.0, dtype=np.float64)
     gram.ravel()[:: dim + 1] += lam
     b_vec = X.T @ y.astype(np.float64)
     b_vec += 0.0
     gram_inv = np.linalg.inv(gram)
-    return GramState(dim=int(dim), lam=lam, gram=gram, gram_inv=gram_inv, b_vec=b_vec, weight=gram_inv @ b_vec)
+    return GramState(dim=dim, lam=lam, gram=gram, gram_inv=gram_inv, b_vec=b_vec, weight=gram_inv @ b_vec)
 
 
 def rank_one_update(state: GramState, x, y: float) -> GramState:
