@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import GramState, gram_from_rows, rank_one_downdate
+from .core_linalg import GramState, check_lam, gram_from_rows, rank_one_downdate
 from .datastreams import as_rows
 
 DEFAULT_RIDGE_LAMBDA = 1.0
@@ -29,6 +29,7 @@ DEFAULT_RIDGE_LAMBDA = 1.0
 
 def ridge_retrain(samples, lam: float = DEFAULT_RIDGE_LAMBDA) -> np.ndarray:
     """Direct solve of ``(lam*I + X^T X) w = X^T y`` over the full sample."""
+    check_lam(lam)
     rows = as_rows(samples)
     if not len(rows):
         raise ValueError("ridge_retrain needs a nonempty sample")

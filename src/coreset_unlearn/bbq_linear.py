@@ -11,12 +11,13 @@ identical to the state of a fresh fit on the survivors.  Deletions of points
 outside the core set are free.
 
 The core set is a :class:`CoreSet`: its rows packed in ``ids``, ``X`` and
-``y`` arrays in fit order, with one dict from id to row.  A fit hands it the
-rows it queried and a load the records it read, and neither builds a
-per-sample object.  A core-set hit is looked up and taken out in amortized
-O(1), its stored row overwritten, so the hit's whole cost is the one
-``O(d^2)`` downdate and no deleted value stays in storage; a batch of hits
-is downdated in fit order, the order of their stored rows.
+``y`` arrays in fit order that it owns, with one dict from id to row.  A fit
+hands it the rows it queried and a load the records it read, which it copies
+once, and neither builds a per-sample object.  A core-set hit is looked up
+and taken out in amortized O(1), its stored row overwritten, so the hit's
+whole cost is the one ``O(d^2)`` downdate and no deleted value stays in
+storage; a batch of hits is downdated in fit order, the order of their
+stored rows.
 
 The fit keeps nothing per point: ``ModelState.query_log`` is ``range(n)``
 over the ``n`` streamed points, so it holds no sample id and no leverage.  On
@@ -53,8 +54,8 @@ by :func:`~.datastreams.pack_rows` and read by
 state of a fresh fit on them, and the saved model takes that state, so the
 model in memory and the one loaded from its file agree bit for bit.  A save
 packs the core set's stored rows in one step.  A load checks the records by
-building them as :class:`~.datastreams.Rows`, and the core set keeps those
-arrays.  A save replaces the file atomically.  The deletion counters and the count of
+building them as :class:`~.datastreams.Rows`, and the core set copies them.
+A save replaces the file atomically.  The deletion counters and the count of
 streamed points are run-time artifacts and are not serialized.
 """
 
@@ -78,7 +79,9 @@ from .core_linalg import (
     rank_one_downdate,
     rank_one_update,
 )
-from .datastreams import Rows, pack_rows, row_dtype, sample_ids, trusted_rows, trusted_samples, unpack_rows
+from .datastreams import (
+    LabeledSample, Rows, pack_rows, row_dtype, sample_ids, trusted_rows, trusted_samples, unpack_rows,
+)
 
 MODEL_MAGIC = b"SAUL1"
 MODEL_VERSION = 2
@@ -110,44 +113,38 @@ class ModelFormatError(ValueError):
 class CoreSet:
     """The stored core set: its rows packed in arrays in fit order, keyed by id.
 
-    The storage is three arrays, ``ids u64``, ``X f64[:, d]`` and ``y i8``,
-    and one dict from each stored id to its row.  Rows are stored in fit
+    The storage is three arrays that the core set owns and writes, ``ids
+    u64``, ``X f64[:, d]`` and ``y i8``, and one dict from each stored id to
+    its row; ``CoreSet(rows)`` copies the rows of a
+    :class:`~.datastreams.Rows` into them, once.  Rows are stored in fit
     order and the dict keeps insertion order, so its keys are the stored ids
     in fit order and no live mask is needed; ``sid in coreset`` is O(1).  A
     removal pops the id and overwrites its row with zeros, so no value of a
     removed sample stays in storage.  When such holes outnumber the stored
     rows, the stored rows move to new arrays in fit order, so removal stays
-    amortized O(1).
+    amortized O(1); ``append`` moves them every time, so it costs O(len).
 
-    A core set is built on the arrays of a :class:`~.datastreams.Rows` (the
-    rows a fit queried, the records a load read), uncopied.  They stay
-    read-only, and :meth:`rows` hands them out as they are, until the first
-    change, which moves the rows to writable arrays; ``append`` moves them
-    every time, so it costs O(len).
-
-    Iteration in fit order, slicing to a list, :meth:`by_id`, :meth:`remove`
-    and ``pop()`` of the last sample each build the
-    :class:`~.datastreams.LabeledSample` they return, which owns a copy of
-    its row; ``append`` stores a sample's row.  :meth:`ids` is a live view of
-    the stored ids, :meth:`row` reads one row in place and :meth:`take`
-    removes one.  It has no positional indexing: a sample is found by its id.
+    :meth:`take` removes one row and returns its values, :meth:`rows` copies
+    the stored rows out and :meth:`ids` is a live view of the stored ids.
+    Iteration in fit order, slicing to a list and ``pop()`` of the last row
+    build the :class:`~.datastreams.LabeledSample` they return, which owns a
+    copy of its row; ``append`` stores a sample's row.  It has no positional
+    indexing: a sample is found by its id.
     """
 
     __slots__ = ("_row", "_ids", "_X", "_y")
 
     def __init__(self, rows: Rows):
-        self._ids, self._X, self._y = rows.ids, rows.X, rows.y
+        self._ids, self._X, self._y = rows.ids.copy(), rows.X.copy(), rows.y.copy()
         self._row = dict(zip(rows.ids.tolist(), range(len(rows))))
 
     def _stored(self):
-        """The stored rows' ``(ids, X, y)`` in fit order: the storage itself while it is read-only, else new arrays."""
-        if not self._X.flags.writeable:  # read-only storage has no holes
-            return self._ids, self._X, self._y
+        """The stored rows' ``(ids, X, y)`` in fit order, as new arrays."""
         keep = np.fromiter(self._row.values(), dtype=np.intp, count=len(self._row))
         return self._ids[keep], self._X[keep], self._y[keep]
 
     def _move(self, size: int) -> None:
-        """Move the stored rows, in fit order, to the first rows of new zeroed writable arrays of ``size`` rows."""
+        """Move the stored rows, in fit order, to the first rows of new zeroed arrays of ``size`` rows."""
         stored = self._stored()
         n = len(stored[0])
         self._ids, self._X, self._y = (np.zeros((size, *a.shape[1:]), a.dtype) for a in stored)
@@ -171,10 +168,6 @@ class CoreSet:
 
         ``x`` is a copy: the stored row is overwritten with zeros.
         """
-        if sample_id not in self._row:
-            raise KeyError(sample_id)
-        if not self._X.flags.writeable:
-            self._move(len(self._row))
         r = self._row.pop(sample_id)
         x, y = self._X[r].copy(), int(self._y[r])
         self._ids[r], self._X[r], self._y[r] = 0, 0.0, 0
@@ -182,32 +175,16 @@ class CoreSet:
             self._move(len(self._row))
         return x, y
 
-    def row(self, sample_id: int) -> tuple[np.ndarray, int]:
-        """``(x, y)`` of ``sample_id``, ``x`` a read-only view of its stored row, valid until the core set changes."""
-        r = self._row[sample_id]
-        x = self._X[r]
-        x.flags.writeable = False
-        return x, int(self._y[r])
-
     def rows(self) -> Rows:
-        """The stored rows in fit order as read-only :class:`~.datastreams.Rows`, which no later change reaches."""
+        """A read-only copy of the stored rows in fit order, as :class:`~.datastreams.Rows`."""
         return trusted_rows(*self._stored())
 
-    def pop(self):
-        """Remove and return the last sample in fit order."""
+    def pop(self) -> LabeledSample:
+        """Take out the last row in fit order and return it as a sample."""
         if not self._row:
             raise KeyError("pop from an empty core set")
-        return self.remove(next(reversed(self._row)))
-
-    def remove(self, sample_id: int):
-        """Take out and return the sample with ``sample_id``; ``KeyError`` if absent."""
-        sample = self.by_id(sample_id)
-        self.take(sample_id)
-        return sample
-
-    def by_id(self, sample_id: int):
-        r = self._row[sample_id]
-        return trusted_samples(self._ids[r : r + 1], self._X[r : r + 1], self._y[r : r + 1])[0]
+        sid = next(reversed(self._row))
+        return LabeledSample(sid, *self.take(sid))
 
     def ids(self):
         """A live view of the stored ids in fit order: no copy, set operations in C."""
@@ -224,11 +201,8 @@ class CoreSet:
 
     def __getitem__(self, index: slice) -> list:
         if type(index) is not slice:
-            raise TypeError("a core set is sliced, not indexed: look a sample up with by_id")
+            raise TypeError("a core set is sliced, not indexed")
         return trusted_samples(*(a[index] for a in self._stored()))
-
-    def __repr__(self) -> str:
-        return f"CoreSet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -534,12 +508,14 @@ def replay_on_coreset(model: ModelState, ids) -> ModelState:
 
     The monotone query condition guarantees the replay re-queries every
     survivor, so the result matches the downdated state.  Exists as the
-    verification path for that property.
+    verification path for that property.  The survivors are fitted as rows,
+    which give the sample-list fit's bits.
     """
     ids = set(ids)
-    survivors = [s for s in model.coreset if s.sample_id not in ids]
+    rows = model.coreset.rows()
+    kept = np.fromiter((sid not in ids for sid in rows.ids.tolist()), dtype=bool, count=len(rows))
     return bbq_fit(
-        survivors,
+        rows.take(kept),
         cap_k=model.params.cap_k,
         kappa=model.params.kappa,
         horizon=model.params.horizon,
@@ -617,5 +593,5 @@ def load_model(path) -> ModelState:
     except ValueError as exc:
         raise ModelFormatError(f"core set: {exc}") from exc
     state = gram_from_rows(records.X, records.y, params.lam)
-    coreset = CoreSet(records)  # the records it read, as they are
+    coreset = CoreSet(records)
     return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(0))

@@ -322,7 +322,7 @@ def expected_capacity_mc(
         if check_drift_identity and hit_positions:
             probe_x = xs_all[perm[0]]
             for pos in hit_positions[: K + 1]:
-                x, y = model.coreset.row(draws[pos])
+                x, y = model.coreset.take(draws[pos])  # the trial's model is thrown away after the check
                 predicted = predicted_deletion_drift(model.gram_state, x, y, probe_x)
                 before = float(model.gram_state.weight @ probe_x)
                 rank_one_downdate(model.gram_state, x, y)

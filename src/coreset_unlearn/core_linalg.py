@@ -107,12 +107,19 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def _check_dim_and_lam(dim, lam) -> None:
-    """``ValueError`` unless ``dim >= 1`` and ``lam > 0``."""
-    if dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
+def check_lam(lam) -> None:
+    """``ValueError`` unless ``lam`` is finite and positive: a NaN or infinite ``lam`` gives NaN or zero weights."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
+
+
+def _check_dim_and_lam(dim, lam) -> None:
+    """``ValueError`` unless ``dim >= 1`` and :func:`check_lam` passes."""
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim}")
+    check_lam(lam)
 
 
 def gram_init(dim: int, lam: float) -> GramState:

@@ -24,8 +24,9 @@ per-sample objects exist where a caller asks for a stream of them, and
 This module owns the stored row and the sample-id rule.  A :class:`Rows` is
 checked once, when it is built, under the rule :class:`LabeledSample` applies
 to each sample, and holds read-only arrays, so no consumer checks rows again
-(:func:`trusted_rows` wraps rows a core set stores, checked on their way in,
-and the rows :meth:`Rows.take` selects from rows checked already);
+(:func:`trusted_rows` wraps the rows a core set is built from and the copies
+it hands out, checked on their way in, and the rows :meth:`Rows.take`
+selects from rows checked already);
 every reader of a sample list takes its ids through :func:`sample_ids`, which
 refuses a repeat as :class:`Rows` does.  Both file formats store rows packed
 as :func:`row_dtype`; :func:`pack_rows` and :func:`unpack_rows` are the one
@@ -165,7 +166,7 @@ def trusted_rows(ids: np.ndarray, X: np.ndarray, y: np.ndarray) -> Rows:
 
     Only for C-contiguous arrays in the stored dtypes whose rows were checked
     already, whose ids are distinct and that no one else writes: the rows a
-    core set stores, and the rows :meth:`Rows.take` selects.
+    core set is built from or copies out, and the rows :meth:`Rows.take` selects.
     """
     rows = object.__new__(Rows)
     for name, value in (("ids", ids), ("X", X), ("y", y)):

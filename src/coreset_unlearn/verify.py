@@ -41,12 +41,7 @@ _GRAM_FIELDS = ("gram", "gram_inv", "b_vec", "weight")
 
 
 def random_linear_instance(rng: np.random.Generator, t_max: int = 2000):
-    """A fitted sampler on synthetic realizable data with a satisfiable query condition.
-
-    The sampler fits the dataset as rows, so the suites that compare it with
-    :func:`~.bbq_linear.replay_on_coreset`, a fit on a sample list, check the
-    two input paths of ``bbq_fit`` against each other.
-    """
+    """A fitted sampler on synthetic realizable data with a satisfiable query condition."""
     T = int(rng.integers(200, t_max + 1))
     d = int(rng.integers(2, 21))
     kappa = float(rng.choice((0.3, 0.5, 0.7)))
@@ -187,8 +182,9 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
     that replay, a fresh fit on the survivors (:func:`_deletion_matches`), and
     every point never queried must have leverage at most ``e * T^-kappa``.  Then up to 20 random training
     ids, any number of them core-set hits, are deleted and the model must
-    again equal a fresh fit.  The instance is fitted on rows and each replay
-    on a sample list, so every comparison also crosses the two fit paths.
+    again equal a fresh fit.  The instance and each replay are fitted on rows;
+    ``TestRowsFit`` and the both-forms pins of ``TestSamplerDecisions`` in the
+    tests compare the rows fit with the sample-list fit.
     """
     rng = _rng(seed, 2)
     diverged, replay_failed, bound_failed = [], [], []
@@ -255,13 +251,15 @@ def check_drift_identity(seed: int, trials: int) -> tuple[str, bool, str]:
         if not model.coreset:
             continue
         instances += 1
-        victims = list(model.coreset)
+        stored = model.coreset.rows()
+        victims = list(range(len(stored)))
         rng.shuffle(victims)
-        for victim in victims[: int(model.params.cap_k)]:
+        for r in victims[: int(model.params.cap_k)]:
             P = ds.X[rng.integers(0, len(ds), size=25)]
-            predicted = [predicted_deletion_drift(model.gram_state, victim.x, victim.y, x) for x in P]
+            x, y = stored.X[r], int(stored.y[r])
+            predicted = [predicted_deletion_drift(model.gram_state, x, y, p) for p in P]
             before = P @ model.weight
-            deletion_update(model, {victim.sample_id})
+            deletion_update(model, {int(stored.ids[r])})
             worst = max(worst, _max_abs(P @ model.weight - before - predicted))
             probes += len(P)
     return (

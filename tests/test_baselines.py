@@ -12,7 +12,7 @@ from coreset_unlearn import (
     sisa_unlearn,
 )
 from coreset_unlearn.baselines import sisa_accuracy_batch, sisa_predict_batch, weight_accuracy
-from coreset_unlearn.core_linalg import gram_from_rows
+from coreset_unlearn.core_linalg import gram_from_rows, gram_init
 from coreset_unlearn.datastreams import as_rows
 
 
@@ -170,3 +170,20 @@ class TestSisa:
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             sisa_fit(small_dataset(T=10), n_shards=2, seed=-1)
+
+
+LAM_ENTRY_POINTS = {
+    "ridge_fit": lambda ds, lam: ridge_fit(ds, lam=lam),
+    "sisa_fit": lambda ds, lam: sisa_fit(ds, n_shards=2, lam=lam),
+    "ridge_retrain": lambda ds, lam: ridge_retrain(ds, lam=lam),
+    "gram_init": lambda ds, lam: gram_init(ds.X.shape[1], lam),
+    "gram_from_rows": lambda ds, lam: gram_from_rows(ds.X, ds.y, lam),
+}
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("entry", list(LAM_ENTRY_POINTS))
+def test_a_non_finite_lam_is_refused(entry, lam):
+    # NaN passed the old ``lam <= 0`` check and gave NaN weights, inf gave all-zero ones
+    with pytest.raises(ValueError, match=f"^lam must be finite, got {lam}$"):
+        LAM_ENTRY_POINTS[entry](small_dataset(T=50), lam)

@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 from instances import ints_reachable, random_samples
 from coreset_unlearn import (
     DatasetSpec,
+    ExperimentConfig,
     LabeledSample,
     bbq_fit,
     deletion_update,
+    expected_capacity_mc,
     gen_dataset,
     load_model,
     predict,
     replay_on_coreset,
     ridge_retrain,
+    run_experiment,
     save_model,
     state_of_system,
     system_states_equal,
@@ -42,7 +45,7 @@ from coreset_unlearn.bbq_linear import (
     ModelState,
     encode_model,
 )
-from coreset_unlearn import bbq_linear, core_linalg, datastreams
+from coreset_unlearn import bbq_linear, core_linalg, datastreams, verify
 from coreset_unlearn.datastreams import DeletionDistribution, Rows, as_rows, deletion_stream, row_dtype
 from coreset_unlearn.core_linalg import DEFAULT_REFRESH_PERIOD, GramState, leverage
 from coreset_unlearn.verify import random_deletion_request, random_linear_instance, unit_vectors
@@ -591,6 +594,37 @@ class TestStoredState:
         list(loaded.coreset)  # the counters see a build
         assert built == [len(core) - 4]
 
+    def test_no_library_path_iterates_or_slices_a_core_set(self, tmp_path, monkeypatch):
+        # iteration, slicing and pop are the only ways a core set builds a sample
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=1500, d=5, seed=48))
+        cs = CoreSet(ds)
+        assert not any(np.shares_memory(a, b) for a in (cs._ids, cs._X, cs._y) for b in (ds.ids, ds.X, ds.y))
+
+        def refused(self, *args):
+            raise AssertionError("a library path iterated, sliced or popped a core set")
+
+        for name in ("__iter__", "__getitem__", "pop"):
+            monkeypatch.setattr(CoreSet, name, refused)
+        m = bbq_fit(ds, cap_k=2.0, kappa=0.5)
+        core = list(m.coreset.ids())
+        outsiders = [sid for sid in ds.ids.tolist() if sid not in m.coreset][:5]
+        deletion_update(m, core[:3] + outsiders)
+        assert (m.coreset_deletions, m.free_deletions) == (3, 5)
+        path = tmp_path / "m.saul"
+        save_model(m, path)
+        loaded = load_model(path)
+        assert encode_model(loaded) == encode_model(m) == path.read_bytes()
+        assert state_of_system(loaded).stored_ids == set(core[3:])
+        assert replay_on_coreset(loaded, core[3:5]).coreset_ids == set(core[5:])
+        expected_capacity_mc(ds, DeletionDistribution(kind="uniform"), K=2, trials=2, seed=1, cap_k=2.0)
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(kind="margin", T=800, d=5, seed=2, gamma=0.1),
+            cap_k=2.0, shards=2, deletion_fraction=0.4, cadence=100, seed=2, gate_policy="refit",
+        )
+        assert any(e.startswith("exhausted@") for e in run_experiment(cfg).methods["bbq"].gate_events)
+        for name, passed, detail in [*verify.check_linear_instances(0, 2), verify.check_drift_identity(0, 2)]:
+            assert passed, f"{name}: {detail}"
+
 
 class TestCoreSet:
     def test_the_kept_surface(self):
@@ -601,7 +635,7 @@ class TestCoreSet:
             cs.append(LabeledSample(10**9, [0.5], 1))
         assert cs[1:4] == items[1:4] and cs[::-2] == items[4::-2] and cs[:0] == []
         for index in (0, -1, 5):
-            with pytest.raises(TypeError, match="by_id"):
+            with pytest.raises(TypeError, match="^a core set is sliced, not indexed$"):
                 cs[index]
         assert not hasattr(cs, "in_fit_order") and CoreSet.__eq__ is object.__eq__
         cs.append(items[5])
@@ -609,35 +643,31 @@ class TestCoreSet:
         assert cs.pop() == items[5] and list(cs) == items[:5]
         with pytest.raises(ValueError, match="already"):
             cs.append(items[0])
-        assert cs.by_id(items[3].sample_id) == items[3]
         ids = cs.ids()
         assert list(ids) == [s.sample_id for s in items[:5]]
-        assert cs.remove(items[1].sample_id) == items[1]
+        x, y = cs.take(items[1].sample_id)
+        assert x.tobytes() == items[1].x.tobytes() and y == items[1].y
         assert list(cs) == [items[0]] + items[2:5]
         assert list(ids) == [s.sample_id for s in cs]  # a live view, not a copy
         assert items[0].sample_id in cs and items[1].sample_id not in cs and 10**9 not in cs
         for sid in list(ids)[:3]:  # holes outnumber the stored rows: they move, the view stays live
-            cs.remove(sid)
+            cs.take(sid)
         assert list(ids) == [items[4].sample_id] and list(cs) == [items[4]]
         assert cs.pop() == items[4] and not cs and list(ids) == []
         with pytest.raises(KeyError):
             cs.pop()
 
-    def test_rows_row_and_take_read_the_storage(self):
+    def test_rows_and_take_read_the_storage(self):
         items = random_samples(np.random.default_rng(45), 4, 3)
         cs = CoreSet(as_rows(items))
         rows = cs.rows()
         assert rows.ids.tolist() == [s.sample_id for s in items] and rows.X.shape == (4, 3)
         assert not (rows.ids.flags.writeable or rows.X.flags.writeable or rows.y.flags.writeable)
-        x, y = cs.row(items[2].sample_id)
-        assert x.tobytes() == items[2].x.tobytes() and y == items[2].y and not x.flags.writeable
         x, y = cs.take(items[2].sample_id)
         assert x.tobytes() == items[2].x.tobytes() and y == items[2].y and items[2].sample_id not in cs
         assert rows.ids.tolist() == [s.sample_id for s in items]  # a snapshot: the take does not reach it
         with pytest.raises(KeyError):
             cs.take(items[2].sample_id)
-        with pytest.raises(KeyError):
-            cs.row(items[2].sample_id)
 
     def test_fit_order_kept_after_deletions(self):
         rng = np.random.default_rng(41)
@@ -776,7 +806,45 @@ class TestSamples:
         assert s != LabeledSample(3, [0.5, 0.0], 1)
 
 
+@st.composite
+def replay_cases(draw):
+    """A fitted model, maybe with core-set hits deleted already, and a request:
+    empty, the whole core set, or hits mixed with never-queried and unknown ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 700)), draw(st.integers(1, 6))
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    rows = Rows(rng.permutation(10 * n)[:n].astype(np.uint64), unit_vectors(rng, n, d), y)
+    cap_k, kappa = draw(st.sampled_from([1.0, 2.0, 8.0])), draw(st.sampled_from([0.3, 0.5, 1.0]))
+    m = bbq_fit(in_form(rows, draw(st.sampled_from(FORMS))), cap_k=cap_k, kappa=kappa)
+    core = list(m.coreset.ids())
+    deletion_update(m, rng.permutation(core)[: draw(st.integers(0, len(core)))].tolist())  # holes in storage
+    core = list(m.coreset.ids())
+    kind = draw(st.sampled_from(["empty", "whole core set", "mixed"]))
+    if kind == "empty":
+        return m, []
+    if kind == "whole core set":
+        return m, core
+    never = [sid for sid in rows.ids.tolist() if sid not in m.coreset_ids]
+    request = rng.permutation(core)[: draw(st.integers(0, len(core)))].tolist()
+    request += rng.permutation(never)[: draw(st.integers(0, 5))].tolist()
+    return m, request + [10 * n + draw(st.integers(0, 10)), -1]  # unknown ids
+
+
 class TestReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(replay_cases())
+    def test_equals_the_sample_list_fit_of_the_survivors(self, case):
+        m, request = case
+        p, gone = m.params, set(request)
+        want = bbq_fit(
+            [s for s in m.coreset if s.sample_id not in gone], cap_k=p.cap_k, kappa=p.kappa, horizon=p.horizon, dim=m.dim
+        )
+        got = replay_on_coreset(m, request)
+        assert list(got.coreset.ids()) == list(want.coreset.ids())
+        assert encode_model(got) == encode_model(want)
+        for name in ("gram", "gram_inv", "b_vec", "weight"):
+            assert getattr(got.gram_state, name).tobytes() == getattr(want.gram_state, name).tobytes()
+
     def test_monotone_requery_random(self):
         rng = np.random.default_rng(21)
         for _ in range(25):

@@ -383,7 +383,7 @@ class TestReports:
 def _deletion_without_downdate(model, ids):
     for sid in set(ids):
         if sid in model.coreset:
-            model.coreset.remove(sid)
+            model.coreset.take(sid)
 
 
 def _deletion_rewriting_the_horizon(model, ids):
