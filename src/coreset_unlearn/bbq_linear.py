@@ -74,6 +74,7 @@ from .core_linalg import (
     GramState,
     as_vector,
     gram_from_rows,
+    gram_gap,
     gram_init,
     leverage,
     rank_one_downdate,
@@ -140,6 +141,8 @@ class CoreSet:
 
     def _stored(self):
         """The stored rows' ``(ids, X, y)`` in fit order, as new arrays."""
+        if len(self._row) == len(self._X):  # no holes: the arrays are the stored rows in fit order
+            return self._ids.copy(), self._X.copy(), self._y.copy()
         keep = np.fromiter(self._row.values(), dtype=np.intp, count=len(self._row))
         return self._ids[keep], self._X[keep], self._y[keep]
 
@@ -281,10 +284,16 @@ class ModelState:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Everything an observer of the system can see: the model and the stored rows, in fit order."""
+    """A copy of everything a model stores.  :func:`system_states_equal` compares all of it but
+    ``downdates_since_refresh``, a count of past downdates that a fresh fit has not taken."""
 
-    weight: np.ndarray
+    params: BBQParams
     coreset: Rows
+    gram_state: GramState
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self.gram_state.weight
 
     @property
     def stored_ids(self) -> frozenset[int]:
@@ -490,17 +499,18 @@ def deletion_update(model: ModelState, ids) -> ModelState:
 
 
 def state_of_system(model: ModelState) -> SystemState:
-    """Project to what remains observable after unlearning: weights plus stored rows."""
-    return SystemState(weight=model.weight.copy(), coreset=model.coreset.rows())
+    """The :class:`SystemState` of ``model``."""
+    return SystemState(params=model.params, coreset=model.coreset.rows(), gram_state=model.gram_state.copy())
 
 
 def system_states_equal(a: SystemState, b: SystemState, tol: float = 1e-8) -> bool:
-    """Stored sets identical and weights within ``tol`` in max-norm."""
-    if a.stored_ids != b.stored_ids:
-        return False
-    if a.weight.shape != b.weight.shape:
-        return False
-    return float(np.max(np.abs(a.weight - b.weight), initial=0.0)) <= tol
+    """The one definition of "equals a fresh fit": ``params``, ``dim`` and the stored ids, ``X``
+    and ``y`` in fit order equal bit for bit, the other Gram fields within ``tol`` in max-norm."""
+    return (
+        a.params == b.params and a.gram_state.dim == b.gram_state.dim
+        and all(getattr(a.coreset, f).tobytes() == getattr(b.coreset, f).tobytes() for f in ("ids", "X", "y"))
+        and gram_gap(a.gram_state, b.gram_state) <= tol
+    )
 
 
 def replay_on_coreset(model: ModelState, ids) -> ModelState:

@@ -196,6 +196,7 @@ def _cmd_bench(args) -> int:
         gate_policy=args.gate_policy,
     )
     report = run_experiment(cfg)
+    _warn_query_floor(report.train_size, args)
     for path in emit_report(report, args.out):
         print(f"wrote {path}")
     return EXIT_OK

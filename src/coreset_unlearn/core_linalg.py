@@ -68,9 +68,9 @@ class GramState:
         gram_inv: maintained inverse of ``gram``.
         b_vec: accumulated ``sum(y * x)``.
         weight: ``gram_inv @ b_vec``, kept in sync by every mutation.
-        downdates_since_refresh: downdates since the last refresh; one every
-            ``DEFAULT_REFRESH_PERIOD`` downdates is forced.  The one numerical-health
-            count that depends on deletion history; not serialized.
+        downdates_since_refresh: downdates since the last refresh, forced every
+            ``DEFAULT_REFRESH_PERIOD``.  It depends on deletion history, so it is not
+            serialized and :func:`~.bbq_linear.system_states_equal` skips it.
     """
 
     dim: int
@@ -91,6 +91,11 @@ class GramState:
             weight=self.weight.copy(),
             downdates_since_refresh=self.downdates_since_refresh,
         )
+
+
+def gram_gap(a: GramState, b: GramState) -> float:
+    """Largest absolute difference of ``a`` and ``b`` over ``gram``, ``gram_inv``, ``b_vec`` and ``weight``."""
+    return max(float(np.max(np.abs(getattr(a, f) - getattr(b, f)))) for f in ("gram", "gram_inv", "b_vec", "weight"))
 
 
 def as_vector(x, dim: int) -> np.ndarray:

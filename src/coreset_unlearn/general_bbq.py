@@ -433,6 +433,7 @@ class GeneralModelState:
 class GeneralSystemState:
     f_hat: int
     stored_ids: frozenset[int]
+    config: GeneralConfig
 
 
 def default_rate_bound(class_size: int, pool_size: int, delta: float) -> float:
@@ -560,7 +561,7 @@ def general_bbq_fit(
 
 
 def general_state_of_system(model: GeneralModelState) -> GeneralSystemState:
-    return GeneralSystemState(f_hat=model.f_hat, stored_ids=frozenset(model.queried_ids))
+    return GeneralSystemState(f_hat=model.f_hat, stored_ids=frozenset(model.queried_ids), config=model.config)
 
 
 def general_deletion_update(model: GeneralModelState, ids, fclass: FiniteFunctionClass) -> GeneralModelState:

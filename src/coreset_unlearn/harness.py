@@ -79,6 +79,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must not repeat, got {self.methods}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
         if self.seed < 0:
@@ -91,6 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"deletion_fraction must lie in [0, 1], got {self.deletion_fraction}")
         if self.deletion_count is not None and self.deletion_count < 0:
             raise ValueError(f"deletion_count must be >= 0, got {self.deletion_count}")
+        self.deletion_distribution()  # a kind, target or "weighted" that no run could draw from
         # the sampler's own range rule for kappa and cap_k; the horizon comes from the data, so 1 stands in
         BBQParams(horizon=1, kappa=self.kappa, cap_k=self.cap_k)
         if not 0.0 < self.delta < 1.0:
@@ -99,6 +102,10 @@ class ExperimentConfig:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if not 0.0 < self.ridge_lambda < math.inf:  # NaN fails too
             raise ValueError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
+
+    def deletion_distribution(self) -> DeletionDistribution:
+        """The distribution the run draws its deletion stream from; a config holds no weights."""
+        return DeletionDistribution(kind=self.deletion_kind, target_label=self.deletion_target_label)
 
 
 @dataclass
@@ -283,8 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_deletions = cfg.deletion_count
     else:
         n_deletions = int(cfg.deletion_fraction * len(train))
-    dist = DeletionDistribution(kind=cfg.deletion_kind, target_label=cfg.deletion_target_label)
-    stream = deletion_stream(train, dist, n_deletions, seed=cfg.seed + 1)
+    stream = deletion_stream(train, cfg.deletion_distribution(), n_deletions, seed=cfg.seed + 1)
     return ExperimentReport(
         config=cfg,
         train_size=len(train),

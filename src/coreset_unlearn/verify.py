@@ -1,22 +1,24 @@
-"""The exactness invariants of both samplers, one implementation each.
+"""The exactness invariants of both samplers, checked with the library's own comparisons.
 
 A core-set deletion must leave exactly the state of a fresh fit on the
-survivors.  Seven suites back that claim, and this module is their only
-implementation: ``coreset-unlearn verify`` runs them all from a seed, and the
-acceptance criteria 1-5 and 9 call the same functions.
-
-For the linear sampler, deletion equals a fresh fit, replay is monotone and
-the leverage bounds hold are checked on one set of random fitted instances
-(:func:`check_linear_instances`); the maintained inverse and the drift
-identity have suites of their own.  Leverages are formed here from the
+survivors.  Seven suites back that claim: ``coreset-unlearn verify`` runs them
+all from a seed, and the acceptance criteria 1-5 and 9 call the same
+functions.  For the linear sampler, deletion equals a fresh fit, replay is
+monotone and the leverage bounds hold are checked on one set of random fitted
+instances (:func:`check_linear_instances`); the maintained inverse and the
+drift identity have suites of their own.  Leverages are formed here from the
 maintained inverse, not by the sampler's own ``leverage``.  For the
 finite-class sampler, deletion equals a fresh fit on the survivors, value
 columns included, and the ERM equals a per-sample loss argmin, both on one set
-of random fitted instances (:func:`check_general_instances`).  Both deletion
-suites compare every stored field that a fresh fit also holds.
+of random fitted instances (:func:`check_general_instances`).
 
-A suite returns a ``(name, passed, detail)`` triple.  The detail counts what
-was checked, and a suite that checked nothing fails.
+The suites hold no comparison of their own.  "Equals a fresh fit" is
+:func:`~.bbq_linear.system_states_equal`, which skips only
+``downdates_since_refresh``, a count of past downdates that a fresh fit has
+not taken, and ``==`` of :func:`~.general_bbq.general_state_of_system`; the
+drift identity is :func:`~.capacity.drift_identity_gap`.  A suite returns a
+``(name, passed, detail)`` triple, whose detail counts what was checked, and
+a suite that checked nothing fails.
 """
 
 from __future__ import annotations
@@ -25,19 +27,18 @@ import math
 
 import numpy as np
 
-from .bbq_linear import bbq_fit, deletion_update, encode_model, replay_on_coreset
-from .capacity import predicted_deletion_drift
-from .core_linalg import gram_init, rank_one_downdate, rank_one_update
+from .bbq_linear import bbq_fit, deletion_update, replay_on_coreset, state_of_system, system_states_equal
+from .capacity import drift_identity_gap
+from .core_linalg import gram_gap, gram_init, rank_one_downdate, rank_one_update
 from .datastreams import DatasetSpec, LabeledSample, gen_dataset
 from .general_bbq import (
-    FiniteFunctionClass, TableRule, ThresholdRule, erm_fit, general_bbq_fit, general_deletion_update, general_state_of_system,
+    FiniteFunctionClass, GeneralSystemState, TableRule, ThresholdRule, erm_fit, general_bbq_fit,
+    general_deletion_update, general_state_of_system,
 )
 
 WEIGHT_TOL = 1e-8  # fresh-fit weights, dense inverses, drift predictions
 ROUND_TRIP_TOL = 1e-10
 LEVERAGE_SLACK = 1e-12
-
-_GRAM_FIELDS = ("gram", "gram_inv", "b_vec", "weight")
 
 
 def random_linear_instance(rng: np.random.Generator, t_max: int = 2000):
@@ -112,23 +113,9 @@ def _rng(seed: int, suite: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, suite]))
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a), initial=0.0))
-
-
 def _max_leverage(model, X: np.ndarray) -> float:
     """Largest ``x^T A^-1 x`` over the rows of ``X`` under the model's maintained inverse."""
     return float(np.max(((X @ model.gram_state.gram_inv) * X).sum(axis=1), initial=0.0))
-
-
-def _deletion_matches(model, u: set[int], fresh) -> bool:
-    """Apply ``u`` to ``model``: its saved bytes must equal those of ``fresh``, a fresh fit
-    on the surviving core set, and its Gram state must be within ``WEIGHT_TOL`` of it."""
-    deletion_update(model, u)
-    if encode_model(model) != encode_model(fresh):
-        return False
-    a, b = model.gram_state, fresh.gram_state
-    return all(_max_abs(getattr(a, name) - getattr(b, name)) <= WEIGHT_TOL for name in _GRAM_FIELDS)
 
 
 def check_sherman_morrison(seed: int, trials: int) -> tuple[str, bool, str]:
@@ -156,15 +143,14 @@ def check_sherman_morrison(seed: int, trials: int) -> tuple[str, bool, str]:
                 rank_one_update(state, x, y)
                 live.append((x, y))
             X = np.array([x for x, _ in live]).reshape(-1, d)
-            worst_dense = max(worst_dense, _max_abs(state.gram_inv - np.linalg.inv(lam * np.eye(d) + X.T @ X)))
+            worst_dense = max(worst_dense, float(np.max(np.abs(state.gram_inv - np.linalg.inv(lam * np.eye(d) + X.T @ X)))))
             ops += 1
         if live:
             before = state.copy()
             x, y = live[0]
             rank_one_update(state, x, y)
             rank_one_downdate(state, x, y)
-            for name in _GRAM_FIELDS:
-                worst_trip = max(worst_trip, _max_abs(getattr(state, name) - getattr(before, name)))
+            worst_trip = max(worst_trip, gram_gap(state, before))
             trips += 1
     return (
         "sherman-morrison vs dense inversion",
@@ -179,7 +165,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
     Each instance gets a :func:`random_deletion_request`.  Before it is applied,
     every stored point must have leverage at most ``1/(lam+1)`` and a replay on
     the survivors must re-query exactly them.  After it, the model must equal
-    that replay, a fresh fit on the survivors (:func:`_deletion_matches`), and
+    that replay, a fresh fit on the survivors (within :data:`WEIGHT_TOL`), and
     every point never queried must have leverage at most ``e * T^-kappa``.  Then up to 20 random training
     ids, any number of them core-set hits, are deleted and the model must
     again equal a fresh fit.  The instance and each replay are fitted on rows;
@@ -204,7 +190,8 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
             replay_failed.append(t)
         replayed += bool(queried)
 
-        exact = _deletion_matches(model, u, fresh)
+        deletion_update(model, u)
+        exact = system_states_equal(state_of_system(model), state_of_system(fresh), WEIGHT_TOL)
         never_queried = ds.X[~np.isin(ds.ids, np.fromiter(queried, dtype=np.uint64, count=len(queried)))]
         limit = math.e * p.query_threshold + LEVERAGE_SLACK
         if not (stored_ok and _max_leverage(model, never_queried) <= limit):
@@ -213,7 +200,9 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
 
         extra = set(rng.choice(ds.ids, size=min(len(ds), 20), replace=False).tolist())
         hits += len(queried & u) + len(model.coreset_ids & extra)
-        if not (_deletion_matches(model, extra, replay_on_coreset(model, extra)) and exact):
+        fresh = replay_on_coreset(model, extra)
+        deletion_update(model, extra)
+        if not (system_states_equal(state_of_system(model), state_of_system(fresh), WEIGHT_TOL) and exact):
             diverged.append(t)
     return [
         (
@@ -251,16 +240,11 @@ def check_drift_identity(seed: int, trials: int) -> tuple[str, bool, str]:
         if not model.coreset:
             continue
         instances += 1
-        stored = model.coreset.rows()
-        victims = list(range(len(stored)))
+        victims = list(model.coreset.ids())
         rng.shuffle(victims)
-        for r in victims[: int(model.params.cap_k)]:
+        for sid in victims[: int(model.params.cap_k)]:
             P = ds.X[rng.integers(0, len(ds), size=25)]
-            x, y = stored.X[r], int(stored.y[r])
-            predicted = [predicted_deletion_drift(model.gram_state, x, y, p) for p in P]
-            before = P @ model.weight
-            deletion_update(model, {int(stored.ids[r])})
-            worst = max(worst, _max_abs(P @ model.weight - before - predicted))
+            worst = max(worst, drift_identity_gap(model, sid, P))
             probes += len(P)
     return (
         "rank-one deletion drift identity",
@@ -289,10 +273,10 @@ def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str
     sampler that queries nothing fails both suites rather than stalling them.
     Each instance gets one request: 1 to 8 queried ids plus 5 pool ids.  The
     survivors are the queried samples outside the request, taken before the
-    deletion, as is ``config``.  After it, the stored ids, ``f_hat`` and
-    ``config`` must equal those of an exhaustive fresh fit on the survivors
-    with that ``config`` or, when none survive, nothing may be stored and
-    ``config`` must be unchanged.  The value
+    deletion, as is ``config``.  After it, ``general_state_of_system`` (the
+    stored ids, ``f_hat`` and ``config``) must equal that of an exhaustive
+    fresh fit on the survivors with that ``config`` or, when none survive,
+    store nothing, keep ``config`` and hold ``erm_fit`` on nothing.  The value
     columns, after the fit and after the deletion, must be bit-equal to
     ``fclass.value_matrix`` of the stored samples.  ``erm_fit`` on the pool and
     ``f_hat`` after the deletion must equal :func:`_loss_argmin`.
@@ -319,13 +303,12 @@ def check_general_instances(seed: int, trials: int) -> list[tuple[str, bool, str
         columns_ok = _values_match(model, fclass) and columns_ok
         value_checks += 2
 
-        got = general_state_of_system(model)
         if survivors:
             fresh = general_bbq_fit(survivors, fclass, config.delta, config.rate_bound, exhaust_pool=True)
-            exact = got == general_state_of_system(fresh) and model.config == fresh.config
+            want = general_state_of_system(fresh)
         else:
-            exact = got.stored_ids == frozenset() and model.config == config
-        diverged += not (exact and columns_ok)
+            want = GeneralSystemState(f_hat=erm_fit(fclass, []), stored_ids=frozenset(), config=config)
+        diverged += not (general_state_of_system(model) == want and columns_ok)
 
         for labeled, pick in ((pool, erm_fit(fclass, pool)), (survivors, model.f_hat)):
             erm_checks += 1

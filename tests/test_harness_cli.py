@@ -320,6 +320,14 @@ class TestRunExperiment:
             small_config(gate_policy="shrug")
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=-1)
+        with pytest.raises(ValueError, match="must not repeat"):
+            small_config(methods=("bbq", "bbq"))
+        with pytest.raises(ValueError, match="unknown deletion distribution kind 'bogus'"):
+            small_config(deletion_kind="bogus")
+        with pytest.raises(ValueError, match="target_label must be -1 or 1, got 0"):
+            small_config(deletion_kind="by-label", deletion_target_label=0)
+        with pytest.raises(ValueError, match="weighted deletion distribution needs weights"):
+            small_config(deletion_kind="weighted")
 
     @pytest.mark.parametrize("field, value", [
         ("kappa", 1.5), ("kappa", -0.1), ("cap_k", 0.5), ("cap_k", float("nan")), ("cap_k", float("inf")),
@@ -636,6 +644,21 @@ class TestCli:
         assert printed["0.5"].err == ""
         if command == "fit":
             assert printed["0.25"].out.endswith("(core set 0 of 4000)\n")
+
+    def test_bench_warns_at_the_query_floor(self, tmp_path, capsys):
+        printed = {}
+        for kappa in ("0.25", "0.9"):
+            argv = ["bench", "--t", "500", "--d", "4", "--methods", "retrain", "--kappa", kappa, "--cap-k", "32",
+                    "--out", str(tmp_path / kappa)]
+            assert cli_main(argv) == 0
+            printed[kappa] = capsys.readouterr()
+            assert printed[kappa].out.startswith(f"wrote {tmp_path / kappa}.json\n")
+        # 400 of the 500 points train: 400**-0.25 = 0.2236 is at least 1/32, 400**-0.9 = 0.00455 is not
+        assert printed["0.25"].err.splitlines() == [
+            "warning: --kappa 0.25 queries nothing at T=400: the threshold T**-kappa = 0.223607 "
+            "is at least 0.03125, the largest leverage at --cap-k 32"
+        ]
+        assert printed["0.9"].err == ""
 
     def test_capacity_subcommand(self, tmp_path):
         out = tmp_path / "cap.json"
