@@ -165,21 +165,18 @@ def capacity_gate(model: ModelState, history: MetricSet, probe_x, delta: float =
     return ACCEPT
 
 
-def predicted_deletion_drift(state: GramState, x_i, y_i: float, probe_x) -> float:
+def predicted_deletion_drift(state: GramState, x_i, y_i: float, probe_x) -> float | np.ndarray:
     """Exact rank-one expansion of the weight drift from one more deletion.
 
     Predicts ``probe_x @ w_new - probe_x @ w`` for removing ``(x_i, y_i)`` from ``state``
-    without the downdate, for one probe vector or an ``(n, d)`` matrix of them.  This is
-    an algebraic identity and must match the observed drift to rounding error.
+    without the downdate, for one probe vector or an ``(n, d)`` matrix of them.  By
+    Sherman-Morrison it is ``probe_x @ A^-1 x_i * (w @ x_i - y_i) / (1 - x_i @ A^-1 x_i)``,
+    an algebraic identity that must match the observed drift to rounding error.
     """
     x_i = np.asarray(x_i, dtype=np.float64)
-    probe_x = np.asarray(probe_x, dtype=np.float64)
     inv_xi = state.gram_inv @ x_i
-    lev_ii = float(x_i @ inv_xi)
-    cross = probe_x @ inv_xi
-    denom = 1.0 - lev_ii
-    w_xi = float(state.weight @ x_i)
-    return (w_xi * cross) / denom - y_i * cross - y_i * (lev_ii * cross) / denom
+    scale = (float(state.weight @ x_i) - y_i) / (1.0 - float(x_i @ inv_xi))
+    return (np.asarray(probe_x, dtype=np.float64) @ inv_xi) * scale
 
 
 def drift_identity_gap(model: ModelState, sample_id: int, probe_x) -> float:
@@ -189,7 +186,7 @@ def drift_identity_gap(model: ModelState, sample_id: int, probe_x) -> float:
     predicted = predicted_deletion_drift(model.gram_state, x, y, probe_x)  # the module global: a wrapper sees it
     before = probe_x @ model.gram_state.weight
     rank_one_downdate(model.gram_state, x, y)
-    return float(np.max(np.abs(probe_x @ model.gram_state.weight - before - predicted), initial=0.0))
+    return float(np.abs(probe_x @ model.gram_state.weight - before - predicted).max(initial=0.0))
 
 
 @dataclass
@@ -306,8 +303,7 @@ def expected_capacity_mc(
     children = np.random.SeedSequence(seed).spawn(trials)
     exceed = np.zeros((trials, len(k_total_grid)))
     qf_values = np.zeros(trials)
-    xs_all = rows.X
-    mean_inv = np.empty((xs_all.shape[1],) * 2)  # each trial's fit overwrites it
+    mean_inv = np.empty((rows.X.shape[1],) * 2)  # each trial's fit overwrites it
     moment = second_moment(rows, dist)
 
     for trial, child in enumerate(children):
@@ -330,7 +326,7 @@ def expected_capacity_mc(
         exceed[trial] = hits_so_far > K
 
         if check_drift_identity and hit_positions:  # the trial's model is thrown away after the check
-            gap = max(drift_identity_gap(model, draws[pos], xs_all[perm[:1]]) for pos in hit_positions[: K + 1])
+            gap = max(drift_identity_gap(model, draws[pos], permuted.X[:1]) for pos in hit_positions[: K + 1])
             if gap > 1e-8:
                 raise AssertionError(f"deletion drift identity violated: predicted and observed differ by {gap}")
 
