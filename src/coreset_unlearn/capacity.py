@@ -181,12 +181,14 @@ def predicted_deletion_drift(state: GramState, x_i, y_i: float, probe_x) -> floa
 
 def drift_identity_gap(model: ModelState, sample_id: int, probe_x) -> float:
     """Take core-set point ``sample_id`` out of ``model``, predict the drift of ``probe_x @ w``, downdate,
-    and return the largest gap between the observed and the predicted drift; the counters stay as they are."""
+    and return the largest gap between the observed and the predicted drift; the counters stay as they are.
+    A NaN gap is returned as ``inf``, which no tolerance accepts."""
     x, y = model.coreset.take(sample_id)
     predicted = predicted_deletion_drift(model.gram_state, x, y, probe_x)  # the module global: a wrapper sees it
     before = probe_x @ model.gram_state.weight
     rank_one_downdate(model.gram_state, x, y)
-    return float(np.abs(probe_x @ model.gram_state.weight - before - predicted).max(initial=0.0))
+    gap = float(np.abs(probe_x @ model.gram_state.weight - before - predicted).max(initial=0.0))
+    return gap if gap == gap else math.inf
 
 
 @dataclass

@@ -291,6 +291,16 @@ class TestMonteCarlo:
         )
         assert np.all(curve.empirical == 0.0)
 
+    @pytest.mark.parametrize("miss", [1e-6, math.nan], ids=["off", "nan"])
+    def test_a_drift_prediction_that_misses_raises(self, monkeypatch, miss):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=4, seed=10))
+        exact = capacity.predicted_deletion_drift
+        monkeypatch.setattr(capacity, "predicted_deletion_drift", lambda *args: exact(*args) + miss)
+        with pytest.raises(AssertionError, match="deletion drift identity violated"):
+            expected_capacity_mc(ds, DeletionDistribution(kind="uniform"), K=2, trials=3, seed=1, cap_k=4.0)
+        monkeypatch.setattr(capacity, "predicted_deletion_drift", exact)
+        expected_capacity_mc(ds, DeletionDistribution(kind="uniform"), K=2, trials=3, seed=1, cap_k=4.0)
+
     def test_empirical_below_bound_uniform(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=400, d=6, seed=8))
         curve = expected_capacity_mc(

@@ -696,6 +696,7 @@ class TestCli:
             ("deletion_update", _deletion_rewriting_the_horizon, "deletion equals fresh fit on survivors"),
             ("rank_one_downdate", _downdate_without_inverse_step, "sherman-morrison vs dense inversion"),
             ("predicted_deletion_drift", lambda *args: -predicted_deletion_drift(*args), "rank-one deletion drift identity"),
+            ("predicted_deletion_drift", lambda *args: np.nan * predicted_deletion_drift(*args), "rank-one deletion drift identity"),
             ("replay_on_coreset", _replay_at_the_survivors_horizon, "replay re-queries exactly the survivors"),
             ("_exact_leverage", lambda inv, x: (inv.dot(x), inv.dot(x).dot(x) / 4), "leverage bounds"),
             (
@@ -713,7 +714,7 @@ class TestCli:
             ("_erm_index", _erm_argmax, "finite-class ERM equals per-sample loss argmin"),
         ],
         ids=[
-            "pop-without-downdate", "horizon-rewritten", "downdate-keeps-inverse", "drift-sign", "replay-horizon",
+            "pop-without-downdate", "horizon-rewritten", "downdate-keeps-inverse", "drift-sign", "drift-nan", "replay-horizon",
             "leverage-quartered", "stale-value-columns", "deletion-ignored", "rate-bound-rederived", "erm-argmax",
         ],
     )
