@@ -328,7 +328,7 @@ def expected_capacity_mc(
         exceed[trial] = hits_so_far > K
 
         if check_drift_identity and hit_positions:  # the trial's model is thrown away after the check
-            gap = max(drift_identity_gap(model, draws[pos], permuted.X[:1]) for pos in hit_positions[: K + 1])
+            gap = max(drift_identity_gap(model, draws[pos], permuted.X[0]) for pos in hit_positions[: K + 1])
             if gap > 1e-8:
                 raise AssertionError(f"deletion drift identity violated: predicted and observed differ by {gap}")
 

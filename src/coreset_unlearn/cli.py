@@ -29,7 +29,7 @@ from .datastreams import (
     load_dataset,
     save_dataset,
 )
-from .harness import ExperimentConfig, emit_report, run_experiment
+from .harness import ExperimentConfig, emit_report, experiment_split, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,8 +195,9 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         gate_policy=args.gate_policy,
     )
-    report = run_experiment(cfg)
-    _warn_query_floor(report.train_size, args)
+    split = experiment_split(cfg)
+    _warn_query_floor(len(split[0]), args)  # the horizon is the training split
+    report = run_experiment(cfg, split)
     for path in emit_report(report, args.out):
         print(f"wrote {path}")
     return EXIT_OK

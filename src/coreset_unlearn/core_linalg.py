@@ -94,8 +94,10 @@ class GramState:
 
 
 def gram_gap(a: GramState, b: GramState) -> float:
-    """Largest absolute difference of ``a`` and ``b`` over ``gram``, ``gram_inv``, ``b_vec`` and ``weight``."""
-    return max(float(np.max(np.abs(getattr(a, f) - getattr(b, f)))) for f in ("gram", "gram_inv", "b_vec", "weight"))
+    """Largest absolute difference of ``a`` and ``b`` over ``gram``, ``gram_inv``, ``b_vec`` and ``weight``.
+    A NaN in any of them is returned as ``inf``, which no tolerance accepts."""
+    gap = float(np.max([np.abs(getattr(a, f) - getattr(b, f)).max() for f in ("gram", "gram_inv", "b_vec", "weight")]))
+    return gap if gap == gap else math.inf
 
 
 def as_vector(x, dim: int) -> np.ndarray:

@@ -279,13 +279,19 @@ def _run_method(method: str, cfg: ExperimentConfig, train: Rows, test: Rows, str
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def experiment_split(cfg: ExperimentConfig) -> tuple[Rows, Rows]:
+    """The training and test rows of ``cfg``'s run: its dataset, loaded or generated, split by :func:`split_rows`."""
     ds = load_dataset(cfg.dataset) if isinstance(cfg.dataset, str) else gen_dataset(cfg.dataset)
     train_rows, test_rows = split_rows(ds.y, cfg.test_fraction, cfg.seed)
     train, test = ds.take(train_rows), ds.take(test_rows)
     if not (len(train) and len(test)):  # an empty side fits on nothing or reports NaN accuracies
         raise ValueError(f"the split leaves {len(train)} train and {len(test)} test samples; each needs at least 1")
+    return train, test
 
+
+def run_experiment(cfg: ExperimentConfig, split: tuple[Rows, Rows] | None = None) -> ExperimentReport:
+    """Run every method of ``cfg`` on ``split``, which is :func:`experiment_split` of ``cfg`` when not given."""
+    train, test = split if split is not None else experiment_split(cfg)
     if cfg.deletion_count is not None:
         n_deletions = cfg.deletion_count
     else:

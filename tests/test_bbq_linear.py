@@ -652,6 +652,14 @@ def _gram_moved(name, by):
     return change
 
 
+def _gram_nan(name):
+    def change(m, s):
+        g = s.gram_state.copy()
+        getattr(g, name).flat[0] = np.nan
+        return dataclasses.replace(s, gram_state=g)
+    return change
+
+
 def _refit_one_later(m, s):
     """A fresh fit on the stored rows at ``horizon + 1``, which queries every one of them again."""
     p = m.params
@@ -682,10 +690,12 @@ FIELD_CHANGES = [
     ("dim", lambda m, s: dataclasses.replace(s, gram_state=dataclasses.replace(s.gram_state, dim=m.dim + 1))),
     ("gram_inv", _gram_moved("gram_inv", 1e-3)),  # the weight left as it is
     *((name, _gram_moved(name, 2 * EQUAL_TOL)) for name in ("gram", "gram_inv", "b_vec", "weight")),
+    *((name, _gram_nan(name)) for name in ("gram", "gram_inv", "b_vec", "weight")),  # a NaN in any one field
 ]
 FIELD_CHANGE_IDS = [
     "horizon-plus-one", "kappa", "cap_k", "first-two-swapped", "x-nudged-label-flipped", "dim",
     "gram_inv-off-1e-3", "gram", "gram_inv", "b_vec", "weight",
+    "gram-nan", "gram_inv-nan", "b_vec-nan", "weight-nan",
 ]
 
 # The stored fields system_states_equal does not compare, each with its reason.

@@ -660,6 +660,16 @@ class TestCli:
         ]
         assert printed["0.9"].err == ""
 
+    def test_bench_warns_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr("coreset_unlearn.cli.run_experiment", fail)
+        argv = ["bench", "--t", "500", "--d", "4", "--methods", "retrain", "--kappa", "0.25", "--cap-k", "32",
+                "--out", str(tmp_path / "r")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[0].startswith("warning: --kappa 0.25 queries nothing at T=400:")
+
     def test_capacity_subcommand(self, tmp_path):
         out = tmp_path / "cap.json"
         code = cli_main([
