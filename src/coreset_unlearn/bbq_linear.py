@@ -28,10 +28,11 @@ only grows in PSD order, so that screen bounds each row's leverage from
 above for the whole block, and a row it certifies below the threshold costs
 no leverage evaluation of its own: the fit spends its per-point work on the
 points it may store, whose exact test and update share one product ``A^-1 x``.
-Later tests read only the inverse, so a query steps only the inverse, into
-the next slot of a stack of the batch's inverses; the Gram matrix, ``b`` and
-a mean inverse take their terms in fit order, in batches bounded by
-:data:`PENDING_BYTES`, with the per-point loop's bits; the weight comes last.
+Later tests read only the inverse, so a query steps only the inverse; a
+mean inverse takes its terms in fit order, in batches bounded by
+:data:`PENDING_BYTES`.  The state a fit leaves is derived from the core set
+it queried, by :func:`~.core_linalg.gram_from_rows`, on either path, so a
+fit, its file and a load of that file hold the same state bits.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -51,11 +52,12 @@ by :func:`~.datastreams.pack_rows` and read by
 :func:`~.datastreams.unpack_rows`.  The Gram state is not stored:
 :func:`save_model` and :func:`load_model` both derive it from the records with
 :func:`~.core_linalg.gram_from_rows`, which by the exactness theorem is the
-state of a fresh fit on them, and the saved model takes that state, so the
-model in memory and the one loaded from its file agree bit for bit.  A save
-packs the core set's stored rows in one step.  A load checks the records by
-building them as :class:`~.datastreams.Rows`, and the core set copies them.
-A save replaces the file atomically.  The deletion counters and the count of
+state of a fresh fit on them.  A fit leaves that state and a saved model
+takes it, after any deletions, so the model in memory and the one loaded
+from its file agree bit for bit.  A save packs the core set's stored rows in
+one step.  A load checks the records by building them as
+:class:`~.datastreams.Rows`, and the core set copies them.  A save replaces
+the file atomically.  The deletion counters and the count of
 streamed points are run-time artifacts and are not serialized.
 """
 
@@ -75,6 +77,7 @@ from .core_linalg import (
     as_vector,
     gram_from_rows,
     gram_gap,
+    as_integer,
     gram_init,
     leverage,
     rank_one_downdate,
@@ -102,8 +105,8 @@ SCREEN_BLOCK = 512
 # Sherman-Morrison steps the block's later queries take.
 SCREEN_SLACK = 1e-9
 
-# A fit on rows adds up its pending terms (and inverses, for a mean) when one
-# more query's do not fit in this many bytes, so at every query once two do not.
+# A fit on rows that forms a mean inverse adds up its pending pre-step inverses
+# when one more does not fit in this many bytes, so at every query once two do not.
 PENDING_BYTES = 256 * 1024
 
 
@@ -212,7 +215,7 @@ class CoreSet:
 class BBQParams:
     """Hyperparameters fixed at fit time.
 
-    ``horizon`` is the original stream length; the query threshold
+    ``horizon`` is the original stream length, an integer; the query threshold
     ``horizon**-kappa`` is part of the fitted model and is reused unchanged by
     replays and deletion reasoning.  It is a fit parameter that holds no
     sample value, and a fresh fit on the survivors reuses it.
@@ -223,6 +226,7 @@ class BBQParams:
     cap_k: float
 
     def __post_init__(self):
+        object.__setattr__(self, "horizon", as_integer(self.horizon, "horizon"))  # 250.5 is refused, not cut
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.kappa <= 1.0:
@@ -321,13 +325,16 @@ def bbq_fit(
 
     ``stream`` is a :class:`~.datastreams.Rows` (a ``Dataset`` is one) or an
     iterable of :class:`~.datastreams.LabeledSample`; its type picks the path, and both
-    give the same core set in the same order and the same state bits.  Rows
-    were checked when built, so the fit reads them as they are, screened in
-    blocks (:func:`_fit_rows`), and the core set stores a copy of the rows it
-    queried.  A sample list (ids by :func:`~.datastreams.sample_ids`) keeps
-    the per-point loop, which reads a sample's ``y`` only when it queries the
-    sample: stacking the list into rows would read every label.  Its queried
-    samples, checked when they were built, are stacked once, at the end.
+    give the same core set in the same order.  Rows were checked when built,
+    so the fit reads them as they are, screened in blocks (:func:`_fit_rows`),
+    and the core set stores a copy of the rows it queried.  A sample list
+    (ids by :func:`~.datastreams.sample_ids`) keeps the per-point loop, which
+    reads a sample's ``y`` only when it queries the sample: stacking the list
+    into rows would read every label.  Its queried samples, checked when they
+    were built, are stacked once, at the end.  Either way the model's state
+    is :func:`~.core_linalg.gram_from_rows` of the queried rows, the state
+    :func:`save_model` and :func:`load_model` derive, so both paths, the
+    file and its load agree bit for bit.
 
     ``mean_inverse``, a writable float64 ``(dim, dim)`` array given only
     with nonempty rows, is overwritten with the mean over the rows of the
@@ -356,11 +363,13 @@ def bbq_fit(
         shape, dtype = mean_inverse.shape, mean_inverse.dtype
         if not (n and shape == (dim, dim) and dtype == FLOAT64 and mean_inverse.flags.writeable):
             raise ValueError(f"mean_inverse needs nonempty rows and a writable float64 {(dim, dim)}, got {dtype} {shape}")
-    params = BBQParams(horizon=int(horizon), kappa=float(kappa), cap_k=float(cap_k))
+    params = BBQParams(horizon=horizon, kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
-    state = gram_init(dim, params.lam)
+    state = gram_init(dim, params.lam)  # the inverse the decisions start from
     if is_rows:
-        coreset = _fit_rows(stream, state, threshold, mean_inverse)
+        X = stream.X if n else np.empty((0, dim))  # an empty Rows may be (0, 0)
+        pos = _fit_rows(X, state.gram_inv, threshold, mean_inverse)
+        rows = trusted_rows(stream.ids[pos], X[pos], stream.y[pos])
     else:
         queried, labels = [], []
         for s in stream:
@@ -371,8 +380,9 @@ def bbq_fit(
                 queried.append(s)
                 labels.append(y)
         X = np.fromiter((s.x for s in queried), dtype=(np.float64, (dim,)), count=len(queried))
-        coreset = CoreSet(trusted_rows(sample_ids(queried), X, np.array(labels, dtype=np.int8)))
-    return ModelState(gram_state=state, coreset=coreset, params=params, query_log=range(n))
+        rows = trusted_rows(sample_ids(queried), X, np.array(labels, dtype=np.int8))
+    gram_state = gram_from_rows(rows.X, rows.y, params.lam)  # the state save_model and load_model derive
+    return ModelState(gram_state=gram_state, coreset=CoreSet(rows), params=params, query_log=range(n))
 
 
 def _exact_leverage(inv: np.ndarray, x: np.ndarray):
@@ -388,24 +398,8 @@ def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, out: np.ndarray) -> None:
     np.subtract(inv, out, out)
 
 
-def _add_terms(state: GramState, Xq: np.ndarray, yq: np.ndarray, terms: np.ndarray) -> None:
-    """Add the ``gram`` and ``b`` terms of the queried rows ``Xq`` to ``state``, in fit order, using ``terms``.
-
-    ``np.add.accumulate`` adds left to right from the running values in
-    ``terms[0]``, with the bits of a loop of ``+=``; ``np.add.reduce`` and
-    ``np.sum`` may add pairwise.
-    """
-    d = state.dim
-    gb = terms[: len(Xq) + 1]
-    gb[0, :d], gb[0, d] = state.gram, state.b_vec
-    np.multiply(Xq[:, :, None], Xq[:, None, :], out=gb[1:, :d])
-    np.multiply(yq[:, None], Xq, out=gb[1:, d])
-    sums = np.add.accumulate(gb, axis=0, out=gb)[-1]
-    state.gram[...], state.b_vec[...] = sums[:d], sums[d]
-
-
-def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None) -> CoreSet:
-    """The sampler's pass over ``rows`` into ``state``, screened; the mean inverse goes into ``total`` if given.
+def _fit_rows(X: np.ndarray, inv: np.ndarray, threshold: float, total: np.ndarray | None) -> list[int]:
+    """The sampler's pass over the rows ``X`` from the inverse ``inv``, screened: the queried positions in fit order.
 
     Each block's bounds ``x^T A^-1 x`` are one product against the inverse
     at the block's start.  A later query in the block only shrinks the
@@ -414,34 +408,30 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
     row takes the exact test, and a query reuses the test's product.
 
     Later tests read only the inverse, so a query steps only the inverse,
-    from one slot of a stack into the next; slot 0 holds the inverse before
-    the pending queries, and without ``total`` two slots take turns.  The
-    ``gram`` and ``b`` terms and the pre-step inverses times their rows wait
-    until they fill :data:`PENDING_BYTES`, or the pass ends, and are added
-    in fit order with the bits of a loop of ``+=`` (:func:`_add_terms`); the
-    last slot moves to 0.  The core set stores copies of the queried rows.
+    from one slot of a stack into the next; the fit derives the rest of its
+    state from the rows it queried.  Without ``total`` two slots take turns.
+    With it, ``total`` is overwritten with the mean inverse: slot 0 holds
+    the inverse before the pending queries, and when the stack fills
+    :data:`PENDING_BYTES`, or the pass ends, each pre-step inverse times the
+    rows that saw it is added in fit order, and the last slot moves to 0.
     """
-    d = state.dim
-    X = rows.X if len(rows) else np.empty((0, d))  # an empty Rows may be (0, 0)
-    per_query = 8 * (2 * d + 1 if total is not None else d + 1) * d  # its terms, and its inverse for a mean
-    cap = max(1, min(len(X), PENDING_BYTES // per_query))  # queries pending at most
+    d = len(inv)
     cut = threshold * (1.0 - SCREEN_SLACK)
-    terms = np.empty((cap + 1, d + 1, d))  # per query a gram term over a b term, after the running values
-    stack = np.empty((cap + 1 if total is not None else 2, d, d))
-    stack[0] = state.gram_inv
-    slots = list(stack) * ((cap + 2) // len(stack))  # the inverse before the pending queries, then after each
-    if total is not None:
+    if total is None:
+        cap, stack = 2, np.empty((2, d, d))  # slot 2 is slot 0: nothing is pending
+    else:
+        cap = max(1, min(len(X), PENDING_BYTES // (8 * d * d)))  # queries pending at most
+        stack = np.empty((cap + 1, d, d))
         total.fill(0.0)
+    stack[0] = inv
+    slots = [stack[j % len(stack)] for j in range(cap + 1)]  # the inverse before the pending queries, then after each
     queried, k = [-1], 0  # the queried rows' positions after a -1, the row before the first; queries pending
 
     def add_pending(k):
-        pos = queried[-k:]
-        _add_terms(state, X[pos], rows.y[pos], terms)  # the module global, so a wrapper sees every call
-        if total is not None:  # each pre-step inverse times the rows that saw it
-            runs = np.multiply(stack[:k], np.diff(queried[-k - 1 :])[:, None, None], out=stack[:k])
-            runs[0] += total  # the bits of total + runs[0]: a sum of two doubles does not depend on their order
-            total[...] = np.add.accumulate(runs, axis=0, out=runs)[-1]
-        slots[0][...] = slots[k]
+        runs = np.multiply(stack[:k], np.diff(queried[-k - 1 :])[:, None, None], out=stack[:k])
+        runs[0] += total  # the bits of total + runs[0]: a sum of two doubles does not depend on their order
+        total[...] = np.add.accumulate(runs, axis=0, out=runs)[-1]  # left to right, as a loop of +=
+        stack[0] = stack[k]
 
     inv = slots[0]  # the inverse the next row is tested against
     for start in range(0, len(X), SCREEN_BLOCK):
@@ -454,18 +444,16 @@ def _fit_rows(rows, state: GramState, threshold: float, total: np.ndarray | None
                 k += 1
                 _step_inverse(inv, v, lev, slots[k])  # the module global, so a wrapper sees every call
                 if k == cap:
-                    add_pending(k)
+                    if total is not None:
+                        add_pending(k)
                     k = 0
                 inv = slots[k]
-    if k:
-        add_pending(k)
-    state.gram_inv[...] = stack[0]  # the model keeps no view of the stack
-    state.weight = state.gram_inv.dot(state.b_vec)
-    if total is not None:  # the tail run; adding a zero run leaves the bits as they are
-        total += (len(X) - 1 - queried[-1]) * state.gram_inv
+    if total is not None:
+        if k:
+            add_pending(k)
+        total += (len(X) - 1 - queried[-1]) * stack[0]  # the tail run; a zero run leaves the bits as they are
         total /= len(X)
-    stored = queried[1:]
-    return CoreSet(trusted_rows(rows.ids[stored], X[stored], rows.y[stored]))
+    return queried[1:]
 
 
 def predict(model: ModelState, x) -> int:

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .atomic_io import atomic_open
 from .bbq_linear import ModelState, bbq_fit
-from .core_linalg import GramState, rank_one_downdate
+from .core_linalg import GramState, as_integer, rank_one_downdate
 from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights, eligible_ids
 
 ACCEPT = "accept"
@@ -118,6 +117,10 @@ def expected_deletion_time(K: int, k_total: int, core_cost: float) -> float:
     """Average per-deletion cost when only ``K`` of ``k_total`` requests hit the core set."""
     if k_total < 1:
         raise ValueError(f"k_total must be >= 1, got {k_total}")
+    if not 0 <= K <= k_total:  # NaN fails too
+        raise ValueError(f"K must lie in [0, k_total] = [0, {k_total}], got {K}")
+    if not 0 <= core_cost < math.inf:
+        raise ValueError(f"core_cost must be finite and >= 0, got {core_cost}")
     return (K / k_total) * core_cost
 
 
@@ -223,14 +226,6 @@ def capacity_report_json(curve: CapacityCurve, path, params: CapacityParams) -> 
         fh.write("\n")
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int`` if ``operator.index`` takes it, else ``ValueError`` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def second_moment(rows, dist: DeletionDistribution) -> np.ndarray:
     """``E[x x^T]`` of a row ``x`` drawn from ``dist`` over ``rows``, as a ``(d, d)`` array.
 
@@ -277,23 +272,24 @@ def expected_capacity_mc(
     Each trial draws its permutation and its deletion requests from its own
     seed, spawned from ``seed``.
 
-    ``K`` must be an integer of at least 1, and ``k_total_grid`` a nonempty
+    ``trials`` must be an integer of at least 1, ``seed`` a nonnegative
+    integer, ``K`` an integer of at least 1, and ``k_total_grid`` a nonempty
     set of distinct integers in ``[1, len(dataset)]`` (sorted here) whose
     largest value ``dist`` can draw (:func:`~.datastreams.eligible_ids`);
     anything else raises ``ValueError`` before the first fit.
     """
-    if trials < 1:
+    if as_integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
-    if seed < 0:
+    if as_integer(seed, "seed") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    K = _integer(K, "K")
+    K = as_integer(K, "K")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     rows = as_rows(dataset)
     T = len(rows)
     if k_total_grid is None:
         k_total_grid = np.unique(np.linspace(1, max(T // 2, 1), 12).astype(int))
-    k_total_grid = np.asarray(sorted(_integer(k, "each k_total grid value") for k in k_total_grid), dtype=int)
+    k_total_grid = np.asarray(sorted(as_integer(k, "each k_total grid value") for k in k_total_grid), dtype=int)
     if len(k_total_grid) == 0:
         raise ValueError("k_total grid must not be empty")
     if (k_total_grid[1:] == k_total_grid[:-1]).any():

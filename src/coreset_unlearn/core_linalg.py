@@ -15,8 +15,9 @@ arithmetic the identity needs.  Outer products are formed by broadcasting
 hands back an array that already is a float64 vector of the right shape, and
 :func:`leverage`, called once per streamed point, tests for such an array
 inline before it calls ``as_vector`` at all.
-The fit on rows takes :func:`rank_one_update`'s steps in :mod:`.bbq_linear`,
-with the same bits: the inverse's at each query, the sums batched in order.
+The fit on rows takes :func:`rank_one_update`'s inverse step in
+:mod:`.bbq_linear`, with the same bits, and every fit then leaves the state
+:func:`gram_from_rows` derives from its core set, as a load does.
 
 All vectors are assumed to satisfy ``||x|| <= 1`` and states are single-writer:
 callers serialize mutations, concurrent read-only leverage queries are safe
@@ -26,6 +27,7 @@ between mutations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +114,14 @@ def as_vector(x, dim: int) -> np.ndarray:
     if v.shape != (dim,):
         raise ValueError(f"expected vector of shape ({dim},), got {v.shape}")
     return v
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an ``int`` if ``operator.index`` takes it, else ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_lam(lam) -> None:

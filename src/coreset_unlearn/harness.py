@@ -37,7 +37,7 @@ import numpy as np
 from . import baselines, capacity
 from .atomic_io import atomic_open
 from .bbq_linear import BBQParams, bbq_fit, deletion_update
-from .core_linalg import refresh_inverse
+from .core_linalg import as_integer, refresh_inverse
 from .datastreams import (
     DatasetSpec,
     DeletionDistribution,
@@ -81,9 +81,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
-        if self.cadence < 1:
+        if as_integer(self.cadence, "cadence") < 1:
             raise ValueError("cadence must be >= 1")
-        if self.seed < 0:
+        if as_integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gate_policy not in GATE_POLICIES:
             raise ValueError(f"gate_policy must be one of {GATE_POLICIES}")
@@ -91,14 +91,14 @@ class ExperimentConfig:
             raise ValueError("test_fraction must lie in (0, 1)")
         if not 0.0 <= self.deletion_fraction <= 1.0:
             raise ValueError(f"deletion_fraction must lie in [0, 1], got {self.deletion_fraction}")
-        if self.deletion_count is not None and self.deletion_count < 0:
+        if self.deletion_count is not None and as_integer(self.deletion_count, "deletion_count") < 0:
             raise ValueError(f"deletion_count must be >= 0, got {self.deletion_count}")
         self.deletion_distribution()  # a kind, target or "weighted" that no run could draw from
         # the sampler's own range rule for kappa and cap_k; the horizon comes from the data, so 1 stands in
         BBQParams(horizon=1, kappa=self.kappa, cap_k=self.cap_k)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.shards < 1:
+        if as_integer(self.shards, "shards") < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if not 0.0 < self.ridge_lambda < math.inf:  # NaN fails too
             raise ValueError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")

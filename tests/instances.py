@@ -1,4 +1,4 @@
-"""Seeded sample lists and state walkers for the test modules.
+"""Seeded sample lists, state walkers and Gram-state comparisons for the test modules.
 
 The instance generators the invariant suites draw from (fitted linear
 instances, finite function classes and general-class pools) live in
@@ -8,7 +8,10 @@ instances, finite function classes and general-class pools) live in
 import numpy as np
 
 from coreset_unlearn import LabeledSample
+from coreset_unlearn.core_linalg import gram_from_rows
 from coreset_unlearn.verify import unit_vectors
+
+GRAM_FIELDS = ("gram", "gram_inv", "b_vec", "weight")
 
 
 def random_samples(rng, n, d):
@@ -36,3 +39,18 @@ def ints_reachable(obj):
     held = [getattr(obj, name) for name in slots if hasattr(obj, name)]
     held += getattr(obj, "__dict__", {}).values()
     return set().union(*map(ints_reachable, held))
+
+
+def assert_same_state_bits(got, want):
+    assert (got.dim, got.lam, got.downdates_since_refresh) == (want.dim, want.lam, want.downdates_since_refresh)
+    assert type(got.dim) is int and type(got.lam) is float
+    for field in GRAM_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def assert_state_from_coreset(model):
+    """``model``'s Gram state is ``gram_from_rows`` of its stored rows, bit for bit: the state a load derives."""
+    rows = model.coreset.rows()
+    assert_same_state_bits(model.gram_state, gram_from_rows(rows.X, rows.y, model.params.lam))

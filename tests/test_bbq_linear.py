@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import ints_reachable, random_samples
+from instances import GRAM_FIELDS, assert_state_from_coreset, ints_reachable, random_samples
 from coreset_unlearn import (
     DatasetSpec,
     ExperimentConfig,
@@ -142,6 +142,12 @@ class TestFit:
                 bbq_fit(ones_stream(4), cap_k=cap_k)
         with pytest.raises(ValueError):
             bbq_fit(ones_stream(4), kappa=1.5)
+        # a fractional horizon is refused: its model could not be saved, and a fit would run at int(horizon)
+        with pytest.raises(ValueError, match="^horizon must be an integer, got 250.5$"):
+            BBQParams(horizon=250.5, kappa=0.5, cap_k=2.0)
+        with pytest.raises(ValueError, match="^horizon must be an integer, got 250.9$"):
+            bbq_fit(ones_stream(4), horizon=250.9)
+        assert type(BBQParams(horizon=np.int64(250), kappa=0.5, cap_k=2.0).horizon) is int
 
     def test_label_independent_query_sequence(self):
         rng = np.random.default_rng(12)
@@ -215,11 +221,11 @@ class TestSamplerDecisions:
     INSTANCES = {
         "realizable-linear": (
             lambda: gen_dataset(DatasetSpec(kind="realizable-linear", T=3000, d=10, seed=61)),
-            2.0, 0.5, "cba63ccaef8d7b9ea386c4da882b043f3de7b9f3f26b205640151b082e4b715f",
+            2.0, 0.5, "a69c2f9d3e3181422976de9d319f9782acfdc768e35475d23490ac5e234fb592",
         ),
         "margin": (
             lambda: gen_dataset(DatasetSpec(kind="margin", T=3000, d=20, gamma=0.1, seed=62)),
-            32.0, 0.5, "530a12b8d7ec027d0f7a4ff293f0f524d9b2b79da4c00a23e99e5be00e681964",
+            32.0, 0.5, "98db57076d6aae9b6e87cf044c3908c09dded80a20fa4a28368fa79942395e9b",
         ),
         "ones at the threshold": (
             lambda: ones_stream(16),
@@ -285,7 +291,7 @@ class TestRowsFit:
             assert np.all(((first @ (np.eye(via_rows.dim) / cap_k)) * first).sum(1) > cut)
         assert [s.sample_id for s in via_rows.coreset] == [s.sample_id for s in via_samples.coreset]
         assert encode_model(via_rows) == encode_model(via_samples)
-        for name in ("gram", "gram_inv", "b_vec", "weight"):
+        for name in GRAM_FIELDS:
             assert getattr(via_rows.gram_state, name).tobytes() == getattr(via_samples.gram_state, name).tobytes()
         assert via_rows.query_log == via_samples.query_log == range(len(rows))
 
@@ -311,7 +317,7 @@ class TestRowsFit:
             core_linalg.rank_one_update(state, s.x, s.y)
         if runs[-1]:
             total += runs[-1] * state.gram_inv
-        assert state.gram_inv.tobytes() == model.gram_state.gram_inv.tobytes()
+        assert_state_from_coreset(model)
         assert mean_inverse.tobytes() == (total / n).tobytes()
         if not model.coreset:  # every row saw the initial inverse
             assert mean_inverse.tobytes() == (n * (np.eye(d) / cap_k) / n).tobytes()
@@ -322,7 +328,7 @@ class TestRowsFit:
         model = bbq_fit(rows, 4.0, 0.5, mean_inverse=out)
         plain = bbq_fit(rows, 4.0, 0.5)
         assert encode_model(model) == encode_model(plain)
-        for name in ("gram", "gram_inv", "b_vec", "weight"):
+        for name in GRAM_FIELDS:
             assert getattr(model.gram_state, name).tobytes() == getattr(plain.gram_state, name).tobytes()
         assert np.isfinite(out).all()
         read_only = np.empty((4, 4))
@@ -356,57 +362,17 @@ class TestRowsFit:
         assert "samples" not in vars(ds)  # no sample is built for a row the fit does not store
         assert all(s.x.base is None for s in m.coreset)  # each stored sample owns its row
 
-    # (d, rows, pending terms the budget holds: None keeps PENDING_BYTES)
+    # (d, rows, pending queries the mean's stack holds: None keeps PENDING_BYTES)
     ORDER_CASES = {
         "d=1, hundreds of queries in one block": (1, 600, None),
         "d=2, hundreds of queries in one block": (2, 600, None),
-        "d=1, budget of 2 terms": (1, 600, 2),
-        "d=2, budget of 3 terms": (2, 600, 3),
-        "d=200, one term over the budget": (200, 300, None),
-        "d=1, budget of 1 term": (1, 600, 1),
+        "d=1, budget of 2 queries": (1, 600, 2),
+        "d=2, budget of 3 queries": (2, 600, 3),
+        "d=200, one query over the budget": (200, 300, None),
+        "d=1, budget of 1 query": (1, 600, 1),
         "d=2, the last row's query fills the stack": (2, 565, 3),
         "d=1, rows after the last full batch query nothing": (1, 567, 2),
     }
-
-    @pytest.mark.parametrize("name", list(ORDER_CASES))
-    def test_sums_are_added_in_fit_order(self, name, monkeypatch):
-        d, n, budget = self.ORDER_CASES[name]
-        if budget is not None:
-            # a pending query takes a gram and a b term and a slot of the inverse stack
-            monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (2 * d + 1) * d)
-        adds, add_terms = [], bbq_linear._add_terms  # the pending count of each add
-
-        def counted(state, Xq, yq, terms):
-            adds.append(len(Xq))
-            add_terms(state, Xq, yq, terms)
-        monkeypatch.setattr(bbq_linear, "_add_terms", counted)
-        rng = np.random.default_rng(d)
-        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
-        rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
-        mean_inverse = np.empty((d, d))
-        via_rows = bbq_fit(rows, 1.7, 1.0, mean_inverse=mean_inverse)
-        via_samples = bbq_fit(rows.samples, 1.7, 1.0)
-        queried = np.flatnonzero(np.isin(rows.ids, np.fromiter(via_rows.coreset.ids(), dtype=np.uint64)))
-        assert (queried < SCREEN_BLOCK).sum() > 100  # many pending terms within one block
-        if d == 200:
-            assert 8 * d * d > bbq_linear.PENDING_BYTES  # so every query adds its terms alone
-        # a budget fills before each add but the last; without one, all the queries add at once, or
-        # each alone at d=200
-        per_add = budget or (1 if d == 200 else n)
-        q = len(queried)
-        assert adds == [per_add] * (q // per_add) + [q % per_add] * bool(q % per_add)
-        assert encode_model(via_rows) == encode_model(via_samples)
-        for field in ("gram", "gram_inv", "b_vec", "weight"):
-            assert getattr(via_rows.gram_state, field).tobytes() == getattr(via_samples.gram_state, field).tobytes()
-        state, total = core_linalg.gram_init(d, 1.7), np.zeros((d, d))
-        for run, s in zip(np.diff(queried, prepend=-1).tolist(), via_rows.coreset):
-            total += run * state.gram_inv
-            core_linalg.rank_one_update(state, s.x, s.y)
-        total += (n - 1 - queried[-1]) * state.gram_inv
-        assert mean_inverse.tobytes() == (total / n).tobytes()
-
-    # ORDER_CASES whose queries fill whole batches: rows after the last query
-    STACK_EDGES = {"d=2, the last row's query fills the stack": 0, "d=1, rows after the last full batch query nothing": 3}
 
     @staticmethod
     def record_slots(monkeypatch):
@@ -420,12 +386,42 @@ class TestRowsFit:
         monkeypatch.setattr(bbq_linear, "_step_inverse", recorded)
         return slots
 
+    @pytest.mark.parametrize("name", list(ORDER_CASES))
+    def test_the_mean_is_added_in_fit_order(self, name, monkeypatch):
+        d, n, budget = self.ORDER_CASES[name]
+        if budget is not None:  # a pending query takes one d x d slot of the stack
+            monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * d * d)
+        slots = self.record_slots(monkeypatch)
+        rng = np.random.default_rng(d)
+        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
+        rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        mean_inverse = np.empty((d, d))
+        via_rows = bbq_fit(rows, 1.7, 1.0, mean_inverse=mean_inverse)
+        queried = np.flatnonzero(np.isin(rows.ids, np.fromiter(via_rows.coreset.ids(), dtype=np.uint64)))
+        assert (queried < SCREEN_BLOCK).sum() > 100  # many pending queries within one block
+        if d == 200:
+            assert 8 * d * d > bbq_linear.PENDING_BYTES  # so every query is added alone
+        # a budget fills before each add but the last; without one, all the queries are added at once, or
+        # each alone at d=200; slot 0 holds the inverse before the pending queries
+        per_add = budget or (1 if d == 200 else n)
+        assert slots == [(per_add + 1, i % per_add + 1) for i in range(len(queried))]
+        assert encode_model(via_rows) == encode_model(bbq_fit(rows.samples, 1.7, 1.0))
+        state, total = core_linalg.gram_init(d, 1.7), np.zeros((d, d))
+        for run, s in zip(np.diff(queried, prepend=-1).tolist(), via_rows.coreset):
+            total += run * state.gram_inv
+            core_linalg.rank_one_update(state, s.x, s.y)
+        total += (n - 1 - queried[-1]) * state.gram_inv
+        assert mean_inverse.tobytes() == (total / n).tobytes()
+
+    # ORDER_CASES whose queries fill whole batches: rows after the last query
+    STACK_EDGES = {"d=2, the last row's query fills the stack": 0, "d=1, rows after the last full batch query nothing": 3}
+
     @pytest.mark.parametrize("name", list(STACK_EDGES))
     def test_order_cases_reach_the_stack_edges(self, name, monkeypatch):
         d, n, budget = self.ORDER_CASES[name]
-        monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * (2 * d + 1) * d)
+        monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * d * d)
         slots = self.record_slots(monkeypatch)
-        rng = np.random.default_rng(d)  # the rows test_sums_are_added_in_fit_order fits
+        rng = np.random.default_rng(d)  # the rows test_the_mean_is_added_in_fit_order fits
         X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
         rows = Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8))
         queried = np.fromiter(bbq_fit(rows, 1.7, 1.0, mean_inverse=np.empty((d, d))).coreset.ids(), dtype=np.int64)
@@ -434,15 +430,16 @@ class TestRowsFit:
 
     @pytest.mark.parametrize("with_mean", [False, True])
     @pytest.mark.parametrize("d", [10, 20, 200])
-    def test_terms_and_stack_share_the_budget(self, d, with_mean, monkeypatch):
+    def test_the_stack_keeps_its_budget(self, d, with_mean, monkeypatch):
         slots = self.record_slots(monkeypatch)
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=d, seed=72))
         model = bbq_fit(rows, 2.0, 0.5, mean_inverse=np.empty((d, d)) if with_mean else None)
         assert len(slots) == len(model.coreset) > 0
         if not with_mean:  # no pre-step inverse is kept: two slots take turns
-            assert {length for length, _ in slots} == {2}
+            assert slots == [(2, (i + 1) % 2) for i in range(len(slots))]
             return
-        per_query = 8 * (2 * d + 1) * d  # a gram and a b term and a slot of the stack
+        per_query = 8 * d * d  # a slot of the stack
+        assert {length for length, _ in slots} == {slots[0][0]}
         assert slots[0][0] * per_query <= max(bbq_linear.PENDING_BYTES, per_query) + per_query
 
     @pytest.mark.parametrize("with_mean", [False, True])
@@ -689,8 +686,8 @@ FIELD_CHANGES = [
     ("coreset", _rows_changed(_nudge_x_and_flip_a_label)),
     ("dim", lambda m, s: dataclasses.replace(s, gram_state=dataclasses.replace(s.gram_state, dim=m.dim + 1))),
     ("gram_inv", _gram_moved("gram_inv", 1e-3)),  # the weight left as it is
-    *((name, _gram_moved(name, 2 * EQUAL_TOL)) for name in ("gram", "gram_inv", "b_vec", "weight")),
-    *((name, _gram_nan(name)) for name in ("gram", "gram_inv", "b_vec", "weight")),  # a NaN in any one field
+    *((name, _gram_moved(name, 2 * EQUAL_TOL)) for name in GRAM_FIELDS),
+    *((name, _gram_nan(name)) for name in GRAM_FIELDS),  # a NaN in any one field
 ]
 FIELD_CHANGE_IDS = [
     "horizon-plus-one", "kappa", "cap_k", "first-two-swapped", "x-nudged-label-flipped", "dim",
@@ -812,7 +809,7 @@ class TestCoreSet:
             if sid in hits:
                 deletion_update(single, [sid])
         deletion_update(single, outsiders)
-        for name in ("gram", "gram_inv", "b_vec", "weight"):
+        for name in GRAM_FIELDS:
             assert getattr(batch.gram_state, name).tobytes() == getattr(single.gram_state, name).tobytes()
         assert batch.gram_state.downdates_since_refresh == single.gram_state.downdates_since_refresh
         assert (batch.coreset_deletions, batch.free_deletions) == (single.coreset_deletions, single.free_deletions)
@@ -951,7 +948,7 @@ class TestReplay:
         got = replay_on_coreset(m, request)
         assert list(got.coreset.ids()) == list(want.coreset.ids())
         assert encode_model(got) == encode_model(want)
-        for name in ("gram", "gram_inv", "b_vec", "weight"):
+        for name in GRAM_FIELDS:
             assert getattr(got.gram_state, name).tobytes() == getattr(want.gram_state, name).tobytes()
 
     def test_monotone_requery_random(self):
@@ -1002,6 +999,22 @@ class TestSerialization:
         assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
         assert list(loaded.coreset) == list(m.coreset)
 
+    @pytest.mark.parametrize("fit", ["rows", "samples", "rows with mean_inverse", "empty core set"])
+    def test_a_fit_leaves_the_state_its_load_derives(self, fit, tmp_path):
+        ds = gen_dataset(DatasetSpec(kind="margin", T=4000, d=20, gamma=0.1, seed=1))
+        m = {
+            "rows": lambda: bbq_fit(ds, 32.0, 0.5),
+            "samples": lambda: bbq_fit(ds.samples, 32.0, 0.5),
+            "rows with mean_inverse": lambda: bbq_fit(ds, 32.0, 0.5, mean_inverse=np.empty((20, 20))),
+            "empty core set": lambda: bbq_fit(ds, 3.0, 0.0),  # threshold 1 is above every leverage
+        }[fit]()
+        assert (len(m.coreset) > 0) is (fit != "empty core set")
+        fitted = m.gram_state.copy()
+        save_model(m, tmp_path / "m.saul")  # the saved model takes the loaded state
+        loaded = load_model(tmp_path / "m.saul")
+        for name in GRAM_FIELDS:
+            assert getattr(fitted, name).tobytes() == getattr(loaded.gram_state, name).tobytes(), name
+
     # SHA-256 of save_model(seeded_model()) in format version 2.  Its records
     # region is byte-identical to the records region of the version-1 file,
     # whose SHA-256 is RECORDS_SHA256 (numpy 2.4, OpenBLAS, x86-64).
@@ -1018,7 +1031,7 @@ class TestSerialization:
         assert hashlib.sha256(blob[_HEADER.size :]).hexdigest() == self.RECORDS_SHA256
         assert (m.coreset_deletions, m.free_deletions) == (27, 93)  # a save keeps the counters in memory
         loaded = load_model(path)
-        for name in ("gram", "gram_inv", "b_vec", "weight"):
+        for name in GRAM_FIELDS:
             assert getattr(loaded.gram_state, name).tobytes() == getattr(m.gram_state, name).tobytes()
         assert loaded.params == m.params and loaded.coreset_ids == m.coreset_ids
         assert (loaded.coreset_deletions, loaded.free_deletions) == (0, 0)
@@ -1196,7 +1209,7 @@ def test_saved_bytes_equal_a_fresh_fit_on_the_survivors(requests, refresh_period
         save_model(fresh, b)
         assert a.read_bytes() == b.read_bytes()
         loaded = load_model(a)
-    for name in ("gram", "gram_inv", "b_vec", "weight"):
+    for name in GRAM_FIELDS:
         assert getattr(loaded.gram_state, name).tobytes() == getattr(m.gram_state, name).tobytes()
 
 

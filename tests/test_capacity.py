@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import assert_state_from_coreset
 from coreset_unlearn import (
     CapacityParams,
     DatasetSpec,
@@ -173,6 +174,14 @@ class TestExpectedCapacity:
         assert expected_deletion_time(0, 10, 0.25) == 0.0
         with pytest.raises(ValueError):
             expected_deletion_time(1, 0, 0.25)
+        # a K outside [0, k_total] gave -0.5 and 2.5x the cost; a bad core_cost a negative or NaN time
+        for K in (-1, 5, math.nan):
+            with pytest.raises(ValueError, match=r"^K must lie in \[0, k_total\] = \[0, 2\], got "):
+                expected_deletion_time(K, 2, 0.25)
+        for core_cost in (-0.25, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^core_cost must be finite and >= 0, got "):
+                expected_deletion_time(1, 2, core_cost)
+        assert expected_deletion_time(2, 2, 0.0) == 0.0
 
 
 def margin_fit(seed=41, T=3000, d=8):
@@ -413,8 +422,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("T,d", [(200, 1), (300, 3), (500, 10)])
     def test_mean_inverse_equals_full_state_replay(self, T, d):
-        # the inverse-only replay must step the inverse exactly as
-        # rank_one_update does inside the fit
+        # the rows fit's mean, from its inverse-only steps, equals a replay that steps the full state
+        # through rank_one_update; the fitted state is the one a load derives from the core set
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=T, d=d, seed=30 + d))
         perm = np.random.default_rng(d).permutation(T)
         model = bbq_fit([ds.samples[i] for i in perm], cap_k=2.0, kappa=0.5)
@@ -427,7 +436,7 @@ class TestMonteCarlo:
             rank_one_update(state, s.x, s.y)
         if runs[-1]:
             total += runs[-1] * state.gram_inv
-        assert np.array_equal(state.gram_inv, model.gram_state.gram_inv)
+        assert_state_from_coreset(model)
         mean_inverse = np.empty((d, d))
         bbq_fit(ds.take(perm), cap_k=2.0, kappa=0.5, mean_inverse=mean_inverse)
         assert np.array_equal(mean_inverse, total / T)
@@ -440,6 +449,9 @@ class TestMonteCarlo:
             expected_capacity_mc(
                 ds.samples, DeletionDistribution(), K=1, trials=1, seed=0, k_total_grid=[0]
             )
+        for name, value in (("trials", 2.5), ("seed", 1.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+                expected_capacity_mc(ds.samples, DeletionDistribution(), **{"K": 1, "trials": 1, "seed": 0, name: value})
 
     @pytest.mark.parametrize(
         "grid,message",

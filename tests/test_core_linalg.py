@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from instances import assert_same_state_bits
 from coreset_unlearn import DatasetSpec, bbq_fit, core_linalg, gen_dataset, predict
 from coreset_unlearn.core_linalg import (
     CorruptedStateError,
@@ -437,15 +438,6 @@ def two_step_gram(X, y, lam):
     state.gram_inv = np.linalg.inv(state.gram)
     state.weight = state.gram_inv @ state.b_vec
     return state
-
-
-def assert_same_state_bits(got, want):
-    assert (got.dim, got.lam, got.downdates_since_refresh) == (want.dim, want.lam, want.downdates_since_refresh)
-    assert type(got.dim) is int and type(got.lam) is float
-    for field in ("gram", "gram_inv", "b_vec", "weight"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and a.shape == b.shape, field
-        assert a.tobytes() == b.tobytes(), field
 
 
 @st.composite

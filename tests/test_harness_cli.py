@@ -328,6 +328,10 @@ class TestRunExperiment:
             small_config(deletion_kind="by-label", deletion_target_label=0)
         with pytest.raises(ValueError, match="weighted deletion distribution needs weights"):
             small_config(deletion_kind="weighted")
+        # refused by name before any data is loaded, not by a TypeError from deep in the run
+        for field, value in (("cadence", 2.5), ("shards", 2.5), ("deletion_count", 2.5), ("seed", 1.5)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+                small_config(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("kappa", 1.5), ("kappa", -0.1), ("cap_k", 0.5), ("cap_k", float("nan")), ("cap_k", float("inf")),
