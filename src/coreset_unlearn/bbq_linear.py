@@ -74,10 +74,10 @@ from .core_linalg import (
     FLOAT64,
     NORM_SLACK,
     GramState,
+    as_integer,
     as_vector,
     gram_from_rows,
     gram_gap,
-    as_integer,
     gram_init,
     leverage,
     rank_one_downdate,
