@@ -28,11 +28,13 @@ only grows in PSD order, so that screen bounds each row's leverage from
 above for the whole block, and a row it certifies below the threshold costs
 no leverage evaluation of its own: the fit spends its per-point work on the
 points it may store, whose exact test and update share one product ``A^-1 x``.
-Later tests read only the inverse, so a query steps only the inverse; a
-mean inverse takes its terms in fit order, in batches bounded by
-:data:`PENDING_BYTES`.  The state a fit leaves is derived from the core set
-it queried, by :func:`~.core_linalg.gram_from_rows`, on either path, so a
-fit, its file and a load of that file hold the same state bits.
+Later tests read only the inverse, so a query steps only the inverse.  The
+state a fit leaves is derived from the core set it queried, by
+:func:`~.core_linalg.gram_from_rows`, on either path, so a fit, its file and
+a load of that file hold the same state bits.  :func:`bbq_fit_orders` runs
+the rows fits of many orderings of one set of rows in lockstep, each round
+one batched op over the orderings, with every decision and bit of the single
+fits; it can also give each ordering's mean inverse, summed in fit order.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -104,10 +106,6 @@ SCREEN_BLOCK = 512
 # unqueried; the slack covers the rounding of the screen and of the
 # Sherman-Morrison steps the block's later queries take.
 SCREEN_SLACK = 1e-9
-
-# A fit on rows that forms a mean inverse adds up its pending pre-step inverses
-# when one more does not fit in this many bytes, so at every query once two do not.
-PENDING_BYTES = 256 * 1024
 
 
 class ModelFormatError(ValueError):
@@ -313,7 +311,6 @@ def bbq_fit(
     *,
     horizon: int | None = None,
     dim: int | None = None,
-    mean_inverse: np.ndarray | None = None,
 ) -> ModelState:
     """Single pass of the selective sampler over ``stream``.
 
@@ -334,13 +331,8 @@ def bbq_fit(
     were built, are stacked once, at the end.  Either way the model's state
     is :func:`~.core_linalg.gram_from_rows` of the queried rows, the state
     :func:`save_model` and :func:`load_model` derive, so both paths, the
-    file and its load agree bit for bit.
-
-    ``mean_inverse``, a writable float64 ``(dim, dim)`` array given only
-    with nonempty rows, is overwritten with the mean over the rows of the
-    inverse each is tested against.  The fit forms it in its one pass: the
-    inverse changes only at a query, so each one is added once, times the
-    number of rows that see it.  A fit without it does not pay for the sum.
+    file and its load agree bit for bit.  :func:`bbq_fit_orders` fits many
+    orderings of one :class:`~.datastreams.Rows` at once, with these bits.
     """
     is_rows = isinstance(stream, Rows)  # whose ids are unique by construction
     if not is_rows:
@@ -357,18 +349,12 @@ def bbq_fit(
         dim = stream.X.shape[1] if is_rows else len(stream[0].x)
     if is_rows and n and stream.X.shape[1] != dim:
         raise ValueError(f"dim {dim} does not match the rows' width {stream.X.shape[1]}")
-    if mean_inverse is not None:
-        if not (is_rows and isinstance(mean_inverse, np.ndarray)):
-            raise TypeError(f"mean_inverse needs Rows and an ndarray, got {type(stream).__name__}")
-        shape, dtype = mean_inverse.shape, mean_inverse.dtype
-        if not (n and shape == (dim, dim) and dtype == FLOAT64 and mean_inverse.flags.writeable):
-            raise ValueError(f"mean_inverse needs nonempty rows and a writable float64 {(dim, dim)}, got {dtype} {shape}")
     params = BBQParams(horizon=horizon, kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     state = gram_init(dim, params.lam)  # the inverse the decisions start from
     if is_rows:
         X = stream.X if n else np.empty((0, dim))  # an empty Rows may be (0, 0)
-        pos = _fit_rows(X, state.gram_inv, threshold, mean_inverse)
+        pos = _fit_rows(X, state.gram_inv, threshold)
         rows = trusted_rows(stream.ids[pos], X[pos], stream.y[pos])
     else:
         queried, labels = [], []
@@ -392,48 +378,28 @@ def _exact_leverage(inv: np.ndarray, x: np.ndarray):
 
 
 def _step_inverse(inv: np.ndarray, v: np.ndarray, lev, out: np.ndarray) -> None:
-    """``out = inv - v v^T / (1 + lev)``: :func:`~.core_linalg.rank_one_update`'s step, into the stack's next slot."""
+    """``out = inv - v v^T / (1 + lev)``: :func:`~.core_linalg.rank_one_update`'s step, into the other slot."""
     np.multiply(v[:, None], v, out=out)
     out /= 1.0 + lev
     np.subtract(inv, out, out)
 
 
-def _fit_rows(X: np.ndarray, inv: np.ndarray, threshold: float, total: np.ndarray | None) -> list[int]:
+def _fit_rows(X: np.ndarray, inv: np.ndarray, threshold: float) -> list[int]:
     """The sampler's pass over the rows ``X`` from the inverse ``inv``, screened: the queried positions in fit order.
 
     Each block's bounds ``x^T A^-1 x`` are one product against the inverse
     at the block's start.  A later query in the block only shrinks the
     inverse, so a row whose bound is at most ``threshold * (1 -
     SCREEN_SLACK)`` would fail the query test and is skipped.  Every other
-    row takes the exact test, and a query reuses the test's product.
-
-    Later tests read only the inverse, so a query steps only the inverse,
-    from one slot of a stack into the next; the fit derives the rest of its
-    state from the rows it queried.  Without ``total`` two slots take turns.
-    With it, ``total`` is overwritten with the mean inverse: slot 0 holds
-    the inverse before the pending queries, and when the stack fills
-    :data:`PENDING_BYTES`, or the pass ends, each pre-step inverse times the
-    rows that saw it is added in fit order, and the last slot moves to 0.
+    row takes the exact test, and a query reuses the test's product.  Later
+    tests read only the inverse, so a query steps only the inverse, from one
+    of two slots into the other; the fit derives the rest of its state from
+    the rows it queried.
     """
-    d = len(inv)
     cut = threshold * (1.0 - SCREEN_SLACK)
-    if total is None:
-        cap, stack = 2, np.empty((2, d, d))  # slot 2 is slot 0: nothing is pending
-    else:
-        cap = max(1, min(len(X), PENDING_BYTES // (8 * d * d)))  # queries pending at most
-        stack = np.empty((cap + 1, d, d))
-        total.fill(0.0)
-    stack[0] = inv
-    slots = [stack[j % len(stack)] for j in range(cap + 1)]  # the inverse before the pending queries, then after each
-    queried, k = [-1], 0  # the queried rows' positions after a -1, the row before the first; queries pending
-
-    def add_pending(k):
-        runs = np.multiply(stack[:k], np.diff(queried[-k - 1 :])[:, None, None], out=stack[:k])
-        runs[0] += total  # the bits of total + runs[0]: a sum of two doubles does not depend on their order
-        total[...] = np.add.accumulate(runs, axis=0, out=runs)[-1]  # left to right, as a loop of +=
-        stack[0] = stack[k]
-
-    inv = slots[0]  # the inverse the next row is tested against
+    slots = np.empty((2, *inv.shape))
+    slots[0] = inv
+    inv, queried = slots[0], []  # the inverse the next row is tested against
     for start in range(0, len(X), SCREEN_BLOCK):
         block = X[start : start + SCREEN_BLOCK]
         bounds = ((block @ inv) * block).sum(1)
@@ -441,19 +407,130 @@ def _fit_rows(X: np.ndarray, inv: np.ndarray, threshold: float, total: np.ndarra
             v, lev = _exact_leverage(inv, block[i])
             if lev > threshold:
                 queried.append(start + i)
-                k += 1
-                _step_inverse(inv, v, lev, slots[k])  # the module global, so a wrapper sees every call
-                if k == cap:
-                    if total is not None:
-                        add_pending(k)
-                    k = 0
-                inv = slots[k]
-    if total is not None:
-        if k:
-            add_pending(k)
-        total += (len(X) - 1 - queried[-1]) * stack[0]  # the tail run; a zero run leaves the bits as they are
-        total /= len(X)
-    return queried[1:]
+                _step_inverse(inv, v, lev, slots[len(queried) % 2])  # the module global, so a wrapper sees every call
+                inv = slots[len(queried) % 2]
+    return queried
+
+
+def bbq_fit_orders(
+    rows: Rows, orders, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5, *, mean_inverse: np.ndarray | None = None,
+) -> list[ModelState]:
+    """The rows fit of each ordering of ``rows``, all in one lockstep pass.
+
+    ``orders`` is a ``(t, n)`` integer array whose every row is a permutation
+    of ``range(len(rows))``; model ``j`` is ``bbq_fit(rows.take(orders[j]),
+    cap_k, kappa)``, with the same core set in fit order and the same state
+    bits.  The orderings are independent, so one pass runs all of them:
+
+    * each screen block is gathered per ordering, ``rows.X[orders[:,
+      block]]``, and screened against each ordering's inverse in one batched
+      product, as :func:`_fit_rows` screens one;
+    * the orderings are sorted by the number of rows their screen flags, so
+      round ``k`` of the block tests the ``k``-th flagged row of a prefix of
+      them: the exact tests are one stacked ``np.matmul``, which gives the
+      bits of each slice's ``.dot``, and the Sherman-Morrison steps of the
+      orderings that query are one elementwise op, which gives the bits of
+      each slice's step.
+
+    The pass holds the ``(t, n)`` indices, one gathered block and ``t``
+    inverses; no ordering's rows are stacked whole.
+
+    ``mean_inverse``, a writable float64 ``(t, dim, dim)`` array, is
+    overwritten with each ordering's mean over the rows of the inverse each
+    is tested against.  The inverse changes only at a query, so each one is
+    added once, times the number of rows that see it, in fit order: the terms
+    are elementwise too, and each sum is a loop of ``+=`` in fit order.
+    """
+    if not (isinstance(rows, Rows) and (mean_inverse is None or isinstance(mean_inverse, np.ndarray))):
+        raise TypeError(f"bbq_fit_orders needs Rows and an ndarray mean_inverse, got {type(rows).__name__}")
+    n = len(rows)
+    if not n:
+        raise ValueError("bbq_fit_orders needs nonempty rows")
+    orders = np.asarray(orders)
+    if not (orders.dtype.kind in "iu" and orders.ndim == 2 and len(orders) and orders.shape[1] == n
+            and (np.sort(orders, axis=1) == np.arange(n)).all()):
+        raise ValueError(f"orders must be a nonempty (t, {n}) integer array of permutations of range({n})")
+    X, t, d = rows.X, len(orders), rows.X.shape[1]
+    if mean_inverse is not None:
+        shape, dtype = mean_inverse.shape, mean_inverse.dtype
+        if not (shape == (t, d, d) and dtype == FLOAT64 and mean_inverse.flags.writeable):
+            raise ValueError(f"mean_inverse needs a writable float64 {(t, d, d)}, got {dtype} {shape}")
+    params = BBQParams(horizon=n, kappa=float(kappa), cap_k=float(cap_k))
+    threshold = params.query_threshold
+    # per slot: the ordering it runs, its inverse, its last query's position and its sum of terms
+    slots = (np.arange(t), np.repeat(gram_init(d, params.lam).gram_inv[None], t, axis=0), np.full(t, -1))
+    if mean_inverse is not None:
+        slots += (np.zeros((t, d, d)),)
+    queries = [
+        _lockstep_block(X, orders[slots[0], start : start + SCREEN_BLOCK], start, slots, threshold)
+        for start in range(0, n, SCREEN_BLOCK)
+    ]
+    if mean_inverse is not None:
+        at, inv, last, total = slots
+        total += (n - 1 - last)[:, None, None] * inv  # the tail runs; a zero run leaves the bits as they are
+        total /= n
+        mean_inverse[at] = total
+    who, where = (np.concatenate(a) for a in zip(*queries))
+    fit_order = np.argsort(who, kind="stable")  # rounds run in fit order within each ordering
+    models = []
+    for j, pos in enumerate(np.split(where[fit_order], np.cumsum(np.bincount(who, minlength=t))[:-1])):
+        take = orders[j, pos]
+        core = trusted_rows(rows.ids[take], X[take], rows.y[take])
+        gram_state = gram_from_rows(core.X, core.y, params.lam)
+        models.append(ModelState(gram_state=gram_state, coreset=CoreSet(core), params=params, query_log=range(n)))
+    return models
+
+
+def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
+    """One screen block of :func:`bbq_fit_orders`: the orderings and positions of its queries, round by round.
+
+    ``index`` holds each slot's row indices into ``X`` for the block that
+    starts at position ``start``.  ``slots`` is ``(at, inv, last)`` or
+    ``(at, inv, last, total)``: per slot, the ordering it runs, its inverse,
+    its last query's position and its sum of mean terms.  They are reordered
+    in place, most flagged rows first, and stepped through the block's
+    queries.  Each round steps every slot it runs; one that does not query
+    adds a zero term and subtracts a zero step, which leave its bits as they
+    are.
+    """
+    block = X[index]
+    bounds = np.matmul(block, slots[1])
+    bounds *= block
+    del block  # the flagged rows are gathered again, alone
+    flagged = bounds.sum(2) > threshold * (1.0 - SCREEN_SLACK)
+    counts = flagged.sum(1)
+    by = np.argsort(-counts, kind="stable")
+    for a in slots:
+        a[...] = a[by]
+    at, inv, last, *total = slots
+    counts = counts[by]
+    slot, col = np.nonzero(flagged[by])  # slot by slot, each in fit order
+    rank = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rounds = np.argsort(rank, kind="stable")  # round k: the k-th flagged row of each slot that has one
+    slot, col = slot[rounds], col[rounds]
+    xs, pos = X[index[by[slot], col]], start + col
+    queried = np.zeros(len(slot), dtype=bool)
+    o = 0
+    for p in np.bincount(rank).tolist():  # round k runs on the first p slots
+        x, sl = xs[o : o + p, :, None], slice(o, o + p)
+        o += p
+        v = np.matmul(inv[:p], x)
+        lev = np.matmul(v.transpose(0, 2, 1), x)
+        q = queried[sl] = (lev > threshold).ravel()
+        hits = np.count_nonzero(q)
+        if not hits:
+            continue
+        if total:
+            here = pos[sl]
+            # a slot that does not query adds 0 * inv, a zero: a sum that starts at +0.0 never reads -0.0
+            total[0][:p] += ((here - last[:p]) * q)[:, None, None] * inv[:p]
+            np.copyto(last[:p], here, where=q)
+        step = np.multiply(v, v.transpose(0, 2, 1))
+        step /= 1.0 + lev
+        if hits < p:
+            step[~q] = 0.0  # subtracting +0.0 leaves every value, -0.0 too, as it is
+        inv[:p] -= step
+    return at[slot[queried]], pos[queried]
 
 
 def predict(model: ModelState, x) -> int:

@@ -12,13 +12,15 @@ Three layers:
     while both the count budget and the measured drift budget hold; its
     state since the last fit or rebase, drift reference included, is a
     :class:`MetricSet`, and the model keeps none of it;
-  * Monte Carlo estimators (:func:`expected_capacity_mc`) that refit on
-    random stream permutations, one pass each, and draw deletions to compare
-    the empirical exhaustion probability against its closed-form bound.
+  * Monte Carlo estimators (:func:`expected_capacity_mc`) that fit random
+    stream permutations, all in one lockstep pass, and draw deletions to
+    compare the empirical exhaustion probability against its closed-form
+    bound.
 
 Bound checks on probabilistic statements are reported, never hard-asserted;
-hard assertions are reserved for algebraic identities such as
-:func:`predicted_deletion_drift`.
+hard assertions are reserved for identities: algebraic ones such as
+:func:`predicted_deletion_drift`, and the lockstep fit's equality with a
+single fit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .atomic_io import atomic_open
-from .bbq_linear import ModelState, bbq_fit
+from .bbq_linear import ModelState, bbq_fit, bbq_fit_orders, state_of_system, system_states_equal
 from .core_linalg import GramState, as_integer, rank_one_downdate
 from .datastreams import DeletionDistribution, as_rows, deletion_stream, deletion_weights, eligible_ids
 
@@ -259,13 +261,18 @@ def expected_capacity_mc(
 
     ``dataset`` is anything :func:`~.datastreams.as_rows` accepts: a
     :class:`~.datastreams.Rows` or ``Dataset``, or a sample list, which is
-    stacked once.  Each trial refits on an independent random permutation of
-    its rows, draws deletion requests from ``dist`` without replacement, and
+    stacked once.  Each trial fits an independent random permutation of the
+    rows, draws deletion requests from ``dist`` without replacement, and
     counts how many of the first ``k_total`` requests hit that trial's core
-    set.  The closed-form bound side is the expected quadratic form
-    ``x^T M x`` of a row ``x`` drawn from ``dist``, where ``M`` is the trial's
-    average pre-step inverse Gram matrix, formed by the fit in its one pass
-    (``bbq_fit``'s ``mean_inverse``).  That expectation is ``<M, S>``, with
+    set.  The trials' fits run in one lockstep pass,
+    :func:`~.bbq_linear.bbq_fit_orders`, which holds the permutations as
+    indices and stacks no trial's rows.  Trial 0 is then fitted alone by
+    ``bbq_fit``, and ``AssertionError`` is raised unless both fits store the
+    same rows in fit order with the same state bits.  The closed-form bound
+    side is the expected quadratic form ``x^T M x`` of a row ``x`` drawn from
+    ``dist``, where ``M`` is the trial's average pre-step inverse Gram
+    matrix, formed by the lockstep fit in its one pass (its
+    ``mean_inverse``).  That expectation is ``<M, S>``, with
     ``S`` the second-moment matrix of ``dist`` over the rows (see
     :func:`second_moment`), built once per call, so a trial's form costs
     ``O(d^2)`` rather than a pass over the rows.
@@ -298,21 +305,19 @@ def expected_capacity_mc(
         raise ValueError("k_total grid must lie within [1, len(dataset)]")
     eligible_ids(rows, dist, int(k_total_grid[-1]))  # every trial draws this many: refuse before any fit
 
-    children = np.random.SeedSequence(seed).spawn(trials)
+    seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]  # (permutation, draws)
+    orders = np.stack([np.random.default_rng(perm_seq).permutation(T) for perm_seq, _ in seeds])
+    mean_inv = np.empty((trials, rows.X.shape[1], rows.X.shape[1]))
+    models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inv)
+    single = bbq_fit(rows.take(orders[0]), cap_k=cap_k, kappa=kappa)
+    if not system_states_equal(state_of_system(models[0]), state_of_system(single), tol=0.0):
+        raise AssertionError("the lockstep fit of trial 0 differs from its single fit")
     exceed = np.zeros((trials, len(k_total_grid)))
-    qf_values = np.zeros(trials)
-    mean_inv = np.empty((rows.X.shape[1],) * 2)  # each trial's fit overwrites it
     moment = second_moment(rows, dist)
+    qf_values = np.array([np.vdot(m, moment) for m in mean_inv])
 
-    for trial, child in enumerate(children):
-        perm_seq, draw_seq = child.spawn(2)
-        rng = np.random.default_rng(perm_seq)
-        perm = rng.permutation(T)
-        permuted = rows.take(perm)
-        model = bbq_fit(permuted, cap_k=cap_k, kappa=kappa, mean_inverse=mean_inv)
-
+    for trial, ((_, draw_seq), model) in enumerate(zip(seeds, models)):
         stored = model.coreset.ids()
-        qf_values[trial] = np.vdot(mean_inv, moment)
 
         draws = deletion_stream(
             rows, dist, int(k_total_grid[-1]), seed=int(draw_seq.generate_state(1)[0] % (2**31))
@@ -324,7 +329,8 @@ def expected_capacity_mc(
         exceed[trial] = hits_so_far > K
 
         if check_drift_identity and hit_positions:  # the trial's model is thrown away after the check
-            gap = max(drift_identity_gap(model, draws[pos], permuted.X[0]) for pos in hit_positions[: K + 1])
+            probe = rows.X[orders[trial, 0]]
+            gap = max(drift_identity_gap(model, draws[pos], probe) for pos in hit_positions[: K + 1])
             if gap > 1e-8:
                 raise AssertionError(f"deletion drift identity violated: predicted and observed differ by {gap}")
 

@@ -59,7 +59,7 @@ def random_linear_instance(rng: np.random.Generator, t_max: int = 2000):
 
 def random_deletion_request(rng: np.random.Generator, ds, model) -> set[int]:
     """Mixed deletion set: up to ``cap_k`` core-set hits, plus up to 10 points outside the core set."""
-    core_ids = sorted(model.coreset_ids)
+    core_ids = sorted(model.coreset.ids())
     hits = int(rng.integers(0, min(len(core_ids), int(model.params.cap_k)) + 1)) if core_ids else 0
     u = set(rng.choice(core_ids, size=hits, replace=False).tolist()) if hits else set()
     outside = [sid for sid in ds.ids.tolist() if sid not in model.coreset]
@@ -178,7 +178,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
     for t in range(trials):
         ds, model = random_linear_instance(rng)
         u = random_deletion_request(rng, ds, model)
-        queried = model.coreset_ids
+        queried = set(model.coreset.ids())  # the stored ids before the request
         p = model.params
 
         core_X = model.coreset.rows().X
@@ -186,7 +186,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
         stored += len(core_X)
 
         fresh = replay_on_coreset(model, u)
-        if fresh.coreset_ids != queried - u:
+        if fresh.coreset.ids() != queried - u:
             replay_failed.append(t)
         replayed += bool(queried)
 
@@ -199,7 +199,7 @@ def check_linear_instances(seed: int, trials: int) -> list[tuple[str, bool, str]
         post_hit_checks += bool(queried & u)
 
         extra = set(rng.choice(ds.ids, size=min(len(ds), 20), replace=False).tolist())
-        hits += len(queried & u) + len(model.coreset_ids & extra)
+        hits += len(queried & u) + len(model.coreset.ids() & extra)
         fresh = replay_on_coreset(model, extra)
         deletion_update(model, extra)
         if not (system_states_equal(state_of_system(model), state_of_system(fresh), WEIGHT_TOL) and exact):

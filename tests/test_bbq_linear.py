@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import GRAM_FIELDS, assert_state_from_coreset, ints_reachable, random_samples
+from instances import GRAM_FIELDS, assert_same_state_bits, assert_state_from_coreset, ints_reachable, random_samples
 from coreset_unlearn import (
     DatasetSpec,
     ExperimentConfig,
@@ -43,6 +43,7 @@ from coreset_unlearn.bbq_linear import (
     CoreSet,
     ModelFormatError,
     ModelState,
+    bbq_fit_orders,
     encode_model,
 )
 from coreset_unlearn import bbq_linear, core_linalg, datastreams, verify
@@ -248,6 +249,29 @@ class TestSamplerDecisions:
         assert len(load_model(tmp_path / "m.saul").query_log) == 0
 
 
+def assert_same_fit(got, want):
+    """``got`` is the fit ``want``: its stored ids in fit order, its file bytes and its state bits."""
+    assert list(got.coreset.ids()) == list(want.coreset.ids())
+    assert encode_model(got) == encode_model(want)
+    assert_same_state_bits(got.gram_state, want.gram_state)
+    assert got.params == want.params and got.query_log == want.query_log
+
+
+def full_state_mean(rows, model) -> np.ndarray:
+    """The mean over ``rows``, in their order, of the inverse each is tested against, with the full
+    state stepped through ``rank_one_update`` at each of ``model``'s stored rows: a fit's mean, by replay."""
+    n, d = rows.X.shape
+    positions = np.flatnonzero(np.isin(rows.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
+    state, total = core_linalg.gram_init(d, model.params.lam), np.zeros((d, d))
+    runs = np.diff(positions, prepend=-1, append=n - 1).tolist()
+    for run, s in zip(runs, model.coreset):
+        total += run * state.gram_inv
+        core_linalg.rank_one_update(state, s.x, s.y)
+    if runs[-1]:
+        total += runs[-1] * state.gram_inv
+    return total / n
+
+
 @st.composite
 def screened_streams(draw):
     """Rows with fit settings: short and ragged last blocks, duplicated rows, a
@@ -296,51 +320,124 @@ class TestRowsFit:
         assert via_rows.query_log == via_samples.query_log == range(len(rows))
 
     @settings(max_examples=80, deadline=None)
-    @given(screened_streams())
-    def test_mean_inverse_equals_full_state_replay(self, case):
+    @given(screened_streams(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_mean_inverse_equals_full_state_replay(self, case, t, seed):
         rows, cap_k, kappa, _, _ = case  # the mean runs over the rows' own length
         n, d = rows.X.shape
-        mean_inverse = np.full((d, d), np.nan)
+        mean_inverse = np.full((t, d, d), np.nan)
         if not n:
             with pytest.raises(ValueError, match="nonempty rows"):
-                bbq_fit(rows, cap_k, kappa, horizon=1, dim=d, mean_inverse=mean_inverse)
+                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa, mean_inverse=mean_inverse)
             return
-        model = bbq_fit(rows, cap_k, kappa, mean_inverse=mean_inverse)
-        assert encode_model(model) == encode_model(bbq_fit(rows, cap_k=cap_k, kappa=kappa))
-        # the mean pre-step inverse by stepping the full state through rank_one_update
-        positions = np.flatnonzero(np.isin(rows.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
-        state = core_linalg.gram_init(d, cap_k)
-        total = np.zeros((d, d))
-        runs = np.diff(positions, prepend=-1, append=n - 1).tolist()
-        for run, s in zip(runs, model.coreset):
-            total += run * state.gram_inv
-            core_linalg.rank_one_update(state, s.x, s.y)
-        if runs[-1]:
-            total += runs[-1] * state.gram_inv
-        assert_state_from_coreset(model)
-        assert mean_inverse.tobytes() == (total / n).tobytes()
-        if not model.coreset:  # every row saw the initial inverse
-            assert mean_inverse.tobytes() == (n * (np.eye(d) / cap_k) / n).tobytes()
+        rng = np.random.default_rng(seed)
+        orders = np.stack([rng.permutation(n) for _ in range(t)])
+        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
+        for order, model, mean in zip(orders, models, mean_inverse):
+            assert_state_from_coreset(model)
+            assert mean.tobytes() == full_state_mean(rows.take(order), model).tobytes()
 
     def test_mean_inverse_is_a_checked_out_array(self):
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
-        out = np.full((4, 4), np.nan)
-        model = bbq_fit(rows, 4.0, 0.5, mean_inverse=out)
-        plain = bbq_fit(rows, 4.0, 0.5)
-        assert encode_model(model) == encode_model(plain)
-        for name in ("gram", "gram_inv", "b_vec", "weight"):
-            assert getattr(model.gram_state, name).tobytes() == getattr(plain.gram_state, name).tobytes()
+        orders = np.stack([np.arange(600), np.arange(600)[::-1]])
+        out = np.full((2, 4, 4), np.nan)
+        models = bbq_fit_orders(rows, orders, 4.0, 0.5, mean_inverse=out)
+        for order, model in zip(orders, models):
+            assert_same_fit(model, bbq_fit(rows.take(order), 4.0, 0.5))
         assert np.isfinite(out).all()
-        read_only = np.empty((4, 4))
+        read_only = np.empty((2, 4, 4))
         read_only.flags.writeable = False
         for stream, bad in ((rows.samples, out), (rows, out.tolist())):
             with pytest.raises(TypeError, match="needs Rows and an ndarray"):
-                bbq_fit(stream, 4.0, 0.5, mean_inverse=bad)
-        for bad in (np.empty((3, 3)), np.empty((4, 4), np.float32), np.empty((4, 4), np.int64), read_only):
+                bbq_fit_orders(stream, orders, 4.0, 0.5, mean_inverse=bad)
+        bad_outs = (np.empty((4, 4)), np.empty((3, 4, 4)), np.empty((2, 4, 4), np.float32), np.empty((2, 4, 4), np.int64))
+        for bad in (*bad_outs, read_only):
             with pytest.raises(ValueError, match="writable float64"):
-                bbq_fit(rows, 4.0, 0.5, mean_inverse=bad)
+                bbq_fit_orders(rows, orders, 4.0, 0.5, mean_inverse=bad)
         with pytest.raises(ValueError, match="nonempty rows"):
-            bbq_fit(rows.take(np.arange(0)), 4.0, 0.5, horizon=10, dim=4, mean_inverse=out)
+            bbq_fit_orders(rows.take(np.arange(0)), np.empty((2, 0), dtype=int), 4.0, 0.5, mean_inverse=out)
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            np.arange(600),  # one dimension
+            np.arange(600.0)[None],  # not integers
+            np.empty((0, 600), dtype=int),  # no ordering
+            np.arange(599)[None],  # too short
+            np.stack([np.arange(600), np.r_[0, 0, np.arange(2, 600)]]),  # a repeated row
+            np.r_[np.arange(1, 600), 600][None],  # a row past the end
+        ],
+        ids=["1-D", "float", "empty", "short", "repeat", "past-the-end"],
+    )
+    def test_orders_must_be_permutations(self, orders):
+        rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
+        with pytest.raises(ValueError, match="permutations of range"):
+            bbq_fit_orders(rows, orders, 4.0, 0.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(screened_streams(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_each_ordering_equals_its_rows_fit(self, case, t, seed, with_mean):
+        rows, cap_k, kappa, _, _ = case
+        n, d = rows.X.shape
+        if not n:
+            with pytest.raises(ValueError, match="nonempty rows"):
+                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa)
+            return
+        rng = np.random.default_rng(seed)
+        orders = np.stack([rng.permutation(n) for _ in range(t)])
+        mean_inverse = np.full((t, d, d), np.nan) if with_mean else None
+        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
+        assert len(models) == t
+        for j, (order, model) in enumerate(zip(orders, models)):
+            ordered = rows.take(order)
+            assert_same_fit(model, bbq_fit(ordered, cap_k, kappa))
+            if with_mean:
+                assert mean_inverse[j].tobytes() == full_state_mean(ordered, model).tobytes()
+
+    # (orderings, rows, d, distinct rows or None)
+    LOCKSTEP_CASES = {
+        "one ordering": (1, 1300, 4, None),
+        "rows fewer than a block": (5, 300, 3, None),
+        "rows not a multiple of a block": (4, 1100, 6, None),
+        "d=1": (6, 900, 1, None),
+        "repeated equal rows": (3, 800, 3, 4),
+    }
+
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    def test_lockstep_cases(self, name):
+        t, n, d, distinct = self.LOCKSTEP_CASES[name]
+        rng = np.random.default_rng(n + d)
+        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
+        if distinct is not None:
+            X = X[rng.integers(0, distinct, size=n)]
+        rows = Rows(np.arange(n, dtype=np.uint64) * 3, X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        orders = np.stack([rng.permutation(n) for _ in range(t)])
+        mean_inverse = np.empty((t, d, d))
+        models = bbq_fit_orders(rows, orders, 2.0, 0.7, mean_inverse=mean_inverse)
+        for order, model, mean in zip(orders, models, mean_inverse):
+            ordered = rows.take(order)
+            assert_same_fit(model, bbq_fit(ordered.samples, 2.0, 0.7))
+            assert len(model.coreset) > 1
+            assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
+
+    def test_one_ordering_flags_a_whole_block_and_another_none(self):
+        # unit rows against threshold 1/n: each bound at the start is 1/cap_k = 1, and a zero row's is 0
+        n, d = 2 * SCREEN_BLOCK, 3
+        rng = np.random.default_rng(73)
+        X = np.zeros((n, d))
+        X[:SCREEN_BLOCK] = rng.standard_normal((SCREEN_BLOCK, d))
+        X[:SCREEN_BLOCK] /= np.linalg.norm(X[:SCREEN_BLOCK], axis=1, keepdims=True)
+        rows = Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8))
+        orders = np.stack([np.arange(n), np.roll(np.arange(n), SCREEN_BLOCK), rng.permutation(n)])
+        cut = 1.0 / n * (1.0 - SCREEN_SLACK)
+        first = [(X[o[:SCREEN_BLOCK]] ** 2).sum(1) > cut for o in orders[:2]]  # the bounds against I / cap_k
+        assert first[0].all() and not first[1].any()
+        mean_inverse = np.empty((3, d, d))
+        models = bbq_fit_orders(rows, orders, 1.0, 1.0, mean_inverse=mean_inverse)
+        for order, model, mean in zip(orders, models, mean_inverse):
+            ordered = rows.take(order)
+            assert_same_fit(model, bbq_fit(ordered, 1.0, 1.0))
+            assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
+        assert len(models[0].coreset) == len(models[1].coreset) > d
 
     def test_certified_rows_cost_no_leverage_call(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
@@ -362,94 +459,43 @@ class TestRowsFit:
         assert "samples" not in vars(ds)  # no sample is built for a row the fit does not store
         assert all(s.x.base is None for s in m.coreset)  # each stored sample owns its row
 
-    # (d, rows, pending queries the mean's stack holds: None keeps PENDING_BYTES)
-    ORDER_CASES = {
-        "d=1, hundreds of queries in one block": (1, 600, None),
-        "d=2, hundreds of queries in one block": (2, 600, None),
-        "d=1, budget of 2 queries": (1, 600, 2),
-        "d=2, budget of 3 queries": (2, 600, 3),
-        "d=200, one query over the budget": (200, 300, None),
-        "d=1, budget of 1 query": (1, 600, 1),
-        "d=2, the last row's query fills the stack": (2, 565, 3),
-        "d=1, rows after the last full batch query nothing": (1, 567, 2),
-    }
+    @pytest.mark.parametrize("d, n", [(1, 600), (2, 600), (200, 300)], ids=["d=1", "d=2", "d=200"])
+    def test_the_mean_is_added_in_fit_order(self, d, n):
+        # hundreds of queries within one block, each adding its term in fit order
+        rng = np.random.default_rng(d)
+        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
+        rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        orders = np.stack([np.arange(n), np.arange(n)[::-1]])
+        mean_inverse = np.empty((2, d, d))
+        models = bbq_fit_orders(rows, orders, 1.7, 1.0, mean_inverse=mean_inverse)
+        for order, model, mean in zip(orders, models, mean_inverse):
+            ordered = rows.take(order)
+            assert_same_fit(model, bbq_fit(ordered.samples, 1.7, 1.0))
+            queried = np.flatnonzero(np.isin(ordered.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
+            assert (queried < SCREEN_BLOCK).sum() > 100
+            assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
 
-    @staticmethod
-    def record_slots(monkeypatch):
-        """Wrap ``_step_inverse``; per query, the stack's length and the slot it steps into, never its own."""
+    def test_two_slots_take_turns(self, monkeypatch):
+        # a query steps the inverse from one slot of a stack of two into the other, never into its own
         slots, step = [], bbq_linear._step_inverse
 
         def recorded(inv, v, lev, out):
             assert out.base is inv.base and not np.shares_memory(inv, out)
             slots.append((len(out.base), (out.ctypes.data - out.base.ctypes.data) // out.nbytes))
             step(inv, v, lev, out)
+
         monkeypatch.setattr(bbq_linear, "_step_inverse", recorded)
-        return slots
+        model = bbq_fit(gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=10, seed=72)), 2.0, 0.5)
+        assert slots == [(2, (i + 1) % 2) for i in range(len(model.coreset))] and slots
 
-    @pytest.mark.parametrize("name", list(ORDER_CASES))
-    def test_the_mean_is_added_in_fit_order(self, name, monkeypatch):
-        d, n, budget = self.ORDER_CASES[name]
-        if budget is not None:  # a pending query takes one d x d slot of the stack
-            monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * d * d)
-        slots = self.record_slots(monkeypatch)
-        rng = np.random.default_rng(d)
-        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
-        rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
-        mean_inverse = np.empty((d, d))
-        via_rows = bbq_fit(rows, 1.7, 1.0, mean_inverse=mean_inverse)
-        via_samples = bbq_fit(rows.samples, 1.7, 1.0)  # steps no slot
-        queried = np.flatnonzero(np.isin(rows.ids, np.fromiter(via_rows.coreset.ids(), dtype=np.uint64)))
-        assert (queried < SCREEN_BLOCK).sum() > 100  # many pending queries within one block
-        if d == 200:
-            assert 8 * d * d > bbq_linear.PENDING_BYTES  # so every query is added alone
-        # a budget fills before each add but the last; without one, all the queries are added at once, or
-        # each alone at d=200; slot 0 holds the inverse before the pending queries
-        per_add = budget or (1 if d == 200 else n)
-        assert slots == [(per_add + 1, i % per_add + 1) for i in range(len(queried))]
-        assert encode_model(via_rows) == encode_model(via_samples)
-        for field in ("gram", "gram_inv", "b_vec", "weight"):
-            assert getattr(via_rows.gram_state, field).tobytes() == getattr(via_samples.gram_state, field).tobytes()
-        state, total = core_linalg.gram_init(d, 1.7), np.zeros((d, d))
-        for run, s in zip(np.diff(queried, prepend=-1).tolist(), via_rows.coreset):
-            total += run * state.gram_inv
-            core_linalg.rank_one_update(state, s.x, s.y)
-        total += (n - 1 - queried[-1]) * state.gram_inv
-        assert mean_inverse.tobytes() == (total / n).tobytes()
-
-    # ORDER_CASES whose queries fill whole batches: rows after the last query
-    STACK_EDGES = {"d=2, the last row's query fills the stack": 0, "d=1, rows after the last full batch query nothing": 3}
-
-    @pytest.mark.parametrize("name", list(STACK_EDGES))
-    def test_order_cases_reach_the_stack_edges(self, name, monkeypatch):
-        d, n, budget = self.ORDER_CASES[name]
-        monkeypatch.setattr(bbq_linear, "PENDING_BYTES", budget * 8 * d * d)
-        slots = self.record_slots(monkeypatch)
-        rng = np.random.default_rng(d)  # the rows test_the_mean_is_added_in_fit_order fits
-        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
-        rows = Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8))
-        queried = np.fromiter(bbq_fit(rows, 1.7, 1.0, mean_inverse=np.empty((d, d))).coreset.ids(), dtype=np.int64)
-        assert slots == [(budget + 1, i % budget + 1) for i in range(len(queried))]
-        assert len(queried) % budget == 0 and n - 1 - queried[-1] == self.STACK_EDGES[name]
-
-    @pytest.mark.parametrize("with_mean", [False, True])
-    @pytest.mark.parametrize("d", [10, 20, 200])
-    def test_the_stack_keeps_its_budget(self, d, with_mean, monkeypatch):
-        slots = self.record_slots(monkeypatch)
-        rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=d, seed=72))
-        model = bbq_fit(rows, 2.0, 0.5, mean_inverse=np.empty((d, d)) if with_mean else None)
-        assert len(slots) == len(model.coreset) > 0
-        if not with_mean:  # no pre-step inverse is kept: two slots take turns
-            assert slots == [(2, (i + 1) % 2) for i in range(len(slots))]
-            return
-        per_query = 8 * d * d  # a slot of the stack
-        assert {length for length, _ in slots} == {slots[0][0]}
-        assert slots[0][0] * per_query <= max(bbq_linear.PENDING_BYTES, per_query) + per_query
-
-    @pytest.mark.parametrize("with_mean", [False, True])
-    def test_fitted_state_owns_its_arrays(self, with_mean):
+    @pytest.mark.parametrize("fit", ["rows", "orders"])
+    def test_fitted_state_owns_its_arrays(self, fit):
         # no array of the fit's stacks outlives the fit through the model
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
-        model = bbq_fit(rows, 10.0, 0.5, mean_inverse=np.empty((10, 10)) if with_mean else None)
+        if fit == "rows":
+            model = bbq_fit(rows, 10.0, 0.5)
+        else:
+            model = bbq_fit_orders(rows, np.arange(2000)[None], 10.0, 0.5, mean_inverse=np.empty((1, 10, 10)))[0]
         g = model.gram_state
         assert len(model.coreset) > 0
         assert all(a.base is None for a in (g.gram, g.gram_inv, g.b_vec, g.weight))
@@ -489,6 +535,18 @@ class TestPredict:
         assert acc_m >= acc_full - 0.02
 
 
+class Untouchable:
+    """Stands in for a stored array that must not be read: any attribute, item, length or conversion raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read .{name} of stored state")
+
+    def _refuse(self, *args):
+        raise AssertionError("read stored state")
+
+    __array__ = __len__ = __iter__ = __getitem__ = __setitem__ = __bool__ = __float__ = __index__ = _refuse
+
+
 class TestDeletion:
     def test_outside_coreset_is_free(self):
         rng = np.random.default_rng(14)
@@ -500,6 +558,31 @@ class TestDeletion:
         np.testing.assert_array_equal(m.gram_state.gram, gram_before)
         np.testing.assert_array_equal(m.weight, w_before)
         assert m.free_deletions == 5 and m.coreset_deletions == 0
+
+    def test_a_free_deletion_reads_no_stored_row_and_no_gram_field(self):
+        # the north star's "a deletion outside the core set costs nothing": no stored array is touched
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=5, seed=16))
+        m = bbq_fit(ds, cap_k=2.0, kappa=0.5)
+        outside = [sid for sid in ds.ids.tolist() if sid not in m.coreset][:40]
+        stored = list(m.coreset.ids())
+        for name in ("_ids", "_X", "_y"):
+            setattr(m.coreset, name, Untouchable())
+        for name in GRAM_FIELDS:
+            setattr(m.gram_state, name, Untouchable())
+        assert deletion_update(m, outside) is m
+        deletion_update(m, outside[:1])
+        assert (m.free_deletions, m.coreset_deletions) == (41, 0) and list(m.coreset.ids()) == stored
+
+    @pytest.mark.parametrize("h", [0, 1, 7])
+    def test_h_hits_cost_h_downdates(self, h, monkeypatch):
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=5, seed=16))
+        m = bbq_fit(ds, cap_k=2.0, kappa=0.5)
+        hits = list(m.coreset.ids())[::-3][:h]
+        outside = [sid for sid in ds.ids.tolist() if sid not in m.coreset][:25]
+        calls, downdate = [], bbq_linear.rank_one_downdate
+        monkeypatch.setattr(bbq_linear, "rank_one_downdate", lambda *args: calls.append(args) or downdate(*args))
+        deletion_update(m, outside + hits)
+        assert len(calls) == m.coreset_deletions == h and m.free_deletions == 25
 
     def test_delete_entire_coreset_resets(self):
         rng = np.random.default_rng(15)
@@ -1002,13 +1085,13 @@ class TestSerialization:
         assert [s.sample_id for s in loaded.coreset] == [s.sample_id for s in m.coreset]
         assert list(loaded.coreset) == list(m.coreset)
 
-    @pytest.mark.parametrize("fit", ["rows", "samples", "rows with mean_inverse", "empty core set"])
+    @pytest.mark.parametrize("fit", ["rows", "samples", "orders", "empty core set"])
     def test_a_fit_leaves_the_state_its_load_derives(self, fit, tmp_path):
         ds = gen_dataset(DatasetSpec(kind="margin", T=4000, d=20, gamma=0.1, seed=1))
         m = {
             "rows": lambda: bbq_fit(ds, 32.0, 0.5),
             "samples": lambda: bbq_fit(ds.samples, 32.0, 0.5),
-            "rows with mean_inverse": lambda: bbq_fit(ds, 32.0, 0.5, mean_inverse=np.empty((20, 20))),
+            "orders": lambda: bbq_fit_orders(ds, np.arange(4000)[None], 32.0, 0.5)[0],
             "empty core set": lambda: bbq_fit(ds, 3.0, 0.0),  # threshold 1 is above every leverage
         }[fit]()
         assert (len(m.coreset) > 0) is (fit != "empty core set")

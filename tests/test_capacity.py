@@ -18,6 +18,7 @@ from coreset_unlearn import (
     LabeledSample,
     MetricSet,
     bbq_fit,
+    bbq_fit_orders,
     capacity_gate,
     coreset_capacity,
     deletion_update,
@@ -364,11 +365,11 @@ class TestMonteCarlo:
         mean_inverses = []
 
         def recording_fit(*args, **kwargs):
-            model = bbq_fit(*args, **kwargs)
-            mean_inverses.append(kwargs["mean_inverse"].copy())
-            return model
+            models = bbq_fit_orders(*args, **kwargs)
+            mean_inverses.extend(kwargs["mean_inverse"].copy())
+            return models
 
-        monkeypatch.setattr(capacity, "bbq_fit", recording_fit)
+        monkeypatch.setattr(capacity, "bbq_fit_orders", recording_fit)
         decisions, sides = [], []
         for dist in dists:
             mean_inverses.clear()
@@ -422,7 +423,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("T,d", [(200, 1), (300, 3), (500, 10)])
     def test_mean_inverse_equals_full_state_replay(self, T, d):
-        # the rows fit's mean, from its inverse-only steps, equals a replay that steps the full state
+        # the lockstep fit's mean, from its inverse-only steps, equals a replay that steps the full state
         # through rank_one_update; the fitted state is the one a load derives from the core set
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=T, d=d, seed=30 + d))
         perm = np.random.default_rng(d).permutation(T)
@@ -437,9 +438,28 @@ class TestMonteCarlo:
         if runs[-1]:
             total += runs[-1] * state.gram_inv
         assert_state_from_coreset(model)
-        mean_inverse = np.empty((d, d))
-        bbq_fit(ds.take(perm), cap_k=2.0, kappa=0.5, mean_inverse=mean_inverse)
-        assert np.array_equal(mean_inverse, total / T)
+        mean_inverse = np.empty((1, d, d))
+        bbq_fit_orders(ds, perm[None], cap_k=2.0, kappa=0.5, mean_inverse=mean_inverse)
+        assert np.array_equal(mean_inverse[0], total / T)
+
+    @pytest.mark.parametrize("edit", ["drop the last stored row", "drop the first stored row"])
+    def test_a_trial_fit_that_differs_from_its_single_fit_raises(self, monkeypatch, edit):
+        # trial 0 is fitted again alone, and its lockstep model must equal that fit in every stored bit
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=26))
+        fits = []
+
+        def dropping_fit(*args, **kwargs):
+            model = bbq_fit(*args, **kwargs)
+            stored = list(model.coreset.ids())
+            model.coreset.take(stored[-1] if edit == "drop the last stored row" else stored[0])
+            fits.append(model)
+            return model
+
+        expected_capacity_mc(ds, DeletionDistribution(), K=2, trials=3, seed=27, cap_k=2.0)
+        monkeypatch.setattr(capacity, "bbq_fit", dropping_fit)
+        with pytest.raises(AssertionError, match="lockstep fit of trial 0 differs from its single fit"):
+            expected_capacity_mc(ds, DeletionDistribution(), K=2, trials=3, seed=27, cap_k=2.0)
+        assert len(fits) == 1
 
     def test_rejects_bad_arguments(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
@@ -508,7 +528,8 @@ class TestMonteCarlo:
             message = "only 2 have weight"
         grid_max = len(ds) // 2
         fits = []
-        monkeypatch.setattr(capacity, "bbq_fit", lambda *a, **k: fits.append(1))
+        for name in ("bbq_fit", "bbq_fit_orders"):
+            monkeypatch.setattr(capacity, name, lambda *a, name=name, **k: fits.append(name))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^requested {grid_max} deletions, {message}$"):
