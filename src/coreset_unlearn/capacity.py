@@ -328,7 +328,7 @@ def expected_capacity_mc(
         # positions are 0-based so a budget of k covers positions 0..k-1.
         exceed[trial] = hits_so_far > K
 
-        if check_drift_identity and hit_positions:  # the trial's model is thrown away after the check
+        if check_drift_identity and hit_positions:  # the check takes rows out of the trial's model: read last
             probe = rows.X[orders[trial, 0]]
             gap = max(drift_identity_gap(model, draws[pos], probe) for pos in hit_positions[: K + 1])
             if gap > 1e-8:

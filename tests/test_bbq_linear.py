@@ -475,7 +475,8 @@ class TestRowsFit:
             assert (queried < SCREEN_BLOCK).sum() > 100
             assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
 
-    def test_two_slots_take_turns(self, monkeypatch):
+    @pytest.mark.parametrize("d", [10, 20, 200])
+    def test_two_slots_take_turns(self, d, monkeypatch):
         # a query steps the inverse from one slot of a stack of two into the other, never into its own
         slots, step = [], bbq_linear._step_inverse
 
@@ -485,7 +486,7 @@ class TestRowsFit:
             step(inv, v, lev, out)
 
         monkeypatch.setattr(bbq_linear, "_step_inverse", recorded)
-        model = bbq_fit(gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=10, seed=72)), 2.0, 0.5)
+        model = bbq_fit(gen_dataset(DatasetSpec(kind="realizable-linear", T=1000, d=d, seed=72)), 2.0, 0.5)
         assert slots == [(2, (i + 1) % 2) for i in range(len(model.coreset))] and slots
 
     @pytest.mark.parametrize("fit", ["rows", "orders"])
