@@ -6,7 +6,6 @@ from .bbq_linear import (
     ModelState,
     SystemState,
     bbq_fit,
-    bbq_fit_orders,
     deletion_update,
     load_model,
     predict,

@@ -413,7 +413,7 @@ def _fit_rows(X: np.ndarray, inv: np.ndarray, threshold: float) -> list[int]:
 
 
 def bbq_fit_orders(
-    rows: Rows, orders, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5, *, mean_inverse: np.ndarray | None = None,
+    rows: Rows, orders, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5, *, mean_inverse: np.ndarray,
 ) -> list[ModelState]:
     """The rows fit of each ordering of ``rows``, all in one lockstep pass.
 
@@ -432,8 +432,9 @@ def bbq_fit_orders(
       orderings that query are one elementwise op, which gives the bits of
       each slice's step.
 
-    The pass holds the ``(t, n)`` indices, one gathered block and ``t``
-    inverses; no ordering's rows are stacked whole.
+    The pass holds the ``(t, n)`` indices, one gathered block, and ``t``
+    inverses and ``t`` sums of mean terms; no ordering's rows are stacked
+    whole.
 
     ``mean_inverse``, a writable float64 ``(t, dim, dim)`` array, is
     overwritten with each ordering's mean over the rows of the inverse each
@@ -441,7 +442,7 @@ def bbq_fit_orders(
     added once, times the number of rows that see it, in fit order: the terms
     are elementwise too, and each sum is a loop of ``+=`` in fit order.
     """
-    if not (isinstance(rows, Rows) and (mean_inverse is None or isinstance(mean_inverse, np.ndarray))):
+    if not (isinstance(rows, Rows) and isinstance(mean_inverse, np.ndarray)):
         raise TypeError(f"bbq_fit_orders needs Rows and an ndarray mean_inverse, got {type(rows).__name__}")
     n = len(rows)
     if not n:
@@ -451,25 +452,22 @@ def bbq_fit_orders(
             and (np.sort(orders, axis=1) == np.arange(n)).all()):
         raise ValueError(f"orders must be a nonempty (t, {n}) integer array of permutations of range({n})")
     X, t, d = rows.X, len(orders), rows.X.shape[1]
-    if mean_inverse is not None:
-        shape, dtype = mean_inverse.shape, mean_inverse.dtype
-        if not (shape == (t, d, d) and dtype == FLOAT64 and mean_inverse.flags.writeable):
-            raise ValueError(f"mean_inverse needs a writable float64 {(t, d, d)}, got {dtype} {shape}")
+    shape, dtype = mean_inverse.shape, mean_inverse.dtype
+    if not (shape == (t, d, d) and dtype == FLOAT64 and mean_inverse.flags.writeable):
+        raise ValueError(f"mean_inverse needs a writable float64 {(t, d, d)}, got {dtype} {shape}")
     params = BBQParams(horizon=n, kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     # per slot: the ordering it runs, its inverse, its last query's position and its sum of terms
-    slots = (np.arange(t), np.repeat(gram_init(d, params.lam).gram_inv[None], t, axis=0), np.full(t, -1))
-    if mean_inverse is not None:
-        slots += (np.zeros((t, d, d)),)
+    inv = np.repeat(gram_init(d, params.lam).gram_inv[None], t, axis=0)
+    slots = (np.arange(t), inv, np.full(t, -1), np.zeros((t, d, d)))
     queries = [
         _lockstep_block(X, orders[slots[0], start : start + SCREEN_BLOCK], start, slots, threshold)
         for start in range(0, n, SCREEN_BLOCK)
     ]
-    if mean_inverse is not None:
-        at, inv, last, total = slots
-        total += (n - 1 - last)[:, None, None] * inv  # the tail runs; a zero run leaves the bits as they are
-        total /= n
-        mean_inverse[at] = total
+    at, inv, last, total = slots
+    total += (n - 1 - last)[:, None, None] * inv  # the tail runs; a zero run leaves the bits as they are
+    total /= n
+    mean_inverse[at] = total
     who, where = (np.concatenate(a) for a in zip(*queries))
     fit_order = np.argsort(who, kind="stable")  # rounds run in fit order within each ordering
     models = []
@@ -485,9 +483,9 @@ def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
     """One screen block of :func:`bbq_fit_orders`: the orderings and positions of its queries, round by round.
 
     ``index`` holds each slot's row indices into ``X`` for the block that
-    starts at position ``start``.  ``slots`` is ``(at, inv, last)`` or
-    ``(at, inv, last, total)``: per slot, the ordering it runs, its inverse,
-    its last query's position and its sum of mean terms.  They are reordered
+    starts at position ``start``.  ``slots`` is ``(at, inv, last, total)``:
+    per slot, the ordering it runs, its inverse, its last query's position
+    and its sum of mean terms.  They are reordered
     in place, most flagged rows first, and stepped through the block's
     queries.  Each round steps every slot it runs; one that does not query
     adds a zero term and subtracts a zero step, which leave its bits as they
@@ -502,7 +500,7 @@ def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
     by = np.argsort(-counts, kind="stable")
     for a in slots:
         a[...] = a[by]
-    at, inv, last, *total = slots
+    at, inv, last, total = slots
     counts = counts[by]
     slot, col = np.nonzero(flagged[by])  # slot by slot, each in fit order
     rank = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -520,11 +518,10 @@ def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
         hits = np.count_nonzero(q)
         if not hits:
             continue
-        if total:
-            here = pos[sl]
-            # a slot that does not query adds 0 * inv, a zero: a sum that starts at +0.0 never reads -0.0
-            total[0][:p] += ((here - last[:p]) * q)[:, None, None] * inv[:p]
-            np.copyto(last[:p], here, where=q)
+        here = pos[sl]
+        # a slot that does not query adds 0 * inv, a zero: a sum that starts at +0.0 never reads -0.0
+        total[:p] += ((here - last[:p]) * q)[:, None, None] * inv[:p]
+        np.copyto(last[:p], here, where=q)
         step = np.multiply(v, v.transpose(0, 2, 1))
         step /= 1.0 + lev
         if hits < p:

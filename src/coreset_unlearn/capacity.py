@@ -13,9 +13,9 @@ Three layers:
     state since the last fit or rebase, drift reference included, is a
     :class:`MetricSet`, and the model keeps none of it;
   * Monte Carlo estimators (:func:`expected_capacity_mc`) that fit random
-    stream permutations, all in one lockstep pass, and draw deletions to
-    compare the empirical exhaustion probability against its closed-form
-    bound.
+    stream permutations in lockstep, :data:`FIT_GROUP` to a pass, and draw
+    deletions to compare the empirical exhaustion probability against its
+    closed-form bound.
 
 Bound checks on probabilistic statements are reported, never hard-asserted;
 hard assertions are reserved for identities: algebraic ones such as
@@ -40,6 +40,7 @@ ACCEPT = "accept"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 DEFAULT_PROBE_SIZE = 512
+FIT_GROUP = 32  # trials per lockstep fit, so the Monte Carlo's memory does not grow with its trial count
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,26 @@ def second_moment(rows, dist: DeletionDistribution) -> np.ndarray:
     return X.T @ (deletion_weights(rows.ids, dist)[:, None] * X)
 
 
+def _trial_fits(rows, children, cap_k: float, kappa: float):
+    """Each trial's ``(order, model, mean inverse, draw seed)``, from its seed in ``children``.
+
+    The trials are fitted :data:`FIT_GROUP` at a time, each group in one
+    :func:`~.bbq_linear.bbq_fit_orders` pass, and a group is fitted only
+    once the trials before it are consumed.  Trial 0 is checked against its
+    single ``bbq_fit``.
+    """
+    for first in range(0, len(children), FIT_GROUP):
+        seqs = [child.spawn(2) for child in children[first : first + FIT_GROUP]]  # (permutation, draws)
+        orders = np.stack([np.random.default_rng(perm_seq).permutation(len(rows)) for perm_seq, _ in seqs])
+        mean_inv = np.empty((len(orders), rows.X.shape[1], rows.X.shape[1]))
+        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inv)
+        if not first:
+            single = bbq_fit(rows.take(orders[0]), cap_k=cap_k, kappa=kappa)
+            if not system_states_equal(state_of_system(models[0]), state_of_system(single), tol=0.0):
+                raise AssertionError("the lockstep fit of trial 0 differs from its single fit")
+        yield from zip(orders, models, mean_inv, (draw_seq for _, draw_seq in seqs))
+
+
 def expected_capacity_mc(
     dataset,
     dist: DeletionDistribution,
@@ -264,15 +285,16 @@ def expected_capacity_mc(
     stacked once.  Each trial fits an independent random permutation of the
     rows, draws deletion requests from ``dist`` without replacement, and
     counts how many of the first ``k_total`` requests hit that trial's core
-    set.  The trials' fits run in one lockstep pass,
-    :func:`~.bbq_linear.bbq_fit_orders`, which holds the permutations as
-    indices and stacks no trial's rows.  Trial 0 is then fitted alone by
-    ``bbq_fit``, and ``AssertionError`` is raised unless both fits store the
-    same rows in fit order with the same state bits.  The closed-form bound
-    side is the expected quadratic form ``x^T M x`` of a row ``x`` drawn from
-    ``dist``, where ``M`` is the trial's average pre-step inverse Gram
-    matrix, formed by the lockstep fit in its one pass (its
-    ``mean_inverse``).  That expectation is ``<M, S>``, with
+    set.  The trials' fits run in lockstep, :data:`FIT_GROUP` trials to a
+    pass of :func:`~.bbq_linear.bbq_fit_orders`, which holds the group's
+    permutations as indices and stacks no trial's rows; a group's draws and
+    checks finish before the next group is fitted.  Trial 0 is also fitted
+    alone by ``bbq_fit``, and ``AssertionError`` is raised unless both fits
+    store the same rows in fit order with the same state bits.  The
+    closed-form bound side is the expected quadratic form ``x^T M x`` of a
+    row ``x`` drawn from ``dist``, where ``M`` is the trial's average
+    pre-step inverse Gram matrix, formed by the lockstep fit in its pass
+    (its ``mean_inverse``).  That expectation is ``<M, S>``, with
     ``S`` the second-moment matrix of ``dist`` over the rows (see
     :func:`second_moment`), built once per call, so a trial's form costs
     ``O(d^2)`` rather than a pass over the rows.
@@ -305,19 +327,14 @@ def expected_capacity_mc(
         raise ValueError("k_total grid must lie within [1, len(dataset)]")
     eligible_ids(rows, dist, int(k_total_grid[-1]))  # every trial draws this many: refuse before any fit
 
-    seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]  # (permutation, draws)
-    orders = np.stack([np.random.default_rng(perm_seq).permutation(T) for perm_seq, _ in seeds])
-    mean_inv = np.empty((trials, rows.X.shape[1], rows.X.shape[1]))
-    models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inv)
-    single = bbq_fit(rows.take(orders[0]), cap_k=cap_k, kappa=kappa)
-    if not system_states_equal(state_of_system(models[0]), state_of_system(single), tol=0.0):
-        raise AssertionError("the lockstep fit of trial 0 differs from its single fit")
     exceed = np.zeros((trials, len(k_total_grid)))
+    qf_values = np.zeros(trials)
     moment = second_moment(rows, dist)
-    qf_values = np.array([np.vdot(m, moment) for m in mean_inv])
 
-    for trial, ((_, draw_seq), model) in enumerate(zip(seeds, models)):
+    fits = _trial_fits(rows, np.random.SeedSequence(seed).spawn(trials), cap_k, kappa)
+    for trial, (order, model, mean_inv, draw_seq) in enumerate(fits):
         stored = model.coreset.ids()
+        qf_values[trial] = np.vdot(mean_inv, moment)
 
         draws = deletion_stream(
             rows, dist, int(k_total_grid[-1]), seed=int(draw_seq.generate_state(1)[0] % (2**31))
@@ -329,7 +346,7 @@ def expected_capacity_mc(
         exceed[trial] = hits_so_far > K
 
         if check_drift_identity and hit_positions:  # the check takes rows out of the trial's model: read last
-            probe = rows.X[orders[trial, 0]]
+            probe = rows.X[order[0]]
             gap = max(drift_identity_gap(model, draws[pos], probe) for pos in hit_positions[: K + 1])
             if gap > 1e-8:
                 raise AssertionError(f"deletion drift identity violated: predicted and observed differ by {gap}")

@@ -300,6 +300,69 @@ def screened_streams(draw):
     return Rows(ids, np.ascontiguousarray(X), y), cap_k, kappa, shape, all_flagged
 
 
+def spread_rows(rng, n, d, id_step=1, distinct=None):
+    """``n`` rows of norm in [0.5, 1]; with ``distinct``, each a copy of one of the first ``distinct``."""
+    X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
+    if distinct is not None:
+        X = X[rng.integers(0, distinct, size=n)]
+    return Rows(np.arange(n, dtype=np.uint64) * id_step, X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+
+
+def shuffled(t, n, d, distinct=None):
+    rng = np.random.default_rng(n + d)
+    rows = spread_rows(rng, n, d, 3, distinct)
+    return rows, np.stack([rng.permutation(n) for _ in range(t)])
+
+
+def forward_and_back(n, d):
+    return spread_rows(np.random.default_rng(d), n, d), np.stack([np.arange(n), np.arange(n)[::-1]])
+
+
+def one_flags_a_whole_block_another_none():
+    # unit rows against threshold 1/n: each bound at the start is 1/cap_k = 1, and a zero row's is 0
+    n, d = 2 * SCREEN_BLOCK, 3
+    rng = np.random.default_rng(73)
+    X = np.zeros((n, d))
+    X[:SCREEN_BLOCK] = rng.standard_normal((SCREEN_BLOCK, d))
+    X[:SCREEN_BLOCK] /= np.linalg.norm(X[:SCREEN_BLOCK], axis=1, keepdims=True)
+    orders = np.stack([np.arange(n), np.roll(np.arange(n), SCREEN_BLOCK), rng.permutation(n)])
+    cut = 1.0 / n * (1.0 - SCREEN_SLACK)
+    first = [(X[o[:SCREEN_BLOCK]] ** 2).sum(1) > cut for o in orders[:2]]  # the bounds against I / cap_k
+    assert first[0].all() and not first[1].any()
+    return Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8)), orders
+
+
+def queried_in_first_block(ordered, model) -> int:
+    queried = np.flatnonzero(np.isin(ordered.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
+    return int((queried < SCREEN_BLOCK).sum())
+
+
+def each_stores_more_than_one(fits) -> bool:
+    return all(len(model.coreset) > 1 for _, model in fits)
+
+
+# name: (rows and orders, cap_k, kappa, a check on the (ordered rows, model) pairs)
+LOCKSTEP_CASES = {
+    "one ordering": (lambda: shuffled(1, 1300, 4), 2.0, 0.7, each_stores_more_than_one),
+    "rows fewer than a block": (lambda: shuffled(5, 300, 3), 2.0, 0.7, each_stores_more_than_one),
+    "rows not a multiple of a block": (lambda: shuffled(4, 1100, 6), 2.0, 0.7, each_stores_more_than_one),
+    "d=1": (lambda: shuffled(6, 900, 1), 2.0, 0.7, each_stores_more_than_one),
+    "repeated equal rows": (lambda: shuffled(3, 800, 3, distinct=4), 2.0, 0.7, each_stores_more_than_one),
+    "one ordering flags a whole block and another none": (
+        one_flags_a_whole_block_another_none, 1.0, 1.0,
+        lambda fits: len(fits[0][1].coreset) == len(fits[1][1].coreset) > 3,
+    ),
+    # hundreds of queries within one block, each adding its mean term in fit order
+    **{
+        f"mean added in fit order, d={d}": (
+            functools.partial(forward_and_back, n, d), 1.7, 1.0,
+            lambda fits: all(queried_in_first_block(*fit) > 100 for fit in fits),
+        )
+        for d, n in ((1, 600), (2, 600), (200, 300))
+    },
+}
+
+
 class TestRowsFit:
     """A fit on rows screens them in blocks and gives the sample-list fit's model, bit for bit."""
 
@@ -318,23 +381,6 @@ class TestRowsFit:
         for name in ("gram", "gram_inv", "b_vec", "weight"):
             assert getattr(via_rows.gram_state, name).tobytes() == getattr(via_samples.gram_state, name).tobytes()
         assert via_rows.query_log == via_samples.query_log == range(len(rows))
-
-    @settings(max_examples=80, deadline=None)
-    @given(screened_streams(), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_mean_inverse_equals_full_state_replay(self, case, t, seed):
-        rows, cap_k, kappa, _, _ = case  # the mean runs over the rows' own length
-        n, d = rows.X.shape
-        mean_inverse = np.full((t, d, d), np.nan)
-        if not n:
-            with pytest.raises(ValueError, match="nonempty rows"):
-                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa, mean_inverse=mean_inverse)
-            return
-        rng = np.random.default_rng(seed)
-        orders = np.stack([rng.permutation(n) for _ in range(t)])
-        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
-        for order, model, mean in zip(orders, models, mean_inverse):
-            assert_state_from_coreset(model)
-            assert mean.tobytes() == full_state_mean(rows.take(order), model).tobytes()
 
     def test_mean_inverse_is_a_checked_out_array(self):
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
@@ -371,73 +417,40 @@ class TestRowsFit:
     def test_orders_must_be_permutations(self, orders):
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
         with pytest.raises(ValueError, match="permutations of range"):
-            bbq_fit_orders(rows, orders, 4.0, 0.5)
+            bbq_fit_orders(rows, orders, 4.0, 0.5, mean_inverse=np.empty((1, 4, 4)))
 
     @settings(max_examples=80, deadline=None)
-    @given(screened_streams(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
-    def test_each_ordering_equals_its_rows_fit(self, case, t, seed, with_mean):
+    @given(screened_streams(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_each_ordering_equals_its_rows_fit(self, case, t, seed):
+        # the mean runs over the rows' own length, and its sums equal a replay that steps the full state
         rows, cap_k, kappa, _, _ = case
         n, d = rows.X.shape
+        mean_inverse = np.full((t, d, d), np.nan)
         if not n:
             with pytest.raises(ValueError, match="nonempty rows"):
-                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa)
+                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa, mean_inverse=mean_inverse)
             return
         rng = np.random.default_rng(seed)
         orders = np.stack([rng.permutation(n) for _ in range(t)])
-        mean_inverse = np.full((t, d, d), np.nan) if with_mean else None
         models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
         assert len(models) == t
-        for j, (order, model) in enumerate(zip(orders, models)):
+        for order, model, mean in zip(orders, models, mean_inverse):
             ordered = rows.take(order)
             assert_same_fit(model, bbq_fit(ordered, cap_k, kappa))
-            if with_mean:
-                assert mean_inverse[j].tobytes() == full_state_mean(ordered, model).tobytes()
-
-    # (orderings, rows, d, distinct rows or None)
-    LOCKSTEP_CASES = {
-        "one ordering": (1, 1300, 4, None),
-        "rows fewer than a block": (5, 300, 3, None),
-        "rows not a multiple of a block": (4, 1100, 6, None),
-        "d=1": (6, 900, 1, None),
-        "repeated equal rows": (3, 800, 3, 4),
-    }
+            assert_state_from_coreset(model)
+            assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
 
     @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
     def test_lockstep_cases(self, name):
-        t, n, d, distinct = self.LOCKSTEP_CASES[name]
-        rng = np.random.default_rng(n + d)
-        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
-        if distinct is not None:
-            X = X[rng.integers(0, distinct, size=n)]
-        rows = Rows(np.arange(n, dtype=np.uint64) * 3, X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
-        orders = np.stack([rng.permutation(n) for _ in range(t)])
-        mean_inverse = np.empty((t, d, d))
-        models = bbq_fit_orders(rows, orders, 2.0, 0.7, mean_inverse=mean_inverse)
-        for order, model, mean in zip(orders, models, mean_inverse):
-            ordered = rows.take(order)
-            assert_same_fit(model, bbq_fit(ordered.samples, 2.0, 0.7))
-            assert len(model.coreset) > 1
+        build, cap_k, kappa, check = LOCKSTEP_CASES[name]
+        rows, orders = build()
+        mean_inverse = np.empty((len(orders), rows.X.shape[1], rows.X.shape[1]))
+        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
+        fits = [(rows.take(order), model) for order, model in zip(orders, models)]
+        for (ordered, model), mean in zip(fits, mean_inverse):
+            assert_same_fit(model, bbq_fit(ordered.samples, cap_k, kappa))  # the per-point fit, unscreened
             assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
-
-    def test_one_ordering_flags_a_whole_block_and_another_none(self):
-        # unit rows against threshold 1/n: each bound at the start is 1/cap_k = 1, and a zero row's is 0
-        n, d = 2 * SCREEN_BLOCK, 3
-        rng = np.random.default_rng(73)
-        X = np.zeros((n, d))
-        X[:SCREEN_BLOCK] = rng.standard_normal((SCREEN_BLOCK, d))
-        X[:SCREEN_BLOCK] /= np.linalg.norm(X[:SCREEN_BLOCK], axis=1, keepdims=True)
-        rows = Rows(np.arange(n, dtype=np.uint64), X, np.ones(n, dtype=np.int8))
-        orders = np.stack([np.arange(n), np.roll(np.arange(n), SCREEN_BLOCK), rng.permutation(n)])
-        cut = 1.0 / n * (1.0 - SCREEN_SLACK)
-        first = [(X[o[:SCREEN_BLOCK]] ** 2).sum(1) > cut for o in orders[:2]]  # the bounds against I / cap_k
-        assert first[0].all() and not first[1].any()
-        mean_inverse = np.empty((3, d, d))
-        models = bbq_fit_orders(rows, orders, 1.0, 1.0, mean_inverse=mean_inverse)
-        for order, model, mean in zip(orders, models, mean_inverse):
-            ordered = rows.take(order)
-            assert_same_fit(model, bbq_fit(ordered, 1.0, 1.0))
-            assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
-        assert len(models[0].coreset) == len(models[1].coreset) > d
+        assert check(fits)
 
     def test_certified_rows_cost_no_leverage_call(self, monkeypatch):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=2000, d=10, seed=71))
@@ -458,22 +471,6 @@ class TestRowsFit:
         assert len(m.coreset) <= calls["_exact_leverage"] < len(ds) // 2
         assert "samples" not in vars(ds)  # no sample is built for a row the fit does not store
         assert all(s.x.base is None for s in m.coreset)  # each stored sample owns its row
-
-    @pytest.mark.parametrize("d, n", [(1, 600), (2, 600), (200, 300)], ids=["d=1", "d=2", "d=200"])
-    def test_the_mean_is_added_in_fit_order(self, d, n):
-        # hundreds of queries within one block, each adding its term in fit order
-        rng = np.random.default_rng(d)
-        X = unit_vectors(rng, n, d) * rng.uniform(0.5, 1.0, (n, 1))
-        rows = Rows(np.arange(n, dtype=np.uint64), X, rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
-        orders = np.stack([np.arange(n), np.arange(n)[::-1]])
-        mean_inverse = np.empty((2, d, d))
-        models = bbq_fit_orders(rows, orders, 1.7, 1.0, mean_inverse=mean_inverse)
-        for order, model, mean in zip(orders, models, mean_inverse):
-            ordered = rows.take(order)
-            assert_same_fit(model, bbq_fit(ordered.samples, 1.7, 1.0))
-            queried = np.flatnonzero(np.isin(ordered.ids, np.fromiter(model.coreset.ids(), dtype=np.uint64)))
-            assert (queried < SCREEN_BLOCK).sum() > 100
-            assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
 
     @pytest.mark.parametrize("d", [10, 20, 200])
     def test_two_slots_take_turns(self, d, monkeypatch):
@@ -1092,7 +1089,7 @@ class TestSerialization:
         m = {
             "rows": lambda: bbq_fit(ds, 32.0, 0.5),
             "samples": lambda: bbq_fit(ds.samples, 32.0, 0.5),
-            "orders": lambda: bbq_fit_orders(ds, np.arange(4000)[None], 32.0, 0.5)[0],
+            "orders": lambda: bbq_fit_orders(ds, [range(4000)], 32.0, 0.5, mean_inverse=np.empty((1, 20, 20)))[0],
             "empty core set": lambda: bbq_fit(ds, 3.0, 0.0),  # threshold 1 is above every leverage
         }[fit]()
         assert (len(m.coreset) > 0) is (fit != "empty core set")

@@ -18,7 +18,6 @@ from coreset_unlearn import (
     LabeledSample,
     MetricSet,
     bbq_fit,
-    bbq_fit_orders,
     capacity_gate,
     coreset_capacity,
     deletion_update,
@@ -29,6 +28,7 @@ from coreset_unlearn import (
     gen_dataset,
 )
 from coreset_unlearn import capacity
+from coreset_unlearn.bbq_linear import bbq_fit_orders
 from coreset_unlearn.capacity import (
     ACCEPT,
     BUDGET_EXHAUSTED,
@@ -460,6 +460,28 @@ class TestMonteCarlo:
         with pytest.raises(AssertionError, match="lockstep fit of trial 0 differs from its single fit"):
             expected_capacity_mc(ds, DeletionDistribution(), K=2, trials=3, seed=27, cap_k=2.0)
         assert len(fits) == 1
+
+    def test_trials_past_a_group_give_the_ungrouped_curve(self, monkeypatch):
+        # the trials are fitted FIT_GROUP at a time: groups of 3 over 7 trials give the curve of one group of 7
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=700, d=5, seed=28))
+        args = (ds, DeletionDistribution())
+        kwargs = {"K": 12, "trials": 7, "seed": 29, "cap_k": 2.0, "k_total_grid": [50, 100, 350]}
+        whole = expected_capacity_mc(*args, **kwargs)
+        groups, singles = [], []
+
+        def recording_fit(rows, orders, *args, **kwargs):
+            groups.append(len(orders))
+            return bbq_fit_orders(rows, orders, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "FIT_GROUP", 3)
+        monkeypatch.setattr(capacity, "bbq_fit_orders", recording_fit)
+        monkeypatch.setattr(capacity, "bbq_fit", lambda *a, **k: singles.append(a) or bbq_fit(*a, **k))
+        grouped = expected_capacity_mc(*args, **kwargs)
+        assert groups == [3, 3, 1] and len(singles) == 1
+        assert 0 < whole.empirical[0] < 1  # trials that differ, so a misdrawn trial would show
+        for name in ("k_total", "empirical", "bound"):
+            assert getattr(grouped, name).tobytes() == getattr(whole, name).tobytes()
+        assert grouped.quadratic_form_mean.hex() == whole.quadratic_form_mean.hex()
 
     def test_rejects_bad_arguments(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
