@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import GramState, check_lam, gram_from_rows, rank_one_downdate
+from .core_linalg import GramState, as_integer, check_lam, gram_from_rows, rank_one_downdate
 from .datastreams import as_rows
 
 DEFAULT_RIDGE_LAMBDA = 1.0
@@ -97,11 +97,12 @@ class SisaModel:
 
 def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RIDGE_LAMBDA) -> SisaModel:
     """Round-robin shard assignment after a seeded shuffle, one ridge model per shard."""
-    data = as_rows(samples)
+    n_shards = as_integer(n_shards, "n_shards")
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    if seed < 0:
+    if as_integer(seed, "seed") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    data = as_rows(samples)
     if not len(data):
         raise ValueError("sisa_fit needs a nonempty sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -34,7 +34,7 @@ state a fit leaves is derived from the core set it queried, by
 a load of that file hold the same state bits.  :func:`bbq_fit_orders` runs
 the rows fits of many orderings of one set of rows in lockstep, each round
 one batched op over the orderings, with every decision and bit of the single
-fits; it can also give each ordering's mean inverse, summed in fit order.
+fits, and returns each ordering's mean inverse, summed in fit order.
 
 Serialized model container ("SAUL1"), all integers and doubles little-endian:
 
@@ -413,9 +413,9 @@ def _fit_rows(X: np.ndarray, inv: np.ndarray, threshold: float) -> list[int]:
 
 
 def bbq_fit_orders(
-    rows: Rows, orders, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5, *, mean_inverse: np.ndarray,
-) -> list[ModelState]:
-    """The rows fit of each ordering of ``rows``, all in one lockstep pass.
+    rows: Rows, orders, cap_k: float = DEFAULT_CAP_K, kappa: float = 0.5
+) -> tuple[list[ModelState], np.ndarray]:
+    """The rows fit of each ordering of ``rows``, all in one lockstep pass: ``(models, means)``.
 
     ``orders`` is a ``(t, n)`` integer array whose every row is a permutation
     of ``range(len(rows))``; model ``j`` is ``bbq_fit(rows.take(orders[j]),
@@ -432,18 +432,18 @@ def bbq_fit_orders(
       orderings that query are one elementwise op, which gives the bits of
       each slice's step.
 
-    The pass holds the ``(t, n)`` indices, one gathered block, and ``t``
-    inverses and ``t`` sums of mean terms; no ordering's rows are stacked
-    whole.
+    The pass holds the ``(t, n)`` indices and a ``(t, n)`` mask of the
+    queried positions, one gathered block, and ``t`` inverses and ``t`` sums
+    of mean terms; no ordering's rows are stacked whole.
 
-    ``mean_inverse``, a writable float64 ``(t, dim, dim)`` array, is
-    overwritten with each ordering's mean over the rows of the inverse each
-    is tested against.  The inverse changes only at a query, so each one is
-    added once, times the number of rows that see it, in fit order: the terms
-    are elementwise too, and each sum is a loop of ``+=`` in fit order.
+    ``means`` is a new float64 ``(t, dim, dim)`` array: row ``j`` is ordering
+    ``j``'s mean over the rows of the inverse each is tested against.  The
+    inverse changes only at a query, so each one is added once, times the
+    number of rows that see it, in fit order: the terms are elementwise too,
+    and each sum is a loop of ``+=`` in fit order.
     """
-    if not (isinstance(rows, Rows) and isinstance(mean_inverse, np.ndarray)):
-        raise TypeError(f"bbq_fit_orders needs Rows and an ndarray mean_inverse, got {type(rows).__name__}")
+    if not isinstance(rows, Rows):
+        raise TypeError(f"bbq_fit_orders needs Rows, got {type(rows).__name__}")
     n = len(rows)
     if not n:
         raise ValueError("bbq_fit_orders needs nonempty rows")
@@ -452,35 +452,28 @@ def bbq_fit_orders(
             and (np.sort(orders, axis=1) == np.arange(n)).all()):
         raise ValueError(f"orders must be a nonempty (t, {n}) integer array of permutations of range({n})")
     X, t, d = rows.X, len(orders), rows.X.shape[1]
-    shape, dtype = mean_inverse.shape, mean_inverse.dtype
-    if not (shape == (t, d, d) and dtype == FLOAT64 and mean_inverse.flags.writeable):
-        raise ValueError(f"mean_inverse needs a writable float64 {(t, d, d)}, got {dtype} {shape}")
     params = BBQParams(horizon=n, kappa=float(kappa), cap_k=float(cap_k))
     threshold = params.query_threshold
     # per slot: the ordering it runs, its inverse, its last query's position and its sum of terms
     inv = np.repeat(gram_init(d, params.lam).gram_inv[None], t, axis=0)
     slots = (np.arange(t), inv, np.full(t, -1), np.zeros((t, d, d)))
-    queries = [
-        _lockstep_block(X, orders[slots[0], start : start + SCREEN_BLOCK], start, slots, threshold)
-        for start in range(0, n, SCREEN_BLOCK)
-    ]
+    queried = np.zeros((t, n), dtype=bool)  # by ordering and position
+    for start in range(0, n, SCREEN_BLOCK):
+        _lockstep_block(X, orders[slots[0], start : start + SCREEN_BLOCK], start, slots, threshold, queried)
     at, inv, last, total = slots
     total += (n - 1 - last)[:, None, None] * inv  # the tail runs; a zero run leaves the bits as they are
     total /= n
-    mean_inverse[at] = total
-    who, where = (np.concatenate(a) for a in zip(*queries))
-    fit_order = np.argsort(who, kind="stable")  # rounds run in fit order within each ordering
     models = []
-    for j, pos in enumerate(np.split(where[fit_order], np.cumsum(np.bincount(who, minlength=t))[:-1])):
-        take = orders[j, pos]
+    for order, mask in zip(orders, queried):
+        take = order[mask]  # the queried rows in fit order
         core = trusted_rows(rows.ids[take], X[take], rows.y[take])
         gram_state = gram_from_rows(core.X, core.y, params.lam)
         models.append(ModelState(gram_state=gram_state, coreset=CoreSet(core), params=params, query_log=range(n)))
-    return models
+    return models, total[np.argsort(at)]
 
 
-def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
-    """One screen block of :func:`bbq_fit_orders`: the orderings and positions of its queries, round by round.
+def _lockstep_block(X, index, start: int, slots: tuple, threshold: float, queried: np.ndarray) -> None:
+    """One screen block of :func:`bbq_fit_orders`, round by round.
 
     ``index`` holds each slot's row indices into ``X`` for the block that
     starts at position ``start``.  ``slots`` is ``(at, inv, last, total)``:
@@ -489,7 +482,7 @@ def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
     in place, most flagged rows first, and stepped through the block's
     queries.  Each round steps every slot it runs; one that does not query
     adds a zero term and subtracts a zero step, which leave its bits as they
-    are.
+    are.  The block's queries are marked in ``queried[ordering, position]``.
     """
     block = X[index]
     bounds = np.matmul(block, slots[1])
@@ -507,14 +500,14 @@ def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
     rounds = np.argsort(rank, kind="stable")  # round k: the k-th flagged row of each slot that has one
     slot, col = slot[rounds], col[rounds]
     xs, pos = X[index[by[slot], col]], start + col
-    queried = np.zeros(len(slot), dtype=bool)
+    hit = np.zeros(len(slot), dtype=bool)
     o = 0
     for p in np.bincount(rank).tolist():  # round k runs on the first p slots
         x, sl = xs[o : o + p, :, None], slice(o, o + p)
         o += p
         v = np.matmul(inv[:p], x)
         lev = np.matmul(v.transpose(0, 2, 1), x)
-        q = queried[sl] = (lev > threshold).ravel()
+        q = hit[sl] = (lev > threshold).ravel()
         hits = np.count_nonzero(q)
         if not hits:
             continue
@@ -527,7 +520,7 @@ def _lockstep_block(X, index, start: int, slots: tuple, threshold: float):
         if hits < p:
             step[~q] = 0.0  # subtracting +0.0 leaves every value, -0.0 too, as it is
         inv[:p] -= step
-    return at[slot[queried]], pos[queried]
+    queried[at[slot[hit]], pos[hit]] = True
 
 
 def predict(model: ModelState, x) -> int:

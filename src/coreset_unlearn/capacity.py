@@ -58,6 +58,8 @@ class CapacityParams:
     K: float
 
     def __post_init__(self):
+        for name in ("T", "d"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.T < 1 or self.d < 1:
             raise ValueError("T and d must be positive")
         if not 0.0 <= self.kappa <= 1.0:
@@ -238,32 +240,29 @@ def second_moment(rows, dist: DeletionDistribution) -> np.ndarray:
     matrix ``M``, ``np.vdot(M, S)`` is the expected ``x^T M x`` under ``dist``.
     """
     X = rows.X
-    if dist.kind == "uniform":
-        return X.T @ X / len(X)
-    if dist.kind == "by-label":
-        sub = X[rows.y == dist.target_label]
-        return sub.T @ sub / len(sub)
-    return X.T @ (deletion_weights(rows.ids, dist)[:, None] * X)
+    if dist.kind == "weighted":
+        return X.T @ (deletion_weights(rows.ids, dist)[:, None] * X)
+    sub = X if dist.kind == "uniform" else X[rows.y == dist.target_label]
+    return sub.T @ sub / len(sub)
 
 
 def _trial_fits(rows, children, cap_k: float, kappa: float):
     """Each trial's ``(order, model, mean inverse, draw seed)``, from its seed in ``children``.
 
-    The trials are fitted :data:`FIT_GROUP` at a time, each group in one
-    :func:`~.bbq_linear.bbq_fit_orders` pass, and a group is fitted only
-    once the trials before it are consumed.  Trial 0 is checked against its
-    single ``bbq_fit``.
+    The trials are fitted :data:`FIT_GROUP` at a time, each group's models
+    and means from one :func:`~.bbq_linear.bbq_fit_orders` pass, and a group
+    is fitted only once the trials before it are consumed.  Trial 0 is
+    checked against its single ``bbq_fit``.
     """
     for first in range(0, len(children), FIT_GROUP):
         seqs = [child.spawn(2) for child in children[first : first + FIT_GROUP]]  # (permutation, draws)
         orders = np.stack([np.random.default_rng(perm_seq).permutation(len(rows)) for perm_seq, _ in seqs])
-        mean_inv = np.empty((len(orders), rows.X.shape[1], rows.X.shape[1]))
-        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inv)
+        models, means = bbq_fit_orders(rows, orders, cap_k, kappa)
         if not first:
             single = bbq_fit(rows.take(orders[0]), cap_k=cap_k, kappa=kappa)
             if not system_states_equal(state_of_system(models[0]), state_of_system(single), tol=0.0):
                 raise AssertionError("the lockstep fit of trial 0 differs from its single fit")
-        yield from zip(orders, models, mean_inv, (draw_seq for _, draw_seq in seqs))
+        yield from zip(orders, models, means, (draw_seq for _, draw_seq in seqs))
 
 
 def expected_capacity_mc(
@@ -293,8 +292,8 @@ def expected_capacity_mc(
     store the same rows in fit order with the same state bits.  The
     closed-form bound side is the expected quadratic form ``x^T M x`` of a
     row ``x`` drawn from ``dist``, where ``M`` is the trial's average
-    pre-step inverse Gram matrix, formed by the lockstep fit in its pass
-    (its ``mean_inverse``).  That expectation is ``<M, S>``, with
+    pre-step inverse Gram matrix, which the lockstep fit returns with its
+    models.  That expectation is ``<M, S>``, with
     ``S`` the second-moment matrix of ``dist`` over the rows (see
     :func:`second_moment`), built once per call, so a trial's form costs
     ``O(d^2)`` rather than a pass over the rows.

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .atomic_io import atomic_open
-from .core_linalg import NORM_SLACK
+from .core_linalg import NORM_SLACK, as_integer
 
 DATASET_MAGIC = b"SADS1"
 
@@ -187,6 +187,8 @@ class DatasetSpec:
     def __post_init__(self):
         # one saved form: a spec made with ``gamma=0`` saves as ``0.0``, like one made with ``0.0``
         object.__setattr__(self, "gamma", float(self.gamma))
+        for name in ("T", "d", "seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.T < 1 or self.d < 1:
@@ -457,9 +459,9 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
     ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read, and a repeated id raises.
     The ids drawn from are :func:`eligible_ids`.
     """
-    if n < 0:
+    if as_integer(n, "n") < 0:
         raise ValueError(f"requested {n} deletions; the count must be >= 0")
-    if seed < 0:
+    if as_integer(seed, "seed") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     eligible, weights = eligible_ids(samples, dist, n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

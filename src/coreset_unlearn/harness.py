@@ -147,7 +147,7 @@ def split_rows(y: np.ndarray, test_fraction: float, seed: int) -> tuple[np.ndarr
 
     Both index arrays are increasing, so training keeps the original stream order.
     """
-    if seed < 0:
+    if as_integer(seed, "seed") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51]))
     is_test = np.zeros(len(y), dtype=bool)

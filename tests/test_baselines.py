@@ -171,6 +171,14 @@ class TestSisa:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             sisa_fit(small_dataset(T=10), n_shards=2, seed=-1)
 
+    @pytest.mark.parametrize("name, value", [("n_shards", 2.5), ("seed", 1.5)])
+    def test_rejects_a_fractional_shard_count_or_seed(self, name, value):
+        # each raised a numpy TypeError; the refusal comes before the samples are read
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            sisa_fit(small_dataset(T=10), **({"n_shards": 2, "seed": 0} | {name: value}))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            sisa_fit(object(), **({"n_shards": 2, "seed": 0} | {name: value}))
+
 
 LAM_ENTRY_POINTS = {
     "ridge_fit": lambda ds, lam: ridge_fit(ds, lam=lam),

@@ -382,25 +382,19 @@ class TestRowsFit:
             assert getattr(via_rows.gram_state, name).tobytes() == getattr(via_samples.gram_state, name).tobytes()
         assert via_rows.query_log == via_samples.query_log == range(len(rows))
 
-    def test_mean_inverse_is_a_checked_out_array(self):
+    def test_means_are_a_new_array(self):
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
         orders = np.stack([np.arange(600), np.arange(600)[::-1]])
-        out = np.full((2, 4, 4), np.nan)
-        models = bbq_fit_orders(rows, orders, 4.0, 0.5, mean_inverse=out)
+        models, means = bbq_fit_orders(rows, orders, 4.0, 0.5)
         for order, model in zip(orders, models):
             assert_same_fit(model, bbq_fit(rows.take(order), 4.0, 0.5))
-        assert np.isfinite(out).all()
-        read_only = np.empty((2, 4, 4))
-        read_only.flags.writeable = False
-        for stream, bad in ((rows.samples, out), (rows, out.tolist())):
-            with pytest.raises(TypeError, match="needs Rows and an ndarray"):
-                bbq_fit_orders(stream, orders, 4.0, 0.5, mean_inverse=bad)
-        bad_outs = (np.empty((4, 4)), np.empty((3, 4, 4)), np.empty((2, 4, 4), np.float32), np.empty((2, 4, 4), np.int64))
-        for bad in (*bad_outs, read_only):
-            with pytest.raises(ValueError, match="writable float64"):
-                bbq_fit_orders(rows, orders, 4.0, 0.5, mean_inverse=bad)
+        assert type(means) is np.ndarray and means.dtype == np.float64 and means.shape == (2, 4, 4)
+        assert means.base is None and means.flags.writeable and np.isfinite(means).all()
+        assert not any(np.shares_memory(means, getattr(m.gram_state, f)) for m in models for f in GRAM_FIELDS)
+        with pytest.raises(TypeError, match="needs Rows"):
+            bbq_fit_orders(rows.samples, orders, 4.0, 0.5)
         with pytest.raises(ValueError, match="nonempty rows"):
-            bbq_fit_orders(rows.take(np.arange(0)), np.empty((2, 0), dtype=int), 4.0, 0.5, mean_inverse=out)
+            bbq_fit_orders(rows.take(np.arange(0)), np.empty((2, 0), dtype=int), 4.0, 0.5)
 
     @pytest.mark.parametrize(
         "orders",
@@ -417,7 +411,7 @@ class TestRowsFit:
     def test_orders_must_be_permutations(self, orders):
         rows = gen_dataset(DatasetSpec(kind="realizable-linear", T=600, d=4, seed=5))
         with pytest.raises(ValueError, match="permutations of range"):
-            bbq_fit_orders(rows, orders, 4.0, 0.5, mean_inverse=np.empty((1, 4, 4)))
+            bbq_fit_orders(rows, orders, 4.0, 0.5)
 
     @settings(max_examples=80, deadline=None)
     @given(screened_streams(), st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -425,16 +419,15 @@ class TestRowsFit:
         # the mean runs over the rows' own length, and its sums equal a replay that steps the full state
         rows, cap_k, kappa, _, _ = case
         n, d = rows.X.shape
-        mean_inverse = np.full((t, d, d), np.nan)
         if not n:
             with pytest.raises(ValueError, match="nonempty rows"):
-                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa, mean_inverse=mean_inverse)
+                bbq_fit_orders(rows, np.empty((t, 0), dtype=int), cap_k, kappa)
             return
         rng = np.random.default_rng(seed)
         orders = np.stack([rng.permutation(n) for _ in range(t)])
-        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
-        assert len(models) == t
-        for order, model, mean in zip(orders, models, mean_inverse):
+        models, means = bbq_fit_orders(rows, orders, cap_k, kappa)
+        assert len(models) == t and means.shape == (t, d, d)
+        for order, model, mean in zip(orders, models, means):
             ordered = rows.take(order)
             assert_same_fit(model, bbq_fit(ordered, cap_k, kappa))
             assert_state_from_coreset(model)
@@ -444,10 +437,9 @@ class TestRowsFit:
     def test_lockstep_cases(self, name):
         build, cap_k, kappa, check = LOCKSTEP_CASES[name]
         rows, orders = build()
-        mean_inverse = np.empty((len(orders), rows.X.shape[1], rows.X.shape[1]))
-        models = bbq_fit_orders(rows, orders, cap_k, kappa, mean_inverse=mean_inverse)
+        models, means = bbq_fit_orders(rows, orders, cap_k, kappa)
         fits = [(rows.take(order), model) for order, model in zip(orders, models)]
-        for (ordered, model), mean in zip(fits, mean_inverse):
+        for (ordered, model), mean in zip(fits, means):
             assert_same_fit(model, bbq_fit(ordered.samples, cap_k, kappa))  # the per-point fit, unscreened
             assert mean.tobytes() == full_state_mean(ordered, model).tobytes()
         assert check(fits)
@@ -493,7 +485,7 @@ class TestRowsFit:
         if fit == "rows":
             model = bbq_fit(rows, 10.0, 0.5)
         else:
-            model = bbq_fit_orders(rows, np.arange(2000)[None], 10.0, 0.5, mean_inverse=np.empty((1, 10, 10)))[0]
+            model = bbq_fit_orders(rows, np.arange(2000)[None], 10.0, 0.5)[0][0]
         g = model.gram_state
         assert len(model.coreset) > 0
         assert all(a.base is None for a in (g.gram, g.gram_inv, g.b_vec, g.weight))
@@ -1089,7 +1081,7 @@ class TestSerialization:
         m = {
             "rows": lambda: bbq_fit(ds, 32.0, 0.5),
             "samples": lambda: bbq_fit(ds.samples, 32.0, 0.5),
-            "orders": lambda: bbq_fit_orders(ds, [range(4000)], 32.0, 0.5, mean_inverse=np.empty((1, 20, 20)))[0],
+            "orders": lambda: bbq_fit_orders(ds, [range(4000)], 32.0, 0.5)[0][0],
             "empty core set": lambda: bbq_fit(ds, 3.0, 0.0),  # threshold 1 is above every leverage
         }[fit]()
         assert (len(m.coreset) > 0) is (fit != "empty core set")

@@ -83,6 +83,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CapacityParams(**(base | kw))
 
+    @pytest.mark.parametrize("name, value", [("T", 2.5), ("d", 5.0)])
+    def test_integers_are_refused_where_they_enter(self, name, value):
+        # T=2.5 was accepted
+        base = dict(T=1000, d=5, kappa=0.5, delta=0.05, eps_bar=0.3, K=4)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            CapacityParams(**(base | {name: value}))
+        assert type(getattr(CapacityParams(**(base | {name: np.int64(base[name])})), name)) is int
+
 
 class TestCoresetCapacity:
     def test_zero_margin_gives_zero(self):
@@ -365,9 +373,9 @@ class TestMonteCarlo:
         mean_inverses = []
 
         def recording_fit(*args, **kwargs):
-            models = bbq_fit_orders(*args, **kwargs)
-            mean_inverses.extend(kwargs["mean_inverse"].copy())
-            return models
+            models, means = bbq_fit_orders(*args, **kwargs)
+            mean_inverses.extend(means)
+            return models, means
 
         monkeypatch.setattr(capacity, "bbq_fit_orders", recording_fit)
         decisions, sides = [], []
@@ -438,9 +446,8 @@ class TestMonteCarlo:
         if runs[-1]:
             total += runs[-1] * state.gram_inv
         assert_state_from_coreset(model)
-        mean_inverse = np.empty((1, d, d))
-        bbq_fit_orders(ds, perm[None], cap_k=2.0, kappa=0.5, mean_inverse=mean_inverse)
-        assert np.array_equal(mean_inverse[0], total / T)
+        _, means = bbq_fit_orders(ds, perm[None], cap_k=2.0, kappa=0.5)
+        assert np.array_equal(means[0], total / T)
 
     @pytest.mark.parametrize("edit", ["drop the last stored row", "drop the first stored row"])
     def test_a_trial_fit_that_differs_from_its_single_fit_raises(self, monkeypatch, edit):

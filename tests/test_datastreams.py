@@ -107,6 +107,15 @@ class TestGeneration:
         with pytest.raises(ValueError):
             DatasetSpec(**(base | kw))
 
+    @pytest.mark.parametrize("name, value", [("T", 10.5), ("d", 3.0), ("seed", 1.5), ("T", "10")])
+    def test_spec_integers_are_refused_where_they_enter(self, name, value):
+        # T=10.5 was accepted, and gen_dataset then failed with a numpy TypeError
+        base = dict(kind="margin", T=10, d=3, seed=0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            DatasetSpec(**(base | {name: value}))
+        spec = DatasetSpec(**(base | {name: np.int64(base[name])}))
+        assert type(getattr(spec, name)) is int and spec == DatasetSpec(**base)
+
 
 class TestDeletionStreams:
     def test_uniform_full_is_permutation(self):
@@ -152,6 +161,13 @@ class TestDeletionStreams:
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=300, d=3, seed=28))
         with pytest.raises(ValueError, match=">= 0"):
             deletion_stream(ds, DeletionDistribution(), -1, seed=0)
+
+    @pytest.mark.parametrize("name, value", [("n", 2.5), ("seed", 1.5)])
+    def test_a_fractional_count_or_seed_rejected(self, name, value):
+        # each raised a numpy TypeError
+        ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=30, d=3, seed=28))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            deletion_stream(ds, DeletionDistribution(), **({"n": 5, "seed": 0} | {name: value}))
 
     @pytest.mark.parametrize("kind", ["uniform", "by-label", "weighted"])
     def test_negative_seed_rejected(self, kind):

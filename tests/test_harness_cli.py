@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,8 @@ class TestSplit:
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=3))
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             harness.split_rows(ds.y, 0.2, -1)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):  # a numpy TypeError before
+            harness.split_rows(ds.y, 0.2, 1.5)
 
     def test_stratified_split_rejects_a_negative_seed(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=3))
@@ -361,7 +364,7 @@ class TestReports:
         csvs = [p for p in paths if p.endswith(".csv")]
         assert len(csvs) == len(report.methods)
         for path in csvs:
-            lines = open(path).read().splitlines()
+            lines = Path(path).read_text().splitlines()
             assert lines[0] == "deletions,accuracy,method"
             method = path.rsplit("_", 1)[1].removesuffix(".csv")
             assert len(lines) - 1 == len(report.methods[method].accuracy_curve)
@@ -389,7 +392,7 @@ class TestReports:
         rep.methods["retrain"].accuracy_curve = []
         paths = emit_report(rep, str(tmp_path / "rep"))
         csv_path = [p for p in paths if p.endswith(".csv")][0]
-        assert open(csv_path).read() == "deletions,accuracy,method\n"
+        assert Path(csv_path).read_text() == "deletions,accuracy,method\n"
 
 
 def _deletion_without_downdate(model, ids):
