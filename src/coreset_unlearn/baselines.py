@@ -97,11 +97,7 @@ class SisaModel:
 
 def sisa_fit(samples, n_shards: int = 16, seed: int = 0, lam: float = DEFAULT_RIDGE_LAMBDA) -> SisaModel:
     """Round-robin shard assignment after a seeded shuffle, one ridge model per shard."""
-    n_shards = as_integer(n_shards, "n_shards")
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    if as_integer(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_shards, seed = as_integer(n_shards, "n_shards", 1), as_integer(seed, "seed", 0)
     data = as_rows(samples)
     if not len(data):
         raise ValueError("sisa_fit needs a nonempty sample")

@@ -224,9 +224,7 @@ class BBQParams:
     cap_k: float
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", as_integer(self.horizon, "horizon"))  # 250.5 is refused, not cut
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", as_integer(self.horizon, "horizon", 1))
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not 1 <= self.cap_k < math.inf:  # NaN fails too

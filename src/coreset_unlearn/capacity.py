@@ -59,9 +59,7 @@ class CapacityParams:
 
     def __post_init__(self):
         for name in ("T", "d"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.T < 1 or self.d < 1:
-            raise ValueError("T and d must be positive")
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not 0.0 < self.delta < 1.0:
@@ -100,9 +98,8 @@ def coreset_capacity(p: CapacityParams) -> int:
 
 
 def drift_bound(K: int, p: CapacityParams) -> float:
-    """Envelope on ``|w^T x - w_del^T x|`` after ``K`` core-set deletions."""
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    """Envelope on ``|w^T x - w_del^T x|`` after ``K`` core-set deletions, an integer of at least 0."""
+    K = as_integer(K, "K", 0)
     return (
         2.0
         * math.sqrt(math.e * (K + 1))
@@ -119,11 +116,11 @@ def expected_capacity_uniform(p: CapacityParams, c: float) -> int:
 
 
 def expected_deletion_time(K: int, k_total: int, core_cost: float) -> float:
-    """Average per-deletion cost when only ``K`` of ``k_total`` requests hit the core set."""
-    if k_total < 1:
-        raise ValueError(f"k_total must be >= 1, got {k_total}")
+    """Average per-deletion cost when only ``K`` of ``k_total`` requests hit the core set; both are integers."""
+    k_total = as_integer(k_total, "k_total", 1)
     if not 0 <= K <= k_total:  # NaN fails too
         raise ValueError(f"K must lie in [0, k_total] = [0, {k_total}], got {K}")
+    K = as_integer(K, "K")
     if not 0 <= core_cost < math.inf:
         raise ValueError(f"core_cost must be finite and >= 0, got {core_cost}")
     return (K / k_total) * core_cost
@@ -306,13 +303,7 @@ def expected_capacity_mc(
     largest value ``dist`` can draw (:func:`~.datastreams.eligible_ids`);
     anything else raises ``ValueError`` before the first fit.
     """
-    if as_integer(trials, "trials") < 1:
-        raise ValueError("trials must be >= 1")
-    if as_integer(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    K = as_integer(K, "K")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    trials, seed, K = as_integer(trials, "trials", 1), as_integer(seed, "seed", 0), as_integer(K, "K", 1)
     rows = as_rows(dataset)
     T = len(rows)
     if k_total_grid is None:

@@ -21,6 +21,7 @@ import sys
 from . import verify as verify_mod
 from .bbq_linear import BBQParams, bbq_fit, deletion_update, load_model, save_model
 from .capacity import CapacityParams, capacity_report_json, coreset_capacity, expected_capacity_mc
+from .core_linalg import as_integer
 from .datastreams import (
     DatasetSpec,
     DeletionDistribution,
@@ -160,8 +161,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    if args.n < 0:
-        raise _UsageError(f"--n must be >= 0, got {args.n}")
+    _usage_checked(as_integer, value=args.n, name="--n", least=0)
     model = load_model(args.model)
     ds = load_dataset(args.data)
     dist = DeletionDistribution(kind=args.dist, target_label=args.target_label)
@@ -204,8 +204,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    if args.k < 1 or args.trials < 1:
-        raise _UsageError(f"--k and --trials must be >= 1, got {args.k} and {args.trials}")
+    for flag in ("k", "trials"):
+        _usage_checked(as_integer, value=getattr(args, flag), name=f"--{flag}", least=1)
     _check_sampler_args(args)
     # T and d come from the data; 1 stands in for them while the other ranges are checked
     _usage_checked(
@@ -236,8 +236,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:  # a bad argument (exit 1), not a failed invariant (exit 3)
-        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
+    _usage_checked(as_integer, value=args.trials, name="--trials", least=1)  # exit 1, not a failed invariant's 3
     results = verify_mod.run_all(args.seed, args.trials)
     failed = False
     for name, ok, detail in results:

@@ -116,20 +116,29 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an ``int`` if ``operator.index`` takes it, else ``ValueError`` naming ``name``."""
+def as_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an ``int``: the one rule for every integer argument.
+
+    ``ValueError`` naming ``name`` unless ``operator.index`` takes ``value``
+    (2.5, 5.0 and NaN are refused, not cut) and the integer is at least ``least``, if given.
+    """
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
 
 
-def check_lam(lam) -> None:
-    """``ValueError`` unless ``lam`` is finite and positive: a NaN or infinite ``lam`` gives NaN or zero weights."""
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+def check_lam(value, name: str = "lam") -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is finite and positive.
+
+    The rule for a ridge ``lam`` (a NaN or infinite one gives NaN or zero weights) and any positive rate."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_dim_and_lam(dim, lam) -> None:

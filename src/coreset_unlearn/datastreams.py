@@ -187,14 +187,10 @@ class DatasetSpec:
     def __post_init__(self):
         # one saved form: a spec made with ``gamma=0`` saves as ``0.0``, like one made with ``0.0``
         object.__setattr__(self, "gamma", float(self.gamma))
-        for name in ("T", "d", "seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name, least in (("T", 1), ("d", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.T < 1 or self.d < 1:
-            raise ValueError("T and d must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.u is not None and len(self.u) != self.d:
@@ -459,10 +455,7 @@ def deletion_stream(samples, dist: DeletionDistribution, n: int, seed: int) -> l
     ``samples`` is anything :func:`as_rows` accepts; only its ids and labels are read, and a repeated id raises.
     The ids drawn from are :func:`eligible_ids`.
     """
-    if as_integer(n, "n") < 0:
-        raise ValueError(f"requested {n} deletions; the count must be >= 0")
-    if as_integer(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n, seed = as_integer(n, "n", 0), as_integer(seed, "seed", 0)
     eligible, weights = eligible_ids(samples, dist, n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if weights is None:

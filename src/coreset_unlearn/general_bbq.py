@@ -57,6 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .core_linalg import check_lam
 from .datastreams import LabeledSample, sample_ids
 
 DEFAULT_MAX_CLASS_SIZE = 256
@@ -479,8 +480,7 @@ def general_bbq_trace(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if rate_bound is None:
         rate_bound = default_rate_bound(len(fclass), len(pool), delta)
-    if not 0.0 < rate_bound < math.inf:
-        raise ValueError(f"rate_bound must be finite and > 0, got {rate_bound}")
+    check_lam(rate_bound, "rate_bound")
     stage_cap = EXHAUST_STAGE_CAP if exhaust_pool else DEFAULT_STAGE_CAP
 
     values = fclass.value_matrix(pool)

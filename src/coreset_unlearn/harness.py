@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -37,7 +36,7 @@ import numpy as np
 from . import baselines, capacity
 from .atomic_io import atomic_open
 from .bbq_linear import BBQParams, bbq_fit, deletion_update
-from .core_linalg import as_integer, refresh_inverse
+from .core_linalg import as_integer, check_lam, refresh_inverse
 from .datastreams import (
     DatasetSpec,
     DeletionDistribution,
@@ -81,27 +80,21 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
-        if as_integer(self.cadence, "cadence") < 1:
-            raise ValueError("cadence must be >= 1")
-        if as_integer(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("cadence", 1), ("seed", 0), ("shards", 1)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
+        if self.deletion_count is not None:
+            object.__setattr__(self, "deletion_count", as_integer(self.deletion_count, "deletion_count", 0))
         if self.gate_policy not in GATE_POLICIES:
             raise ValueError(f"gate_policy must be one of {GATE_POLICIES}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in (0, 1)")
+        split_rows(np.empty(0), self.test_fraction, self.seed)  # the split's own rule for test_fraction
         if not 0.0 <= self.deletion_fraction <= 1.0:
             raise ValueError(f"deletion_fraction must lie in [0, 1], got {self.deletion_fraction}")
-        if self.deletion_count is not None and as_integer(self.deletion_count, "deletion_count") < 0:
-            raise ValueError(f"deletion_count must be >= 0, got {self.deletion_count}")
         self.deletion_distribution()  # a kind, target or "weighted" that no run could draw from
         # the sampler's own range rule for kappa and cap_k; the horizon comes from the data, so 1 stands in
         BBQParams(horizon=1, kappa=self.kappa, cap_k=self.cap_k)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if as_integer(self.shards, "shards") < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if not 0.0 < self.ridge_lambda < math.inf:  # NaN fails too
-            raise ValueError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
+        check_lam(self.ridge_lambda, "ridge_lambda")
 
     def deletion_distribution(self) -> DeletionDistribution:
         """The distribution the run draws its deletion stream from; a config holds no weights."""
@@ -146,9 +139,11 @@ def split_rows(y: np.ndarray, test_fraction: float, seed: int) -> tuple[np.ndarr
     """Seeded label-stratified split of rows with labels ``y``: ``(train, test)`` row indices.
 
     Both index arrays are increasing, so training keeps the original stream order.
+    ``ValueError`` before any draw unless ``0 < test_fraction < 1`` and ``seed >= 0``.
     """
-    if as_integer(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = as_integer(seed, "seed", 0)
+    if not 0.0 < test_fraction < 1.0:  # NaN fails too
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51]))
     is_test = np.zeros(len(y), dtype=bool)
     for label in (-1, 1):

@@ -138,6 +138,14 @@ class TestDriftBound:
         with pytest.raises(ValueError):
             drift_bound(-1, p)
 
+    def test_a_fractional_or_nan_count_is_refused(self):
+        # 2.5 gave a bound of 11.16 and NaN a NaN bound, for counts of deletions that cannot happen
+        p = CapacityParams(T=10**4, d=5, kappa=0.5, delta=0.05, eps_bar=0.3, K=5)
+        for K in (2.5, math.nan):
+            with pytest.raises(ValueError, match=f"^K must be an integer, got {K}$"):
+                drift_bound(K, p)
+        assert drift_bound(np.int64(2), p) == drift_bound(2, p)
+
     def test_observed_drift_against_algebraic_envelope(self):
         # the probabilistic constant is unverifiable; check the direction by
         # replacing it with the measured weight displacement
@@ -191,6 +199,14 @@ class TestExpectedCapacity:
             with pytest.raises(ValueError, match="^core_cost must be finite and >= 0, got "):
                 expected_deletion_time(1, 2, core_cost)
         assert expected_deletion_time(2, 2, 0.0) == 0.0
+
+    def test_expected_deletion_time_refuses_fractional_counts(self):
+        # k_total = 2.5 gave 0.4 and K = 0.5 gave 0.25
+        with pytest.raises(ValueError, match="^k_total must be an integer, got 2.5$"):
+            expected_deletion_time(1, 2.5, 1.0)
+        with pytest.raises(ValueError, match="^K must be an integer, got 0.5$"):
+            expected_deletion_time(0.5, 2, 1.0)
+        assert expected_deletion_time(np.int64(1), np.int64(4), 1.0) == 0.25
 
 
 def margin_fit(seed=41, T=3000, d=8):

@@ -7,11 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from instances import assert_same_state_bits
-from coreset_unlearn import DatasetSpec, bbq_fit, core_linalg, gen_dataset, predict
+from coreset_unlearn import (
+    BBQParams, DatasetSpec, DeletionDistribution, LabeledSample, bbq_fit, core_linalg, deletion_stream, gen_dataset,
+    predict,
+)
+from coreset_unlearn.baselines import sisa_fit
+from coreset_unlearn.capacity import CapacityParams, drift_bound, expected_capacity_mc, expected_deletion_time
 from coreset_unlearn.core_linalg import (
     CorruptedStateError,
     SingularDowndateError,
     DEFAULT_REFRESH_PERIOD,
+    as_integer,
     as_vector,
     gram_from_rows,
     gram_init,
@@ -21,6 +27,8 @@ from coreset_unlearn.core_linalg import (
     rank_one_update,
     refresh_inverse,
 )
+from coreset_unlearn.general_bbq import FiniteFunctionClass, general_bbq_fit
+from coreset_unlearn.harness import ExperimentConfig, split_rows
 
 
 def dense_inverse(lam, d, applied):
@@ -500,3 +508,82 @@ class TestGramFromRows:
             gram_from_rows(X, y, lam)
         with pytest.raises(ValueError, match=f"^{message}$"):
             two_step_gram(X, y, lam)
+
+
+
+
+def _kept(make, name):
+    """A call that builds ``make(name=value)`` and returns the value as the object keeps it."""
+    return lambda value: getattr(make(**{name: value}), name)
+
+
+def _dropped(f):
+    """A call of ``f(value)`` that returns ``None``: the callee keeps no copy of the value."""
+    def call(value):
+        f(value)
+    return call
+
+
+def integer_arguments():
+    """``(call, name, least)`` for every integer argument the library checks with ``as_integer`` and a bound.
+
+    ``call(value)`` passes ``value`` as that argument and returns the value
+    as the callee keeps it, or ``None`` where nothing keeps it.
+    """
+    ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=12))
+    uniform = DeletionDistribution()
+    spec = dict(kind="realizable-linear", T=20, d=3, seed=1)
+    params = dict(T=1000, d=5, kappa=0.5, delta=0.05, eps_bar=0.3, K=4)
+    mc = dict(K=1, trials=1, seed=0)
+    return [
+        (_kept(lambda **kw: BBQParams(kappa=0.5, cap_k=2.0, **kw), "horizon"), "horizon", 1),
+        *((_kept(lambda **kw: CapacityParams(**(params | kw)), name), name, 1) for name in ("T", "d")),
+        *(
+            (_kept(lambda **kw: DatasetSpec(**(spec | kw)), name), name, least)
+            for name, least in (("T", 1), ("d", 1), ("seed", 0))
+        ),
+        *(
+            (_kept(lambda **kw: ExperimentConfig(dataset=DatasetSpec(**spec), **kw), name), name, least)
+            for name, least in (("cadence", 1), ("seed", 0), ("deletion_count", 0), ("shards", 1))
+        ),
+        (_dropped(lambda v: split_rows(ds.y, 0.2, v)), "seed", 0),
+        (_dropped(lambda v: deletion_stream(ds, uniform, v, seed=0)), "n", 0),
+        (_dropped(lambda v: deletion_stream(ds, uniform, 1, seed=v)), "seed", 0),
+        (_dropped(lambda v: sisa_fit(ds, n_shards=v)), "n_shards", 1),
+        (_dropped(lambda v: sisa_fit(ds, seed=v)), "seed", 0),
+        *(
+            (_kept(lambda **kw: expected_capacity_mc(ds, uniform, **(mc | kw)), name), name, 1)
+            for name in ("trials", "K")
+        ),
+        (_dropped(lambda v: expected_capacity_mc(ds, uniform, **(mc | {"seed": v}))), "seed", 0),
+        (_dropped(lambda v: drift_bound(v, CapacityParams(**params))), "K", 0),
+        (_dropped(lambda v: expected_deletion_time(1, v, 1.0)), "k_total", 1),
+    ]
+
+
+class TestIntegerRule:
+    def test_every_integer_argument_keeps_the_one_rule(self):
+        for call, name, least in integer_arguments():
+            with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+                call(least - 1)
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+                call(2.5)
+            kept = call(np.int64(least))
+            assert kept is None or (type(kept) is int and kept == least), name
+
+    def test_the_rule_returns_an_int_and_bounds_only_when_asked(self):
+        assert type(as_integer(np.int64(3), "x", 3)) is int
+        assert as_integer(-7, "x") == -7
+        with pytest.raises(ValueError, match="^x must be an integer, got nan$"):
+            as_integer(float("nan"), "x", 0)
+
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "must be positive, got 0.0"), (-1.0, "must be positive, got -1.0"),
+        (float("nan"), "must be finite, got nan"), (float("inf"), "must be finite, got inf"),
+    ])
+    def test_the_positive_rate_rule_names_its_argument(self, value, message):
+        with pytest.raises(ValueError, match=f"^ridge_lambda {message}$"):
+            ExperimentConfig(dataset="unused.bin", ridge_lambda=value)
+        constant = FiniteFunctionClass([lambda s: 1.0])
+        with pytest.raises(ValueError, match=f"^rate_bound {message}$"):
+            general_bbq_fit([LabeledSample(0, [0.5], 1)], constant, rate_bound=value)

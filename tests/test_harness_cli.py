@@ -65,6 +65,15 @@ class TestSplit:
         with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):  # a numpy TypeError before
             harness.split_rows(ds.y, 0.2, 1.5)
 
+    @pytest.mark.parametrize("fraction", [-0.2, 1.5, float("nan")])
+    def test_split_refuses_a_fraction_outside_the_open_interval(self, fraction):
+        # -0.2 gave 4 train and 16 test rows, 1.5 gave 0 and 20, and NaN failed inside numpy
+        y = np.array([1, -1] * 10)
+        with pytest.raises(ValueError, match=rf"^test_fraction must lie in \(0, 1\), got {fraction}$"):
+            harness.split_rows(y, fraction, 1)
+        with pytest.raises(ValueError, match=rf"^test_fraction must lie in \(0, 1\), got {fraction}$"):
+            stratified_split(gen_dataset(DatasetSpec(kind="realizable-linear", T=20, d=3, seed=3)).samples, fraction, 1)
+
     def test_stratified_split_rejects_a_negative_seed(self):
         ds = gen_dataset(DatasetSpec(kind="realizable-linear", T=50, d=3, seed=3))
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
@@ -607,6 +616,18 @@ class TestCli:
         assert cli_main(argv + ["--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert "usage error: argument --seed" in captured.err and "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["unlearn", "--model", "{missing}", "--data", "{missing}", "--n", "-1", "--out", "{out}"], "--n must be >= 0, got -1"),
+        (["capacity", "--data", "{missing}", "--k", "0", "--out", "{out}"], "--k must be >= 1, got 0"),
+        (["capacity", "--data", "{missing}", "--trials", "0", "--out", "{out}"], "--trials must be >= 1, got 0"),
+        (["verify", "--trials", "0"], "--trials must be >= 1, got 0"),
+    ], ids=["unlearn n", "capacity k", "capacity trials", "verify trials"])
+    def test_a_count_flag_below_its_bound_is_named(self, tmp_path, capsys, argv, message):
+        argv = [a.format(out=tmp_path / "out", missing=tmp_path / "missing") for a in argv]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_verify_without_trials_is_usage_error(self, capsys):

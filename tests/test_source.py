@@ -209,3 +209,73 @@ def test_sample_ids_are_checked_only_in_datastreams():
     found = {p.name: twin_id_checks(p.read_text(encoding="utf-8")) for p in MODULES}
     assert len(found.pop("datastreams.py")) == 1  # the one "duplicate sample ids"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def bound_checks_outside_as_integer(source: str) -> list[int]:
+    """Lines of ``source`` that compare an integer ``as_integer`` returned with a numeric literal.
+
+    The integer is the call itself, or a name or attribute spelled as the
+    call's ``name`` argument (a string, or a loop variable over strings) on
+    or after the call's line in the same function.  Such a bound belongs in
+    the call's ``least``, so its message is the rule's.
+    """
+    def literal(node) -> bool:
+        node = node.operand if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) else node
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def spelled(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        over = {
+            target.id: {n.value for n in ast.walk(loop.iter) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            for loop in ast.walk(function) if isinstance(loop, ast.For)
+            for target in ast.walk(loop.target) if isinstance(target, ast.Name)
+        }
+        calls = [n for n in ast.walk(function) if isinstance(n, ast.Call) and spelled(n.func) == "as_integer"]
+        checked = {}
+        for call in calls:
+            name = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "name"), None)
+            names = {name.value} if isinstance(name, ast.Constant) else over.get(spelled(name), set())
+            for spelling in names:
+                checked[spelling] = min(checked.get(spelling, call.lineno), call.lineno)
+        for compare in ast.walk(function):
+            if not isinstance(compare, ast.Compare):
+                continue
+            sides = [compare.left, *compare.comparators]
+            for a, b in zip(sides, sides[1:]):
+                other = b if literal(a) else a if literal(b) else None
+                if other is not None and (other in calls or checked.get(spelled(other), compare.lineno + 1) <= compare.lineno):
+                    found.add(compare.lineno)
+    return sorted(found)
+
+
+def test_the_guard_sees_a_bound_outside_as_integer():
+    # lines 2, 5 and 10 are the forms the library's bound checks once took; line 13 compares K before
+    # its own check and k_total with no literal, as expected_deletion_time's range rule does
+    source = (
+        "def fit(horizon, n):\n"
+        "    if as_integer(horizon, \"horizon\") < 1:\n"
+        "        raise ValueError(\"horizon must be >= 1\")\n"
+        "    n = as_integer(n, \"n\")\n"
+        "    if n < 0 or 10 < n:\n"
+        "        raise ValueError(\"bad n\")\n"
+        "    def post_init(self):\n"
+        "        for name, least in ((\"T\", 1), (\"d\", 1)):\n"
+        "            object.__setattr__(self, name, as_integer(getattr(self, name), name=name))\n"
+        "        return self.T < 1 or self.d < -1\n"
+        "def kept(K, k_total):\n"
+        "    k_total = as_integer(k_total, \"k_total\", 1)\n"
+        "    if not 0 <= K <= k_total:\n"
+        "        raise ValueError(\"K out of range\")\n"
+        "    return as_integer(K, \"K\") / k_total, n < 1\n"
+    )
+    assert bound_checks_outside_as_integer(source) == [2, 5, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_integer_bounds_are_checked_only_by_as_integer(path):
+    assert bound_checks_outside_as_integer(path.read_text(encoding="utf-8")) == []
